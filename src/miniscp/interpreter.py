@@ -6,10 +6,14 @@ Right-hand sides must be passive or a single top-level call with passive
 arguments (tail form); anything else is rejected here with a clear error.
 
 Two engines are provided: a reference stepper over the syntax tree
-(`eval_reference`, `trace_call`) and a compiled engine (`eval_call`) that
-translates a program to a Python loop once and caches it.  Ground words run
-as plain Python strings in the compiled engine; both engines agree on value
-and step count.
+(`eval_reference`, `trace_call`) and a compiled engine (`eval_call`,
+`CompiledProgram`) that translates a program to one Python loop once and
+caches it.  Both agree on value and step count.  The compiled engine runs
+ground words as plain Python strings and holds each list argument as a
+`(string, offset)` pair, so a step that consumes a symbol moves an offset
+instead of copying the rest of the string: each step costs O(1) in the
+length of the input, and a run is linear in wall time wherever it is linear
+in steps.
 """
 
 from __future__ import annotations
@@ -192,143 +196,242 @@ def _require_ground_call(call: Call) -> None:
 
 # --- compiled engine --------------------------------------------------------
 #
-# Ground values are encoded as Python objects: a word as a str, a bare symbol
-# as its 1-character str, T/F as booleans.  Each function body becomes one
-# dispatch arm of a generated while-loop; a rule application is a tuple
-# rebuild plus a `continue`, so one step costs a few bytecodes.
+# Ground values are Python objects: a word is a str, a bare symbol its
+# 1-character str, T/F a bool.  A program becomes one generated function,
+# `_run`, whose locals hold each function's arguments in that function's own
+# slots.  A list slot is a pair of locals `(s, o)` standing for the suffix
+# `s[o:]`; a slot that every rule matches with a bare symbol pattern is one
+# local holding the symbol, with offset the constant 0.  A pattern tests
+# `s[o + d]` and `len(s) == o + d`, a list variable binds `(s, o + d)`, and a
+# tail call assigns the callee's slots in place and sets `_fn`.  A step that
+# drops a prefix therefore copies nothing and costs O(1) in the length of the
+# string.  A value is turned back into a str only where a right-hand side
+# conses onto a bound list, where a list is returned or compared with a
+# repeated list variable, and in a StuckTermError message.  `_fn` selects
+# the function through a balanced `if _fn < k` tree over function ids, so
+# dispatch costs O(log #functions) per step.
 
-def _pattern_code(pat: Expr, src: str) -> tuple[list[str], dict]:
-    """Conditions and variable accessors for one pattern against `src`."""
-    conds: list[str] = []
-    binds: dict = {}
+_Code = tuple[str, str]  # (s, o): code of a str and of an offset into it
+
+
+def _offset(o: str, d: int) -> str:
+    if d == 0:
+        return o
+    return str(d) if o == "0" else f"{o} + {d}"
+
+
+def _text(value: _Code) -> str:
+    """Code for the str `s[o:]`.  A bool (a T/F entry argument) only ever
+    sits at offset 0, so an offset held in a local is tested before
+    slicing."""
+    s, o = value
+    if o == "0":
+        return s
+    if o.isidentifier():
+        return f"({s}[{o}:] if {o} else {s})"
+    return f"{s}[{o}:]"
+
+
+def _slots(k: int, rules: tuple[Rule, ...]) -> list[_Code]:
+    """Locals of function `k`'s arguments; a symbol slot's offset is "0"."""
+    return [(f"s{k}_{i}",
+              "0" if all(isinstance(r.lhs[i], (Sym, SymVar)) for r in rules)
+              else f"o{k}_{i}")
+            for i in range(len(rules[0].lhs))]
+
+
+def _pattern_code(pat: Expr, slot: _Code, conds: list[str], chars: dict,
+                  values: dict) -> None:
+    """Append the tests of `pat` against `slot` to `conds`.
+
+    `chars` maps each symbol variable to the code of its character; a
+    repeated variable becomes an equality test.  `values` maps each list
+    variable and each suffix of the pattern to its `(s, o)` code, so a
+    right-hand side that passes one on copies two locals.
+    """
+    s, o = slot
+
+    def bind(var, code):
+        if var in chars:
+            conds.append(f"{code} == {chars[var]}")
+        else:
+            chars[var] = code
+
     if isinstance(pat, (Sym, SymVar)):  # bare symbol position
-        if isinstance(pat, Sym):
-            conds.append(f"{src} == {pat.ch!r}")
+        if o == "0" and isinstance(pat, Sym):
+            conds.append(f"{s} == {pat.ch!r}")
         else:
-            conds.append(f"len({src}) == 1")
-            binds[pat] = src
-        return conds, binds
-    depth = 0
+            conds.append(f"len({s}) == {_offset(o, 1)}")
+            at = s if o == "0" else f"{s}[{o}]"
+            if isinstance(pat, Sym):
+                conds.append(f"{at} == {pat.ch!r}")
+            else:
+                bind(pat, at)
+        values.setdefault(pat, slot)
+        return
+    spine = []
     while isinstance(pat, Cons):
-        if isinstance(pat.head, Sym):
-            conds.append(f"{src}[{depth}:{depth + 1}] == {pat.head.ch!r}")
-        else:
-            conds.append(f"len({src}) > {depth}")
-            binds[pat.head] = f"{src}[{depth}]"
+        spine.append(pat)
         pat = pat.tail
-        depth += 1
+    depth = len(spine)
     if isinstance(pat, Nil):
-        conds.append(f"len({src}) == {depth}")
+        conds.append(f"len({s}) == {_offset(o, depth)}")
     elif isinstance(pat, ListVar):
-        if depth > 0:
-            conds.append(f"len({src}) >= {depth}")
-        binds[pat] = src if depth == 0 else f"{src}[{depth}:]"
+        if depth:
+            conds.append(f"len({s}) > {_offset(o, depth - 1)}")
+        rest = (s, _offset(o, depth))
+        if pat in values:
+            conds.append(f"{_text(rest)} == {_text(values[pat])}")
+        else:
+            values[pat] = rest
     else:
         raise EvalError(f"bad pattern {pat!r}")
-    return conds, binds
+    for d, cell in enumerate(spine):
+        at = f"{s}[{_offset(o, d)}]"
+        if isinstance(cell.head, Sym):
+            conds.append(f"{at} == {cell.head.ch!r}")
+        else:
+            bind(cell.head, at)
+        values.setdefault(cell, (s, _offset(o, d)))
 
 
-def _value_code(expr: Expr, binds: dict, lhs_reuse: dict) -> str:
-    """Python expression computing a passive rhs fragment as str."""
-    if expr in lhs_reuse:
-        return lhs_reuse[expr]
-    if isinstance(expr, (Sym,)):
-        return repr(expr.ch)
-    if isinstance(expr, (SymVar, ListVar)):
-        return binds[expr]
-    if isinstance(expr, Nil):
-        return "''"
-    w = unword(expr)
-    if w is not None:
-        return repr(w)
-    if isinstance(expr, Cons):
-        head = _value_code(expr.head, binds, lhs_reuse)
-        tail = _value_code(expr.tail, binds, lhs_reuse)
-        return f"({head} + {tail})"
-    raise EvalError(f"cannot compile rhs fragment {expr!r}")
+def _value_code(expr: Expr, chars: dict, values: dict) -> _Code:
+    """`(s, o)` code of a passive right-hand side fragment."""
+    if expr in values:
+        return values[expr]
+    if isinstance(expr, Sym):
+        return repr(expr.ch), "0"
+    if isinstance(expr, SymVar):
+        return chars[expr], "0"
+    parts: list[str] = []
+    lit = ""
+    while isinstance(expr, Cons) and expr not in values:
+        if isinstance(expr.head, Sym):
+            lit += expr.head.ch
+        else:
+            if lit:
+                parts.append(repr(lit))
+                lit = ""
+            parts.append(chars[expr.head])
+        expr = expr.tail
+    if lit:
+        parts.append(repr(lit))
+    if expr in values:
+        parts.append(_text(values[expr]))
+    elif not isinstance(expr, Nil):
+        raise EvalError(f"cannot compile rhs fragment {expr!r}")
+    if not parts:
+        return "''", "0"
+    return (parts[0] if len(parts) == 1 else f"({' + '.join(parts)})"), "0"
 
 
-def _compile_source(program: Program) -> tuple[str, dict[str, int]]:
+def _emit_tree(emit, lo: int, hi: int, indent: str, leaf) -> None:
+    """A balanced `if _fn < k` tree over ids lo..hi-1; `leaf(k, indent)`
+    emits the code for id k."""
+    if hi - lo == 1:
+        leaf(lo, indent)
+        return
+    mid = (lo + hi) // 2
+    emit(f"{indent}if _fn < {mid}:")
+    _emit_tree(emit, lo, mid, indent + "    ", leaf)
+    emit(f"{indent}else:")
+    _emit_tree(emit, mid, hi, indent + "    ", leaf)
+
+
+def _compile_source(program: Program) -> str:
     check_tail_form(program)
-    ids = {name: i for i, (name, _) in enumerate(program.functions)}
-    lines = [
-        "def _run(_fn, _args, _fuel):",
-        "    _steps = 0",
-        "    while True:",
-    ]
+    functions = program.functions
+    ids = {name: k for k, (name, _) in enumerate(functions)}
+    slots = [_slots(k, rules) for k, (_, rules) in enumerate(functions)]
+    lines = ["def _run(_fn, _args, _fuel):"]
     emit = lines.append
-    for name, rules in program.functions:
-        fid = ids[name]
-        arity = len(rules[0].lhs)
-        kw = "if" if fid == 0 else "elif"
-        emit(f"        {kw} _fn == {fid}:  # {name}/{arity}")
-        emit("            _steps += 1")
-        emit("            if _steps > _fuel:")
-        emit("                raise FuelExhaustedError(_steps)")
-        unpack = ", ".join(f"a{i}" for i in range(arity))
-        emit(f"            {unpack}{',' if arity == 1 else ''} = _args")
+
+    def enter(k, pad):
+        names = [s for s, _ in slots[k]]
+        emit(f"{pad}{', '.join(names)}{',' if len(names) == 1 else ''}"
+             f" = _args")
+        offsets = [o for _, o in slots[k] if o != "0"]
+        if offsets:
+            emit(f"{pad}{' = '.join(offsets)} = 0")
+
+    def arm(k, pad):
+        name, rules = functions[k]
+        emit(f"{pad}# {name}/{len(slots[k])}")
         for rule in rules:
             conds: list[str] = []
-            binds: dict = {}
-            first_site: dict = {}
-            for i, pat in enumerate(rule.lhs):
-                pconds, pbinds = _pattern_code(pat, f"a{i}")
-                conds.extend(pconds)
-                for v, acc in pbinds.items():
-                    if v in binds:
-                        conds.append(f"{binds[v]} == {acc}")
-                    else:
-                        binds[v] = acc
-                if pat not in first_site:
-                    first_site[pat] = f"a{i}"
-            cond = " and ".join(conds) if conds else "True"
-            emit(f"            if {cond}:")
+            chars: dict = {}
+            values: dict = {}
+            for pat, slot in zip(rule.lhs, slots[k]):
+                _pattern_code(pat, slot, conds, chars, values)
+            emit(f"{pad}if {' and '.join(conds) or 'True'}:")
+            body = pad + "    "
             rhs = rule.rhs
             if isinstance(rhs, TrueVal):
-                emit("                return (True, _steps)")
+                emit(f"{body}return (True, _steps)")
             elif isinstance(rhs, FalseVal):
-                emit("                return (False, _steps)")
+                emit(f"{body}return (False, _steps)")
             elif isinstance(rhs, Call):
-                args = ", ".join(
-                    _value_code(a, binds, first_site) for a in rhs.args)
-                trail = "," if len(rhs.args) == 1 else ""
-                emit(f"                _args = ({args}{trail})")
-                if ids[rhs.fn] != fid:
-                    emit(f"                _fn = {ids[rhs.fn]}")
-                emit("                continue")
+                callee = ids[rhs.fn]
+                stores = []
+                for arg, (ts, to) in zip(rhs.args, slots[callee]):
+                    value = _value_code(arg, chars, values)
+                    if to == "0":
+                        stores.append((ts, _text(value)))
+                    else:
+                        stores += [(ts, value[0]), (to, value[1])]
+                if callee == k:  # the slots being read are the ones stored
+                    stores = [(t, c) for t, c in stores if t != c]
+                    if len(stores) > 1:
+                        stores = [(", ".join(t for t, _ in stores),
+                                   ", ".join(c for _, c in stores))]
+                for target, code in stores:
+                    emit(f"{body}{target} = {code}")
+                if callee != k:
+                    emit(f"{body}_fn = {callee}")
+                emit(f"{body}continue")
             else:
-                emit(f"                return ({_value_code(rhs, binds, first_site)}, _steps)")
-        emit(f"            raise StuckTermError("
-             f"'no rule of {name} matches ' + repr(_args))")
-    emit("        else:")
-    emit("            raise StuckTermError('unknown function id %r' % (_fn,))")
-    return "\n".join(lines) + "\n", ids
+                value = _value_code(rhs, chars, values)
+                emit(f"{body}return ({_text(value)}, _steps)")
+        texts = ", ".join(_text(slot) for slot in slots[k])
+        trail = "," if len(slots[k]) == 1 else ""
+        emit(f"{pad}raise StuckTermError("
+             f"{f'no rule of {name} matches '!r} + repr(({texts}{trail})))")
+
+    _emit_tree(emit, 0, len(functions), "    ", enter)
+    emit("    _steps = 0")
+    emit("    while True:")
+    emit("        _steps += 1")
+    emit("        if _steps > _fuel:")
+    emit("            raise FuelExhaustedError(_steps)")
+    _emit_tree(emit, 0, len(functions), "        ", arm)
+    return "\n".join(lines) + "\n"
 
 
 class CompiledProgram:
-    """A program translated to a single Python dispatch loop."""
+    """A program translated to one generated Python function."""
 
     def __init__(self, program: Program):
-        src, ids = _compile_source(program)
         namespace = {
             "FuelExhaustedError": FuelExhaustedError,
             "StuckTermError": StuckTermError,
         }
-        exec(compile(src, "<rewriter>", "exec"), namespace)
         self.program = program
-        self.source = src
-        self._ids = ids
+        self.source = _compile_source(program)
+        exec(compile(self.source, "<rewriter>", "exec"), namespace)
         self._run = namespace["_run"]
+        self._entries = {name: (k, len(rules[0].lhs))
+                         for k, (name, rules) in enumerate(program.functions)}
 
     def run(self, entry: str, args: tuple[Union[str, bool], ...],
             fuel: int = DEFAULT_FUEL) -> tuple[Union[str, bool], int]:
-        if entry not in self._ids:
-            raise ArityError(f"undefined entry function {entry}")
-        arity = self.program.arity(entry)
+        try:
+            fid, arity = self._entries[entry]
+        except KeyError:
+            raise ArityError(f"undefined entry function {entry}") from None
         if len(args) != arity:
             raise ArityError(
                 f"{entry} takes {arity} arguments, got {len(args)}")
-        return self._run(self._ids[entry], tuple(args), fuel)
+        return self._run(fid, args, fuel)
 
 
 @lru_cache(maxsize=256)
@@ -337,6 +440,8 @@ def _compiled(program: Program) -> CompiledProgram:
 
 
 def _encode_arg(expr: Expr) -> Union[str, bool]:
+    """The compiled engine's value of one argument, checked to be a ground
+    word, symbol or T/F in the same walk."""
     if isinstance(expr, Sym):
         return expr.ch
     if isinstance(expr, TrueVal):
@@ -344,9 +449,10 @@ def _encode_arg(expr: Expr) -> Union[str, bool]:
     if isinstance(expr, FalseVal):
         return False
     w = unword(expr)
-    if w is None:
-        raise EvalError(f"argument {render_expr(expr)} is not a ground word")
-    return w
+    if w is not None:
+        return w
+    what = "a ground word" if is_ground(expr) else "ground"
+    raise EvalError(f"argument {render_expr(expr)} is not {what}")
 
 
 def _decode_value(v: Union[str, bool]) -> Expr:
@@ -363,10 +469,11 @@ def eval_call(program: Program, call: Call,
 
     Deterministic; raises StuckTermError, FuelExhaustedError, or NonTailError.
     """
-    _require_ground_call(call)
+    if not isinstance(call, Call):
+        raise EvalError("entry expression must be a function call")
+    args = [_encode_arg(a) for a in call.args]
     value, steps = _compiled(program).run(
-        call.fn, tuple(_encode_arg(a) for a in call.args),
-        DEFAULT_FUEL if fuel is None else fuel)
+        call.fn, args, DEFAULT_FUEL if fuel is None else fuel)
     return Outcome(_decode_value(value), steps)
 
 

@@ -210,12 +210,11 @@ def unword(expr: Expr) -> Optional[str]:
 
 
 def is_passive(expr: Expr) -> bool:
-    """True when expr contains no function call."""
-    if isinstance(expr, Call):
-        return False
-    if isinstance(expr, Cons):
-        return is_passive(expr.tail)
-    return True
+    """True when expr contains no function call.  Iterative along the list
+    spine (heads are atoms), so long words are safe."""
+    while isinstance(expr, Cons):
+        expr = expr.tail
+    return not isinstance(expr, Call)
 
 
 def subterms(expr: Expr) -> Iterator[Expr]:

@@ -1,12 +1,14 @@
 import itertools
 import random
+import re
 
 import pytest
 
+from miniscp.harness import artifacts
 from miniscp.interpreter import (
     CompiledProgram, EmptyPatternError, FuelExhaustedError, NonTailError,
-    Outcome, StuckTermError, eval_call, eval_reference, match_lhs,
-    naive_matcher, naive_outcome, naive_search, trace_call,
+    Outcome, StuckTermError, check_tail_form, eval_call, eval_reference,
+    match_lhs, naive_matcher, naive_outcome, naive_search, trace_call,
 )
 from miniscp.syntax import (
     Call, Cons, FALSE, ListVar, NIL, Program, Rule, Sym, SymVar, TRUE,
@@ -61,6 +63,20 @@ def test_fuel_exhaustion():
     assert eval_call(naive_matcher(), S("a", "ba"), fuel=4).steps == 4
 
 
+def words(alphabet, max_len):
+    for n in range(max_len + 1):
+        for tup in itertools.product(alphabet, repeat=n):
+            yield "".join(tup)
+
+
+def engines_agree(prog, call):
+    """Both engines give the same value and step count; returns the value."""
+    a = eval_call(prog, call)
+    b = eval_reference(prog, call)
+    assert (a.value, a.steps) == (b.value, b.steps), call
+    return a.value
+
+
 def test_reference_and_compiled_engines_agree():
     prog = naive_matcher()
     for p in ["a", "ab", "aab", "aba"]:
@@ -70,6 +86,48 @@ def test_reference_and_compiled_engines_agree():
                 a = eval_call(prog, call)
                 b = eval_reference(prog, call)
                 assert (a.value, a.steps) == (b.value, b.steps)
+
+
+# Program shapes the matcher and the residuals never produce: a right-hand
+# side consing onto a bound suffix, a Nil pattern below the top, a returned
+# word (built, bound, or a constant), bare-symbol positions, and a symbol
+# variable repeated across two list arguments and across two bare positions.
+SHAPES = parse_program("""
+F {
+  'a':'b':Nil = "done";
+  'a':x = G('b':x);
+  s.c:'a':x = G(s.c:'c':x);
+  x = x;
+}
+G {
+  'b':'b':x = F(x);
+  'b':x = x;
+  y = 'z':y;
+}
+M {
+  s.a:x, s.a:y = M(x, y);
+  s.a:x, s.b:y = K(s.a, s.b, x);
+  Nil, Nil = T;
+  x, y = F;
+}
+K {
+  'a', s.b, x = T;
+  s.a, s.a, x = F;
+  s.a, s.b, x = M(s.b:x, s.a:x);
+}
+""")
+
+
+def test_engines_agree_on_every_program_shape():
+    values = [engines_agree(SHAPES, Call("F", (word(y),)))
+              for y in words("abc", 5)]
+    values += [engines_agree(SHAPES, Call("M", (word(x), word(y))))
+               for x, y in itertools.product(words("ab", 3), repeat=2)]
+    values += [engines_agree(SHAPES, Call("K", (Sym(a), Sym(b), word(x))))
+               for a, b in itertools.product("ab", repeat=2)
+               for x in words("ab", 2)]
+    # not only one kind of result: T, F and a returned word all occur
+    assert {TRUE, FALSE, word("done")} <= set(values)
 
 
 def test_trace_exposes_every_rewrite():
@@ -87,8 +145,14 @@ def test_determinism():
 
 def test_stuck_term_reported():
     prog = parse_program("F { 'a':y = T; }")
-    with pytest.raises(StuckTermError):
+    with pytest.raises(StuckTermError,
+                       match=re.escape("no rule of F matches ('b',)")):
         eval_call(prog, Call("F", (word("b"),)))
+    # arguments are shown as plain strings, also after dropped prefixes
+    prog = parse_program("F { 'a':y, s.c = F(y, s.c); 'c':y, s.c = T; }")
+    with pytest.raises(StuckTermError,
+                       match=re.escape("no rule of F matches ('bc', 'x')")):
+        eval_call(prog, Call("F", (word("aabc"), Sym("x"))))
 
 
 def test_non_tail_rhs_rejected_at_evaluation():
@@ -108,6 +172,66 @@ def test_nested_call_arguments_rejected():
 def test_non_ground_arguments_rejected():
     with pytest.raises(Exception, match="ground"):
         eval_call(naive_matcher(), Call("S", (word("a"), ListVar("y"))))
+    with pytest.raises(Exception, match="not ground"):
+        eval_call(naive_matcher(),
+                  Call("S", (word("a"), Cons(Sym("a"), ListVar("y")))))
+
+
+def test_tail_form_check_accepts_long_literals():
+    long = word("ab" * 5000)
+    check_tail_form(Program((("F", (Rule((ListVar("x"),), long),
+                                    Rule((ListVar("x"),),
+                                         Call("F", (long,))))),)))
+
+
+# --- long inputs ------------------------------------------------------------
+
+def avoiding(pattern, n, rng):
+    """A seeded random string over the pattern's letters without it."""
+    letters = sorted(set(pattern))
+    out = []
+    for _ in range(n):
+        keep = "".join(out[-(len(pattern) - 1):])
+        out.append(rng.choice([c for c in letters
+                               if not (keep + c).endswith(pattern)]))
+    return "".join(out)
+
+
+@pytest.mark.parametrize("pattern", ["aab", "abcabcacab"])
+def test_residual_on_long_inputs(pattern):
+    rp = artifacts(pattern).residual
+    rng = random.Random(f"long:{pattern}")
+    for y in (pattern[0] * 100_000, avoiding(pattern, 100_000, rng)):
+        out = eval_call(rp.program, Call(rp.entry, (word(y),)))
+        assert out.value == (TRUE if pattern in y else FALSE)
+        assert out.steps <= 2 * len(y) + len(pattern) + 2
+
+
+@pytest.mark.parametrize("pattern", ["aab", "abcabcacab"])
+def test_engines_agree_on_long_inputs(pattern):
+    rp = artifacts(pattern).residual
+    rng = random.Random(f"agree:{pattern}")
+    y = avoiding(pattern, 2000, rng)
+    for y in (y, y + pattern):
+        for prog, call in ((rp.program, Call(rp.entry, (word(y),))),
+                           (naive_matcher(), S(pattern, y))):
+            a = eval_call(prog, call)
+            b = eval_reference(prog, call)
+            assert (a.value, a.steps) == (b.value, b.steps)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_naive_step_count_closed_form(k):
+    # p = a^k b over a^n: from each start the matcher spends one step in S,
+    # one in L on the first letter again, one per further matched 'a'
+    # (min(k-1, r) with r symbols left after the start), and one on the
+    # mismatch or the end of the string; then S(p, Nil) = F.
+    n = 10_000
+    p = "a" * k + "b"
+    steps = 1 + 3 * n + (k - 1) * (k - 2) // 2 + (k - 1) * (n - k + 1)
+    assert naive_outcome(p, "a" * n, fuel=steps) == Outcome(FALSE, steps)
+    with pytest.raises(FuelExhaustedError):
+        naive_outcome(p, "a" * n, fuel=steps - 1)
 
 
 # --- naive_search -----------------------------------------------------------

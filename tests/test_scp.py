@@ -13,7 +13,8 @@ from miniscp.scp import (
     specialize_pattern, supercompile,
 )
 from miniscp.syntax import (
-    ListParam, Sym, SymParam, TRUE, parse_expression, parse_program, word,
+    ListParam, Sym, SymParam, TRUE, parse_expression, parse_program, unword,
+    word,
 )
 
 
@@ -214,3 +215,9 @@ def test_matcher_entry_rejects_empty_pattern():
     from miniscp.interpreter import EmptyPatternError
     with pytest.raises(EmptyPatternError):
         matcher_entry("")
+
+
+def test_matcher_entry_accepts_long_patterns():
+    # checking that the entry is passive walks the whole pattern word
+    program, entry = matcher_entry("a" * 3000)
+    assert unword(entry.expr.args[0]) == "a" * 3000
