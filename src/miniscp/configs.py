@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 from .syntax import (
     Call, Cons, Expr, ListParam, Param, Sym, SymParam, is_passive,
-    params_of, render_expr, substitute, unword,
+    params_of, render_expr, unword,
 )
 
 Term = Union[Sym, SymParam]
@@ -160,14 +160,6 @@ def make_config(expr: Expr, r: Restriction = EMPTY) -> Config:
         raise ConfigError(f"call under constructor in {render_expr(expr)}")
     live = {p for p in params_of(expr) if isinstance(p, SymParam)}
     return Config(expr, prune(r, live))
-
-
-def rename_expr(expr: Expr, renaming: Renaming) -> Expr:
-    return substitute(expr, renaming)
-
-
-def invert_renaming(renaming: Renaming) -> Renaming:
-    return {v: k for k, v in renaming.items()}
 
 
 def renaming_text(renaming: Renaming) -> str:

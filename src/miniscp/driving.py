@@ -26,7 +26,7 @@ from .configs import (
 )
 from .syntax import (
     Call, Cons, Expr, ListParam, ListVar, Nil, Param, Program, Sym,
-    SymParam, SymVar, params_of, render_expr, substitute,
+    SymParam, SymVar, params_of, render_expr, spine, substitute,
 )
 
 
@@ -285,8 +285,10 @@ def drive_step(program: Program, cfg: Config,
         known = set(inherited.diseqs)
         added_pairs: list[tuple] = []
         shadowed = False
-        scratch = NameGen.for_exprs(*narrowed_args)
+        scratch = None
         for j in range(idx):
+            if scratch is None:
+                scratch = NameGen.for_exprs(*narrowed_args)
             mj = narrow_match(rules[j].lhs, narrowed_args, scratch)
             if mj is None:
                 continue
@@ -352,16 +354,108 @@ def _spine_depth(expr: Expr) -> int:
     return deepest
 
 
+class TransientMemo:
+    """Single-branch drives of one specializer session, keyed by the driven
+    configuration up to renaming.
+
+    The key numbers the configuration's parameters in first-occurrence
+    order (see `_shape`); the value is the one branch of that drive with
+    the k-th parameter renamed to the canonical name `k`.  Only drives that
+    took no fresh name from the session's NameGen are stored, so a hit,
+    which skips the drive, leaves the session's parameter numbering as the
+    drive would have left it.  `drives` and `hits` count the drives made
+    and saved.
+    """
+
+    def __init__(self):
+        self.branches: dict = {}
+        self.drives = 0
+        self.hits = 0
+
+    def drive(self, program: Program, cfg: Config,
+              names: NameGen) -> list[Branch]:
+        """drive_step(program, cfg, names), answered from the memo when an
+        equal configuration up to renaming drove to one branch before."""
+        key, order = _shape(cfg)
+        canon = [_canonical(p, k) for k, p in enumerate(order)]
+        hit = self.branches.get(key)
+        if hit is not None:
+            self.hits += 1
+            return [_rename_branch(hit, dict(zip(canon, order)))]
+        issued = names._nsym, names._nlist
+        self.drives += 1
+        branches = drive_step(program, cfg, names)
+        if len(branches) == 1 and (names._nsym, names._nlist) == issued:
+            self.branches[key] = _rename_branch(branches[0],
+                                                dict(zip(order, canon)))
+        return branches
+
+
+def _shape(cfg: Config) -> tuple[tuple, list[Param]]:
+    """The configuration up to renaming, as a key, and its parameters in
+    first-occurrence order.
+
+    Each argument of the key is the tuple of its spine's heads and end: a
+    symbol by its character, the k-th parameter by k if it ranges over
+    symbols and by -1 - k if over lists, anything else by itself.  The
+    restriction is the set of its disequalities, each the set of the codes
+    of its two sides.  One walk, and hashing the key hashes only strings
+    and numbers."""
+    index: dict = {}
+
+    def code(t):
+        cls = t.__class__
+        if cls is Sym:
+            return t.ch
+        if cls is SymParam:
+            return index.setdefault(t, len(index))
+        if cls is ListParam:
+            return -1 - index.setdefault(t, len(index))
+        return t
+
+    key: list = [cfg.expr.fn, cfg.restriction.unsat]
+    for arg in cfg.expr.args:
+        heads, end = spine(arg)
+        heads.append(end)
+        key.append(tuple(map(code, heads)))
+    key.append(frozenset(frozenset((code(a), code(b)))
+                         for a, b in cfg.restriction.diseqs))
+    return tuple(key), list(index)
+
+
+def _canonical(p: Param, k: int) -> Param:
+    return (SymParam if isinstance(p, SymParam) else ListParam)(str(k))
+
+
+def _rename_branch(branch: Branch, renaming: dict) -> Branch:
+    """A single uncompressed branch under a bijective parameter renaming
+    that covers every parameter the branch mentions."""
+    n = branch.narrowing
+    child = branch.child
+    return Branch(
+        Narrowing(_canon_subst({renaming[p]: substitute(e, renaming)
+                                for p, e in n.subst}),
+                  apply_to_restriction(n.added, renaming), n.rule_index),
+        Config(substitute(child.expr, renaming),
+               apply_to_restriction(child.restriction, renaming)),
+        branch.chain, branch.rule_indices, branch.steps)
+
+
 def compress(program: Program, branch: Branch, names: Optional[NameGen] = None,
+             memo: Optional[TransientMemo] = None,
              max_steps: int = 1000, max_depth: int = 400) -> Branch:
     """Fold transient steps into the branch while its child drives to exactly
     one satisfiable branch; records the skipped configurations in order.
+    Transient drives go through `memo`, the session's TransientMemo (a fresh
+    one when not given).
 
     Chains that loop (too many steps) or grow their configurations (too much
     constructor depth) are cut off with an error: such divergence can neither
     fold nor raise the whistle, since transients are not graph nodes."""
     if names is None:
         names = NameGen.for_exprs(branch.child.expr)
+    if memo is None:
+        memo = TransientMemo()
     subst = branch.narrowing.subst_dict
     added = branch.narrowing.added
     chain = list(branch.chain)
@@ -369,7 +463,7 @@ def compress(program: Program, branch: Branch, names: Optional[NameGen] = None,
     steps = branch.steps
     child = branch.child
     while child.is_active():
-        nexts = drive_step(program, child, names)
+        nexts = memo.drive(program, child, names)
         if len(nexts) != 1:
             break
         nxt = nexts[0]

@@ -423,7 +423,7 @@ def _covering_facts(art: PatternArtifacts) -> None:
         again = covers(nodes[target].config, n.config)
         if again is None or again != sigma:
             raise CheckFailure(f"fold {i} -> {target} fails re-verification")
-        if target not in set(_ancestor_set(graph, i)):
+        if target not in set(graph.ancestors(i)):
             raise CheckFailure(f"fold {i} -> {target} is not an ancestor")
     fp = first_path(graph)
     fp_pos = {node: k for k, node in enumerate(fp)}
@@ -440,10 +440,6 @@ def _covering_facts(art: PatternArtifacts) -> None:
             raise CheckFailure(
                 f"fold {i} -> {target} jumps below its subtree's first-path "
                 f"attachment {hang}")
-
-
-def _ancestor_set(graph: ProcessGraph, i: int):
-    return graph.ancestors(i)
 
 
 # --- structural claims -----------------------------------------------------------

@@ -8,12 +8,12 @@ arguments (tail form); anything else is rejected here with a clear error.
 Two engines are provided: a reference stepper over the syntax tree
 (`eval_reference`, `trace_call`) and a compiled engine (`eval_call`,
 `CompiledProgram`) that translates a program to one Python loop once and
-caches it.  Both agree on value and step count.  The compiled engine runs
-ground words as plain Python strings and holds each list argument as a
-`(string, offset)` pair, so a step that consumes a symbol moves an offset
-instead of copying the rest of the string: each step costs O(1) in the
-length of the input, and a run is linear in wall time wherever it is linear
-in steps.
+keeps it on the program (`Program.compiled`).  Both agree on value and step
+count.  The compiled engine runs ground words as plain Python strings and
+holds each list argument as a `(string, offset)` pair, so a step that
+consumes a symbol moves an offset instead of copying the rest of the
+string: each step costs O(1) in the length of the input, and a run is
+linear in wall time wherever it is linear in steps.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterator, Optional, Union
 from .syntax import (
     Call, Cons, Expr, FALSE, FalseVal, ListVar, Nil, Program, Rule, Sym,
     SymVar, TRUE, TrueVal, is_ground, is_passive, parse_program, render_expr,
-    unword, word,
+    spine, unword, word,
 )
 
 DEFAULT_FUEL = 1_000_000
@@ -305,7 +305,12 @@ def _value_code(expr: Expr, chars: dict, values: dict) -> _Code:
         return chars[expr], "0"
     parts: list[str] = []
     lit = ""
-    while isinstance(expr, Cons) and expr not in values:
+    # a suffix longer than every key cannot be one; skipping those lookups
+    # keeps a long literal from being hashed once per symbol
+    reach = max((len(spine(k)[0]) for k in values), default=0)
+    rest = len(spine(expr)[0])
+    while isinstance(expr, Cons) and (rest > reach or expr not in values):
+        rest -= 1
         if isinstance(expr.head, Sym):
             lit += expr.head.ch
         else:
@@ -434,11 +439,6 @@ class CompiledProgram:
         return self._run(fid, args, fuel)
 
 
-@lru_cache(maxsize=256)
-def _compiled(program: Program) -> CompiledProgram:
-    return CompiledProgram(program)
-
-
 def _encode_arg(expr: Expr) -> Union[str, bool]:
     """The compiled engine's value of one argument, checked to be a ground
     word, symbol or T/F in the same walk."""
@@ -472,7 +472,7 @@ def eval_call(program: Program, call: Call,
     if not isinstance(call, Call):
         raise EvalError("entry expression must be a function call")
     args = [_encode_arg(a) for a in call.args]
-    value, steps = _compiled(program).run(
+    value, steps = program.compiled.run(
         call.fn, args, DEFAULT_FUEL if fuel is None else fuel)
     return Outcome(_decode_value(value), steps)
 
@@ -484,7 +484,7 @@ def naive_outcome(pattern: str, string: str,
     if not pattern:
         raise EmptyPatternError("pattern must be nonempty")
     prog = naive_matcher()
-    value, steps = _compiled(prog).run(
+    value, steps = prog.compiled.run(
         "S", (pattern, string), DEFAULT_FUEL if fuel is None else fuel)
     return Outcome(_decode_value(value), steps)
 

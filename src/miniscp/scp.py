@@ -23,10 +23,10 @@ from typing import Iterator, Optional
 from .configs import (
     Config, Renaming, config_text, covers, make_config, renaming_text,
 )
-from .driving import Branch, NameGen, compress, drive_step
+from .driving import Branch, NameGen, TransientMemo, compress, drive_step
 from .interpreter import EmptyPatternError, naive_matcher
 from .syntax import (
-    Call, Cons, Expr, ListParam, Nil, Program, Sym, SymParam, word,
+    Call, Cons, Expr, ListParam, Nil, Program, Sym, SymParam, spine, word,
 )
 
 
@@ -71,20 +71,6 @@ class ProcessGraph:
             yield p
             p = self.nodes[p].parent
 
-    @property
-    def tree_edges(self) -> dict:
-        return {i: [(self.nodes[c].branch.narrowing, c)
-                    for c in n.children]
-                for i, n in enumerate(self.nodes) if n.children}
-
-    @property
-    def fold_edges(self) -> dict:
-        return {i: n.fold for i, n in enumerate(self.nodes)
-                if n.fold is not None}
-
-    def pivot_indices(self) -> list[int]:
-        return [i for i, n in enumerate(self.nodes) if n.kind == KIND_PIVOT]
-
     def chain_configs(self) -> Iterator[tuple[int, Config]]:
         """All compressed-away transient configurations, tagged with the
         child node whose incoming edge absorbed them."""
@@ -96,11 +82,20 @@ class ProcessGraph:
 
 @dataclass
 class ScpReport:
+    """Outcome counts of one supercompile session.
+
+    `drive_steps` counts drive_step calls, `transient_steps` the steps
+    compressed into edges (the summed lengths of the edges' chains), and
+    `transient_memo_hits` the transient steps answered by the session's
+    TransientMemo instead of a drive."""
     generalizations_attempted: int
     pivots: list[Config]
     node_count: int
     fold_count: int
     whistle_pairs: list[tuple[int, int]] = field(default_factory=list)
+    drive_steps: int = 0
+    transient_steps: int = 0
+    transient_memo_hits: int = 0
 
 
 def head_fn(cfg: Config) -> Optional[str]:
@@ -109,25 +104,48 @@ def head_fn(cfg: Config) -> Optional[str]:
 
 # --- homeomorphic embedding --------------------------------------------------
 
-def _embed(s: Expr, t: Expr) -> bool:
+def _couple(s: Expr, t: Expr) -> bool:
+    """Embedding of s in a t that is not a list cell, so that t offers
+    nothing to dive into."""
     if isinstance(s, SymParam):
         return isinstance(t, SymParam)
     if isinstance(s, ListParam):
         return isinstance(t, ListParam)
-    # coupling
-    if isinstance(s, Sym) and isinstance(t, Sym) and s.ch == t.ch:
-        return True
-    if isinstance(s, Nil) and isinstance(t, Nil):
-        return True
-    if isinstance(s, Cons) and isinstance(t, Cons) \
-            and _embed(s.head, t.head) and _embed(s.tail, t.tail):
-        return True
-    if not isinstance(s, (Sym, Nil, Cons)) and s == t:
-        return True
-    # diving
-    if isinstance(t, Cons):
-        return _embed(s, t.head) or _embed(s, t.tail)
-    return False
+    if isinstance(s, Sym):
+        return isinstance(t, Sym) and s.ch == t.ch
+    if isinstance(s, Nil):
+        return isinstance(t, Nil)
+    return not isinstance(s, Cons) and s == t
+
+
+def _embed(s: Expr, t: Expr) -> bool:
+    """Homeomorphic embedding of passive s in passive t, by dynamic
+    programming over the suffixes of the two list spines (heads are atoms):
+    O(|s|·|t|) steps and no recursion, where diving into both head and tail
+    without a memo is exponential on repetitive words.
+
+    With s_i, t_j the suffixes from the i-th and j-th cell, a cell s_i
+    embeds in a cell t_j by coupling (heads couple and s_{i+1} embeds in
+    t_{j+1}) or by diving into t_{j+1}; it never embeds in an atom.  A
+    spine end e embeds in t_j by coupling with t_j, or -- unless e is a
+    parameter, which relates only to a parameter of its kind -- by diving
+    into any later head or the end of t.
+    """
+    s_heads, s_end = spine(s)
+    t_heads, t_end = spine(t)
+    n = len(t_heads)
+    # row[j]: does the current suffix of s embed in t_j (t_n is t's end)?
+    row = [False] * (n + 1)
+    row[n] = _couple(s_end, t_end)
+    if not isinstance(s_end, (SymParam, ListParam)):
+        for j in range(n - 1, -1, -1):
+            row[j] = row[j + 1] or _couple(s_end, t_heads[j])
+    for h in reversed(s_heads):
+        nxt = row
+        row = [False] * (n + 1)
+        for j in range(n - 1, -1, -1):
+            row[j] = row[j + 1] or (nxt[j + 1] and _couple(h, t_heads[j]))
+    return row[0]
 
 
 def embeds(c1: Config, c2: Config) -> bool:
@@ -158,6 +176,7 @@ def supercompile(program: Program, entry: Config,
     if not entry.is_active():
         raise ScpError("entry configuration must be active")
     names = NameGen.for_exprs(entry.expr)
+    memo = TransientMemo()
     graph = ProcessGraph([Node(entry)])
     report = ScpReport(0, [], 0, 0)
     stack = [0]
@@ -196,8 +215,10 @@ def supercompile(program: Program, entry: Config,
                 break
         if whistled:
             continue
-        branches = [compress(program, b, names)
+        report.drive_steps += 1
+        branches = [compress(program, b, names, memo)
                     for b in drive_step(program, cfg, names)]
+        report.transient_steps += sum(len(b.chain) for b in branches)
         node.kind = KIND_PIVOT if len(branches) >= 2 else KIND_TRANSIENT
         if node.kind == KIND_PIVOT:
             report.pivots.append(cfg)
@@ -211,6 +232,8 @@ def supercompile(program: Program, entry: Config,
         node.children = child_ids
         stack.extend(reversed(child_ids))
     report.node_count = len(graph.nodes)
+    report.drive_steps += memo.drives
+    report.transient_memo_hits = memo.hits
     return graph, report
 
 

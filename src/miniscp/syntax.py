@@ -114,8 +114,26 @@ FALSE = FalseVal()
 
 @dataclass(frozen=True, slots=True)
 class Cons:
+    """List cell.  Equality and hash walk the spine in a loop, so long words
+    are safe; the hash is recomputed on each call, never stored."""
     head: "Atom"
     tail: "Expr"
+
+    def __eq__(self, other):
+        if other.__class__ is not Cons:
+            return NotImplemented
+        a, b = self, other
+        while a is not b:
+            if a.head != b.head:
+                return False
+            a, b = a.tail, b.tail
+            if a.__class__ is not Cons or b.__class__ is not Cons:
+                return a == b
+        return True
+
+    def __hash__(self):
+        heads, end = spine(self)
+        return hash((tuple(heads), end))
 
     def __repr__(self):
         return render_expr(self)
@@ -148,6 +166,9 @@ class Call:
         return render_expr(self)
 
 
+_PARAMS = frozenset((SymParam, ListParam))
+_LEAVES = frozenset((SymVar, ListVar, SymParam, ListParam))
+
 Atom = Union[Sym, SymVar, SymParam]
 Param = Union[SymParam, ListParam]
 Var = Union[SymVar, ListVar]
@@ -172,6 +193,13 @@ class Program:
     @cached_property
     def table(self) -> dict[str, tuple[Rule, ...]]:
         return dict(self.functions)
+
+    @cached_property
+    def compiled(self):
+        """The program translated by the compiled engine, built on first use
+        and kept with the program (see interpreter.CompiledProgram)."""
+        from .interpreter import CompiledProgram
+        return CompiledProgram(self)
 
     def rules(self, name: str) -> tuple[Rule, ...]:
         try:
@@ -209,6 +237,16 @@ def unword(expr: Expr) -> Optional[str]:
     return "".join(chars)
 
 
+def spine(expr: Expr) -> tuple[list, Expr]:
+    """The heads of a list expression's cells, in order, and what ends it
+    (Nil, a list parameter or variable; expr itself when not a cell)."""
+    heads = []
+    while expr.__class__ is Cons:
+        heads.append(expr.head)
+        expr = expr.tail
+    return heads, expr
+
+
 def is_passive(expr: Expr) -> bool:
     """True when expr contains no function call.  Iterative along the list
     spine (heads are atoms), so long words are safe."""
@@ -231,12 +269,20 @@ def subterms(expr: Expr) -> Iterator[Expr]:
 
 def params_of(expr: Expr) -> list[Param]:
     """Distinct parameters in first-occurrence (left-to-right, depth-first)
-    order."""
-    seen: list[Param] = []
-    for t in subterms(expr):
-        if isinstance(t, (SymParam, ListParam)) and t not in seen:
-            seen.append(t)
-    return seen
+    order, in one pass."""
+    seen: dict = {}
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        while e.__class__ is Cons:
+            if e.head.__class__ in _PARAMS:
+                seen[e.head] = None
+            e = e.tail
+        if e.__class__ in _PARAMS:
+            seen[e] = None
+        elif e.__class__ is Call:
+            stack.extend(reversed(e.args))
+    return list(seen)
 
 
 def vars_of(expr: Expr) -> list[Var]:
@@ -258,26 +304,33 @@ def substitute(expr: Expr, mapping: dict) -> Expr:
 
     Keys are leaf nodes (SymVar, ListVar, SymParam, ListParam).  Images of
     symbol-sort keys must be atoms; images of list-sort keys must be list
-    expressions.  Iterative along list spines so deep words are safe.
+    expressions.  Iterative along list spines so deep words are safe, and a
+    node nothing under which changes is returned as it is, so unchanged
+    tails (a ground literal, say) are shared, not rebuilt.
     """
-    if isinstance(expr, (SymVar, ListVar, SymParam, ListParam)):
-        return mapping.get(expr, expr)
-    if isinstance(expr, Cons):
-        heads = []
-        node = expr
-        while isinstance(node, Cons):
-            h = node.head
-            if isinstance(h, (SymVar, SymParam)):
-                h = mapping.get(h, h)
-            heads.append(h)
-            node = node.tail
-        out = substitute(node, mapping)
-        for h in reversed(heads):
-            out = Cons(h, out)
-        return out
-    if isinstance(expr, Call):
-        return Call(expr.fn, tuple(substitute(a, mapping) for a in expr.args))
-    return expr
+    cells = []
+    node = expr
+    while node.__class__ is Cons:
+        cells.append(node)
+        node = node.tail
+    if node.__class__ in _LEAVES:
+        out = mapping.get(node, node)
+    elif node.__class__ is Call:
+        args = tuple(substitute(a, mapping) for a in node.args)
+        if all(a is b for a, b in zip(args, node.args)):
+            out = node
+        else:
+            out = Call(node.fn, args)
+    else:
+        out = node
+    for cell in reversed(cells):
+        h = cell.head
+        if h.__class__ in _LEAVES:
+            h = mapping.get(h, h)
+        if h is not cell.head or out is not cell.tail:
+            cell = Cons(h, out)
+        out = cell
+    return out
 
 
 # --- tokenizer --------------------------------------------------------------

@@ -287,3 +287,32 @@ def test_outcome_value_is_t_or_f_for_matcher_runs():
     out = naive_outcome("ab", "bab")
     assert out.value in (TRUE, FALSE)
     assert out.steps >= 1
+
+
+def test_program_with_long_literal_compiles_and_runs():
+    # hashing and comparing the rule's 3000-symbol literal walks its spine
+    lit = "ab" * 1500
+    prog = parse_program(
+        f'F {{ x = G("{lit}", x); }}\n'
+        "G { Nil, y = T; s.a:p, s.a:y = G(p, y); s.a:p, y = F; }")
+    assert CompiledProgram(prog).run("F", ("abab",)) == (False, 6)
+    assert eval_call(prog, Call("F", (word(lit + "b"),))) \
+        == Outcome(TRUE, len(lit) + 2)
+    assert eval_call(prog, Call("F", (word("abb"),))) == Outcome(FALSE, 4)
+
+
+def test_eval_call_compiles_each_program_once(monkeypatch):
+    import miniscp.interpreter as interpreter
+    built = []
+    real = interpreter.CompiledProgram
+
+    class Counting(real):
+        def __init__(self, program):
+            built.append(program)
+            super().__init__(program)
+
+    monkeypatch.setattr(interpreter, "CompiledProgram", Counting)
+    prog = parse_program("F { 'a':y = F(y); Nil = T; s.b:y = F; }")
+    assert eval_call(prog, Call("F", (word("aa"),))) == Outcome(TRUE, 3)
+    assert eval_call(prog, Call("F", (word("ab"),))) == Outcome(FALSE, 2)
+    assert built == [prog]

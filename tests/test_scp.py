@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -8,13 +9,13 @@ from miniscp.configs import (
 from miniscp.harness import replay_graph
 from miniscp.interpreter import naive_search
 from miniscp.scp import (
-    KIND_DIAGNOSTIC, KIND_FOLDED, KIND_PASSIVE, KIND_PIVOT, NodeBudgetError,
-    embeds, first_path, first_path_pivots, graph_lines, matcher_entry,
-    specialize_pattern, supercompile,
+    KIND_DIAGNOSTIC, KIND_FOLDED, KIND_PASSIVE, KIND_PIVOT, KIND_TRANSIENT,
+    NodeBudgetError, _embed, embeds, first_path, first_path_pivots,
+    graph_lines, matcher_entry, specialize_pattern, supercompile,
 )
 from miniscp.syntax import (
-    ListParam, Sym, SymParam, TRUE, parse_expression, parse_program, unword,
-    word,
+    Cons, ListParam, NIL, Nil, Sym, SymParam, TRUE, parse_expression,
+    parse_program, unword, word,
 )
 
 
@@ -48,6 +49,59 @@ def test_embeds_preserved_under_renaming():
                   [(SymParam("d"), Sym("a"))])
     assert embeds(c, renamed)
     assert embeds(renamed, c)
+
+
+def _embed_by_definition(s, t):
+    """The embedding as first defined: couple, else dive into head and tail,
+    with no memo (exponential on repetitive words)."""
+    if isinstance(s, SymParam):
+        return isinstance(t, SymParam)
+    if isinstance(s, ListParam):
+        return isinstance(t, ListParam)
+    if isinstance(s, Sym) and isinstance(t, Sym) and s.ch == t.ch:
+        return True
+    if isinstance(s, Nil) and isinstance(t, Nil):
+        return True
+    if isinstance(s, Cons) and isinstance(t, Cons) \
+            and _embed_by_definition(s.head, t.head) \
+            and _embed_by_definition(s.tail, t.tail):
+        return True
+    if not isinstance(s, (Sym, Nil, Cons)) and s == t:
+        return True
+    if isinstance(t, Cons):
+        return _embed_by_definition(s, t.head) \
+            or _embed_by_definition(s, t.tail)
+    return False
+
+
+def _random_passive(rng):
+    if rng.random() < 0.15:
+        return rng.choice([Sym("a"), SymParam("c"), SymParam("d"), TRUE])
+    atoms = [Sym("a"), Sym("b"), SymParam("c"), SymParam("d")]
+    e = rng.choice([NIL, NIL, ListParam("y"), ListParam("z")])
+    for _ in range(rng.randint(0, 6)):
+        e = Cons(rng.choice(atoms), e)
+    return e
+
+
+def test_embedding_agrees_with_its_recursive_definition():
+    rng = random.Random(3)
+    seen = set()
+    for _ in range(4000):
+        s, t = _random_passive(rng), _random_passive(rng)
+        want = _embed_by_definition(s, t)
+        assert _embed(s, t) == want, (s, t)
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_embedding_of_long_repetitive_words():
+    # diving into both head and tail without a memo takes exponential time
+    # here, and recursion along the spine would overflow the stack
+    long = cfg(f'S("{"a" * 1200}", #y)')
+    assert embeds(cfg(f'S("{"a" * 50}", #y)'), long)
+    assert not embeds(cfg(f'S("{"a" * 50}b", #y)'), long)
+    assert not embeds(cfg('S("a", #s.c:#y)'), long)
 
 
 def test_parameters_embed_only_in_parameters():
@@ -209,6 +263,23 @@ def test_graph_lines_cover_all_nodes(aab):
     fold_lines = [l for l in lines if l.startswith("fold ")]
     assert len(node_lines) == aab.report.node_count
     assert len(fold_lines) == aab.report.fold_count
+
+
+def test_report_counts_drives_and_transient_steps():
+    graph, report = specialize_pattern("a" * 12)
+    branches = [n for n in graph.nodes if n.branch is not None]
+    assert report.transient_steps == sum(len(n.branch.chain)
+                                         for n in branches)
+    # without the transient memo, a^12 took 719 drive_step calls
+    assert report.drive_steps < 719
+    assert report.transient_memo_hits > 0
+    # each compressed step and each drive that ended a chain at an active
+    # child was either driven or answered by the memo, and each pivot and
+    # transient node was driven once more by itself
+    driven = sum(n.kind in (KIND_PIVOT, KIND_TRANSIENT) for n in graph.nodes)
+    ends = sum(n.config.is_active() for n in branches)
+    assert report.drive_steps + report.transient_memo_hits \
+        == driven + report.transient_steps + ends
 
 
 def test_matcher_entry_rejects_empty_pattern():

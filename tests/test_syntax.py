@@ -2,8 +2,9 @@ import pytest
 
 from miniscp.syntax import (
     Call, Cons, FALSE, ListParam, ListVar, NIL, ParseError, Rule,
-    Sym, SymParam, SymVar, TRUE, ValidationError, parse_expression,
-    parse_program, render, render_expr, unword, word,
+    Sym, SymParam, SymVar, TRUE, ValidationError,
+    params_of, parse_expression, parse_program, render, render_expr,
+    substitute, unword, word,
 )
 from miniscp.interpreter import NAIVE_MATCHER_SOURCE, eval_call
 
@@ -147,3 +148,36 @@ def test_render_expr_uses_word_abbreviation():
     assert render_expr(word("aab")) == '"aab"'
     assert render_expr(Cons(Sym("a"), ListParam("y"))) == "'a':#y"
     assert render_expr(NIL) == "Nil"
+
+
+def test_long_words_hash_and_compare():
+    w, v = word("ab" * 2500), word("ab" * 2500)
+    assert w is not v and w == v and not (w != v)
+    assert hash(w) == hash(v)
+    assert len({w, v}) == 1
+    assert w != word("ab" * 2499 + "ba")
+    assert w != word("ab" * 2500 + "a") and word("ab" * 2500 + "a") != w
+    assert Cons(SymParam("c"), w) != Cons(Sym("c"), w)
+    assert Call("G", (w,)) == Call("G", (v,))
+
+
+def test_params_of_first_occurrence_order():
+    e = parse_expression(
+        'L(#s.c:"ab", #s.d:#s.c:#y, #y, #s.e:#z, #s.d:#w)')
+    assert params_of(e) == [SymParam("c"), SymParam("d"), ListParam("y"),
+                            SymParam("e"), ListParam("z"), ListParam("w")]
+    assert params_of(word("a" * 5000)) == []
+    assert params_of(ListParam("y")) == [ListParam("y")]
+
+
+def test_substitute_shares_what_it_leaves_unchanged():
+    lit = word("abc" * 100)
+    e = Call("L", (lit, Cons(SymParam("c"), ListParam("y")),
+                   Cons(Sym("a"), lit)))
+    assert substitute(e, {ListParam("z"): NIL}) is e
+    out = substitute(e, {ListParam("y"): lit})
+    assert out.args[0] is lit and out.args[2] is e.args[2]
+    assert out.args[1] == Cons(SymParam("c"), lit)
+    assert out.args[1].tail is lit
+    renamed = substitute(e, {SymParam("c"): SymParam("d")})
+    assert renamed.args[1] == Cons(SymParam("d"), ListParam("y"))
