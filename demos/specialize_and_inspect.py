@@ -40,4 +40,4 @@ print(render_residual(rp))
 
 # No constants, no repeated variables in call arguments, one symbol
 # inspected per rule: nothing is left for the matcher to backtrack over.
-print("structure:", structural_report(rp))
+print("structure:", structural_report(rp.program))

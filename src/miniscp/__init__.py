@@ -3,45 +3,17 @@
 Specializes a naive substring matcher to any fixed pattern by driving and
 folding, producing a residual program with the structure and running time of
 a failure-function matcher, and verifies the generated code per pattern.
+
+The package root exports the names the demos use; everything else is
+imported from its module (`miniscp.scp`, `miniscp.harness`, ...).
 """
 
-from .syntax import (
-    Call, Cons, FALSE, ListParam, ListVar, NIL, Program, Rule, Sym, SymParam,
-    SymVar, TRUE, ParseError, ValidationError, parse_expression,
-    parse_program, render, render_expr, unword, word,
-)
-from .interpreter import (
-    DEFAULT_FUEL, CompiledProgram, EmptyPatternError, EvalError,
-    FuelExhaustedError, NAIVE_MATCHER_SOURCE, NonTailError, Outcome,
-    StuckTermError, eval_call, eval_reference, match_lhs, naive_matcher,
-    naive_outcome, naive_search, trace_call,
-)
-from .configs import (
-    Config, Restriction, alpha_equivalent, config_text, covers, entails,
-    make_config, restriction, satisfiable,
-)
-from .driving import (
-    Branch, NameGen, Narrowing, NodeKind, classify, compress, drive_step,
-    narrowed_config,
-)
-from .scp import (
-    ProcessGraph, ScpReport, embeds, first_path, first_path_pivots,
-    graph_lines, matcher_entry, specialize_pattern, supercompile,
-)
-from .residual import (
-    ResidualProgram, StructuralReport, consuming_functions, render_residual,
-    residual_lines, residualize, structural_report, transition,
-)
-from .kmp import (
-    Automaton, FailureTable, PatternDecomposition, automaton, failure,
-    failure_table, jump, kmp_search, table_rows,
-)
-from .harness import (
-    Corpus, VerificationReport, check_automaton, check_covering,
-    check_equivalence, check_first_path, check_linearity, check_restarts,
-    check_structure, default_corpus, record_line, step_contrast,
-    summary_lines, verify_corpus, verify_pattern,
-)
-from .cli import export_dot, main
+from .syntax import Call, word
+from .interpreter import NAIVE_MATCHER_SOURCE, eval_call, naive_outcome
+from .configs import config_text
+from .scp import first_path_pivots, graph_lines, specialize_pattern
+from .residual import render_residual, residualize, structural_report
+from .kmp import automaton, jump, kmp_search, table_rows
+from .cli import main
 
 __version__ = "0.1.0"

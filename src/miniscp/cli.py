@@ -18,7 +18,7 @@ import os
 import sys
 from typing import Optional
 
-from .configs import ConfigError, config_text, renaming_text
+from .configs import ConfigError, config_text
 from .driving import DriveError
 from .harness import (
     Corpus, default_corpus, record_line, summary_lines, verify_corpus,
@@ -26,10 +26,11 @@ from .harness import (
 from .interpreter import (
     DEFAULT_FUEL, EvalError, Outcome, eval_call, naive_matcher,
 )
-from .residual import ResidualError, residual_lines
 from .kmp import table_rows
-from .residual import render_residual, residualize
-from .scp import ProcessGraph, ScpError, graph_lines, specialize_pattern
+from .residual import (
+    ResidualError, render_residual, residual_lines, residualize,
+)
+from .scp import ScpError, export_dot, graph_lines, specialize_pattern
 from .syntax import (
     Call, ParseError, Program, ValidationError, parse_program, render_expr,
     word,
@@ -38,32 +39,6 @@ from .syntax import (
 
 class UsageError(Exception):
     pass
-
-
-def export_dot(graph: ProcessGraph) -> str:
-    """Graphviz rendering: solid narrowing-labeled tree edges, dashed
-    renaming-labeled fold edges, root with doubled border."""
-    def esc(s: str) -> str:
-        return s.replace("\\", "\\\\").replace('"', '\\"')
-
-    lines = ["digraph process {", "  node [shape=box, fontname=monospace];"]
-    for i, n in enumerate(graph.nodes):
-        label = esc(f"{i}: {n.kind}") + "\\n" + esc(config_text(n.config))
-        extra = ", peripheries=2" if i == graph.root else ""
-        lines.append(f'  n{i} [label="{label}"{extra}];')
-    for i, n in enumerate(graph.nodes):
-        for c in n.children:
-            b = graph.nodes[c].branch
-            lab = esc(f"rule {b.narrowing.rule_index}: {b.narrowing!r}")
-            lines.append(f'  n{i} -> n{c} [label="{lab}"];')
-    for i, n in enumerate(graph.nodes):
-        if n.fold is not None:
-            t, sigma = n.fold
-            lab = esc(renaming_text(sigma))
-            lines.append(
-                f'  n{i} -> n{t} [style=dashed, label="{lab}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def _fuel(args) -> int:

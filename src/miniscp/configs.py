@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .syntax import (
-    Call, Cons, Expr, ListParam, Param, Sym, SymParam, is_passive,
-    params_of, render_expr, unword,
+    Call, Expr, ListParam, Nil, Param, Sym, SymParam, is_passive,
+    params_of, render_expr, spine,
 )
 
 Term = Union[Sym, SymParam]
@@ -163,11 +163,12 @@ def make_config(expr: Expr, r: Restriction = EMPTY) -> Config:
 
 
 def renaming_text(renaming: Renaming) -> str:
-    items = sorted(renaming.items(), key=lambda kv: _param_key(kv[0]))
+    items = sorted(renaming.items(), key=lambda kv: param_key(kv[0]))
     return ", ".join(f"{k!r}↦{v!r}" for k, v in items)
 
 
-def _param_key(p: Param):
+def param_key(p: Param):
+    """Canonical parameter order: symbol parameters first, then by name."""
     return (0, p.name) if isinstance(p, SymParam) else (1, p.name)
 
 
@@ -181,29 +182,25 @@ def covers(c1: Config, c2: Config) -> Optional[Renaming]:
     """
     mapping: Renaming = {}
 
-    def align(e1: Expr, e2: Expr) -> bool:
-        if isinstance(e1, SymParam):
-            if not isinstance(e2, SymParam):
+    def leaf(e1: Expr, e2: Expr) -> bool:
+        if isinstance(e1, (SymParam, ListParam)):
+            if e2.__class__ is not e1.__class__:
                 return False
-            return _record(e1, e2)
-        if isinstance(e1, ListParam):
-            if not isinstance(e2, ListParam):
-                return False
-            return _record(e1, e2)
-        if isinstance(e1, Cons):
-            return (isinstance(e2, Cons) and align(e1.head, e2.head)
-                    and align(e1.tail, e2.tail))
-        if isinstance(e1, Call):
-            return (isinstance(e2, Call) and e1.fn == e2.fn
-                    and len(e1.args) == len(e2.args)
-                    and all(align(a, b) for a, b in zip(e1.args, e2.args)))
+            return mapping.setdefault(e1, e2) == e2
         return e1 == e2
 
-    def _record(p1, p2) -> bool:
-        if p1 in mapping:
-            return mapping[p1] == p2
-        mapping[p1] = p2
-        return True
+    def align(e1: Expr, e2: Expr) -> bool:
+        """Cell by cell along the two list spines, then their ends."""
+        heads1, end1 = spine(e1)
+        heads2, end2 = spine(e2)
+        if len(heads1) != len(heads2) \
+                or not all(map(leaf, heads1, heads2)):
+            return False
+        if isinstance(end1, Call):
+            return (isinstance(end2, Call) and end1.fn == end2.fn
+                    and len(end1.args) == len(end2.args)
+                    and all(map(align, end1.args, end2.args)))
+        return leaf(end1, end2)
 
     if not align(c1.expr, c2.expr):
         return None
@@ -223,22 +220,33 @@ def alpha_equivalent(c1: Config, c2: Config) -> bool:
 
 def _chain_text(expr: Expr) -> str:
     """Like render_expr but abbreviating literal prefixes of open chains:
-    'b':'c':'a':#y prints as "bca"++#y."""
-    w = unword(expr)
-    if w is not None:
-        return f'"{w}"' if w else "Nil"
-    prefix = []
-    node = expr
-    while isinstance(node, Cons) and isinstance(node.head, Sym):
-        prefix.append(node.head.ch)
-        node = node.tail
-    if len(prefix) >= 2:
-        return f'"{"".join(prefix)}"++{_chain_text(node)}'
-    if isinstance(expr, Cons):
-        return f"{expr.head!r}:{_chain_text(expr.tail)}"
-    if isinstance(expr, Call):
-        return f"{expr.fn}({', '.join(_chain_text(a) for a in expr.args)})"
-    return repr(expr)
+    'b':'c':'a':#y prints as "bca"++#y.  Iterative along the list spine."""
+    heads, end = spine(expr)
+    n = len(heads)
+    # heads[word:] are symbols and the list ends in Nil: a ground word
+    word = n
+    if end.__class__ is Nil:
+        while word and heads[word - 1].__class__ is Sym:
+            word -= 1
+    out = []
+    i = 0
+    while i < word:
+        j = i
+        while j < word and heads[j].__class__ is Sym:
+            j += 1
+        if j - i >= 2:
+            out.append(f'"{"".join(h.ch for h in heads[i:j])}"++')
+            i = j
+        else:
+            out.append(f"{heads[i]!r}:")
+            i += 1
+    if word < n:
+        out.append(f'"{"".join(h.ch for h in heads[word:])}"')
+    elif end.__class__ is Call:
+        out.append(f"{end.fn}({', '.join(map(_chain_text, end.args))})")
+    else:
+        out.append(repr(end))
+    return "".join(out)
 
 
 def config_text(c: Config) -> str:

@@ -1,5 +1,5 @@
 """One-step unfolding of configurations: narrowing, negative information,
-transient compression, and node classification.
+and transient compression.
 
 Driving a configuration enumerates, in rule order, every satisfiable way a
 rule of the called function can fire after minimally narrowing the
@@ -17,13 +17,13 @@ cannot arise for the shipped matcher or for the programs it generates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 from .configs import (
-    Config, Restriction, apply_to_restriction, make_config, restriction,
-    satisfiable,
+    Config, Restriction, apply_to_restriction, make_config, param_key,
+    restriction, satisfiable,
 )
+from .interpreter import match_lhs
 from .syntax import (
     Call, Cons, Expr, ListParam, ListVar, Nil, Param, Program, Sym,
     SymParam, SymVar, params_of, render_expr, spine, substitute,
@@ -108,16 +108,8 @@ class Branch:
     steps: int = 1
 
 
-class NodeKind(Enum):
-    LEAF_PASSIVE = "leaf-passive"
-    TRANSIENT = "transient"
-    PIVOT = "pivot"
-
-
 def _canon_subst(subst: dict) -> tuple:
-    def key(p: Param):
-        return (0, p.name) if isinstance(p, SymParam) else (1, p.name)
-    return tuple(sorted(subst.items(), key=lambda kv: key(kv[0])))
+    return tuple(sorted(subst.items(), key=lambda kv: param_key(kv[0])))
 
 
 def narrow_match(lhs: tuple[Expr, ...], args: tuple[Expr, ...],
@@ -231,31 +223,6 @@ def _resolve_subst(subst: dict) -> dict:
     return out
 
 
-def _bind(lhs: tuple[Expr, ...], args: tuple[Expr, ...]) -> dict:
-    """Structural match of patterns against already-narrowed arguments."""
-    binding: dict = {}
-
-    def go(pat, val) -> bool:
-        if isinstance(pat, (SymVar, ListVar)):
-            if pat in binding:
-                return binding[pat] == val
-            binding[pat] = val
-            return True
-        if isinstance(pat, Sym):
-            return pat == val
-        if isinstance(pat, Nil):
-            return isinstance(val, Nil)
-        if isinstance(pat, Cons):
-            return (isinstance(val, Cons) and go(pat.head, val.head)
-                    and go(pat.tail, val.tail))
-        raise DriveError(f"bad pattern {pat!r}")
-
-    for pat, val in zip(lhs, args):
-        if not go(pat, val):
-            raise DriveError("narrowed arguments failed to match")
-    return binding
-
-
 def drive_step(program: Program, cfg: Config,
                names: Optional[NameGen] = None) -> list[Branch]:
     """Enumerate the satisfiable branches of one unfolding step, in rule
@@ -321,7 +288,9 @@ def drive_step(program: Program, cfg: Config,
         if shadowed:
             continue
         added = restriction(added_pairs)
-        binding = _bind(rule.lhs, narrowed_args)
+        binding = match_lhs(rule, narrowed_args)
+        if binding is None:
+            raise DriveError("narrowed arguments failed to match")
         child_expr = substitute(rule.rhs, binding)
         child = make_config(child_expr,
                             restriction(inherited.diseqs | added.diseqs))
@@ -333,25 +302,9 @@ def drive_step(program: Program, cfg: Config,
     return branches
 
 
-def narrowed_config(parent: Config, branch: Branch) -> Config:
-    """The configuration reached by applying the branch narrowing to the
-    parent before the rule fires (the uncompressed intermediate view)."""
-    subst = branch.narrowing.subst_dict
-    expr = substitute(parent.expr, subst)
-    r = apply_to_restriction(parent.restriction, subst)
-    return make_config(expr, restriction(r.diseqs | branch.narrowing.added.diseqs))
-
-
 def _spine_depth(expr: Expr) -> int:
     exprs = expr.args if isinstance(expr, Call) else (expr,)
-    deepest = 0
-    for e in exprs:
-        d = 0
-        while isinstance(e, Cons):
-            d += 1
-            e = e.tail
-        deepest = max(deepest, d)
-    return deepest
+    return max((len(spine(e)[0]) for e in exprs), default=0)
 
 
 class TransientMemo:
@@ -496,11 +449,3 @@ def compress(program: Program, branch: Branch, names: Optional[NameGen] = None,
     return Branch(Narrowing(_canon_subst(subst), added,
                             branch.narrowing.rule_index),
                   child, tuple(chain), tuple(rule_indices), steps)
-
-
-def classify(program: Program, cfg: Config) -> NodeKind:
-    """leaf-passive, transient (one branch), or pivot (at least two)."""
-    if not cfg.is_active():
-        return NodeKind.LEAF_PASSIVE
-    n = len(drive_step(program, cfg, NameGen.for_exprs(cfg.expr)))
-    return NodeKind.TRANSIENT if n == 1 else NodeKind.PIVOT

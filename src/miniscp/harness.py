@@ -46,10 +46,10 @@ from .residual import (
 from .scp import (
     KIND_DIAGNOSTIC, KIND_FOLDED, KIND_PASSIVE, KIND_PIVOT, ProcessGraph,
     ScpReport, first_path, first_path_pivots, head_fn, matcher_entry,
-    supercompile,
+    specialize_pattern,
 )
 from .syntax import (
-    Call, Cons, ListParam, NIL, Nil, Sym, SymParam, TRUE, word,
+    Call, Cons, ListParam, Nil, Sym, SymParam, TRUE, spine, word,
 )
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -122,8 +122,7 @@ class PatternArtifacts:
 
 @lru_cache(maxsize=None)
 def artifacts(pattern: str) -> PatternArtifacts:
-    program, entry = matcher_entry(pattern)
-    graph, report = supercompile(program, entry)
+    graph, report = specialize_pattern(pattern)
     rp = residualize(graph)
     return PatternArtifacts(pattern, graph, report, rp,
                             CompiledProgram(rp.program),
@@ -195,36 +194,21 @@ def _sweep(pattern: str, corpus: Corpus) -> SweepResult:
 
 # --- first path ---------------------------------------------------------------
 
+def _comparison_config(pattern: str, i: int) -> Config:
+    """The comparison after i matched letters: L(suffix(i), Y, pattern,
+    stagger(i) ++ Y), stagger(i) being letters 1..i-1 of the pattern."""
+    y = ListParam("y")
+    tail = y
+    for ch in reversed(pattern[1:i]):
+        tail = Cons(Sym(ch), tail)
+    return make_config(Call("L", (word(pattern[i:]), y, word(pattern), tail)))
+
+
 def expected_path_pivots(pattern: str) -> list[Config]:
     """The entry followed by one comparison configuration per matched-prefix
-    length: L(suffix(i), Y, pattern, stagger(i) ++ Y), i = 1..n-1."""
-    y = ListParam("y")
-    out = [make_config(Call("S", (word(pattern), y)))]
-    for i in range(1, len(pattern)):
-        tail: object = y
-        for ch in reversed(pattern[1:i]):
-            tail = Cons(word(ch).head, tail)
-        out.append(make_config(
-            Call("L", (word(pattern[i:]), y, word(pattern), tail))))
-    return out
-
-
-def _final_comparison_config(pattern: str) -> Config:
-    """The compressed-away configuration where the whole pattern has been
-    matched: L(Nil, Y, pattern, suffix(1) ++ Y)."""
-    y = ListParam("y")
-    tail: object = y
-    for ch in reversed(pattern[1:]):
-        tail = Cons(word(ch).head, tail)
-    return make_config(Call("L", (NIL, y, word(pattern), tail)))
-
-
-def check_first_path(pattern: str) -> bool:
-    try:
-        _first_path_facts(artifacts(pattern))
-        return True
-    except CheckFailure:
-        return False
+    length i = 1..n-1."""
+    return [matcher_entry(pattern)[1]] + [
+        _comparison_config(pattern, i) for i in range(1, len(pattern))]
 
 
 def _first_path_facts(art: PatternArtifacts) -> None:
@@ -241,18 +225,12 @@ def _first_path_facts(art: PatternArtifacts) -> None:
     for a, e in zip(actual, expected):
         if not alpha_equivalent(a, e):
             raise CheckFailure(f"pivot {a!r} differs from expected {e!r}")
-    lengths = []
-    for cfg in actual:
-        w = cfg.expr.args[0]
-        n = 0
-        while isinstance(w, Cons):
-            n += 1
-            w = w.tail
-        lengths.append(n)
+    lengths = [len(spine(cfg.expr.args[0])[0]) for cfg in actual]
     if any(a <= b for a, b in zip(lengths, lengths[1:])):
         raise CheckFailure(f"pattern-suffix lengths not decreasing: {lengths}")
     last_branch = graph.nodes[path[-1]].branch
-    final = _final_comparison_config(art.pattern)
+    # the whole pattern matched: L(Nil, Y, pattern, suffix(1) ++ Y)
+    final = _comparison_config(art.pattern, len(art.pattern))
     if not any(alpha_equivalent(c, final) for c in last_branch.chain):
         raise CheckFailure(
             "final comparison configuration missing from the compressed "
@@ -279,19 +257,6 @@ def _is_held_symbol_form(cfg: Config, pattern: str) -> bool:
             and isinstance(e.args[1].tail, ListParam))
 
 
-def _reentry_config(pattern: str) -> Config:
-    y = ListParam("y")
-    return make_config(Call("L", (word(pattern[1:]), y, word(pattern), y)))
-
-
-def check_restarts(pattern: str) -> bool:
-    try:
-        _restart_facts(artifacts(pattern))
-        return True
-    except CheckFailure:
-        return False
-
-
 def _restart_facts(art: PatternArtifacts) -> None:
     graph, pattern = art.graph, art.pattern
     nodes = graph.nodes
@@ -315,7 +280,7 @@ def _restart_facts(art: PatternArtifacts) -> None:
     # Held-symbol configurations appearing as nodes: the root must be their
     # only S-headed ancestor, and their two branches must be re-entry
     # (covered by the first comparison state) and restart (covered by root).
-    reentry = _reentry_config(pattern)
+    reentry = _comparison_config(pattern, 1)
     for i, n in enumerate(nodes):
         if not _is_held_symbol_form(n.config, pattern):
             continue
@@ -358,14 +323,11 @@ def _restart_facts(art: PatternArtifacts) -> None:
             raise CheckFailure(
                 f"compressed held-symbol configuration {cfg!r} does not "
                 "exclude the pattern's first letter")
-        parent = nodes[child_id].parent
-        walker = parent
-        while walker is not None:
-            if head_fn(nodes[walker].config) == "S" and walker != graph.root:
+        for a in graph.ancestors(child_id):
+            if head_fn(nodes[a].config) == "S" and a != graph.root:
                 raise CheckFailure(
                     f"held-symbol chain of node {child_id} has a non-root "
-                    f"S-ancestor {walker}")
-            walker = nodes[walker].parent
+                    f"S-ancestor {a}")
         require_root_restart(child_id)
 
     # Every mismatch branch out of an L-headed pivot chases, through
@@ -398,14 +360,6 @@ def _restart_facts(art: PatternArtifacts) -> None:
 
 
 # --- covering / no generalization ----------------------------------------------
-
-def check_covering(pattern: str) -> bool:
-    try:
-        _covering_facts(artifacts(pattern))
-        return True
-    except CheckFailure:
-        return False
-
 
 def _covering_facts(art: PatternArtifacts) -> None:
     graph, report = art.graph, art.report
@@ -444,16 +398,8 @@ def _covering_facts(art: PatternArtifacts) -> None:
 
 # --- structural claims -----------------------------------------------------------
 
-def check_structure(pattern: str) -> bool:
-    try:
-        _structure_facts(artifacts(pattern))
-        return True
-    except CheckFailure:
-        return False
-
-
 def _structure_facts(art: PatternArtifacts) -> None:
-    rep = structural_report(art.residual)
+    rep = structural_report(art.residual.program)
     if rep.constants_in_rhs != 0:
         raise CheckFailure(f"{rep.constants_in_rhs} constants in call "
                            "arguments")
@@ -465,27 +411,7 @@ def _structure_facts(art: PatternArtifacts) -> None:
                            "leading symbols")
 
 
-# --- equivalence and linearity ----------------------------------------------------
-
-def check_equivalence(pattern: str, corpus: Corpus) -> bool:
-    result = _sweep(pattern, corpus)
-    return result.equivalence_ok
-
-
-def check_linearity(pattern: str, corpus: Corpus) -> bool:
-    result = _sweep(pattern, corpus)
-    return result.linearity_ok
-
-
 # --- automaton isomorphism ----------------------------------------------------------
-
-def check_automaton(pattern: str) -> bool:
-    try:
-        _automaton_facts(artifacts(pattern))
-        return True
-    except CheckFailure:
-        return False
-
 
 def _automaton_facts(art: PatternArtifacts) -> dict:
     pattern = art.pattern

@@ -25,7 +25,7 @@ from typing import Iterator, Optional, Union
 from .syntax import (
     Call, Cons, Expr, FALSE, FalseVal, ListVar, Nil, Program, Rule, Sym,
     SymVar, TRUE, TrueVal, is_ground, is_passive, parse_program, render_expr,
-    spine, unword, word,
+    spine, substitute, unword, word,
 )
 
 DEFAULT_FUEL = 1_000_000
@@ -137,26 +137,12 @@ def match_lhs(rule: Rule, args: tuple[Expr, ...]) -> Optional[dict]:
     return binding
 
 
-def _instantiate(expr: Expr, binding: dict) -> Expr:
-    if isinstance(expr, (SymVar, ListVar)):
-        return binding[expr]
-    if isinstance(expr, Cons):
-        head = expr.head
-        if isinstance(head, SymVar):
-            head = binding[head]
-        return Cons(head, _instantiate(expr.tail, binding))
-    if isinstance(expr, Call):
-        return Call(expr.fn,
-                    tuple(_instantiate(a, binding) for a in expr.args))
-    return expr
-
-
 def rewrite_once(program: Program, call: Call) -> Expr:
     """Apply the first matching rule of the called function."""
     for rule in program.rules(call.fn):
         binding = match_lhs(rule, call.args)
         if binding is not None:
-            return _instantiate(rule.rhs, binding)
+            return substitute(rule.rhs, binding)
     raise StuckTermError(f"no rule of {call.fn} matches "
                          f"({', '.join(render_expr(a) for a in call.args)})")
 

@@ -87,10 +87,6 @@ class Automaton:
     _table: dict = field(default_factory=dict, repr=False)
 
     @property
-    def size(self) -> int:
-        return len(self.pattern) + 1
-
-    @property
     def accept(self) -> int:
         return len(self.pattern)
 

@@ -24,7 +24,7 @@ from .scp import (
 )
 from .syntax import (
     Call, Cons, Expr, ListVar, Nil, Program, Rule, Sym, SymParam,
-    SymVar, TrueVal, params_of, render, subterms, substitute, vars_of,
+    SymVar, TrueVal, params_of, render, spine, subterms, substitute, vars_of,
 )
 
 
@@ -173,19 +173,14 @@ def _check_bindings(program: Program) -> None:
                         f"{name}: generated rhs variable {v!r} unbound")
 
 
-def structural_report_program(program: Program) -> StructuralReport:
+def structural_report(program: Program) -> StructuralReport:
     constants = 0
     repeated = 0
     max_depth = 0
     for _, rules in program.functions:
         for rule in rules:
             for pat in rule.lhs:
-                depth = 0
-                node = pat
-                while isinstance(node, Cons):
-                    depth += 1
-                    node = node.tail
-                max_depth = max(max_depth, depth)
+                max_depth = max(max_depth, len(spine(pat)[0]))
             rhs = rule.rhs
             if isinstance(rhs, Call):
                 arg_vars = [set(vars_of(a)) for a in rhs.args]
@@ -204,10 +199,6 @@ def _var_occurrences(expr: Expr):
     for t in subterms(expr):
         if isinstance(t, (SymVar, ListVar)):
             yield t
-
-
-def structural_report(rp: ResidualProgram) -> StructuralReport:
-    return structural_report_program(rp.program)
 
 
 def render_residual(rp: ResidualProgram) -> str:

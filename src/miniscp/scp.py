@@ -260,40 +260,70 @@ def first_path_pivots(graph: ProcessGraph) -> list[Config]:
 
 # --- entries and exports -----------------------------------------------------
 
-def matcher_entry(pattern: str) -> tuple[Program, Config]:
-    """The naive matcher applied to a static pattern and a dynamic string."""
+def matcher_entry(pattern: str, program: Optional[Program] = None
+                  ) -> tuple[Program, Config]:
+    """A matcher applied to a static pattern and a dynamic string: the
+    entry S(pattern, #y) of `program`, the built-in naive matcher when it
+    is not given."""
     if not pattern:
         raise EmptyPatternError("pattern must be nonempty")
-    program = naive_matcher()
     entry = make_config(Call("S", (word(pattern), ListParam("y"))))
-    return program, entry
+    return naive_matcher() if program is None else program, entry
 
 
 def specialize_pattern(pattern: str, program: Optional[Program] = None,
                        node_budget: int = 10_000
                        ) -> tuple[ProcessGraph, ScpReport]:
-    if program is None:
-        program, entry = matcher_entry(pattern)
-    else:
-        if not pattern:
-            raise EmptyPatternError("pattern must be nonempty")
-        entry = make_config(Call("S", (word(pattern), ListParam("y"))))
-    return supercompile(program, entry, node_budget)
+    return supercompile(*matcher_entry(pattern, program), node_budget)
+
+
+def _graph_text(graph: ProcessGraph, node, edge, fold) -> list[str]:
+    """The one walk both exports share: a line per node, then per tree edge,
+    then per fold edge, each formatted by the given function."""
+    nodes = graph.nodes
+    out = [node(i, n) for i, n in enumerate(nodes)]
+    out += [edge(i, c, nodes[c].branch)
+            for i, n in enumerate(nodes) for c in n.children]
+    out += [fold(i, *n.fold) for i, n in enumerate(nodes)
+            if n.fold is not None]
+    return out
 
 
 def graph_lines(graph: ProcessGraph) -> list[str]:
     """Line-oriented dump: one node per line, then tree and fold edges."""
-    out = []
-    for i, n in enumerate(graph.nodes):
+    def node(i, n):
         mark = " root" if i == graph.root else ""
-        out.append(f"node {i} {n.kind}{mark} {config_text(n.config)}")
-    for i, n in enumerate(graph.nodes):
-        for c in n.children:
-            b = graph.nodes[c].branch
-            out.append(f"edge {i} -> {c} rule {b.narrowing.rule_index} "
-                       f"[{b.narrowing!r}] steps={b.steps}")
-    for i, n in enumerate(graph.nodes):
-        if n.fold is not None:
-            t, sigma = n.fold
-            out.append(f"fold {i} ..> {t} [{renaming_text(sigma)}]")
-    return out
+        return f"node {i} {n.kind}{mark} {config_text(n.config)}"
+
+    def edge(i, c, b):
+        return (f"edge {i} -> {c} rule {b.narrowing.rule_index} "
+                f"[{b.narrowing!r}] steps={b.steps}")
+
+    def fold(i, t, sigma):
+        return f"fold {i} ..> {t} [{renaming_text(sigma)}]"
+
+    return _graph_text(graph, node, edge, fold)
+
+
+def export_dot(graph: ProcessGraph) -> str:
+    """Graphviz rendering: solid narrowing-labeled tree edges, dashed
+    renaming-labeled fold edges, root with doubled border."""
+    def esc(s: str) -> str:
+        return s.replace("\\", "\\\\").replace('"', '\\"')
+
+    def node(i, n):
+        label = esc(f"{i}: {n.kind}") + "\\n" + esc(config_text(n.config))
+        extra = ", peripheries=2" if i == graph.root else ""
+        return f'  n{i} [label="{label}"{extra}];'
+
+    def edge(i, c, b):
+        lab = esc(f"rule {b.narrowing.rule_index}: {b.narrowing!r}")
+        return f'  n{i} -> n{c} [label="{lab}"];'
+
+    def fold(i, t, sigma):
+        lab = esc(renaming_text(sigma))
+        return f'  n{i} -> n{t} [style=dashed, label="{lab}"];'
+
+    lines = ["digraph process {", "  node [shape=box, fontname=monospace];",
+             *_graph_text(graph, node, edge, fold), "}"]
+    return "\n".join(lines) + "\n"

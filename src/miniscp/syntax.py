@@ -632,21 +632,28 @@ def parse_expression(text: str) -> Expr:
 # --- printer ----------------------------------------------------------------
 
 def render_expr(expr: Expr) -> str:
-    """Canonical text; ground words are abbreviated with double quotes."""
-    w = unword(expr)
-    if w is not None and w != "":
-        return f'"{w}"'
-    if isinstance(expr, Cons):
-        return f"{render_expr(expr.head)}:{render_expr(expr.tail)}"
-    if isinstance(expr, Call):
-        return f"{expr.fn}({', '.join(render_expr(a) for a in expr.args)})"
-    return repr(expr)
+    """Canonical text; a nonempty ground word, and the longest such suffix
+    of a list, is abbreviated with double quotes.  Iterative along the
+    list spine, so long lists are safe."""
+    heads, end = spine(expr)
+    k = len(heads)
+    if end.__class__ is Nil:
+        while k and heads[k - 1].__class__ is Sym:
+            k -= 1
+    parts = [repr(h) for h in heads[:k]]
+    if k < len(heads):
+        parts.append('"' + "".join(h.ch for h in heads[k:]) + '"')
+    elif end.__class__ is Call:
+        parts.append(f"{end.fn}({', '.join(map(render_expr, end.args))})")
+    else:
+        parts.append(repr(end))
+    return ":".join(parts)
 
 
 def render_pattern(expr: Expr) -> str:
-    if isinstance(expr, Cons):
-        return f"{render_pattern(expr.head)}:{render_pattern(expr.tail)}"
-    return repr(expr)
+    heads, end = spine(expr)
+    heads.append(end)
+    return ":".join(map(repr, heads))
 
 
 def render_rule(rule: Rule) -> str:

@@ -4,6 +4,7 @@ with its measured runtime.  The whole module runs against the default corpus
 abcabcacab) at the tolerances stated below; nothing is loosened at run time.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -99,7 +100,7 @@ def test_criterion_4_four_way_equivalence(corpus, reports, capsys):
 def test_criterion_5_structural_claims(corpus, capsys):
     t0 = time.perf_counter()
     for pattern in corpus.patterns:
-        rep = structural_report(artifacts(pattern).residual)
+        rep = structural_report(artifacts(pattern).residual.program)
         assert rep.constants_in_rhs == 0, pattern
         assert rep.repeated_params_in_rhs == 0, pattern
         assert rep.max_lhs_cons_depth <= 1, pattern
@@ -131,6 +132,13 @@ def test_criterion_7_automaton_isomorphism(corpus, reports, capsys):
                  f"failure-automaton states ({time.perf_counter() - t0:.2f}s)")
 
 
+# SHA-256 of `miniscp verify --corpus default --seed 7` stdout, the same
+# digest the benchmark checks (perfbench/expected.json).  Any change to a
+# record line, a metric or the summary changes it.
+VERIFY_SEED_7_SHA256 = (
+    "2933f8a2b1f92865b1275e813f6503dbe94be9c9d0091755a6ff937042c09145")
+
+
 def test_criterion_8_verify_is_deterministic(capsys):
     t0 = time.perf_counter()
     cmd = [sys.executable, "-m", "miniscp.cli", "verify",
@@ -143,5 +151,7 @@ def test_criterion_8_verify_is_deterministic(capsys):
     assert first.returncode == 0, first.stderr.decode()[:500]
     assert second.returncode == 0
     assert first.stdout == second.stdout
+    assert hashlib.sha256(first.stdout).hexdigest() == VERIFY_SEED_7_SHA256
     _say(capsys, f"ACCEPTANCE 8 PASS verify output byte-identical across "
-                 f"runs ({time.perf_counter() - t0:.2f}s)")
+                 f"runs and to the pinned digest "
+                 f"({time.perf_counter() - t0:.2f}s)")

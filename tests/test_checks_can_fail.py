@@ -12,7 +12,7 @@ from miniscp.harness import (
     replay_graph,
 )
 from miniscp.residual import (
-    ResidualProgram, structural_report_program, transition,
+    ResidualProgram, structural_report, transition,
 )
 from miniscp.scp import specialize_pattern
 from miniscp.syntax import (
@@ -33,20 +33,20 @@ def _swap_entry_rules(program: Program) -> Program:
 def test_structural_check_sees_constants():
     # a residual-shaped program that smuggles a constant into a call
     bad = parse_program("F_0 { 'a':y = F_0('a':y); Nil = F; s.c:y = F_0(y); }")
-    rep = structural_report_program(bad)
+    rep = structural_report(bad)
     assert rep.constants_in_rhs >= 1
 
 
 def test_structural_check_sees_repeats():
     bad = parse_program("G { s.a:y = H(y, y); Nil = F; } "
                         "H { x, y = T; }")
-    rep = structural_report_program(bad)
+    rep = structural_report(bad)
     assert rep.repeated_params_in_rhs >= 2
 
 
 def test_structural_check_sees_deep_patterns():
     bad = parse_program("F_0 { 'a':'b':y = T; s.c:y = F_0(y); Nil = F; }")
-    rep = structural_report_program(bad)
+    rep = structural_report(bad)
     assert rep.max_lhs_cons_depth == 2
 
 

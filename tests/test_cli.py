@@ -2,8 +2,8 @@ import io
 import subprocess
 import sys
 
-from miniscp.cli import export_dot, main
-from miniscp.scp import specialize_pattern
+from miniscp.cli import main
+from miniscp.scp import export_dot, specialize_pattern
 
 
 def run_cli(*argv):

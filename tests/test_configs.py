@@ -2,11 +2,13 @@ import itertools
 import random
 
 from miniscp.configs import (
-    Config, EMPTY, UNSAT, alpha_equivalent, apply_to_restriction, covers,
-    entails, make_config, prune, restriction, satisfiable,
+    Config, EMPTY, UNSAT, alpha_equivalent, apply_to_restriction,
+    config_text, covers, entails, make_config, prune, restriction,
+    satisfiable,
 )
 from miniscp.syntax import (
-    ListParam, Sym, SymParam, parse_expression, substitute, word,
+    NIL, Call, Cons, ListParam, Sym, SymParam, parse_expression, substitute,
+    unword, word,
 )
 
 
@@ -199,3 +201,100 @@ def test_make_config_prunes_dead_restriction():
     c = make_config(parse_expression('S("ab", #y)'),
                     restriction([(sp("c"), Sym("a"))]))
     assert c.restriction == EMPTY
+
+
+def _chain(heads, end):
+    out = end
+    for h in reversed(heads):
+        out = Cons(h, out)
+    return out
+
+
+def test_config_text_long_chains():
+    # symbol-parameter heads are printed one cell at a time (RecursionError
+    # when the printer recursed along the spine); literal runs abbreviate
+    params = _chain([sp("c")] * 3000, lp("y"))
+    assert config_text(make_config(Call("G", (params,)))) \
+        == "⟨G(" + "#s.c:" * 3000 + "#y)⟩"
+    mixed = _chain([Sym("a"), Sym("b"), sp("c")] * 1000, lp("y"))
+    assert config_text(make_config(mixed)) \
+        == "⟨" + '"ab"++#s.c:' * 1000 + "#y⟩"
+
+
+def test_covers_long_open_chains():
+    # 3000-cell chains align cell by cell (RecursionError when the
+    # alignment recursed along the spine)
+    c1 = make_config(Call("S", (_chain([Sym("a")] * 3000, lp("y")),)))
+    c2 = make_config(Call("S", (_chain([Sym("a")] * 3000, lp("z")),)))
+    assert covers(c1, c2) == {lp("y"): lp("z")}
+    c3 = make_config(Call("S", (_chain([sp("c")] * 3000, lp("z")),)))
+    assert covers(c3, c3) == {sp("c"): sp("c"), lp("z"): lp("z")}
+    assert covers(c1, c3) is None and covers(c3, c1) is None
+    c4 = make_config(Call("S", (_chain([Sym("a")] * 2999, lp("z")),)))
+    assert covers(c1, c4) is None
+
+
+def _chain_text_recursive(expr):
+    """config_text's recursive definition of the body, kept as the
+    reference."""
+    w = unword(expr)
+    if w is not None:
+        return f'"{w}"' if w else "Nil"
+    prefix = []
+    node = expr
+    while isinstance(node, Cons) and isinstance(node.head, Sym):
+        prefix.append(node.head.ch)
+        node = node.tail
+    if len(prefix) >= 2:
+        return f'"{"".join(prefix)}"++{_chain_text_recursive(node)}'
+    if isinstance(expr, Cons):
+        return f"{expr.head!r}:{_chain_text_recursive(expr.tail)}"
+    if isinstance(expr, Call):
+        args = ", ".join(map(_chain_text_recursive, expr.args))
+        return f"{expr.fn}({args})"
+    return repr(expr)
+
+
+def _covers_recursive(c1, c2):
+    """covers' recursive alignment, kept as the reference."""
+    mapping = {}
+
+    def align(e1, e2):
+        if isinstance(e1, (SymParam, ListParam)):
+            if type(e2) is not type(e1):
+                return False
+            return mapping.setdefault(e1, e2) == e2
+        if isinstance(e1, Cons):
+            return (isinstance(e2, Cons) and align(e1.head, e2.head)
+                    and align(e1.tail, e2.tail))
+        if isinstance(e1, Call):
+            return (isinstance(e2, Call) and e1.fn == e2.fn
+                    and len(e1.args) == len(e2.args)
+                    and all(align(a, b) for a, b in zip(e1.args, e2.args)))
+        return e1 == e2
+
+    if not align(c1.expr, c2.expr):
+        return None
+    if len(set(mapping.values())) != len(mapping):
+        return None
+    if not entails(c2.restriction, c1.restriction, mapping):
+        return None
+    return mapping
+
+
+def test_chain_text_and_covers_agree_with_recursive_definitions():
+    rng = random.Random(11)
+    atoms = [Sym("a"), Sym("b"), sp("c"), sp("d")]
+    ends = [NIL, lp("y"), lp("z")]
+
+    def arg():
+        return _chain([rng.choice(atoms) for _ in range(rng.randint(0, 5))],
+                      rng.choice(ends))
+
+    for _ in range(3000):
+        e1 = Call("L", (arg(), arg()))
+        e2 = Call("L", (arg(), arg())) if rng.random() < 0.5 else substitute(
+            e1, {sp("c"): sp("d"), sp("d"): sp("c"), lp("y"): lp("z")})
+        c1, c2 = make_config(e1), make_config(e2)
+        assert config_text(c1) == f"⟨{_chain_text_recursive(e1)}⟩"
+        assert covers(c1, c2) == _covers_recursive(c1, c2), (e1, e2)

@@ -6,8 +6,7 @@ from miniscp.configs import (
     EMPTY, make_config, restriction, satisfiable,
 )
 from miniscp.driving import (
-    DriveError, NameGen, NodeKind, TransientMemo, _shape, classify,
-    compress, drive_step, narrowed_config,
+    DriveError, NameGen, TransientMemo, _shape, compress, drive_step,
 )
 from miniscp.harness import branch_admits
 from miniscp.interpreter import naive_matcher, trace_call
@@ -219,24 +218,14 @@ def test_branch_order_follows_rule_order(prog):
     assert indices == sorted(indices)
 
 
-# --- narrowed (uncompressed) view ----------------------------------------------
-
-def test_narrowed_config_reconstruction(prog):
-    parent = cfg('S("aab", #y)')
-    miss = drive_step(prog, parent)[1]
-    mid = narrowed_config(parent, miss)
-    img = dict(miss.narrowing.subst)[ListParam("y")]
-    assert mid.expr == Call("S", (word("aab"), img))
-    assert mid.restriction == restriction([(img.head, Sym("a"))])
-
-
-# --- classify -------------------------------------------------------------------
+# --- node kinds: passive, transient (one branch), pivot (two or more) --------
 
 def test_classify_examples(prog):
-    assert classify(prog, cfg('S("aab", #y)')) is NodeKind.PIVOT
-    assert classify(prog, cfg('L("aab", \'a\':#y, "aab", #y)')) \
-        is NodeKind.TRANSIENT
-    assert classify(prog, make_config(TRUE)) is NodeKind.LEAF_PASSIVE
+    pivot = cfg('S("aab", #y)')
+    assert pivot.is_active() and len(drive_step(prog, pivot)) >= 2
+    transient = cfg('L("aab", \'a\':#y, "aab", #y)')
+    assert transient.is_active() and len(drive_step(prog, transient)) == 1
+    assert not make_config(TRUE).is_active()
 
 
 def test_fresh_names_avoid_existing(prog):

@@ -1,7 +1,5 @@
 from miniscp.harness import (
-    Corpus, _automaton_facts, artifacts, binary_patterns,
-    check_automaton, check_covering, check_equivalence, check_first_path,
-    check_linearity, check_restarts, check_structure, default_corpus,
+    Corpus, _automaton_facts, artifacts, binary_patterns, default_corpus,
     expected_path_pivots, record_line, step_contrast, string_pool,
     summary_lines, sweep_alphabet, verify_pattern,
 )
@@ -43,16 +41,12 @@ def test_expected_path_pivots_match_structure():
 
 
 def test_all_facets_pass_for_named_patterns(small_corpus):
-    # "b" exercises the single-letter vacuous case of the restart checks
-    for pattern in ("a", "b", "aa", "ab", "aab", "ababa"):
-        assert check_first_path(pattern)
-        assert check_restarts(pattern)
-        assert check_covering(pattern)
-        assert check_structure(pattern)
-        assert check_automaton(pattern)
-    for pattern in small_corpus.patterns:
-        assert check_equivalence(pattern, small_corpus)
-        assert check_linearity(pattern, small_corpus)
+    # "b" exercises the single-letter vacuous case of the restart checks;
+    # ok is the conjunction of all seven facets
+    for pattern in ("a", "b", "aa", "ab", "aab", "ababa") \
+            + small_corpus.patterns:
+        report = verify_pattern(pattern, small_corpus)
+        assert report.ok, (pattern, report.failures)
 
 
 def test_automaton_mapping_is_state_bijection(aab):

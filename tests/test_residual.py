@@ -7,7 +7,7 @@ from miniscp.configs import alpha_equivalent, make_config
 from miniscp.interpreter import eval_call, naive_matcher
 from miniscp.residual import (
     ResidualError, consuming_functions, render_residual, residualize,
-    structural_report, structural_report_program, transition,
+    structural_report, transition,
 )
 from miniscp.scp import specialize_pattern, supercompile
 from miniscp.syntax import (
@@ -84,15 +84,16 @@ def test_function_count_matches_pivots_and_provenance(aab, ababa):
 def test_structural_reports():
     for pattern in ("a", "aab", "ababa"):
         rp = artifacts(pattern).residual
-        rep = structural_report(rp)
+        rep = structural_report(rp.program)
         assert rep.constants_in_rhs == 0
         assert rep.repeated_params_in_rhs == 0
         assert rep.max_lhs_cons_depth <= 1
-    assert structural_report(artifacts("a").residual).max_lhs_cons_depth == 1
+    assert structural_report(
+        artifacts("a").residual.program).max_lhs_cons_depth == 1
 
 
 def test_naive_matcher_baseline_repeats_variables():
-    rep = structural_report_program(naive_matcher())
+    rep = structural_report(naive_matcher())
     assert rep.repeated_params_in_rhs >= 1
 
 

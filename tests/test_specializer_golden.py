@@ -2,14 +2,17 @@
 
 For each pattern of the specialize ladder (seed 7) and of the default
 corpus, `tests/data/specializer_golden.json` holds the SHA-256 of the
-rendered residual program and of the process-graph dump (`graph_lines`:
+rendered residual program, of the process-graph dump (`graph_lines`:
 node kinds, configurations with their parameter names, edge labels with
-`steps=`, fold renamings).  A speed-up of the specializer must leave every
-one of them byte for byte as it was.
+`steps=`, fold renamings) and of the Graphviz export (`export_dot`).  A
+speed-up or a refactoring of the specializer must leave every one of them
+byte for byte as it was.
 
-The file was recorded with the specializer as it stood before driving was
-memoized; `python tests/test_specializer_golden.py --record` rewrites it
-from the current code, so record only from code known to be right.
+The residual and graph digests were recorded with the specializer as it
+stood before driving was memoized, the DOT digests before `export_dot`
+and `graph_lines` were made to share one graph walk.
+`python tests/test_specializer_golden.py --record` rewrites the file from
+the current code, so record only from code known to be right.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import pytest
 
 from miniscp.harness import default_corpus
 from miniscp.residual import render_residual, residualize
-from miniscp.scp import graph_lines, specialize_pattern
+from miniscp.scp import export_dot, graph_lines, specialize_pattern
 
 DATA = Path(__file__).parent / "data" / "specializer_golden.json"
 
@@ -52,7 +55,8 @@ def _sha(text: str) -> str:
 def digests(pattern: str) -> dict:
     graph, _ = specialize_pattern(pattern)
     return {"residual": _sha(render_residual(residualize(graph))),
-            "graph": _sha("\n".join(graph_lines(graph)) + "\n")}
+            "graph": _sha("\n".join(graph_lines(graph)) + "\n"),
+            "dot": _sha(export_dot(graph))}
 
 
 def test_golden_covers_ladder_and_corpus():

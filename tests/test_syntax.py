@@ -1,10 +1,12 @@
+import random
+
 import pytest
 
 from miniscp.syntax import (
     Call, Cons, FALSE, ListParam, ListVar, NIL, ParseError, Rule,
     Sym, SymParam, SymVar, TRUE, ValidationError,
     params_of, parse_expression, parse_program, render, render_expr,
-    substitute, unword, word,
+    render_pattern, render_rule, substitute, unword, word,
 )
 from miniscp.interpreter import NAIVE_MATCHER_SOURCE, eval_call
 
@@ -181,3 +183,60 @@ def test_substitute_shares_what_it_leaves_unchanged():
     assert out.args[1].tail is lit
     renamed = substitute(e, {SymParam("c"): SymParam("d")})
     assert renamed.args[1] == Cons(SymParam("d"), ListParam("y"))
+
+
+def _chain(heads, end):
+    out = end
+    for h in reversed(heads):
+        out = Cons(h, out)
+    return out
+
+
+def test_render_expr_long_open_chain():
+    # 3000 cells ending in a parameter: not a word, printed cell by cell
+    # (RecursionError when the printer recursed along the spine)
+    e = _chain([Sym("a")] * 3000, ListParam("y"))
+    assert render_expr(e) == "'a':" * 3000 + "#y"
+    assert render_expr(Call("S", (e,))) == "S(" + "'a':" * 3000 + "#y)"
+    mixed = _chain([SymParam("c")] * 3000 + [Sym("a"), Sym("b")], NIL)
+    assert render_expr(mixed) == "#s.c:" * 3000 + '"ab"'
+
+
+def test_render_pattern_long_chain():
+    pat = _chain([Sym("a")] * 3000, ListVar("y"))
+    assert render_pattern(pat) == "'a':" * 3000 + "y"
+    assert render_rule(Rule((pat,), TRUE)) == "'a':" * 3000 + "y = T;"
+
+
+def _render_expr_recursive(expr):
+    """The printers' recursive definitions, kept as the reference."""
+    w = unword(expr)
+    if w is not None and w != "":
+        return f'"{w}"'
+    if isinstance(expr, Cons):
+        return (f"{_render_expr_recursive(expr.head)}:"
+                f"{_render_expr_recursive(expr.tail)}")
+    if isinstance(expr, Call):
+        args = ", ".join(map(_render_expr_recursive, expr.args))
+        return f"{expr.fn}({args})"
+    return repr(expr)
+
+
+def _render_pattern_recursive(expr):
+    if isinstance(expr, Cons):
+        return (f"{_render_pattern_recursive(expr.head)}:"
+                f"{_render_pattern_recursive(expr.tail)}")
+    return repr(expr)
+
+
+def test_printers_agree_with_recursive_definition():
+    rng = random.Random(5)
+    atoms = [Sym("a"), Sym("b"), SymParam("c"), SymVar("d")]
+    ends = [NIL, ListParam("y"), ListVar("z"), TRUE, Sym("a")]
+    for _ in range(2000):
+        e = _chain([rng.choice(atoms) for _ in range(rng.randint(0, 6))],
+                   rng.choice(ends))
+        assert render_pattern(e) == _render_pattern_recursive(e), e
+        if rng.random() < 0.3:
+            e = Call("G", (e, _chain([rng.choice(atoms)], NIL)))
+        assert render_expr(e) == _render_expr_recursive(e), e
