@@ -126,7 +126,7 @@ def artifacts(pattern: str) -> PatternArtifacts:
     rp = residualize(graph)
     return PatternArtifacts(pattern, graph, report, rp,
                             CompiledProgram(rp.program),
-                            CompiledProgram(naive_matcher()))
+                            naive_matcher().compiled)
 
 
 def sweep_alphabet(pattern: str) -> str:
@@ -144,9 +144,21 @@ def string_pool(pattern: str, corpus: Corpus) -> list[str]:
     for n in range(corpus.exhaustive_len + 1):
         pool.extend("".join(t) for t in itertools.product(alpha, repeat=n))
     rng = random.Random(f"{corpus.seed}:{pattern}")
+    # Each letter is rng.choice(alpha) inlined: the draw Random._randbelow
+    # makes (getrandbits of len(alpha).bit_length() bits, redrawn while out
+    # of range), so the strings are exactly choice's, without its two
+    # Python frames per letter.
+    size = len(alpha)
+    bits = size.bit_length()
+    getrandbits = rng.getrandbits
     for _ in range(corpus.random_count):
-        n = rng.randint(0, corpus.random_max_len)
-        pool.append("".join(rng.choice(alpha) for _ in range(n)))
+        letters = []
+        for _ in range(rng.randint(0, corpus.random_max_len)):
+            r = getrandbits(bits)
+            while r >= size:
+                r = getrandbits(bits)
+            letters.append(alpha[r])
+        pool.append("".join(letters))
     return pool
 
 

@@ -8,12 +8,18 @@ generated programs against textbook machinery built only from the pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .interpreter import EmptyPatternError
 
 
-def _prefix_function(p: str) -> list[int]:
-    """pi[i] = length of the longest proper border of p[:i+1]."""
+@lru_cache(maxsize=1024)
+def _prefix_function(p: str) -> tuple[int, ...]:
+    """pi[i] = length of the longest proper border of p[:i+1].
+
+    Computed once per word while it is in use (kmp_search runs once per
+    swept string of a pattern) and shared, hence a tuple; bounded because
+    `failure` takes arbitrary words."""
     pi = [0] * len(p)
     k = 0
     for i in range(1, len(p)):
@@ -22,7 +28,7 @@ def _prefix_function(p: str) -> list[int]:
         if p[i] == p[k]:
             k += 1
         pi[i] = k
-    return pi
+    return tuple(pi)
 
 
 def failure(q: str) -> int:
@@ -41,8 +47,7 @@ class FailureTable:
 
 
 def failure_table(p: str) -> FailureTable:
-    pi = _prefix_function(p)
-    return FailureTable(p, (0,) + tuple(pi))
+    return FailureTable(p, (0,) + _prefix_function(p))
 
 
 def jump(i: int, q: str) -> int:
@@ -60,6 +65,7 @@ def kmp_search(p: str, y: str) -> tuple[bool, int]:
     if not p:
         raise EmptyPatternError("pattern must be nonempty")
     pi = _prefix_function(p)
+    m = len(p)
     j = 0
     comparisons = 0
     for ch in y:
@@ -67,12 +73,12 @@ def kmp_search(p: str, y: str) -> tuple[bool, int]:
             comparisons += 1
             if ch == p[j]:
                 j += 1
+                if j == m:
+                    return True, comparisons
                 break
             if j == 0:
                 break
             j = pi[j - 1]
-        if j == len(p):
-            return True, comparisons
     return False, comparisons
 
 
@@ -103,7 +109,7 @@ class Automaton:
         elif state == 0:
             nxt = 0
         else:
-            nxt = self.delta(failure_table(self.pattern).values[state], ch)
+            nxt = self.delta(_prefix_function(self.pattern)[state - 1], ch)
         self._table[key] = nxt
         return nxt
 

@@ -247,6 +247,14 @@ def spine(expr: Expr) -> tuple[list, Expr]:
     return heads, expr
 
 
+def chain(heads: list, end: Expr) -> Expr:
+    """The list expression with these cell heads, ended by end: the inverse
+    of spine()."""
+    for h in reversed(heads):
+        end = Cons(h, end)
+    return end
+
+
 def is_passive(expr: Expr) -> bool:
     """True when expr contains no function call.  Iterative along the list
     spine (heads are atoms), so long words are safe."""
@@ -499,23 +507,25 @@ class _Parser:
             return SymVar(self.advance().text)
         return None
 
-    def pattern(self) -> Expr:
+    def _nil_or_listvar(self) -> Expr:
         t = self.cur
-        if t.kind == "NAME":
-            if t.text == "Nil":
-                self.advance()
-                return NIL
-            if not t.text[0].islower():
-                self.err(f"list variable must start lowercase: {t.text!r}")
+        if t.text != "Nil" and not t.text[0].islower():
+            self.err(f"list variable must start lowercase: {t.text!r}")
+        self.advance()
+        return NIL if t.text == "Nil" else ListVar(t.text)
+
+    def pattern(self) -> Expr:
+        """Iterative along the list spine, so long patterns are safe."""
+        heads = []
+        while self.cur.kind != "NAME":
+            atom = self._patatom()
+            if atom is None:
+                self.err(f"expected pattern, found {self.cur.text!r}")
+            if self.cur.kind != ":":
+                return chain(heads, atom)  # bare symbol position
             self.advance()
-            return ListVar(t.text)
-        atom = self._patatom()
-        if atom is None:
-            self.err(f"expected pattern, found {t.text!r}")
-        if self.cur.kind == ":":
-            self.advance()
-            return Cons(atom, self.pattern())
-        return atom  # bare symbol position
+            heads.append(atom)
+        return chain(heads, self._nil_or_listvar())
 
     def rhs(self) -> Expr:
         t = self.cur
@@ -552,26 +562,20 @@ class _Parser:
         return self.pexpr()
 
     def pexpr(self) -> Expr:
+        """Iterative along the list spine, so long expressions are safe."""
+        heads = []
+        while self.cur.kind not in ("STRING", "NAME", "LISTPARAM"):
+            atom = self._atom()
+            if atom is None:
+                self.err(f"expected expression, found {self.cur.text!r}")
+            self.expect(":")
+            heads.append(atom)
         t = self.cur
-        if t.kind == "STRING":
-            self.advance()
-            return word(t.text)
         if t.kind == "NAME":
-            if t.text == "Nil":
-                self.advance()
-                return NIL
-            if not t.text[0].islower():
-                self.err(f"list variable must start lowercase: {t.text!r}")
-            self.advance()
-            return ListVar(t.text)
-        if t.kind == "LISTPARAM":
-            self.advance()
-            return ListParam(t.text)
-        atom = self._atom()
-        if atom is None:
-            self.err(f"expected expression, found {t.text!r}")
-        self.expect(":")
-        return Cons(atom, self.pexpr())
+            return chain(heads, self._nil_or_listvar())
+        self.advance()
+        return chain(heads,
+                     word(t.text) if t.kind == "STRING" else ListParam(t.text))
 
     def expression(self) -> Expr:
         t = self.cur

@@ -79,6 +79,34 @@ def test_run_reports_evaluation_errors(tmp_path):
     assert "error" in err
 
 
+def test_run_long_chain_programs_never_show_a_traceback(tmp_path):
+    # 3000-cell chains in patterns and call arguments: each file runs or
+    # fails with a message (a RecursionError traceback when the parser
+    # recursed along the spine)
+    chain = "'a':" * 3000
+    cases = [
+        (f"F {{ {chain}y = T; y = F; }}", "a" * 3000 + "b", 0, "T"),
+        (f"F {{ {chain}y = T; y = F; }}", "b", 0, "F"),
+        (f"F {{ y = G({chain}y); }}\nG {{ 'a':z = T; }}", "b", 0, "T"),
+        (f"F {{ {chain}y = T; }}", "b", 1, None),
+        (f"F {{ {chain}'a' 'b' = T; }}", "a", 1, None),
+        (f"F {{ {chain}Y = T; }}", "a", 1, None),
+    ]
+    for i, (src, word, code, value) in enumerate(cases):
+        prog = tmp_path / f"chain{i}.scl"
+        prog.write_text(src + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "miniscp", "run", "--program", str(prog),
+             "--entry", "F", "--input", word],
+            capture_output=True, text=True)
+        assert "Traceback" not in proc.stderr, (i, proc.stderr[-300:])
+        assert proc.returncode == code, (i, proc.stderr[-300:])
+        if value is None:
+            assert proc.stderr.startswith("error: "), i
+        else:
+            assert proc.stdout.splitlines()[0] == value, i
+
+
 def test_usage_error_exit_code():
     code, _, _ = run_cli("bogus-subcommand")
     assert code == 2

@@ -1,3 +1,8 @@
+import itertools
+import random
+
+import pytest
+
 from miniscp.harness import (
     Corpus, _automaton_facts, artifacts, binary_patterns, default_corpus,
     expected_path_pivots, record_line, step_contrast, string_pool,
@@ -22,6 +27,33 @@ def test_string_pool_deterministic():
     other = Corpus(("ab",), exhaustive_len=3, random_count=10,
                    random_max_len=20, seed=8)
     assert string_pool("ab", corpus) != string_pool("ab", other)
+
+
+def _string_pool_by_choice(pattern, corpus):
+    """string_pool drawing each random letter with rng.choice, kept as the
+    reference for the inlined draw."""
+    alpha = sweep_alphabet(pattern)
+    pool = []
+    for n in range(corpus.exhaustive_len + 1):
+        pool.extend("".join(t) for t in itertools.product(alpha, repeat=n))
+    rng = random.Random(f"{corpus.seed}:{pattern}")
+    for _ in range(corpus.random_count):
+        n = rng.randint(0, corpus.random_max_len)
+        pool.append("".join(rng.choice(alpha) for _ in range(n)))
+    return pool
+
+
+# sweep alphabets of 2, 3, 4 and 5 letters
+@pytest.mark.parametrize("pattern", ["aa", "aba", "abcab", "abcda"])
+def test_string_pool_draws_as_random_choice(pattern):
+    assert len(sweep_alphabet(pattern)) == len(set(pattern)) + 1
+    for seed, count in zip(range(6), (1000, 200, 37, 1, 0, 5)):
+        for max_len in (0, 1, 200, 300):
+            corpus = Corpus((pattern,), exhaustive_len=2, random_count=count,
+                            random_max_len=max_len, seed=seed)
+            pool = string_pool(pattern, corpus)
+            assert pool == _string_pool_by_choice(pattern, corpus), \
+                (seed, count, max_len)
 
 
 def test_sweep_alphabet_adds_fresh_letter():

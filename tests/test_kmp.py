@@ -1,11 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 from miniscp.interpreter import EmptyPatternError
 from miniscp.kmp import (
-    PatternDecomposition, automaton, failure, failure_table, jump,
-    kmp_search, table_rows,
+    PatternDecomposition, _prefix_function, automaton, failure,
+    failure_table, jump, kmp_search, table_rows,
 )
 
 
@@ -83,6 +84,50 @@ def test_kmp_agrees_with_containment():
                     found, comparisons = kmp_search(p, y)
                     assert found == (p in y), (p, y)
                     assert comparisons <= 2 * len(y)
+
+
+def _kmp_search_per_call(p, y):
+    """kmp_search with its failure links rebuilt on every call, kept as the
+    reference for the cached table."""
+    pi = [0] * len(p)
+    k = 0
+    for i in range(1, len(p)):
+        while k > 0 and p[i] != p[k]:
+            k = pi[k - 1]
+        if p[i] == p[k]:
+            k += 1
+        pi[i] = k
+    j = 0
+    comparisons = 0
+    for ch in y:
+        while True:
+            comparisons += 1
+            if ch == p[j]:
+                j += 1
+                break
+            if j == 0:
+                break
+            j = pi[j - 1]
+        if j == len(p):
+            return True, comparisons
+    return False, comparisons
+
+
+def test_kmp_search_matches_per_call_definition():
+    rng = random.Random(3)
+    for _ in range(3000):
+        alpha = "abcd"[:rng.randint(1, 4)]
+        p = "".join(rng.choice(alpha) for _ in range(rng.randint(1, 8)))
+        y = "".join(rng.choice(alpha + "e") for _ in range(rng.randint(0, 60)))
+        if rng.random() < 0.3:
+            cut = rng.randint(0, len(y))
+            y = y[:cut] + p + y[cut:]
+        assert kmp_search(p, y) == _kmp_search_per_call(p, y), (p, y)
+    table = _prefix_function("abcabcacab")
+    assert isinstance(table, tuple)
+    assert table == (0, 0, 0, 1, 2, 3, 4, 0, 1, 2)
+    assert _prefix_function("abcabcacab") is table
+    assert failure_table("abcabcacab").values == (0,) + table
 
 
 def test_automaton_for_aab():

@@ -240,3 +240,38 @@ def test_printers_agree_with_recursive_definition():
         if rng.random() < 0.3:
             e = Call("G", (e, _chain([rng.choice(atoms)], NIL)))
         assert render_expr(e) == _render_expr_recursive(e), e
+
+
+def test_parse_long_chains_round_trip():
+    # 3000-cell chains in a pattern, a call argument and an expression
+    # (RecursionError when the parser recursed along the spine)
+    text = "'a':" * 3000 + "#y"
+    e = parse_expression(text)
+    assert e == _chain([Sym("a")] * 3000, ListParam("y"))
+    assert render_expr(e) == text
+    call = parse_expression("G(" + "s.b:" * 3000 + "#y, 'c')")
+    assert call.args[0] == _chain([SymVar("b")] * 3000, ListParam("y"))
+    assert parse_expression(render_expr(call)) == call
+    src = ("F {\n  " + "'a':" * 3000 + "y = G(" + "'b':" * 3000 + "y);\n}\n"
+           "G {\n  y = T;\n}\n")
+    prog = parse_program(src)
+    rule = prog.rules("F")[0]
+    assert rule.lhs == (_chain([Sym("a")] * 3000, ListVar("y")),)
+    assert rule.rhs == Call("G", (_chain([Sym("b")] * 3000, ListVar("y")),))
+    assert render(prog) == src
+    assert parse_program(render(prog)) == prog
+
+
+def test_parse_round_trips_random_rules():
+    rng = random.Random(9)
+    heads = [Sym("a"), Sym("b"), SymVar("c")]
+    bound = Cons(SymVar("c"), ListVar("y"))  # binds every rhs variable
+    for _ in range(2000):
+        pat = _chain([rng.choice(heads) for _ in range(rng.randint(0, 6))],
+                     rng.choice([NIL, ListVar("y"), Sym("a"), SymVar("c")]))
+        arg = _chain([rng.choice(heads) for _ in range(rng.randint(0, 6))],
+                     rng.choice([NIL, ListVar("y")]))
+        rhs = rng.choice([TRUE, arg, Call("F", (arg, SymVar("c")))])
+        rule = Rule((pat, bound), rhs)
+        prog = parse_program(f"F {{ {render_rule(rule)} }}")
+        assert prog.rules("F") == (rule,), render_rule(rule)
