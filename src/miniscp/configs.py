@@ -172,40 +172,49 @@ def param_key(p: Param):
     return (0, p.name) if isinstance(p, SymParam) else (1, p.name)
 
 
+def shape(expr: Expr) -> tuple[tuple, list[Param]]:
+    """The expression up to renaming, as a key, and its parameters in
+    first-occurrence order.
+
+    Each list spine is the tuple of its heads and end: a symbol by its
+    character, the k-th parameter by k if it ranges over symbols and by
+    -1 - k if over lists, anything else by itself; a call is its name and
+    its arguments' spines.  Two configuration expressions (passive, or one
+    call with passive arguments) have equal keys exactly when a bijective,
+    kind-preserving renaming sends one onto the other, and zipping their
+    parameter lists gives that renaming.  One walk, iterative along each
+    spine; hashing the key hashes only strings and numbers."""
+    index: dict = {}
+
+    def code(t):
+        cls = t.__class__
+        if cls is Sym:
+            return t.ch
+        if cls is SymParam:
+            return index.setdefault(t, len(index))
+        if cls is ListParam:
+            return -1 - index.setdefault(t, len(index))
+        return t
+
+    def walk(e: Expr) -> tuple:
+        heads, end = spine(e)
+        heads.append(end)
+        return tuple(map(code, heads))
+
+    key = ((expr.fn, *map(walk, expr.args)) if expr.__class__ is Call
+           else walk(expr))
+    return key, list(index)
+
+
 def covers(c1: Config, c2: Config) -> Optional[Renaming]:
     """Renaming sending c1's expression exactly onto c2's, if one exists and
-    c2's restriction entails the renamed restriction of c1.
-
-    Alignment is positional: the expressions must agree everywhere except at
-    parameter positions, where a parameter may only map to a parameter of the
-    same kind; repeated parameters must map consistently and injectively.
-    """
-    mapping: Renaming = {}
-
-    def leaf(e1: Expr, e2: Expr) -> bool:
-        if isinstance(e1, (SymParam, ListParam)):
-            if e2.__class__ is not e1.__class__:
-                return False
-            return mapping.setdefault(e1, e2) == e2
-        return e1 == e2
-
-    def align(e1: Expr, e2: Expr) -> bool:
-        """Cell by cell along the two list spines, then their ends."""
-        heads1, end1 = spine(e1)
-        heads2, end2 = spine(e2)
-        if len(heads1) != len(heads2) \
-                or not all(map(leaf, heads1, heads2)):
-            return False
-        if isinstance(end1, Call):
-            return (isinstance(end2, Call) and end1.fn == end2.fn
-                    and len(end1.args) == len(end2.args)
-                    and all(map(align, end1.args, end2.args)))
-        return leaf(end1, end2)
-
-    if not align(c1.expr, c2.expr):
+    c2's restriction entails the renamed restriction of c1: the two shapes
+    must be equal, and the renaming pairs their parameters in order."""
+    key1, order1 = shape(c1.expr)
+    key2, order2 = shape(c2.expr)
+    if key1 != key2:
         return None
-    if len(set(mapping.values())) != len(mapping):
-        return None  # not injective
+    mapping = dict(zip(order1, order2))
     if not entails(c2.restriction, c1.restriction, mapping):
         return None
     return mapping

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .configs import (
     Config, Restriction, apply_to_restriction, make_config, param_key,
-    restriction, satisfiable,
+    restriction, satisfiable, shape,
 )
 from .interpreter import match_lhs
 from .syntax import (
@@ -311,13 +311,14 @@ class TransientMemo:
     """Single-branch drives of one specializer session, keyed by the driven
     configuration up to renaming.
 
-    The key numbers the configuration's parameters in first-occurrence
-    order (see `_shape`); the value is the one branch of that drive with
-    the k-th parameter renamed to the canonical name `k`.  Only drives that
-    took no fresh name from the session's NameGen are stored, so a hit,
-    which skips the drive, leaves the session's parameter numbering as the
-    drive would have left it.  `drives` and `hits` count the drives made
-    and saved.
+    The key is the expression's shape (see `configs.shape`, which numbers
+    the parameters in first-occurrence order) and the restriction with the
+    k-th parameter renamed to the canonical name `k`; the value is the one
+    branch of that drive under the same renaming.  Only drives that took
+    no fresh name from the session's NameGen are stored, so a hit, which
+    skips the drive, leaves the session's parameter numbering as the drive
+    would have left it.  `drives` and `hits` count the drives made and
+    saved.
     """
 
     def __init__(self):
@@ -329,8 +330,10 @@ class TransientMemo:
               names: NameGen) -> list[Branch]:
         """drive_step(program, cfg, names), answered from the memo when an
         equal configuration up to renaming drove to one branch before."""
-        key, order = _shape(cfg)
+        key, order = shape(cfg.expr)
         canon = [_canonical(p, k) for k, p in enumerate(order)]
+        to_canon = dict(zip(order, canon))
+        key = key, apply_to_restriction(cfg.restriction, to_canon)
         hit = self.branches.get(key)
         if hit is not None:
             self.hits += 1
@@ -339,41 +342,8 @@ class TransientMemo:
         self.drives += 1
         branches = drive_step(program, cfg, names)
         if len(branches) == 1 and (names._nsym, names._nlist) == issued:
-            self.branches[key] = _rename_branch(branches[0],
-                                                dict(zip(order, canon)))
+            self.branches[key] = _rename_branch(branches[0], to_canon)
         return branches
-
-
-def _shape(cfg: Config) -> tuple[tuple, list[Param]]:
-    """The configuration up to renaming, as a key, and its parameters in
-    first-occurrence order.
-
-    Each argument of the key is the tuple of its spine's heads and end: a
-    symbol by its character, the k-th parameter by k if it ranges over
-    symbols and by -1 - k if over lists, anything else by itself.  The
-    restriction is the set of its disequalities, each the set of the codes
-    of its two sides.  One walk, and hashing the key hashes only strings
-    and numbers."""
-    index: dict = {}
-
-    def code(t):
-        cls = t.__class__
-        if cls is Sym:
-            return t.ch
-        if cls is SymParam:
-            return index.setdefault(t, len(index))
-        if cls is ListParam:
-            return -1 - index.setdefault(t, len(index))
-        return t
-
-    key: list = [cfg.expr.fn, cfg.restriction.unsat]
-    for arg in cfg.expr.args:
-        heads, end = spine(arg)
-        heads.append(end)
-        key.append(tuple(map(code, heads)))
-    key.append(frozenset(frozenset((code(a), code(b)))
-                         for a, b in cfg.restriction.diseqs))
-    return tuple(key), list(index)
 
 
 def _canonical(p: Param, k: int) -> Param:

@@ -132,7 +132,10 @@ def artifacts(pattern: str) -> PatternArtifacts:
 def sweep_alphabet(pattern: str) -> str:
     """The pattern's letters plus one fresh letter, in a fixed order."""
     base = sorted(set(pattern))
-    fresh = next(c for c in LETTERS if c not in base)
+    fresh = next((c for c in LETTERS if c not in base), None)
+    if fresh is None:
+        raise ValueError(f"pattern {pattern!r} uses every letter a-z, so "
+                         "no fresh letter is left for the sweep alphabet")
     return "".join(base) + fresh
 
 
@@ -251,28 +254,15 @@ def _first_path_facts(art: PatternArtifacts) -> None:
 
 # --- restart structure ----------------------------------------------------------
 
-def _is_restart_form(cfg: Config, pattern: str) -> bool:
-    """S(pattern, Y) for a bare list parameter Y."""
-    e = cfg.expr
-    return (isinstance(e, Call) and e.fn == "S" and len(e.args) == 2
-            and e.args[0] == word(pattern)
-            and isinstance(e.args[1], ListParam))
-
-
-def _is_held_symbol_form(cfg: Config, pattern: str) -> bool:
-    """S(pattern, c:Y) with a restricted symbol parameter c at the head."""
-    e = cfg.expr
-    return (isinstance(e, Call) and e.fn == "S" and len(e.args) == 2
-            and e.args[0] == word(pattern)
-            and isinstance(e.args[1], Cons)
-            and isinstance(e.args[1].head, SymParam)
-            and isinstance(e.args[1].tail, ListParam))
-
-
 def _restart_facts(art: PatternArtifacts) -> None:
     graph, pattern = art.graph, art.pattern
     nodes = graph.nodes
     first = pattern[0]
+    # up to renaming, a restart is S(pattern, #y), and a held-symbol
+    # configuration S(pattern, #s.c:#y) holds one read symbol c
+    restart_form = matcher_entry(pattern)[1]
+    held_form = make_config(Call("S", (word(pattern),
+                                       Cons(SymParam("c"), ListParam("y")))))
 
     # Folds into S-configurations always target the root.
     for i, n in enumerate(nodes):
@@ -285,7 +275,7 @@ def _restart_facts(art: PatternArtifacts) -> None:
     def require_root_restart(node_id: int) -> None:
         n = nodes[node_id]
         if n.kind != KIND_FOLDED or n.fold[0] != graph.root \
-                or not _is_restart_form(n.config, pattern):
+                or covers(restart_form, n.config) is None:
             raise CheckFailure(
                 f"node {node_id} ({n.config!r}) is not a root restart")
 
@@ -294,7 +284,7 @@ def _restart_facts(art: PatternArtifacts) -> None:
     # (covered by the first comparison state) and restart (covered by root).
     reentry = _comparison_config(pattern, 1)
     for i, n in enumerate(nodes):
-        if not _is_held_symbol_form(n.config, pattern):
+        if covers(held_form, n.config) is None:
             continue
         for a in graph.ancestors(i):
             if head_fn(nodes[a].config) == "S" and a != graph.root:
@@ -327,7 +317,7 @@ def _restart_facts(art: PatternArtifacts) -> None:
     # of their chain, with the first letter excluded, and the edge's child is
     # a root restart.
     for child_id, cfg in graph.chain_configs():
-        if not _is_held_symbol_form(cfg, pattern):
+        if covers(held_form, cfg) is None:
             continue
         held = cfg.expr.args[1].head
         if not any(Sym(first) in pair and held in pair
@@ -354,7 +344,7 @@ def _restart_facts(art: PatternArtifacts) -> None:
             if child.kind == KIND_FOLDED:
                 require_root_restart(c)
             elif child.kind == KIND_PIVOT:
-                if _is_held_symbol_form(child.config, pattern):
+                if covers(held_form, child.config) is not None:
                     continue  # validated above
                 if head_fn(child.config) != "L":
                     raise CheckFailure(

@@ -137,16 +137,6 @@ def match_lhs(rule: Rule, args: tuple[Expr, ...]) -> Optional[dict]:
     return binding
 
 
-def rewrite_once(program: Program, call: Call) -> Expr:
-    """Apply the first matching rule of the called function."""
-    for rule in program.rules(call.fn):
-        binding = match_lhs(rule, call.args)
-        if binding is not None:
-            return substitute(rule.rhs, binding)
-    raise StuckTermError(f"no rule of {call.fn} matches "
-                         f"({', '.join(render_expr(a) for a in call.args)})")
-
-
 def trace_call(program: Program, call: Call,
                fuel: int = DEFAULT_FUEL) -> Iterator[Expr]:
     """Yield the expression after each rule application until passive."""
@@ -158,7 +148,15 @@ def trace_call(program: Program, call: Call,
         steps += 1
         if steps > fuel:
             raise FuelExhaustedError(steps)
-        expr = rewrite_once(program, expr)
+        for rule in program.rules(expr.fn):  # the first matching rule
+            binding = match_lhs(rule, expr.args)
+            if binding is not None:
+                break
+        else:
+            raise StuckTermError(
+                f"no rule of {expr.fn} matches "
+                f"({', '.join(render_expr(a) for a in expr.args)})")
+        expr = substitute(rule.rhs, binding)
         yield expr
 
 

@@ -7,7 +7,7 @@ generated programs against textbook machinery built only from the pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .interpreter import EmptyPatternError
@@ -90,70 +90,30 @@ class Automaton:
     alphabet fall through the chain to state 0.
     """
     pattern: str
-    _table: dict = field(default_factory=dict, repr=False)
 
     @property
     def accept(self) -> int:
         return len(self.pattern)
 
     def delta(self, state: int, ch: str) -> int:
-        if not 0 <= state <= len(self.pattern):
+        """One loop step per failure link, so long chains are safe."""
+        p = self.pattern
+        if not 0 <= state <= len(p):
             raise ValueError(f"state {state} out of range")
-        key = (state, ch)
-        if key in self._table:
-            return self._table[key]
-        if state == self.accept:
-            nxt = state  # accept is a sink
-        elif ch == self.pattern[state]:
-            nxt = state + 1
-        elif state == 0:
-            nxt = 0
-        else:
-            nxt = self.delta(_prefix_function(self.pattern)[state - 1], ch)
-        self._table[key] = nxt
-        return nxt
+        if state == len(p):
+            return state  # accept is a sink
+        pi = _prefix_function(p)
+        while ch != p[state]:
+            if state == 0:
+                return 0
+            state = pi[state - 1]
+        return state + 1
 
 
 def automaton(p: str) -> Automaton:
     if not p:
         raise EmptyPatternError("pattern must be nonempty")
     return Automaton(p)
-
-
-@dataclass(frozen=True, slots=True)
-class PatternDecomposition:
-    """Letters, suffixes, and the staggered prefixes of a pattern.
-
-    With n = |p|: letter(i) is the i-th letter (1-based); suffix(i) drops the
-    first i letters (0 <= i < n); stagger(i) is the prefix of suffix(1) of
-    length i-1 (1 <= i < n), so suffix(i-1) = letter(i) + suffix(i) and
-    suffix(1) = stagger(i) + suffix(i).
-    """
-    pattern: str
-
-    def letter(self, i: int) -> str:
-        if not 1 <= i <= len(self.pattern):
-            raise ValueError(f"letter index {i} out of range")
-        return self.pattern[i - 1]
-
-    def suffix(self, i: int) -> str:
-        if not 0 <= i < len(self.pattern):
-            raise ValueError(f"suffix index {i} out of range")
-        return self.pattern[i:]
-
-    def stagger(self, i: int) -> str:
-        if not 1 <= i < len(self.pattern):
-            raise ValueError(f"stagger index {i} out of range")
-        return self.pattern[1:i]
-
-    def check(self) -> bool:
-        n = len(self.pattern)
-        for i in range(1, n):
-            if self.suffix(i - 1) != self.letter(i) + self.suffix(i):
-                return False
-            if self.suffix(1) != self.stagger(i) + self.suffix(i):
-                return False
-        return True
 
 
 def table_rows(p: str) -> list[tuple[int, str, int, str]]:

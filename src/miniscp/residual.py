@@ -18,13 +18,14 @@ from typing import Optional
 
 from .configs import config_text
 from .driving import Branch
-from .interpreter import check_tail_form
+from .interpreter import check_tail_form, match_lhs
 from .scp import (
     KIND_DIAGNOSTIC, KIND_FOLDED, KIND_PASSIVE, KIND_PIVOT, ProcessGraph,
 )
 from .syntax import (
-    Call, Cons, Expr, ListVar, Nil, Program, Rule, Sym, SymParam,
-    SymVar, TrueVal, params_of, render, spine, subterms, substitute, vars_of,
+    NIL, Call, Cons, Expr, ListVar, Nil, Program, Rule, Sym, SymParam,
+    SymVar, TrueVal, params_of, render, spine, subterms, substitute,
+    validate, vars_of, word,
 )
 
 
@@ -157,20 +158,8 @@ def residualize(graph: ProcessGraph) -> ResidualProgram:
         provenance[names[i]] = node.config
     program = Program(tuple(functions))
     check_tail_form(program)
-    _check_bindings(program)
+    validate(program)
     return ResidualProgram(program, provenance, names[graph.root])
-
-
-def _check_bindings(program: Program) -> None:
-    for name, rules in program.functions:
-        for rule in rules:
-            bound = set()
-            for p in rule.lhs:
-                bound.update(vars_of(p))
-            for v in vars_of(rule.rhs):
-                if v not in bound:
-                    raise ResidualError(
-                        f"{name}: generated rhs variable {v!r} unbound")
 
 
 def structural_report(program: Program) -> StructuralReport:
@@ -249,9 +238,13 @@ def transition(rp: ResidualProgram, name: str, ch: str):
     if kinds != ("list",):
         raise ResidualError(f"{name} is not a consuming function")
     while True:
-        rule = _first_symbol_rule(table[name], ch,
-                                  bare=(signature_kinds(rp, name)
-                                        == ("sym", "list")))
+        # a consuming function reads the symbol as the string ch, a
+        # fallback function takes it bare beside the rest of the string
+        args = (word(ch),) if kinds == ("list",) else (Sym(ch), NIL)
+        rule = next((r for r in table[name] if match_lhs(r, args) is not None),
+                    None)
+        if rule is None:
+            raise ResidualError(f"{name}: no rule consumes symbol {ch!r}")
         rhs = rule.rhs
         if isinstance(rhs, TrueVal):
             return "accept"
@@ -259,24 +252,6 @@ def transition(rp: ResidualProgram, name: str, ch: str):
             raise ResidualError(
                 f"{name}: symbol rule rewrites to {rhs!r}, not a call or T")
         name = rhs.fn
-        if signature_kinds(rp, name) == ("list",):
+        kinds = signature_kinds(rp, name)
+        if kinds == ("list",):
             return name
-
-
-def _first_symbol_rule(rules, ch: str, bare: bool) -> Rule:
-    for rule in rules:
-        pat = rule.lhs[0]
-        if bare:
-            if isinstance(pat, Sym):
-                if pat.ch == ch:
-                    return rule
-            elif isinstance(pat, SymVar):
-                return rule
-        else:
-            if isinstance(pat, Cons):
-                if isinstance(pat.head, Sym):
-                    if pat.head.ch == ch:
-                        return rule
-                else:
-                    return rule
-    raise ResidualError(f"no rule consumes symbol {ch!r}")

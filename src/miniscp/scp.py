@@ -1,13 +1,14 @@
 """Process-graph construction: iterated driving with covering-based folding
 and a homeomorphic-embedding whistle.
 
-At each active node the builder first scans the ancestors with the same head
-function, nearest first, for a configuration covering the node (fold edge on
-success); failing that it checks whether any such ancestor embeds into the
-node (whistle: the path stops with a diagnostic leaf and a counter tick, no
-generalization operator is provided); otherwise the node is driven, transient
-steps are compressed into the edges, and the children are visited depth-first
-in branch order.
+At each active node the builder first scans the ancestors with the same
+shape key (`configs.shape`: equal up to renaming), nearest first, for one
+whose restriction the node's entails, which makes it cover the node (fold
+edge on success); failing that it checks whether any ancestor with the same
+head function embeds into the node (whistle: the path stops with a
+diagnostic leaf and a counter tick, no generalization operator is
+provided); otherwise the node is driven, transient steps are compressed into
+the edges, and the children are visited depth-first in branch order.
 
 The embedding ignores restrictions, couples equal constructors and literals,
 dives into subterms, and relates a parameter only to parameters of the same
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .configs import (
-    Config, Renaming, config_text, covers, make_config, renaming_text,
+    Config, Renaming, config_text, covers, make_config, renaming_text, shape,
 )
 from .driving import Branch, NameGen, TransientMemo, compress, drive_step
 from .interpreter import EmptyPatternError, naive_matcher
@@ -179,6 +180,7 @@ def supercompile(program: Program, entry: Config,
     memo = TransientMemo()
     graph = ProcessGraph([Node(entry)])
     report = ScpReport(0, [], 0, 0)
+    keys: dict = {}  # active node -> its shape key
     stack = [0]
     while stack:
         i = stack.pop()
@@ -187,13 +189,12 @@ def supercompile(program: Program, entry: Config,
         if not cfg.is_active():
             node.kind = KIND_PASSIVE
             continue
-        fn = head_fn(cfg)
+        key = keys[i] = shape(cfg.expr)[0]
         folded = False
         for a in graph.ancestors(i):
-            anc = graph.nodes[a].config
-            if head_fn(anc) != fn:
+            if keys[a] != key:
                 continue
-            sigma = covers(anc, cfg)
+            sigma = covers(graph.nodes[a].config, cfg)
             if sigma is not None:
                 node.fold = (a, sigma)
                 node.kind = KIND_FOLDED
@@ -202,6 +203,7 @@ def supercompile(program: Program, entry: Config,
                 break
         if folded:
             continue
+        fn = head_fn(cfg)
         whistled = False
         for a in graph.ancestors(i):
             anc = graph.nodes[a].config

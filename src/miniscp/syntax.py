@@ -587,7 +587,10 @@ class _Parser:
         return self.call_arg()
 
 
-def _validate(program: Program) -> Program:
+def validate(program: Program) -> Program:
+    """Check rule arities, that every right-hand-side variable is bound by
+    its left-hand side and no rule holds a parameter, and every call's
+    callee and arity; raises ValidationError."""
     for name, rules in program.functions:
         arity = len(rules[0].lhs)
         for rule in rules:
@@ -621,7 +624,7 @@ def _validate(program: Program) -> Program:
 def parse_program(text: str) -> Program:
     """Parse and validate a program; raises ParseError or ValidationError."""
     p = _Parser(text)
-    return _validate(p.program())
+    return validate(p.program())
 
 
 def parse_expression(text: str) -> Expr:

@@ -141,6 +141,16 @@ def test_verify_single_pattern():
     assert "result: PASS" in out
 
 
+def test_verify_pattern_without_a_fresh_letter_is_an_error():
+    # the sweep alphabet adds a letter absent from the pattern; with all 26
+    # taken, verify exits 1 with a message (a raw StopIteration before)
+    code, out, err = run_cli("verify", "--pattern",
+                             "abcdefghijklmnopqrstuvwxyz")
+    assert code == 1
+    assert err.startswith("error: ") and "fresh letter" in err
+    assert "Traceback" not in err
+
+
 def test_verify_rejects_pattern_and_corpus_together():
     code, _, _ = run_cli("verify", "--pattern", "aab", "--corpus", "default")
     assert code == 2

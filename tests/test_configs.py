@@ -4,7 +4,7 @@ import random
 from miniscp.configs import (
     Config, EMPTY, UNSAT, alpha_equivalent, apply_to_restriction,
     config_text, covers, entails, make_config, prune, restriction,
-    satisfiable,
+    satisfiable, shape,
 )
 from miniscp.syntax import (
     NIL, Call, Cons, ListParam, Sym, SymParam, parse_expression, substitute,
@@ -291,10 +291,30 @@ def test_chain_text_and_covers_agree_with_recursive_definitions():
         return _chain([rng.choice(atoms) for _ in range(rng.randint(0, 5))],
                       rng.choice(ends))
 
+    def diseqs():
+        terms = [Sym("a"), Sym("b"), sp("c"), sp("d")]
+        return restriction([(rng.choice(terms), rng.choice(terms[2:]))
+                            for _ in range(rng.randint(0, 2))])
+
     for _ in range(3000):
         e1 = Call("L", (arg(), arg()))
         e2 = Call("L", (arg(), arg())) if rng.random() < 0.5 else substitute(
             e1, {sp("c"): sp("d"), sp("d"): sp("c"), lp("y"): lp("z")})
-        c1, c2 = make_config(e1), make_config(e2)
-        assert config_text(c1) == f"⟨{_chain_text_recursive(e1)}⟩"
-        assert covers(c1, c2) == _covers_recursive(c1, c2), (e1, e2)
+        c1, c2 = make_config(e1, diseqs()), make_config(e2, diseqs())
+        assert config_text(make_config(e1)) \
+            == f"⟨{_chain_text_recursive(e1)}⟩"
+        assert covers(c1, c2) == _covers_recursive(c1, c2), (c1, c2)
+        assert covers(c2, c1) == _covers_recursive(c2, c1), (c2, c1)
+        assert alpha_equivalent(c1, c2) == (
+            _covers_recursive(c1, c2) is not None
+            and _covers_recursive(c2, c1) is not None), (c1, c2)
+
+
+def test_configuration_shape_tells_parameter_kinds_apart():
+    def expr_shape(text):
+        return shape(parse_expression(text))
+
+    assert expr_shape('S("a", #y)')[0] != expr_shape('S("a", #s.c)')[0]
+    assert expr_shape('"ab"')[0] != expr_shape('S("ab")')[0]
+    assert expr_shape('S("a", #s.c:#y)') \
+        == (expr_shape('S("a", #s.d:#z)')[0], [sp("c"), lp("y")])

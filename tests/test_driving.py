@@ -6,7 +6,7 @@ from miniscp.configs import (
     EMPTY, make_config, restriction, satisfiable,
 )
 from miniscp.driving import (
-    DriveError, NameGen, TransientMemo, _shape, compress, drive_step,
+    DriveError, NameGen, TransientMemo, compress, drive_step,
 )
 from miniscp.harness import branch_admits
 from miniscp.interpreter import naive_matcher, trace_call
@@ -142,13 +142,6 @@ def test_transient_memo_answers_renamed_configurations(prog):
     assert memo.drive(prog, c3, names) == drive_step(prog, c3)
     assert (memo.drives, memo.hits) == (2, 1)
     assert names.fresh_sym() == SymParam("c1")  # no name was taken
-
-
-def test_configuration_shape_tells_parameter_kinds_apart():
-    assert _shape(cfg('S("a", #y)'))[0] != _shape(cfg('S("a", #s.c)'))[0]
-    assert _shape(cfg('S("a", #s.c:#y)')) \
-        == (_shape(cfg('S("a", #s.d:#z)'))[0],
-            [SymParam("c"), ListParam("y")])
 
 
 def test_transient_memo_skips_drives_that_take_fresh_names():

@@ -5,8 +5,8 @@ import pytest
 
 from miniscp.interpreter import EmptyPatternError
 from miniscp.kmp import (
-    PatternDecomposition, _prefix_function, automaton, failure,
-    failure_table, jump, kmp_search, table_rows,
+    _prefix_function, automaton, failure, failure_table, jump, kmp_search,
+    table_rows,
 )
 
 
@@ -169,12 +169,24 @@ def test_automaton_agrees_with_search():
                 assert (state == auto.accept) == (p in y), (p, y)
 
 
-def test_decomposition_equalities_hold_for_corpus():
-    patterns = ["aab", "ababa", "abcabcaca", "abcabcacab"]
-    patterns += ["".join(t) for n in range(1, 7)
-                 for t in itertools.product("ab", repeat=n)]
-    for p in patterns:
-        assert PatternDecomposition(p).check(), p
+def test_automaton_delta_follows_long_failure_chains():
+    # one loop step per failure link (RecursionError when delta recursed)
+    assert automaton("a" * 3000).delta(2999, "b") == 0
+    assert automaton("a" * 3000).delta(2999, "a") == 3000
+    assert automaton("a" * 2999 + "b").delta(2999, "a") == 2999
+    # against the definition: the longest prefix of p that is a suffix of
+    # the matched prefix extended by ch
+    rng = random.Random(8)
+    for _ in range(300):
+        p = "".join(rng.choice("ab") for _ in range(rng.randint(1, 9)))
+        auto = automaton(p)
+        for state in range(len(p)):
+            for ch in "abz":
+                read = p[:state] + ch
+                best = max(k for k in range(len(read) + 1)
+                           if read.endswith(p[:k]))
+                assert auto.delta(state, ch) == best, (p, state, ch)
+        assert auto.delta(len(p), "a") == len(p)
 
 
 def test_table_rows_cover_mismatchable_prefixes():

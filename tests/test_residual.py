@@ -7,14 +7,14 @@ from miniscp.configs import alpha_equivalent, make_config
 from miniscp.interpreter import eval_call, naive_matcher
 from miniscp.residual import (
     ResidualError, consuming_functions, render_residual, residualize,
-    structural_report, transition,
+    signature_kinds, structural_report, transition,
 )
 from miniscp.scp import specialize_pattern, supercompile
 from miniscp.syntax import (
     Call, Cons, FALSE, Nil, Sym, SymVar, TRUE, parse_expression,
     parse_program, word,
 )
-from miniscp.harness import artifacts
+from miniscp.harness import artifacts, sweep_alphabet
 
 
 def rule_shapes(program, name):
@@ -170,6 +170,42 @@ def test_transitions_compose_fallbacks(aab):
     assert transition(rp, "F_2", "b") == "accept"
     assert transition(rp, "F_2", "a") == "F_2"   # via the fallback
     assert transition(rp, "F_2", "z") == "F_0"
+
+
+def _transition_reference(rp, name, ch):
+    """transition's former walk, kept as the reference: the first rule whose
+    first pattern takes the symbol, read as a list cell by a consuming
+    function and bare by a fallback function."""
+    while True:
+        bare = signature_kinds(rp, name) == ("sym", "list")
+        for rule in rp.program.rules(name):
+            pat = rule.lhs[0]
+            if bare:
+                if isinstance(pat, SymVar) or pat == Sym(ch):
+                    break
+            elif isinstance(pat, Cons) and (not isinstance(pat.head, Sym)
+                                            or pat.head.ch == ch):
+                break
+        else:
+            raise ResidualError(f"no rule consumes symbol {ch!r}")
+        if rule.rhs == TRUE:
+            return "accept"
+        name = rule.rhs.fn
+        if signature_kinds(rp, name) == ("list",):
+            return name
+
+
+def test_transition_agrees_with_first_pattern_walk(full_corpus):
+    checked = 0
+    for pattern in full_corpus.patterns:
+        rp = artifacts(pattern).residual
+        for name in consuming_functions(rp):
+            for ch in sweep_alphabet(pattern):
+                assert transition(rp, name, ch) \
+                    == _transition_reference(rp, name, ch), (pattern, name, ch)
+                checked += 1
+    assert checked == sum(len(p) * len(sweep_alphabet(p))
+                          for p in full_corpus.patterns)
 
 
 def test_residualize_rejects_diagnostic_graphs():
