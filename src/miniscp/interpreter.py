@@ -10,7 +10,7 @@ Two engines are provided: a reference stepper over the syntax tree
 `CompiledProgram`) that translates a program to one Python loop once and
 keeps it on the program (`Program.compiled`).  Both agree on value and step
 count.  The compiled engine runs ground words as plain Python strings and
-holds each list argument as a `(string, offset)` pair, so a step that
+holds each argument as a `(string, offset, length)` triple, so a step that
 consumes a symbol moves an offset instead of copying the rest of the
 string: each step costs O(1) in the length of the input, and a run is
 linear in wall time wherever it is linear in steps.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import length_hint
 from typing import Iterator, Optional, Union
 
 from .syntax import (
@@ -110,13 +111,17 @@ def match_lhs(rule: Rule, args: tuple[Expr, ...]) -> Optional[dict]:
     """Match ground arguments against a rule's patterns.
 
     Returns the variable binding, honouring repeated variables as equality
-    constraints, or None when the rule does not apply.
+    constraints, or None when the rule does not apply.  A symbol variable
+    matches no list and neither T nor F.
     """
     if len(rule.lhs) != len(args):
         raise ArityError(f"expected {len(rule.lhs)} arguments, got {len(args)}")
     binding: dict = {}
 
     def go(pat: Expr, val: Expr) -> bool:
+        if isinstance(pat, SymVar) and isinstance(
+                val, (Cons, Nil, TrueVal, FalseVal)):
+            return False
         if isinstance(pat, (SymVar, ListVar)):
             if pat in binding:
                 return binding[pat] == val
@@ -183,19 +188,36 @@ def _require_ground_call(call: Call) -> None:
 # Ground values are Python objects: a word is a str, a bare symbol its
 # 1-character str, T/F a bool.  A program becomes one generated function,
 # `_run`, whose locals hold each function's arguments in that function's own
-# slots.  A list slot is a pair of locals `(s, o)` standing for the suffix
-# `s[o:]`; a slot that every rule matches with a bare symbol pattern is one
-# local holding the symbol, with offset the constant 0.  A pattern tests
-# `s[o + d]` and `len(s) == o + d`, a list variable binds `(s, o + d)`, and a
-# tail call assigns the callee's slots in place and sets `_fn`.  A step that
-# drops a prefix therefore copies nothing and costs O(1) in the length of the
-# string.  A value is turned back into a str only where a right-hand side
-# conses onto a bound list, where a list is returned or compared with a
-# repeated list variable, and in a StuckTermError message.  `_fn` selects
-# the function through a balanced `if _fn < k` tree over function ids, so
-# dispatch costs O(log #functions) per step.
+# slots.  A slot is three locals `(s, o, n)` standing for the suffix `s[o:]`
+# of a str `s` of length `n`; a slot that every rule matches with a bare
+# symbol pattern has offset the constant 0.  `n` is set once on entry to
+# `length_hint(s, -1)`, which is -1 for a T/F argument (a bool has no
+# length), so every length test fails on it, as Nil, cell and bare symbol
+# patterns fail on T/F in the reference engine; the call has no branch, so
+# the generated code stays small.  `n` is copied whenever the slot is
+# passed on, and computed by arithmetic where a right-hand side builds a
+# new str.  A pattern tests `n > o + d`,
+# `n == o + d` and `s[o + d]`, a list variable binds `(s, o + d, n)`, and a
+# tail call assigns the callee's slots in place and sets `_fn`.  A step
+# that drops a prefix therefore copies nothing and costs O(1) in the length
+# of the string.
+#
+# Each function's rules are emitted as a decision tree: a run of
+# consecutive rules whose tests start with the same test evaluates it once
+# under one `if`, and the tree recurses on the rest of each rule's tests.  A
+# group that matches nothing falls through to the rules after it, so first
+# match order is kept.  A value is turned back into a str only where a
+# right-hand side conses onto a bound list, where a list is returned or
+# compared with a repeated list variable, and in a StuckTermError message.
+# `_fn` selects the function through a balanced `if _fn < k` tree over
+# function ids, so dispatch costs O(log #functions) per step.
 
-_Code = tuple[str, str]  # (s, o): code of a str and of an offset into it
+_Code = tuple[str, str, str]  # (s, o, n): a str, an offset into it, its length
+
+# Nested `if`s one rule tree may open; below that depth rules are tested one
+# by one, so the generated source stays within the parser's indentation
+# limit.
+_MAX_SHARED_DEPTH = 24
 
 
 def _offset(o: str, d: int) -> str:
@@ -208,7 +230,7 @@ def _text(value: _Code) -> str:
     """Code for the str `s[o:]`.  A bool (a T/F entry argument) only ever
     sits at offset 0, so an offset held in a local is tested before
     slicing."""
-    s, o = value
+    s, o, _ = value
     if o == "0":
         return s
     if o.isidentifier():
@@ -216,102 +238,130 @@ def _text(value: _Code) -> str:
     return f"{s}[{o}:]"
 
 
+def _length(value: _Code) -> str:
+    """Code for `len(s[o:])`, or -1 for a bool (which sits at offset 0)."""
+    _, o, n = value
+    if o == "0":
+        return n
+    return f"{n} - {o}" if o.isidentifier() or o.isdigit() else f"{n} - ({o})"
+
+
 def _slots(k: int, rules: tuple[Rule, ...]) -> list[_Code]:
     """Locals of function `k`'s arguments; a symbol slot's offset is "0"."""
     return [(f"s{k}_{i}",
-              "0" if all(isinstance(r.lhs[i], (Sym, SymVar)) for r in rules)
-              else f"o{k}_{i}")
+             "0" if all(isinstance(r.lhs[i], (Sym, SymVar)) for r in rules)
+             else f"o{k}_{i}",
+             f"n{k}_{i}")
             for i in range(len(rules[0].lhs))]
 
 
-def _pattern_code(pat: Expr, slot: _Code, conds: list[str], chars: dict,
-                  values: dict) -> None:
-    """Append the tests of `pat` against `slot` to `conds`.
+class _Lhs:
+    """The compiled left-hand side of one rule: its tests, in the order they
+    may be evaluated, and where each of its variables and pattern cells
+    lives."""
 
-    `chars` maps each symbol variable to the code of its character; a
-    repeated variable becomes an equality test.  `values` maps each list
-    variable and each suffix of the pattern to its `(s, o)` code, so a
-    right-hand side that passes one on copies two locals.
-    """
-    s, o = slot
+    def __init__(self, rule: Rule, slots: list[_Code]):
+        self.conds: list[str] = []
+        self.chars: dict = {}   # symbol variable -> code of its character
+        self.lists: dict = {}   # list variable -> its (s, o, n) code
+        self.cells: list = []   # (heads, end, slot) of each cons pattern
+        for pat, slot in zip(rule.lhs, slots):
+            self._pattern(pat, slot)
 
-    def bind(var, code):
-        if var in chars:
-            conds.append(f"{code} == {chars[var]}")
+    def _bind(self, var, code: str) -> None:
+        if var in self.chars:  # a repeated variable is an equality test
+            self.conds.append(f"{code} == {self.chars[var]}")
         else:
-            chars[var] = code
+            self.chars[var] = code
 
-    if isinstance(pat, (Sym, SymVar)):  # bare symbol position
-        if o == "0" and isinstance(pat, Sym):
-            conds.append(f"{s} == {pat.ch!r}")
-        else:
-            conds.append(f"len({s}) == {_offset(o, 1)}")
+    def _pattern(self, pat: Expr, slot: _Code) -> None:
+        s, o, n = slot
+        conds = self.conds
+        if isinstance(pat, (Sym, SymVar)):  # bare symbol position
+            if o == "0" and isinstance(pat, Sym):
+                conds.append(f"{s} == {pat.ch!r}")
+                return
+            conds.append(f"{n} == {_offset(o, 1)}")
             at = s if o == "0" else f"{s}[{o}]"
             if isinstance(pat, Sym):
                 conds.append(f"{at} == {pat.ch!r}")
             else:
-                bind(pat, at)
-        values.setdefault(pat, slot)
-        return
-    spine = []
-    while isinstance(pat, Cons):
-        spine.append(pat)
-        pat = pat.tail
-    depth = len(spine)
-    if isinstance(pat, Nil):
-        conds.append(f"len({s}) == {_offset(o, depth)}")
-    elif isinstance(pat, ListVar):
+                self._bind(pat, at)
+            return
+        heads, end = spine(pat)
+        depth = len(heads)
+        if isinstance(end, Nil):
+            conds.append(f"{n} == {_offset(o, depth)}")
+        elif isinstance(end, ListVar):
+            if depth:
+                conds.append(f"{n} > {_offset(o, depth - 1)}")
+            rest = (s, _offset(o, depth), n)
+            if end in self.lists:
+                conds.append(f"{_text(rest)} == {_text(self.lists[end])}")
+            else:
+                self.lists[end] = rest
+        else:
+            raise EvalError(f"bad pattern {pat!r}")
+        for d, head in enumerate(heads):
+            at = f"{s}[{_offset(o, d)}]"
+            if isinstance(head, Sym):
+                conds.append(f"{at} == {head.ch!r}")
+            else:
+                self._bind(head, at)
         if depth:
-            conds.append(f"len({s}) > {_offset(o, depth - 1)}")
-        rest = (s, _offset(o, depth))
-        if pat in values:
-            conds.append(f"{_text(rest)} == {_text(values[pat])}")
-        else:
-            values[pat] = rest
-    else:
-        raise EvalError(f"bad pattern {pat!r}")
-    for d, cell in enumerate(spine):
-        at = f"{s}[{_offset(o, d)}]"
-        if isinstance(cell.head, Sym):
-            conds.append(f"{at} == {cell.head.ch!r}")
-        else:
-            bind(cell.head, at)
-        values.setdefault(cell, (s, _offset(o, d)))
+            self.cells.append((heads, end, slot))
+
+    def value(self, expr: Expr) -> _Code:
+        """`(s, o, n)` code of a passive right-hand side fragment.  Its
+        longest suffix that is a suffix of a cons pattern, or a bound list
+        variable, is passed on as it lies in the argument; only the cells in
+        front of it are built."""
+        if isinstance(expr, Sym):
+            return repr(expr.ch), "0", "1"
+        if isinstance(expr, SymVar):
+            return self.chars[expr], "0", "1"
+        heads, end = spine(expr)
+        shared, tail = 0, self.lists.get(end)
+        for cell_heads, cell_end, (s, o, n) in self.cells:
+            if cell_end != end:
+                continue
+            k, most = 0, min(len(heads), len(cell_heads))
+            while k < most and heads[-1 - k] == cell_heads[-1 - k]:
+                k += 1
+            if k > shared:
+                shared = k
+                tail = (s, _offset(o, len(cell_heads) - k), n)
+        if tail is None and not isinstance(end, Nil):
+            raise EvalError(f"cannot compile rhs fragment {expr!r}")
+        built = heads[:len(heads) - shared]
+        if not built:
+            return tail or ("''", "0", "0")
+        parts: list[str] = []
+        lit = ""
+        for head in built:
+            if isinstance(head, Sym):
+                lit += head.ch
+            else:
+                if lit:
+                    parts.append(repr(lit))
+                    lit = ""
+                parts.append(self.chars[head])
+        if lit:
+            parts.append(repr(lit))
+        length = str(len(built))
+        if tail is not None:
+            parts.append(_text(tail))
+            length = f"{_length(tail)} + {length}"
+        return (parts[0] if len(parts) == 1 else f"({' + '.join(parts)})",
+                "0", length)
 
 
-def _value_code(expr: Expr, chars: dict, values: dict) -> _Code:
-    """`(s, o)` code of a passive right-hand side fragment."""
-    if expr in values:
-        return values[expr]
-    if isinstance(expr, Sym):
-        return repr(expr.ch), "0"
-    if isinstance(expr, SymVar):
-        return chars[expr], "0"
-    parts: list[str] = []
-    lit = ""
-    # a suffix longer than every key cannot be one; skipping those lookups
-    # keeps a long literal from being hashed once per symbol
-    reach = max((len(spine(k)[0]) for k in values), default=0)
-    rest = len(spine(expr)[0])
-    while isinstance(expr, Cons) and (rest > reach or expr not in values):
-        rest -= 1
-        if isinstance(expr.head, Sym):
-            lit += expr.head.ch
-        else:
-            if lit:
-                parts.append(repr(lit))
-                lit = ""
-            parts.append(chars[expr.head])
-        expr = expr.tail
-    if lit:
-        parts.append(repr(lit))
-    if expr in values:
-        parts.append(_text(values[expr]))
-    elif not isinstance(expr, Nil):
-        raise EvalError(f"cannot compile rhs fragment {expr!r}")
-    if not parts:
-        return "''", "0"
-    return (parts[0] if len(parts) == 1 else f"({' + '.join(parts)})"), "0"
+def _stuck(name: str, *slots) -> StuckTermError:
+    """The error for function `name` stuck on its arguments, given as
+    alternating strs and offsets.  Built here rather than in the generated
+    code, which then needs no branch per argument to slice them."""
+    texts = tuple(s[o:] if o else s for s, o in zip(slots[::2], slots[1::2]))
+    return StuckTermError(f"no rule of {name} matches {texts!r}")
 
 
 def _emit_tree(emit, lo: int, hi: int, indent: str, leaf) -> None:
@@ -327,6 +377,39 @@ def _emit_tree(emit, lo: int, hi: int, indent: str, leaf) -> None:
     _emit_tree(emit, mid, hi, indent + "    ", leaf)
 
 
+def _emit_rules(emit, rules: list, pad: str, depth: int = 0) -> bool:
+    """Emit first-match code for `rules`, each a pair (tests, body lines).
+    A run of consecutive rules whose first tests agree shares them under one
+    `if`.  Returns True when the code emitted always leaves the loop body,
+    that is, when it ends in a rule without tests."""
+    i = 0
+    while i < len(rules):
+        conds, body = rules[i]
+        if not conds:
+            for line in body:
+                emit(pad + line)
+            return True
+        j = i + 1
+        if depth < _MAX_SHARED_DEPTH:
+            while j < len(rules) and rules[j][0][:1] == conds[:1]:
+                j += 1
+        if j - i == 1:
+            emit(f"{pad}if {' and '.join(conds)}:")
+            for line in body:
+                emit(f"{pad}    {line}")
+        else:
+            group = rules[i:j]
+            shared = 1
+            while all(len(c) > shared and c[shared] == conds[shared]
+                      for c, _ in group):
+                shared += 1
+            emit(f"{pad}if {' and '.join(conds[:shared])}:")
+            _emit_rules(emit, [(c[shared:], b) for c, b in group],
+                        pad + "    ", depth + 1)
+        i = j
+    return False
+
+
 def _compile_source(program: Program) -> str:
     check_tail_form(program)
     functions = program.functions
@@ -336,55 +419,53 @@ def _compile_source(program: Program) -> str:
     emit = lines.append
 
     def enter(k, pad):
-        names = [s for s, _ in slots[k]]
+        names = [s for s, _, _ in slots[k]]
         emit(f"{pad}{', '.join(names)}{',' if len(names) == 1 else ''}"
              f" = _args")
-        offsets = [o for _, o in slots[k] if o != "0"]
+        offsets = [o for _, o, _ in slots[k] if o != "0"]
         if offsets:
             emit(f"{pad}{' = '.join(offsets)} = 0")
+        for s, _, n in slots[k]:
+            emit(f"{pad}{n} = length_hint({s}, -1)")
+
+    def body(k, rule, lhs):
+        rhs = rule.rhs
+        if isinstance(rhs, TrueVal):
+            return ["return (True, _steps)"]
+        if isinstance(rhs, FalseVal):
+            return ["return (False, _steps)"]
+        if not isinstance(rhs, Call):
+            return [f"return ({_text(lhs.value(rhs))}, _steps)"]
+        callee = ids[rhs.fn]
+        stores = []
+        for arg, (ts, to, tn) in zip(rhs.args, slots[callee]):
+            value = lhs.value(arg)
+            if to == "0":
+                stores += [(ts, _text(value)), (tn, _length(value))]
+            else:
+                stores += [(ts, value[0]), (to, value[1]), (tn, value[2])]
+        if callee == k:  # the slots being read are the ones stored
+            stores = [(t, c) for t, c in stores if t != c]
+            if len(stores) > 1:
+                stores = [(", ".join(t for t, _ in stores),
+                           ", ".join(c for _, c in stores))]
+        out = [f"{target} = {code}" for target, code in stores]
+        if callee != k:
+            out.append(f"_fn = {callee}")
+        out.append("continue")
+        return out
 
     def arm(k, pad):
         name, rules = functions[k]
         emit(f"{pad}# {name}/{len(slots[k])}")
+        compiled = []
         for rule in rules:
-            conds: list[str] = []
-            chars: dict = {}
-            values: dict = {}
-            for pat, slot in zip(rule.lhs, slots[k]):
-                _pattern_code(pat, slot, conds, chars, values)
-            emit(f"{pad}if {' and '.join(conds) or 'True'}:")
-            body = pad + "    "
-            rhs = rule.rhs
-            if isinstance(rhs, TrueVal):
-                emit(f"{body}return (True, _steps)")
-            elif isinstance(rhs, FalseVal):
-                emit(f"{body}return (False, _steps)")
-            elif isinstance(rhs, Call):
-                callee = ids[rhs.fn]
-                stores = []
-                for arg, (ts, to) in zip(rhs.args, slots[callee]):
-                    value = _value_code(arg, chars, values)
-                    if to == "0":
-                        stores.append((ts, _text(value)))
-                    else:
-                        stores += [(ts, value[0]), (to, value[1])]
-                if callee == k:  # the slots being read are the ones stored
-                    stores = [(t, c) for t, c in stores if t != c]
-                    if len(stores) > 1:
-                        stores = [(", ".join(t for t, _ in stores),
-                                   ", ".join(c for _, c in stores))]
-                for target, code in stores:
-                    emit(f"{body}{target} = {code}")
-                if callee != k:
-                    emit(f"{body}_fn = {callee}")
-                emit(f"{body}continue")
-            else:
-                value = _value_code(rhs, chars, values)
-                emit(f"{body}return ({_text(value)}, _steps)")
-        texts = ", ".join(_text(slot) for slot in slots[k])
-        trail = "," if len(slots[k]) == 1 else ""
-        emit(f"{pad}raise StuckTermError("
-             f"{f'no rule of {name} matches '!r} + repr(({texts}{trail})))")
+            lhs = _Lhs(rule, slots[k])
+            compiled.append((lhs.conds, body(k, rule, lhs)))
+        if _emit_rules(emit, compiled, pad):
+            return
+        pairs = "".join(f"{s}, {o}, " for s, o, _ in slots[k])
+        emit(f"{pad}raise _stuck({name!r}, {pairs[:-2]})")
 
     _emit_tree(emit, 0, len(functions), "    ", enter)
     emit("    _steps = 0")
@@ -402,7 +483,8 @@ class CompiledProgram:
     def __init__(self, program: Program):
         namespace = {
             "FuelExhaustedError": FuelExhaustedError,
-            "StuckTermError": StuckTermError,
+            "_stuck": _stuck,
+            "length_hint": length_hint,
         }
         self.program = program
         self.source = _compile_source(program)

@@ -11,8 +11,8 @@ from miniscp.interpreter import (
     match_lhs, naive_matcher, naive_outcome, naive_search, trace_call,
 )
 from miniscp.syntax import (
-    Call, Cons, FALSE, ListVar, NIL, Program, Rule, Sym, SymVar, TRUE,
-    parse_program, word,
+    Call, Cons, FALSE, ListVar, NIL, Program, Rule, Sym, SymVar, TRUE, chain,
+    parse_program, spine, unword, validate, word,
 )
 
 
@@ -316,3 +316,191 @@ def test_eval_call_compiles_each_program_once(monkeypatch):
     assert eval_call(prog, Call("F", (word("aa"),))) == Outcome(TRUE, 3)
     assert eval_call(prog, Call("F", (word("ab"),))) == Outcome(FALSE, 2)
     assert built == [prog]
+
+
+# --- compiled engine against the reference engine ---------------------------
+
+def outcomes_agree(prog, call, fuel):
+    """Both engines give the same value and step count, or the same error:
+    equal fuel messages, and stuck messages naming the same stuck call (the
+    reference renders its arguments as terms, the compiled engine as Python
+    values).  Returns what happened, for coverage."""
+    got = []
+    for engine in (eval_reference, eval_call):
+        try:
+            out = engine(prog, call, fuel)
+        except (StuckTermError, FuelExhaustedError) as err:
+            got.append((type(err), str(err)))
+        else:
+            got.append((out.value, out.steps))
+    ref, comp = got
+    if ref[0] is StuckTermError:
+        stuck = call
+        try:
+            for stuck in trace_call(prog, call, fuel):
+                pass
+        except StuckTermError:
+            pass
+        values = tuple(True if a == TRUE else False if a == FALSE
+                       else a.ch if isinstance(a, Sym) else unword(a)
+                       for a in stuck.args)
+        assert comp == (StuckTermError,
+                        f"no rule of {stuck.fn} matches {values!r}"), (call,
+                                                                      ref)
+    else:
+        assert comp == ref, (call, fuel)
+    return ref
+
+
+def attempts(prog, call):
+    """Rule applications a run tries: its steps, plus one if it sticks."""
+    n = 0
+    try:
+        for _ in trace_call(prog, call):
+            n += 1
+    except StuckTermError:
+        n += 1
+    return n
+
+
+def test_t_and_f_arguments_in_list_and_symbol_positions():
+    # a length local of -1 fails every length test, as T and F match no
+    # Nil, cell or bare symbol in the reference engine
+    prog = parse_program("F { Nil = T; x = F; }")
+    assert eval_call(prog, Call("F", (TRUE,))) == Outcome(FALSE, 1)
+    assert outcomes_agree(prog, Call("F", (TRUE,)), 10) == (FALSE, 1)
+    stuck = outcomes_agree(naive_matcher(), Call("S", (TRUE, word("a"))), 10)
+    assert stuck[0] is StuckTermError
+    prog = parse_program("F { s.c = T; 'a' = T; x = x; }")
+    for arg in (TRUE, FALSE):
+        assert outcomes_agree(prog, Call("F", (arg,)), 10) == (arg, 1)
+    assert outcomes_agree(prog, Call("F", (Sym("b"),)), 10) == (TRUE, 1)
+    # a symbol variable matches no list in either engine
+    prog = parse_program("F { s.c = T; y = F; }")
+    assert outcomes_agree(prog, Call("F", (word("ab"),)), 10) == (FALSE, 1)
+
+
+def test_compiling_a_long_pattern_hashes_no_cell(monkeypatch):
+    # pattern suffixes are found by spine offset, so compiling an n-cell
+    # pattern does O(n) work; hashing every suffix would be O(n^2) cells
+    hashed = []
+    plain = Cons.__hash__
+
+    def counting(self):
+        hashed.append(len(spine(self)[0]))
+        return plain(self)
+
+    monkeypatch.setattr(Cons, "__hash__", counting)
+    n = 3000
+    cells = "'a':" * n
+    prog = parse_program(
+        f"F {{ {cells}y = G('b':{cells}y); y = F; }}\n"
+        f"G {{ 'b':{cells}y = T; y = F; }}")
+    cp = CompiledProgram(prog)
+    assert sum(hashed) <= n
+    # the right-hand side passes G the matched suffix, with one built cell
+    assert cp.run("F", ("a" * n + "c",)) == (True, 2)
+    assert cp.run("F", ("a" * (n - 1),)) == (False, 1)
+
+
+def test_deeply_shared_tests_stay_within_the_indentation_limit():
+    # rule k tests the first k arguments; each rule's tests extend the next
+    # one's, so full sharing would nest one `if` per rule
+    m = 120
+    lhs = [[Cons(Sym("a"), ListVar(f"y{i}")) if i < k else ListVar(f"y{i}")
+            for i in range(m)] for k in range(m, -1, -1)]
+    prog = Program((("F", tuple(Rule(tuple(p), word("b" * (m - j)))
+                                for j, p in enumerate(lhs))),))
+    for first_miss in range(0, m + 1, 7):
+        args = tuple(word("a" if i < first_miss else "b") for i in range(m))
+        assert outcomes_agree(prog, Call("F", args), 5) \
+            == (word("b" * first_miss), 1)
+
+
+def random_pattern(rng, kind, depth_max=2):
+    if kind == "s":
+        return rng.choice([Sym("a"), Sym("b"), SymVar("u"), SymVar("v")])
+    heads = [rng.choice([Sym("a"), Sym("b"), SymVar("u"), SymVar("v")])
+             for _ in range(rng.randint(0, depth_max))]
+    end = rng.choice([NIL, ListVar("x"), ListVar("y"), ListVar("z")])
+    return chain(heads, end)
+
+
+def random_rhs_list(rng, syms, lists, safe):
+    """A list expression over the bound variables.  Cells are built only
+    onto Nil or a list variable bound under a cell, which is a word: the
+    compiled engine holds words as str and cannot build 'a':T."""
+    heads = [rng.choice([Sym("a"), Sym("b")] + syms)
+             for _ in range(rng.choice([0, 0, 1, 2]))]
+    ends = [NIL] + (safe if heads else lists)
+    return chain(heads, rng.choice(ends))
+
+
+def random_program(rng):
+    """A small tail-form program whose rules share leading patterns, with
+    repeated symbol and list variables, Nil, symbol slots, literals and
+    right-hand sides that cons onto bound lists."""
+    kinds = [rng.choice(["l", "s", "ll", "ls", "sl", "lll", "lsl"])
+             for _ in range(rng.randint(1, 3))]
+    functions = []
+    for k, kind in enumerate(kinds):
+        leads = [random_pattern(rng, kind[0]) for _ in range(2)]
+        rules = []
+        for _ in range(rng.randint(2, 5)):
+            lhs = [random_pattern(rng, c) for c in kind]
+            if rng.random() < 0.7:
+                lhs[0] = rng.choice(leads)
+            syms, lists, safe = set(), set(), set()
+            for pat in lhs:
+                heads, end = spine(pat)
+                syms.update(h for h in heads + [pat] if isinstance(h, SymVar))
+                if isinstance(end, ListVar):
+                    lists.add(end)
+                    if heads:
+                        safe.add(end)
+            syms, lists, safe = (sorted(v, key=repr)
+                                 for v in (syms, lists, safe))
+            pick = rng.random()
+            if pick < 0.2:
+                rhs = rng.choice([TRUE, FALSE])
+            elif pick < 0.35:
+                rhs = random_rhs_list(rng, syms, lists, safe)
+            else:
+                callee = rng.randrange(len(kinds))
+                rhs = Call(f"F{callee}", tuple(
+                    rng.choice([Sym("a"), Sym("b")] + syms) if c == "s"
+                    else random_rhs_list(rng, syms, lists, safe)
+                    for c in kinds[callee]))
+            rules.append(Rule(tuple(lhs), rhs))
+        functions.append((f"F{k}", tuple(rules)))
+    return validate(Program(tuple(functions)))
+
+
+def test_compiled_engine_agrees_with_reference_on_random_programs():
+    rng = random.Random(2026)
+    inputs = {"s": [Sym("a"), Sym("b"), TRUE, FALSE],
+              "l": [word(w) for w in words("ab", 2)] + [TRUE, FALSE]}
+    seen = set()
+    shared = 0
+    for _ in range(60):
+        prog = random_program(rng)
+        shared += len(re.findall(r"if [^\n]*:\n +if ", prog.compiled.source))
+        for name, rules in prog.functions:
+            kind = ["s" if isinstance(p, (Sym, SymVar)) else "l"
+                    for p in rules[0].lhs]
+            for args in itertools.product(*(inputs[c] for c in kind)):
+                call = Call(name, args)
+                ref = outcomes_agree(prog, call, 30)
+                if ref[0] is FuelExhaustedError:
+                    seen.add("fuel")
+                    continue
+                # fuel exactly at the rule applications tried, and one below
+                steps = attempts(prog, call)
+                assert outcomes_agree(prog, call, steps) == ref
+                assert outcomes_agree(prog, call, steps - 1) == (
+                    FuelExhaustedError,
+                    f"fuel exhausted after {steps} rule applications")
+                seen.add(ref[0] if ref[0] in (StuckTermError, TRUE, FALSE)
+                         else "word")
+    assert seen == {"fuel", StuckTermError, TRUE, FALSE, "word"}
+    assert shared >= 20
