@@ -372,9 +372,13 @@ def compress(program: Program, branch: Branch, names: Optional[NameGen] = None,
     Transient drives go through `memo`, the session's TransientMemo (a fresh
     one when not given).
 
-    Chains that loop (too many steps) or grow their configurations (too much
-    constructor depth) are cut off with an error: such divergence can neither
-    fold nor raise the whistle, since transients are not graph nodes."""
+    Chains that loop (more than `max_steps` rule applications folded in
+    here) or grow their configurations (list spines more than `max_depth`
+    cells deeper than in the first configuration) are cut off with an
+    error: such divergence can neither fold nor raise the whistle, since
+    transients are not graph nodes.  Both caps count from where the chain
+    starts, so a configuration that is large to begin with, such as one
+    holding a long pattern word, is not mistaken for a growing one."""
     if names is None:
         names = NameGen.for_exprs(branch.child.expr)
     if memo is None:
@@ -385,6 +389,7 @@ def compress(program: Program, branch: Branch, names: Optional[NameGen] = None,
     rule_indices = list(branch.rule_indices)
     steps = branch.steps
     child = branch.child
+    depth = _spine_depth(child.expr)
     while child.is_active():
         nexts = memo.drive(program, child, names)
         if len(nexts) != 1:
@@ -411,9 +416,9 @@ def compress(program: Program, branch: Branch, names: Optional[NameGen] = None,
         chain.append(child)
         rule_indices.extend(nxt.rule_indices)
         steps += nxt.steps
-        if steps > max_steps:
+        if steps - branch.steps > max_steps:
             raise DriveError("transient chain exceeded the step budget")
-        if _spine_depth(nxt.child.expr) > max_depth:
+        if _spine_depth(nxt.child.expr) - depth > max_depth:
             raise DriveError("transient chain grows without bound")
         child = nxt.child
     return Branch(Narrowing(_canon_subst(subst), added,

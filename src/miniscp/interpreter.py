@@ -9,11 +9,15 @@ Two engines are provided: a reference stepper over the syntax tree
 (`eval_reference`, `trace_call`) and a compiled engine (`eval_call`,
 `CompiledProgram`) that translates a program to one Python loop once and
 keeps it on the program (`Program.compiled`).  Both agree on value and step
-count.  The compiled engine runs ground words as plain Python strings and
-holds each argument as a `(string, offset, length)` triple, so a step that
-consumes a symbol moves an offset instead of copying the rest of the
-string: each step costs O(1) in the length of the input, and a run is
-linear in wall time wherever it is linear in steps.
+count, and raise the same errors.  The compiled engine runs ground words as
+plain Python strings and holds each argument as a `(string, offset,
+length)` triple, so a step that consumes a symbol moves an offset instead
+of copying the rest of the string: each step costs O(1) in the length of
+the input.  A word built by `syntax.word` carries its string, so
+`eval_call` hands it to the engine in O(1), and a run is linear in wall
+time wherever it is linear in steps.  A function called from a single
+right-hand side, not its own, runs inlined at that call site, which saves
+the jump back through the function dispatch but still counts its step.
 """
 
 from __future__ import annotations
@@ -52,6 +56,16 @@ class NonTailError(EvalError):
 
 class ArityError(EvalError):
     pass
+
+
+class ConsOntoTFError(EvalError):
+    """A right-hand side builds a cell onto a list variable bound to T or F;
+    the list it would build is not a word."""
+
+
+def _cons_onto(name: str, var: str, value: bool) -> ConsOntoTFError:
+    return ConsOntoTFError(f"function {name} conses onto {var} bound to "
+                           f"{'T' if value else 'F'}")
 
 
 class EmptyPatternError(ValueError):
@@ -161,8 +175,20 @@ def trace_call(program: Program, call: Call,
             raise StuckTermError(
                 f"no rule of {expr.fn} matches "
                 f"({', '.join(render_expr(a) for a in expr.args)})")
+        if any(v.__class__ in (TrueVal, FalseVal) for v in binding.values()):
+            _check_cells(expr.fn, rule.rhs, binding)
         expr = substitute(rule.rhs, binding)
         yield expr
+
+
+def _check_cells(name: str, rhs: Expr, binding: dict) -> None:
+    """Raise ConsOntoTFError at the first fragment of `rhs`, in argument
+    order, that builds cells onto a list variable bound to T or F."""
+    for part in rhs.args if isinstance(rhs, Call) else (rhs,):
+        heads, end = spine(part)
+        value = binding.get(end) if heads else None
+        if isinstance(value, (TrueVal, FalseVal)):
+            raise _cons_onto(name, end.name, isinstance(value, TrueVal))
 
 
 def eval_reference(program: Program, call: Call,
@@ -210,7 +236,16 @@ def _require_ground_call(call: Call) -> None:
 # right-hand side conses onto a bound list, where a list is returned or
 # compared with a repeated list variable, and in a StuckTermError message.
 # `_fn` selects the function through a balanced `if _fn < k` tree over
-# function ids, so dispatch costs O(log #functions) per step.
+# function ids, so dispatch costs O(log #functions) per step.  A callee
+# with exactly one call site in the program, outside itself, is fused: its
+# rule tree is emitted once more right after the stores of that call,
+# preceded by its own step count and fuel check, and with `_fn` left at
+# the caller's id (a call from it back to the caller sets no `_fn`).  Only
+# the callee's own code is inlined, one level deep, and every function
+# keeps its own arm, so each is still an entry and a target of `_fn`.
+# Where a right-hand side builds cells onto a list variable bound to a
+# whole argument, a `n < 0` test first raises ConsOntoTFError for a T/F
+# argument, as the reference engine does.
 
 _Code = tuple[str, str, str]  # (s, o, n): a str, an offset into it, its length
 
@@ -256,15 +291,18 @@ def _slots(k: int, rules: tuple[Rule, ...]) -> list[_Code]:
 
 
 class _Lhs:
-    """The compiled left-hand side of one rule: its tests, in the order they
-    may be evaluated, and where each of its variables and pattern cells
-    lives."""
+    """The compiled left-hand side of one rule of function `name`: its
+    tests, in the order they may be evaluated, and where each of its
+    variables and pattern cells lives."""
 
-    def __init__(self, rule: Rule, slots: list[_Code]):
+    def __init__(self, name: str, rule: Rule, slots: list[_Code]):
+        self.name = name
         self.conds: list[str] = []
         self.chars: dict = {}   # symbol variable -> code of its character
         self.lists: dict = {}   # list variable -> its (s, o, n) code
+        self.bare: set = set()  # list variables bound to a whole argument
         self.cells: list = []   # (heads, end, slot) of each cons pattern
+        self.checks: list[str] = []  # statements value() needs run first
         for pat, slot in zip(rule.lhs, slots):
             self._pattern(pat, slot)
 
@@ -300,6 +338,8 @@ class _Lhs:
                 conds.append(f"{_text(rest)} == {_text(self.lists[end])}")
             else:
                 self.lists[end] = rest
+                if not depth:
+                    self.bare.add(end)
         else:
             raise EvalError(f"bad pattern {pat!r}")
         for d, head in enumerate(heads):
@@ -315,7 +355,8 @@ class _Lhs:
         """`(s, o, n)` code of a passive right-hand side fragment.  Its
         longest suffix that is a suffix of a cons pattern, or a bound list
         variable, is passed on as it lies in the argument; only the cells in
-        front of it are built."""
+        front of it are built.  Cells built onto a variable bound to a whole
+        argument, which may be T or F, need a check in `checks`."""
         if isinstance(expr, Sym):
             return repr(expr.ch), "0", "1"
         if isinstance(expr, SymVar):
@@ -336,6 +377,10 @@ class _Lhs:
         built = heads[:len(heads) - shared]
         if not built:
             return tail or ("''", "0", "0")
+        if not shared and end in self.bare:
+            self.checks.append(
+                f"if {tail[2]} < 0: raise _cons_onto({self.name!r}, "
+                f"{end.name!r}, {tail[0]})")
         parts: list[str] = []
         lit = ""
         for head in built:
@@ -410,13 +455,29 @@ def _emit_rules(emit, rules: list, pad: str, depth: int = 0) -> bool:
     return False
 
 
+def _fused(functions) -> set:
+    """Names of the functions to inline at their call site: those called
+    from exactly one right-hand side of the program, which is not their
+    own."""
+    sites: dict = {}
+    for name, rules in functions:
+        for rule in rules:
+            if isinstance(rule.rhs, Call):
+                sites.setdefault(rule.rhs.fn, []).append(name)
+    return {callee for callee, callers in sites.items()
+            if len(callers) == 1 and callers[0] != callee}
+
+
 def _compile_source(program: Program) -> str:
     check_tail_form(program)
     functions = program.functions
     ids = {name: k for k, (name, _) in enumerate(functions)}
     slots = [_slots(k, rules) for k, (_, rules) in enumerate(functions)]
+    fused = _fused(functions)
     lines = ["def _run(_fn, _args, _fuel):"]
     emit = lines.append
+    step = ["_steps += 1", "if _steps > _fuel:",
+            "    raise FuelExhaustedError(_steps)"]
 
     def enter(k, pad):
         names = [s for s, _, _ in slots[k]]
@@ -428,14 +489,14 @@ def _compile_source(program: Program) -> str:
         for s, _, n in slots[k]:
             emit(f"{pad}{n} = length_hint({s}, -1)")
 
-    def body(k, rule, lhs):
+    def body(k, rule, lhs, at):
+        """Lines of rule `rule` of function k, run while `_fn` is `at`."""
         rhs = rule.rhs
-        if isinstance(rhs, TrueVal):
-            return ["return (True, _steps)"]
-        if isinstance(rhs, FalseVal):
-            return ["return (False, _steps)"]
         if not isinstance(rhs, Call):
-            return [f"return ({_text(lhs.value(rhs))}, _steps)"]
+            value = ("True" if isinstance(rhs, TrueVal) else
+                     "False" if isinstance(rhs, FalseVal) else
+                     _text(lhs.value(rhs)))
+            return lhs.checks + [f"return ({value}, _steps)"]
         callee = ids[rhs.fn]
         stores = []
         for arg, (ts, to, tn) in zip(rhs.args, slots[callee]):
@@ -449,49 +510,64 @@ def _compile_source(program: Program) -> str:
             if len(stores) > 1:
                 stores = [(", ".join(t for t, _ in stores),
                            ", ".join(c for _, c in stores))]
-        out = [f"{target} = {code}" for target, code in stores]
-        if callee != k:
+        out = lhs.checks + [f"{target} = {code}" for target, code in stores]
+        if k == at and rhs.fn in fused:  # one level deep
+            return out + step + tree(callee, at)
+        if callee != at:
             out.append(f"_fn = {callee}")
         out.append("continue")
         return out
 
-    def arm(k, pad):
+    def tree(k, at):
+        """Lines of function k's rules, run while `_fn` is `at`."""
         name, rules = functions[k]
-        emit(f"{pad}# {name}/{len(slots[k])}")
+        out = [f"# {name}/{len(slots[k])}"]
         compiled = []
         for rule in rules:
-            lhs = _Lhs(rule, slots[k])
-            compiled.append((lhs.conds, body(k, rule, lhs)))
-        if _emit_rules(emit, compiled, pad):
-            return
-        pairs = "".join(f"{s}, {o}, " for s, o, _ in slots[k])
-        emit(f"{pad}raise _stuck({name!r}, {pairs[:-2]})")
+            lhs = _Lhs(name, rule, slots[k])
+            compiled.append((lhs.conds, body(k, rule, lhs, at)))
+        if not _emit_rules(out.append, compiled, ""):
+            pairs = "".join(f"{s}, {o}, " for s, o, _ in slots[k])
+            out.append(f"raise _stuck({name!r}, {pairs[:-2]})")
+        return out
+
+    def arm(k, pad):
+        for line in tree(k, k):
+            emit(pad + line)
 
     _emit_tree(emit, 0, len(functions), "    ", enter)
     emit("    _steps = 0")
     emit("    while True:")
-    emit("        _steps += 1")
-    emit("        if _steps > _fuel:")
-    emit("            raise FuelExhaustedError(_steps)")
+    for line in step:
+        emit("        " + line)
     _emit_tree(emit, 0, len(functions), "        ", arm)
     return "\n".join(lines) + "\n"
 
 
 class CompiledProgram:
-    """A program translated to one generated Python function."""
+    """A program translated to one generated Python function.  Its source
+    is built again on each use of `source` rather than kept, so that a
+    process holding many compiled programs (the verify sweep holds one per
+    pattern) does not hold their text as well."""
 
     def __init__(self, program: Program):
         namespace = {
             "FuelExhaustedError": FuelExhaustedError,
+            "_cons_onto": _cons_onto,
             "_stuck": _stuck,
             "length_hint": length_hint,
         }
         self.program = program
-        self.source = _compile_source(program)
-        exec(compile(self.source, "<rewriter>", "exec"), namespace)
+        exec(compile(_compile_source(program), "<rewriter>", "exec"),
+             namespace)
         self._run = namespace["_run"]
         self._entries = {name: (k, len(rules[0].lhs))
                          for k, (name, rules) in enumerate(program.functions)}
+
+    @property
+    def source(self) -> str:
+        """The generated Python code, built again from the program."""
+        return _compile_source(self.program)
 
     def run(self, entry: str, args: tuple[Union[str, bool], ...],
             fuel: int = DEFAULT_FUEL) -> tuple[Union[str, bool], int]:
@@ -533,7 +609,8 @@ def eval_call(program: Program, call: Call,
               fuel: Optional[int] = None) -> Outcome:
     """Evaluate a ground call to a passive value, counting rule applications.
 
-    Deterministic; raises StuckTermError, FuelExhaustedError, or NonTailError.
+    Deterministic; raises StuckTermError, FuelExhaustedError, NonTailError,
+    or ConsOntoTFError.
     """
     if not isinstance(call, Call):
         raise EvalError("entry expression must be a function call")

@@ -30,7 +30,7 @@ whole patterns and whole call arguments (single-symbol positions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional, Union
 
@@ -115,9 +115,23 @@ FALSE = FalseVal()
 @dataclass(frozen=True, slots=True)
 class Cons:
     """List cell.  Equality and hash walk the spine in a loop, so long words
-    are safe; the hash is recomputed on each call, never stored."""
+    are safe; the hash is recomputed on each call, never stored.
+
+    `text` is None except on the head cell of a word built by word(), where
+    it holds that word's letters as one str, so unword() answers in O(1).
+    It is never compared, hashed or rendered: such a word equals, hashes and
+    prints like the same chain built cell by cell."""
     head: "Atom"
     tail: "Expr"
+    text: Optional[str] = field(default=None, compare=False, repr=False)
+
+    def __init__(self, head: "Atom", tail: "Expr",
+                 text: Optional[str] = None):
+        # The specializer builds cells by the million; storing through the
+        # slot descriptors skips the frozen dataclass's object.__setattr__.
+        _set_head(self, head)
+        _set_tail(self, tail)
+        _set_text(self, text)
 
     def __eq__(self, other):
         if other.__class__ is not Cons:
@@ -137,6 +151,10 @@ class Cons:
 
     def __repr__(self):
         return render_expr(self)
+
+
+_set_head, _set_tail, _set_text = (
+    Cons.head.__set__, Cons.tail.__set__, Cons.text.__set__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,15 +235,24 @@ class Program:
 # --- word helpers -----------------------------------------------------------
 
 def word(text: str) -> Expr:
-    """Build the word value for a plain string, e.g. "ab" -> 'a':'b':Nil."""
+    """Build the word value for a plain string, e.g. "ab" -> 'a':'b':Nil.
+    Each distinct letter is checked once and becomes one Sym that all its
+    cells share; the head cell keeps `text` for unword()."""
+    if not text:
+        return NIL
+    syms = {ch: Sym(ch) for ch in dict.fromkeys(reversed(text))}
     out: Expr = NIL
-    for ch in reversed(text):
-        out = Cons(Sym(ch), out)
-    return out
+    for ch in text[:0:-1]:
+        out = Cons(syms[ch], out)
+    return Cons(syms[text[0]], out, text)
 
 
 def unword(expr: Expr) -> Optional[str]:
-    """Inverse of word(); None if expr is not a pure ground word."""
+    """Inverse of word(); None if expr is not a pure ground word.  A word
+    built by word() gives back its `text`, the very str it was built from,
+    in O(1); a chain built cell by cell is walked."""
+    if expr.__class__ is Cons and expr.text is not None:
+        return expr.text
     chars = []
     while isinstance(expr, Cons):
         if not isinstance(expr.head, Sym):

@@ -6,9 +6,10 @@ import pytest
 
 from miniscp.harness import artifacts
 from miniscp.interpreter import (
-    CompiledProgram, EmptyPatternError, FuelExhaustedError, NonTailError,
-    Outcome, StuckTermError, check_tail_form, eval_call, eval_reference,
-    match_lhs, naive_matcher, naive_outcome, naive_search, trace_call,
+    CompiledProgram, ConsOntoTFError, EmptyPatternError, FuelExhaustedError,
+    NonTailError, Outcome, StuckTermError, _MAX_SHARED_DEPTH,
+    check_tail_form, eval_call, eval_reference, match_lhs, naive_matcher,
+    naive_outcome, naive_search, trace_call,
 )
 from miniscp.syntax import (
     Call, Cons, FALSE, ListVar, NIL, Program, Rule, Sym, SymVar, TRUE, chain,
@@ -322,14 +323,14 @@ def test_eval_call_compiles_each_program_once(monkeypatch):
 
 def outcomes_agree(prog, call, fuel):
     """Both engines give the same value and step count, or the same error:
-    equal fuel messages, and stuck messages naming the same stuck call (the
-    reference renders its arguments as terms, the compiled engine as Python
-    values).  Returns what happened, for coverage."""
+    equal fuel and cons messages, and stuck messages naming the same stuck
+    call (the reference renders its arguments as terms, the compiled engine
+    as Python values).  Returns what happened, for coverage."""
     got = []
     for engine in (eval_reference, eval_call):
         try:
             out = engine(prog, call, fuel)
-        except (StuckTermError, FuelExhaustedError) as err:
+        except (StuckTermError, FuelExhaustedError, ConsOntoTFError) as err:
             got.append((type(err), str(err)))
         else:
             got.append((out.value, out.steps))
@@ -353,12 +354,13 @@ def outcomes_agree(prog, call, fuel):
 
 
 def attempts(prog, call):
-    """Rule applications a run tries: its steps, plus one if it sticks."""
+    """Rule applications a run tries: its steps, plus one if it sticks or
+    its last rule conses onto T or F."""
     n = 0
     try:
         for _ in trace_call(prog, call):
             n += 1
-    except StuckTermError:
+    except (StuckTermError, ConsOntoTFError):
         n += 1
     return n
 
@@ -378,6 +380,53 @@ def test_t_and_f_arguments_in_list_and_symbol_positions():
     # a symbol variable matches no list in either engine
     prog = parse_program("F { s.c = T; y = F; }")
     assert outcomes_agree(prog, Call("F", (word("ab"),)), 10) == (FALSE, 1)
+
+
+def test_consing_onto_t_or_f_is_one_typed_error_in_both_engines():
+    prog = parse_program("F { x = G('a':x); } G { y = y; }")
+    for arg, name in ((TRUE, "T"), (FALSE, "F")):
+        assert outcomes_agree(prog, Call("F", (arg,)), 10) == (
+            ConsOntoTFError, f"function F conses onto x bound to {name}")
+    assert outcomes_agree(prog, Call("F", (word("b"),)), 10) == (
+        word("ab"), 2)
+    # a returned list, and the first offending argument in order
+    prog = parse_program("F { x, y = 'b':x; }\n"
+                         "G { x, y = F('a':y, 'a':x); }")
+    assert outcomes_agree(prog, Call("F", (FALSE, TRUE)), 10) == (
+        ConsOntoTFError, "function F conses onto x bound to F")
+    assert outcomes_agree(prog, Call("G", (FALSE, TRUE)), 10) == (
+        ConsOntoTFError, "function G conses onto y bound to T")
+    # the check is generated only where cells are built onto a variable
+    # bound to a whole argument
+    assert "_cons_onto" not in naive_matcher().compiled.source
+    assert parse_program("F { 'a':x = G('b':x); } G { y = y; }") \
+        .compiled.source.count("_cons_onto") == 0
+
+
+def fused_count(source):
+    """Inlined callees in generated code: each adds its own step count."""
+    return source.count("_steps += 1") - 1
+
+
+def test_single_call_site_callees_are_fused(aab):
+    # F_1 and F_3 have one call site each, outside themselves; F_0 and F_2
+    # are called from two or more rules, and the naive matcher's S and L
+    # from several
+    assert fused_count(aab.residual.program.compiled.source) == 2
+    assert fused_count(naive_matcher().compiled.source) == 0
+    # a callee that calls itself is not fused, even from one call site
+    prog = parse_program("F { x = G(x); } G { 'a':x = G(x); x = T; }")
+    assert fused_count(prog.compiled.source) == 0
+    # a fused callee is still an entry, with its own code
+    prog = parse_program("F { 'a':x = G(x); x = F; } G { 'b':x = T; x = F; }")
+    assert fused_count(prog.compiled.source) == 1
+    for entry, y, out in (("F", "ab", (TRUE, 2)), ("F", "aa", (FALSE, 2)),
+                          ("G", "b", (TRUE, 1)), ("F", "b", (FALSE, 1))):
+        assert outcomes_agree(prog, Call(entry, (word(y),)), 10) == out
+        # fuel runs out inside the inlined step as it would after dispatch
+        if out[1] == 2:
+            assert outcomes_agree(prog, Call(entry, (word(y),)), 1) == (
+                FuelExhaustedError, "fuel exhausted after 2 rule applications")
 
 
 def test_compiling_a_long_pattern_hashes_no_cell(monkeypatch):
@@ -403,18 +452,45 @@ def test_compiling_a_long_pattern_hashes_no_cell(monkeypatch):
     assert cp.run("F", ("a" * (n - 1),)) == (False, 1)
 
 
+def nested_patterns(m):
+    """Rule j's patterns test the first m - j of m arguments for a leading
+    'a'; each rule's tests extend the next one's, so full sharing would nest
+    one `if` per rule."""
+    return [tuple(Cons(Sym("a"), ListVar(f"y{i}")) if i < k
+                  else ListVar(f"y{i}") for i in range(m))
+            for k in range(m, -1, -1)]
+
+
 def test_deeply_shared_tests_stay_within_the_indentation_limit():
-    # rule k tests the first k arguments; each rule's tests extend the next
-    # one's, so full sharing would nest one `if` per rule
     m = 120
-    lhs = [[Cons(Sym("a"), ListVar(f"y{i}")) if i < k else ListVar(f"y{i}")
-            for i in range(m)] for k in range(m, -1, -1)]
-    prog = Program((("F", tuple(Rule(tuple(p), word("b" * (m - j)))
+    lhs = nested_patterns(m)
+    prog = Program((("F", tuple(Rule(p, word("b" * (m - j)))
                                 for j, p in enumerate(lhs))),))
     for first_miss in range(0, m + 1, 7):
         args = tuple(word("a" if i < first_miss else "b") for i in range(m))
         assert outcomes_agree(prog, Call("F", args), 5) \
             == (word("b" * first_miss), 1)
+
+
+def test_fused_callee_at_the_depth_cap_still_compiles():
+    # F's first rule sits at the bottom of a rule tree nested to the cap and
+    # is G's one call site; G's inlined tree is nested to the cap as well
+    m = 2 * _MAX_SHARED_DEPTH
+    lhs = nested_patterns(m)
+    g = tuple(Rule(p, word("b" * (m - j))) for j, p in enumerate(lhs))
+    f = (Rule(lhs[0], Call("G", tuple(ListVar(f"y{i}") for i in range(m)))),
+         ) + g[1:]
+    prog = Program((("F", f), ("G", g)))
+    source = prog.compiled.source
+    assert fused_count(source) == 1
+    indents = [(len(line) - len(line.lstrip())) // 4
+               for line in source.splitlines()]
+    assert max(indents) > 2 * _MAX_SHARED_DEPTH
+    for g_miss in range(0, m + 1, 5):
+        args = tuple(word("a" + ("a" if i < g_miss else "b"))
+                     for i in range(m))
+        assert outcomes_agree(prog, Call("F", args), 5) \
+            == (word("b" * g_miss), 2)
 
 
 def random_pattern(rng, kind, depth_max=2):
@@ -426,23 +502,25 @@ def random_pattern(rng, kind, depth_max=2):
     return chain(heads, end)
 
 
-def random_rhs_list(rng, syms, lists, safe):
-    """A list expression over the bound variables.  Cells are built only
-    onto Nil or a list variable bound under a cell, which is a word: the
-    compiled engine holds words as str and cannot build 'a':T."""
+def random_rhs_list(rng, syms, lists):
+    """A list expression over the bound variables; its cells may be built
+    onto a list variable bound to a T/F argument."""
     heads = [rng.choice([Sym("a"), Sym("b")] + syms)
              for _ in range(rng.choice([0, 0, 1, 2]))]
-    ends = [NIL] + (safe if heads else lists)
-    return chain(heads, rng.choice(ends))
+    return chain(heads, rng.choice([NIL] + lists))
 
 
 def random_program(rng):
     """A small tail-form program whose rules share leading patterns, with
     repeated symbol and list variables, Nil, symbol slots, literals and
-    right-hand sides that cons onto bound lists."""
+    right-hand sides that cons onto bound lists.  Half of the programs with
+    two functions or more call their last function from one right-hand
+    side only, of another function, so that it is fused there."""
     kinds = [rng.choice(["l", "s", "ll", "ls", "sl", "lll", "lsl"])
-             for _ in range(rng.randint(1, 3))]
+             for _ in range(rng.randint(1, 4))]
+    lone = len(kinds) - 1 if len(kinds) > 1 and rng.random() < 0.5 else None
     functions = []
+    calls = []  # (function, rule, bound symbols, bound lists) of each call
     for k, kind in enumerate(kinds):
         leads = [random_pattern(rng, kind[0]) for _ in range(2)]
         rules = []
@@ -450,30 +528,37 @@ def random_program(rng):
             lhs = [random_pattern(rng, c) for c in kind]
             if rng.random() < 0.7:
                 lhs[0] = rng.choice(leads)
-            syms, lists, safe = set(), set(), set()
+            syms, lists = set(), set()
             for pat in lhs:
                 heads, end = spine(pat)
                 syms.update(h for h in heads + [pat] if isinstance(h, SymVar))
                 if isinstance(end, ListVar):
                     lists.add(end)
-                    if heads:
-                        safe.add(end)
-            syms, lists, safe = (sorted(v, key=repr)
-                                 for v in (syms, lists, safe))
+            syms, lists = (sorted(v, key=repr) for v in (syms, lists))
             pick = rng.random()
             if pick < 0.2:
                 rhs = rng.choice([TRUE, FALSE])
             elif pick < 0.35:
-                rhs = random_rhs_list(rng, syms, lists, safe)
+                rhs = random_rhs_list(rng, syms, lists)
             else:
-                callee = rng.randrange(len(kinds))
-                rhs = Call(f"F{callee}", tuple(
-                    rng.choice([Sym("a"), Sym("b")] + syms) if c == "s"
-                    else random_rhs_list(rng, syms, lists, safe)
-                    for c in kinds[callee]))
-            rules.append(Rule(tuple(lhs), rhs))
-        functions.append((f"F{k}", tuple(rules)))
-    return validate(Program(tuple(functions)))
+                rhs = rng.choice([j for j in range(len(kinds)) if j != lone])
+                calls.append((k, len(rules), syms, lists))
+            rules.append([lhs, rhs])
+        functions.append(rules)
+    if lone is not None:
+        k, i, syms, lists = rng.choice([c for c in calls if c[0] != lone]
+                                       or [(0, 0, [], [])])
+        functions[k][i][1] = lone
+        calls = [c for c in calls if c[:2] != (k, i)] + [(k, i, syms, lists)]
+    for k, i, syms, lists in calls:
+        callee = functions[k][i][1]
+        functions[k][i][1] = Call(f"F{callee}", tuple(
+            rng.choice([Sym("a"), Sym("b")] + syms) if c == "s"
+            else random_rhs_list(rng, syms, lists)
+            for c in kinds[callee]))
+    return validate(Program(tuple(
+        (f"F{k}", tuple(Rule(tuple(lhs), rhs) for lhs, rhs in rules))
+        for k, rules in enumerate(functions))))
 
 
 def test_compiled_engine_agrees_with_reference_on_random_programs():
@@ -481,10 +566,12 @@ def test_compiled_engine_agrees_with_reference_on_random_programs():
     inputs = {"s": [Sym("a"), Sym("b"), TRUE, FALSE],
               "l": [word(w) for w in words("ab", 2)] + [TRUE, FALSE]}
     seen = set()
-    shared = 0
+    shared = fused = 0
     for _ in range(60):
         prog = random_program(rng)
-        shared += len(re.findall(r"if [^\n]*:\n +if ", prog.compiled.source))
+        source = prog.compiled.source
+        shared += len(re.findall(r"if [^\n]*:\n +if ", source))
+        fused += fused_count(source)
         for name, rules in prog.functions:
             kind = ["s" if isinstance(p, (Sym, SymVar)) else "l"
                     for p in rules[0].lhs]
@@ -500,7 +587,9 @@ def test_compiled_engine_agrees_with_reference_on_random_programs():
                 assert outcomes_agree(prog, call, steps - 1) == (
                     FuelExhaustedError,
                     f"fuel exhausted after {steps} rule applications")
-                seen.add(ref[0] if ref[0] in (StuckTermError, TRUE, FALSE)
-                         else "word")
-    assert seen == {"fuel", StuckTermError, TRUE, FALSE, "word"}
+                seen.add(ref[0] if ref[0] in (StuckTermError, ConsOntoTFError,
+                                              TRUE, FALSE) else "word")
+    assert seen == {"fuel", StuckTermError, ConsOntoTFError, TRUE, FALSE,
+                    "word"}
     assert shared >= 20
+    assert fused >= 20

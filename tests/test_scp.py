@@ -227,6 +227,24 @@ def test_divergent_transient_chain_errors_out():
         supercompile(prog, entry)
 
 
+def test_transient_chain_caps_count_from_the_first_configuration():
+    # every configuration holds the 401-letter pattern word; that is not
+    # growth, so only the node budget stops the run
+    with pytest.raises(NodeBudgetError):
+        specialize_pattern("ab" + "a" * 399, node_budget=10)
+
+
+def test_transient_chain_that_grows_or_loops_errors_out():
+    from miniscp.driving import DriveError
+    entry = make_config(parse_expression("F(#y)"))
+    grows = parse_program("F { x = F('a':x); }")
+    with pytest.raises(DriveError, match="grows without bound"):
+        supercompile(grows, entry)
+    loops = parse_program("F { x = G(x); } G { x = F(x); }")
+    with pytest.raises(DriveError, match="step budget"):
+        supercompile(loops, entry)
+
+
 def test_node_budget_enforced():
     with pytest.raises(NodeBudgetError):
         specialize_pattern("abab", node_budget=3)

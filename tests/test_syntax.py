@@ -163,6 +163,21 @@ def test_long_words_hash_and_compare():
     assert Call("G", (w,)) == Call("G", (v,))
 
 
+def test_word_keeps_its_text_and_shares_its_letters():
+    text = "abcab" * 40
+    w = word(text)
+    assert unword(w) is text
+    assert w.head is w.tail.tail.tail.head  # one Sym per distinct letter
+    # the text is not part of the value: a chain built cell by cell, which
+    # has none, equals, hashes and renders the same, and unword walks it
+    cells = _chain([Sym(ch) for ch in text], NIL)
+    assert cells.text is None and w.tail.text is None
+    assert w == cells and cells == w and hash(w) == hash(cells)
+    assert repr(w) == repr(cells) == f'"{text}"'
+    assert unword(cells) == text and unword(w.tail) == text[1:]
+    assert Call("F", (w,)) == Call("F", (cells,))
+
+
 def test_params_of_first_occurrence_order():
     e = parse_expression(
         'L(#s.c:"ab", #s.d:#s.c:#y, #y, #s.e:#z, #s.d:#w)')
