@@ -6,7 +6,9 @@ rule of the called function can fire after minimally narrowing the
 configuration's parameters (one constructor level, exactly as deep as the
 patterns inspect).  Each branch records the narrowing substitution and the
 disequalities under which all earlier rules fail on the same narrowed shape;
-the branch set partitions the ground instances of the configuration.
+the branch set partitions the ground instances of the configuration.  The
+narrowing and the rule's binding both come from `interpreter.match`, the
+matcher the reference engine rewrites with, in one pass per rule.
 
 Negative information is only representable as symbol disequalities.  Rule
 layouts whose earlier-rule failure would need anything else (equality of two
@@ -23,23 +25,15 @@ from .configs import (
     Config, Restriction, apply_to_restriction, make_config, param_key,
     restriction, satisfiable, shape,
 )
-from .interpreter import match_lhs
+from .interpreter import DriveError, UnsupportedNarrowingError, match
 from .syntax import (
-    Call, Cons, Expr, ListParam, ListVar, Nil, Param, Program, Sym,
-    SymParam, SymVar, params_of, render_expr, spine, substitute,
+    Call, Expr, ListParam, Param, Program, SymParam, params_of,
+    render_expr, spine, substitute,
 )
-
-
-class DriveError(Exception):
-    pass
 
 
 class StuckConfigError(DriveError):
     """No rule can fire under any narrowing: an encoding bug, not a leaf."""
-
-
-class UnsupportedNarrowingError(DriveError):
-    """The match would need a narrowing outside the supported forms."""
 
 
 class NameGen:
@@ -100,127 +94,19 @@ class Branch:
     """One driven (and possibly compressed) edge out of a configuration.
 
     `chain` holds the intermediate transient configurations folded into the
-    edge, in order; `steps` counts rule applications (1 + len(chain))."""
+    edge, in order."""
     narrowing: Narrowing
     child: Config
     chain: tuple = ()
-    rule_indices: tuple = ()
-    steps: int = 1
+
+    @property
+    def steps(self) -> int:
+        """Rule applications along the edge: one per configuration left."""
+        return 1 + len(self.chain)
 
 
 def _canon_subst(subst: dict) -> tuple:
     return tuple(sorted(subst.items(), key=lambda kv: param_key(kv[0])))
-
-
-def narrow_match(lhs: tuple[Expr, ...], args: tuple[Expr, ...],
-                 names: NameGen) -> Optional[dict]:
-    """Most general narrowing of the arguments' parameters under which every
-    pattern matches, or None when no narrowing can make the rule fire.
-
-    Returned substitution maps a ListParam to Nil or Cons(atom, fresh
-    ListParam), and a SymParam to a Sym literal.
-    """
-    subst: dict = {}
-    vbind: dict = {}
-    repeated_lists: list[tuple[Expr, Expr]] = []
-
-    def res_atom(a):
-        while isinstance(a, SymParam) and a in subst:
-            a = subst[a]
-        return a
-
-    def res_list(a):
-        while isinstance(a, ListParam) and a in subst:
-            a = subst[a]
-        return a
-
-    def match_atom(pat, a) -> bool:
-        a = res_atom(a)
-        if isinstance(pat, Sym):
-            if isinstance(a, Sym):
-                return pat.ch == a.ch
-            if isinstance(a, SymParam):
-                subst[a] = pat
-                return True
-            return False
-        if isinstance(pat, SymVar):
-            if pat in vbind:
-                b = res_atom(vbind[pat])
-                if isinstance(b, Sym) and isinstance(a, Sym):
-                    return b.ch == a.ch
-                if isinstance(b, Sym) and isinstance(a, SymParam):
-                    subst[a] = b
-                    return True
-                if isinstance(b, SymParam) and isinstance(a, Sym):
-                    subst[b] = a
-                    return True
-                if isinstance(b, SymParam) and isinstance(a, SymParam):
-                    if b == a:
-                        return True
-                    raise UnsupportedNarrowingError(
-                        f"equality between two symbol parameters "
-                        f"{b!r} and {a!r}")
-                return False
-            vbind[pat] = a
-            return True
-        raise DriveError(f"bad pattern atom {pat!r}")
-
-    def match_list(pat, a) -> bool:
-        a = res_list(a)
-        if isinstance(pat, ListVar):
-            if pat in vbind:
-                repeated_lists.append((vbind[pat], a))
-                return True
-            vbind[pat] = a
-            return True
-        if isinstance(pat, Nil):
-            if isinstance(a, Nil):
-                return True
-            if isinstance(a, ListParam):
-                subst[a] = Nil()
-                return True
-            return False
-        if isinstance(pat, Cons):
-            if isinstance(a, Cons):
-                return match_atom(pat.head, a.head) and match_list(pat.tail,
-                                                                   a.tail)
-            if isinstance(a, ListParam):
-                h = names.fresh_sym()
-                t = names.fresh_list()
-                subst[a] = Cons(h, t)
-                return match_atom(pat.head, h) and match_list(pat.tail, t)
-            return False
-        if isinstance(pat, (Sym, SymVar)):  # bare symbol position
-            if isinstance(a, (Sym, SymParam)):
-                return match_atom(pat, a)
-            return False
-        raise DriveError(f"bad pattern {pat!r}")
-
-    if len(lhs) != len(args):
-        raise DriveError(f"arity mismatch: {len(lhs)} patterns, "
-                         f"{len(args)} arguments")
-    for pat, a in zip(lhs, args):
-        if not match_list(pat, a):
-            return None
-    for e1, e2 in repeated_lists:
-        if substitute(e1, subst) != substitute(e2, subst):
-            raise UnsupportedNarrowingError(
-                "repeated list variable binds unequal expressions")
-    return subst
-
-
-def _resolve_subst(subst: dict) -> dict:
-    """Fold chains like {q: c1:y1, c1: 'a'} into {q: 'a':y1, c1: 'a'}.
-
-    Narrowings are acyclic (fresh parameters only ever map forward), so the
-    fixpoint exists and is shallow."""
-    out = {}
-    for p, img in subst.items():
-        nxt = substitute(img, subst)
-        while nxt != img:
-            img, nxt = nxt, substitute(nxt, subst)
-        out[p] = img
-    return out
 
 
 def drive_step(program: Program, cfg: Config,
@@ -235,38 +121,32 @@ def drive_step(program: Program, cfg: Config,
     if names is None:
         names = NameGen.for_exprs(cfg.expr)
     call = cfg.expr
-    parent_params = set(params_of(call))
     rules = program.rules(call.fn)
+    if len(rules[0].lhs) != len(call.args):
+        raise DriveError(f"arity mismatch: {len(rules[0].lhs)} patterns, "
+                         f"{len(call.args)} arguments")
     branches: list[Branch] = []
     for idx, rule in enumerate(rules):
-        raw = narrow_match(rule.lhs, call.args, names)
-        if raw is None:
+        m = match(rule.lhs, call.args, names)
+        if m is None:
             continue
-        # published narrowing: fully resolved, restricted to parent params
-        subst = {p: e for p, e in _resolve_subst(raw).items()
-                 if p in parent_params}
+        subst, binding = m
         inherited = apply_to_restriction(cfg.restriction, subst)
         if inherited.unsat:
             continue  # narrowing contradicts inherited negative information
-        narrowed_args = tuple(substitute(a, subst) for a in call.args)
         known = set(inherited.diseqs)
         added_pairs: list[tuple] = []
         shadowed = False
         scratch = None
         for j in range(idx):
             if scratch is None:
+                narrowed_args = tuple(substitute(a, subst) for a in call.args)
                 scratch = NameGen.for_exprs(*narrowed_args)
-            mj = narrow_match(rules[j].lhs, narrowed_args, scratch)
+            mj = match(rules[j].lhs, narrowed_args, scratch)
             if mj is None:
                 continue
-            eqs = []
-            deep = False
-            for p, img in mj.items():
-                if isinstance(p, SymParam) and isinstance(img, Sym):
-                    eqs.append((p, img))
-                else:
-                    deep = True
-            if deep:
+            eqs = list(mj[0].items())
+            if any(p.__class__ is not SymParam for p, _ in eqs):
                 raise UnsupportedNarrowingError(
                     f"rule {j} of {call.fn} fires on a structurally finer "
                     "region than a later rule; its failure is not a symbol "
@@ -288,15 +168,10 @@ def drive_step(program: Program, cfg: Config,
         if shadowed:
             continue
         added = restriction(added_pairs)
-        binding = match_lhs(rule, narrowed_args)
-        if binding is None:
-            raise DriveError("narrowed arguments failed to match")
-        child_expr = substitute(rule.rhs, binding)
-        child = make_config(child_expr,
+        child = make_config(substitute(rule.rhs, binding),
                             restriction(inherited.diseqs | added.diseqs))
-        branches.append(Branch(
-            Narrowing(_canon_subst(subst), added, idx), child,
-            chain=(), rule_indices=(idx,), steps=1))
+        branches.append(Branch(Narrowing(_canon_subst(subst), added, idx),
+                               child))
     if not branches:
         raise StuckConfigError(f"no rule of {call.fn} can fire on {cfg!r}")
     return branches
@@ -361,7 +236,7 @@ def _rename_branch(branch: Branch, renaming: dict) -> Branch:
                   apply_to_restriction(n.added, renaming), n.rule_index),
         Config(substitute(child.expr, renaming),
                apply_to_restriction(child.restriction, renaming)),
-        branch.chain, branch.rule_indices, branch.steps)
+        branch.chain)
 
 
 def compress(program: Program, branch: Branch, names: Optional[NameGen] = None,
@@ -386,8 +261,6 @@ def compress(program: Program, branch: Branch, names: Optional[NameGen] = None,
     subst = branch.narrowing.subst_dict
     added = branch.narrowing.added
     chain = list(branch.chain)
-    rule_indices = list(branch.rule_indices)
-    steps = branch.steps
     child = branch.child
     depth = _spine_depth(child.expr)
     while child.is_active():
@@ -414,13 +287,11 @@ def compress(program: Program, branch: Branch, names: Optional[NameGen] = None,
                     "disequalities")
         added = restriction(added.diseqs | nxt.narrowing.added.diseqs)
         chain.append(child)
-        rule_indices.extend(nxt.rule_indices)
-        steps += nxt.steps
-        if steps - branch.steps > max_steps:
+        if len(chain) - len(branch.chain) > max_steps:
             raise DriveError("transient chain exceeded the step budget")
         if _spine_depth(nxt.child.expr) - depth > max_depth:
             raise DriveError("transient chain grows without bound")
         child = nxt.child
     return Branch(Narrowing(_canon_subst(subst), added,
                             branch.narrowing.rule_index),
-                  child, tuple(chain), tuple(rule_indices), steps)
+                  child, tuple(chain))

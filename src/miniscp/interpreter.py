@@ -5,6 +5,13 @@ transient, so naive and specialized programs are costed on the same scale.
 Right-hand sides must be passive or a single top-level call with passive
 arguments (tail form); anything else is rejected here with a clear error.
 
+Rule patterns are matched by one function, `match`, used by the reference
+stepper, by `residual.transition` and by driving.  On ground arguments it
+is first-match rewriting; given a driving session's name supply it narrows
+the arguments' parameters as deep as the patterns look and returns that
+narrowing with the rule's binding under it.  It walks list spines in loops,
+so rule patterns and words of any length are safe.
+
 Two engines are provided: a reference stepper over the syntax tree
 (`eval_reference`, `trace_call`) and a compiled engine (`eval_call`,
 `CompiledProgram`) that translates a program to one Python loop once and
@@ -28,9 +35,9 @@ from operator import length_hint
 from typing import Iterator, Optional, Union
 
 from .syntax import (
-    Call, Cons, Expr, FALSE, FalseVal, ListVar, Nil, Program, Rule, Sym,
-    SymVar, TRUE, TrueVal, is_ground, is_passive, parse_program, render_expr,
-    spine, substitute, unword, word,
+    Call, Cons, Expr, FALSE, FalseVal, ListParam, ListVar, NIL, Nil, Program,
+    Rule, Sym, SymParam, SymVar, TRUE, TrueVal, is_ground, is_passive,
+    parse_program, render_expr, spine, substitute, unword, word,
 )
 
 DEFAULT_FUEL = 1_000_000
@@ -56,6 +63,14 @@ class NonTailError(EvalError):
 
 class ArityError(EvalError):
     pass
+
+
+class DriveError(Exception):
+    """Driving a configuration failed (see `driving`)."""
+
+
+class UnsupportedNarrowingError(DriveError):
+    """The match would need a narrowing outside the supported forms."""
 
 
 class ConsOntoTFError(EvalError):
@@ -121,39 +136,127 @@ def check_tail_form(program: Program) -> None:
 
 # --- reference engine -------------------------------------------------------
 
-def match_lhs(rule: Rule, args: tuple[Expr, ...]) -> Optional[dict]:
-    """Match ground arguments against a rule's patterns.
+_ATOMS = frozenset((Sym, SymParam))
 
-    Returns the variable binding, honouring repeated variables as equality
-    constraints, or None when the rule does not apply.  A symbol variable
-    matches no list and neither T nor F.
+
+def match(lhs: tuple[Expr, ...], args: tuple[Expr, ...],
+          names=None) -> Optional[tuple[dict, dict]]:
+    """Match a rule's patterns against as many arguments: the one matcher
+    of ground rewriting and of driving.
+
+    Returns `(narrowing, binding)`, or None when the rule cannot fire.
+    Without `names` a parameter is an opaque value, nothing is narrowed and
+    the narrowing is empty: this is ground rewriting.  With `names`, a
+    driving session's `NameGen`, each parameter the patterns inspect is
+    narrowed exactly as deep as they look: a symbol parameter to a symbol,
+    a list parameter to Nil or, one cell at a time, to `c:y` with `c` from
+    `names.fresh_sym()` and then `y` from `names.fresh_list()`.  The
+    narrowing maps the arguments' own parameters, in the order they were
+    narrowed, to their images fully resolved; the binding maps each rule
+    variable to what it matches under the narrowing.  A repeated variable
+    must bind equal terms, and a symbol variable binds only a symbol or a
+    symbol parameter.  A narrowing that would need two symbol parameters
+    equal, or a repeated list variable bound to unequal expressions, is not
+    representable: UnsupportedNarrowingError.  List spines are walked in
+    loops, so long patterns and words are safe.
     """
-    if len(rule.lhs) != len(args):
-        raise ArityError(f"expected {len(rule.lhs)} arguments, got {len(args)}")
+    subst: dict = {}  # the narrowing as made: an image names only later keys
+    fresh: set = set()  # the parameters made here
     binding: dict = {}
+    repeated: list = []  # (list variable, a later term it must equal)
 
-    def go(pat: Expr, val: Expr) -> bool:
-        if isinstance(pat, SymVar) and isinstance(
-                val, (Cons, Nil, TrueVal, FalseVal)):
+    def bad(pat) -> Exception:
+        return (EvalError if names is None else DriveError)(
+            f"bad pattern {pat!r}")
+
+    def atom(pat, a) -> bool:
+        a = subst.get(a, a) if a.__class__ is SymParam else a
+        if pat.__class__ is Sym:
+            if a.__class__ is Sym:
+                return pat.ch == a.ch
+            if names is not None and a.__class__ is SymParam:
+                subst[a] = pat
+                return True
             return False
-        if isinstance(pat, (SymVar, ListVar)):
-            if pat in binding:
-                return binding[pat] == val
-            binding[pat] = val
+        if pat.__class__ is not SymVar:
+            raise bad(pat)
+        if pat not in binding:
+            binding[pat] = a
             return True
-        if isinstance(pat, Sym):
-            return pat == val
-        if isinstance(pat, Nil):
-            return isinstance(val, Nil)
-        if isinstance(pat, Cons):
-            return (isinstance(val, Cons) and go(pat.head, val.head)
-                    and go(pat.tail, val.tail))
-        raise EvalError(f"bad pattern {pat!r}")
+        b = binding[pat]
+        b = subst.get(b, b) if b.__class__ is SymParam else b
+        if b == a:
+            return True
+        if names is None:
+            return False
+        if b.__class__ is Sym and a.__class__ is SymParam:
+            subst[a] = b
+            return True
+        if b.__class__ is SymParam:
+            if a.__class__ is Sym:
+                subst[b] = a
+                return True
+            if a.__class__ is SymParam:
+                raise UnsupportedNarrowingError(
+                    f"equality between two symbol parameters {b!r} and {a!r}")
+        return False
 
-    for pat, val in zip(rule.lhs, args):
-        if not go(pat, val):
-            return None
-    return binding
+    for pat, a in zip(lhs, args):
+        while True:
+            if a.__class__ is ListParam:
+                a = subst.get(a, a)
+            cls = pat.__class__
+            if cls is Cons:
+                if a.__class__ is ListParam and names is not None:
+                    cell = Cons(names.fresh_sym(), names.fresh_list())
+                    subst[a] = cell
+                    fresh.update((cell.head, cell.tail))
+                    a = cell
+                if a.__class__ is not Cons or not atom(pat.head, a.head):
+                    return None
+                pat, a = pat.tail, a.tail
+                continue
+            if cls is ListVar:
+                if pat in binding:
+                    repeated.append((pat, a))
+                else:
+                    binding[pat] = a
+            elif cls is Nil:
+                if a.__class__ is ListParam and names is not None:
+                    subst[a] = a = NIL
+                if a.__class__ is not Nil:
+                    return None
+            elif cls is Sym or cls is SymVar:  # a bare symbol position
+                if a.__class__ not in _ATOMS or not atom(pat, a):
+                    return None
+            else:
+                raise bad(pat)
+            break
+    resolved: dict = {}
+    if subst:
+        for p, img in reversed(subst.items()):
+            resolved[p] = substitute(img, resolved)
+        binding = {v: substitute(e, resolved) for v, e in binding.items()}
+    for v, e in repeated:
+        if (substitute(e, resolved) if resolved else e) != binding[v]:
+            if names is None:
+                return None
+            raise UnsupportedNarrowingError(
+                "repeated list variable binds unequal expressions")
+    return {p: resolved[p] for p in subst if p not in fresh}, binding
+
+
+def match_lhs(rule: Rule, args: tuple[Expr, ...]) -> Optional[dict]:
+    """The binding of `rule` on ground arguments, or None when the rule does
+    not apply (see `match`); ArityError when the counts differ."""
+    _check_arity(rule.lhs, args)
+    m = match(rule.lhs, args)
+    return None if m is None else m[1]
+
+
+def _check_arity(lhs: tuple, args: tuple) -> None:
+    if len(lhs) != len(args):
+        raise ArityError(f"expected {len(lhs)} arguments, got {len(args)}")
 
 
 def trace_call(program: Program, call: Call,
@@ -167,14 +270,17 @@ def trace_call(program: Program, call: Call,
         steps += 1
         if steps > fuel:
             raise FuelExhaustedError(steps)
-        for rule in program.rules(expr.fn):  # the first matching rule
-            binding = match_lhs(rule, expr.args)
-            if binding is not None:
+        rules = program.rules(expr.fn)
+        _check_arity(rules[0].lhs, expr.args)
+        for rule in rules:  # the first matching rule
+            m = match(rule.lhs, expr.args)
+            if m is not None:
                 break
         else:
             raise StuckTermError(
                 f"no rule of {expr.fn} matches "
                 f"({', '.join(render_expr(a) for a in expr.args)})")
+        binding = m[1]
         if any(v.__class__ in (TrueVal, FalseVal) for v in binding.values()):
             _check_cells(expr.fn, rule.rhs, binding)
         expr = substitute(rule.rhs, binding)

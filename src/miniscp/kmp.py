@@ -39,15 +39,9 @@ def failure(q: str) -> int:
     return _prefix_function(q)[-1]
 
 
-@dataclass(frozen=True, slots=True)
-class FailureTable:
-    """values[k] is the failure value of the length-k prefix, 0 <= k <= |p|."""
-    pattern: str
-    values: tuple[int, ...]
-
-
-def failure_table(p: str) -> FailureTable:
-    return FailureTable(p, (0,) + _prefix_function(p))
+def failure_table(p: str) -> tuple[int, ...]:
+    """Entry k is the failure value of the length-k prefix, 0 <= k <= |p|."""
+    return (0,) + _prefix_function(p)
 
 
 def jump(i: int, q: str) -> int:
@@ -121,7 +115,7 @@ def table_rows(p: str) -> list[tuple[int, str, int, str]]:
     the prefixes a mismatch can leave behind."""
     if not p:
         raise EmptyPatternError("pattern must be nonempty")
-    values = failure_table(p).values
+    values = failure_table(p)
     rows = []
     for k in range(len(p)):
         f = values[k]

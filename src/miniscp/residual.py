@@ -18,7 +18,7 @@ from typing import Optional
 
 from .configs import config_text
 from .driving import Branch
-from .interpreter import check_tail_form, match_lhs
+from .interpreter import check_tail_form, match
 from .scp import (
     KIND_DIAGNOSTIC, KIND_FOLDED, KIND_PASSIVE, KIND_PIVOT, ProcessGraph,
 )
@@ -241,7 +241,7 @@ def transition(rp: ResidualProgram, name: str, ch: str):
         # a consuming function reads the symbol as the string ch, a
         # fallback function takes it bare beside the rest of the string
         args = (word(ch),) if kinds == ("list",) else (Sym(ch), NIL)
-        rule = next((r for r in table[name] if match_lhs(r, args) is not None),
+        rule = next((r for r in table[name] if match(r.lhs, args) is not None),
                     None)
         if rule is None:
             raise ResidualError(f"{name}: no rule consumes symbol {ch!r}")

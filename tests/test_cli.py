@@ -2,6 +2,8 @@ import io
 import subprocess
 import sys
 
+import pytest
+
 from miniscp.cli import main
 from miniscp.scp import export_dot, specialize_pattern
 
@@ -105,6 +107,43 @@ def test_run_long_chain_programs_never_show_a_traceback(tmp_path):
             assert proc.stderr.startswith("error: "), i
         else:
             assert proc.stdout.splitlines()[0] == value, i
+
+
+def test_specialize_long_rule_pattern_exits_with_a_message(tmp_path):
+    # rule 0 narrows #y 3000 cells deep, in a loop; driving rule 1 then
+    # finds that rule 0 splits a finer region, which is rejected with a
+    # message
+    prog = tmp_path / "long.scl"
+    prog.write_text("S {\n  p, " + "'a':" * 3000 + "y = T;\n  p, y = F;\n}\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "miniscp", "specialize", "--pattern", "ab",
+         "--program", str(prog)],
+        capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr, proc.stderr[-300:]
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(
+        "error: rule 0 of S fires on a structurally finer region")
+
+
+@pytest.mark.parametrize("source, message", [
+    ("S { p, s.b:s.c:y = G(s.b:y, s.c:y); }\n"
+     "G { s.a:p, s.a:q = T; p, q = F; }",
+     "equality between two symbol parameters #s.c1 and #s.c2"),
+    ("S { p, y = G(p, y); }\nG { x, x = T; x, y = F; }",
+     "repeated list variable binds unequal expressions"),
+    ("S { p, 'a':'b':y = T; p, 'a':y = F; p, y = F; }",
+     "rule 0 of S fires on a structurally finer region than a later rule; "
+     "its failure is not a symbol disequality"),
+    ("S { p, s.b:s.c:y = G(s.b, s.c); }\n"
+     "G { 'a', 'b' = T; s.x, s.y = F; }",
+     "failure of rule 0 of G needs a disjunction of disequalities"),
+])
+def test_specialize_unsupported_narrowing_exits_1(tmp_path, source, message):
+    prog = tmp_path / "prog.scl"
+    prog.write_text(source + "\n")
+    code, out, err = run_cli("specialize", "--pattern", "ab",
+                             "--program", str(prog))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_usage_error_exit_code():

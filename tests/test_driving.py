@@ -93,6 +93,18 @@ def test_stuck_configuration_is_an_error():
         drive_step(prog, make_config(Call("G", (NIL,))))
 
 
+def test_repeated_list_variable_compared_under_the_whole_narrowing():
+    # z binds #y, the second argument narrows #y to #s.c1:#y1 with #s.c1
+    # then 'a', and the third argument must equal z: it does once the
+    # narrowing is applied all the way ('a':#y1 both), so the rule fires
+    prog = parse_program("F { z, 'a':y, z = F('b':z, Nil, z); }")
+    (b,) = drive_step(prog, cfg("F(#y, #y, #y)"))
+    t = _fresh_list(b, ListParam("y"))
+    assert dict(b.narrowing.subst) == {ListParam("y"): Cons(Sym("a"), t)}
+    assert b.child.expr == Call("F", (
+        Cons(Sym("b"), Cons(Sym("a"), t)), NIL, Cons(Sym("a"), t)))
+
+
 # --- compress -----------------------------------------------------------------
 
 def test_compress_entry_match_branch_reaches_comparison_state(prog):

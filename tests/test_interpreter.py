@@ -4,16 +4,17 @@ import re
 
 import pytest
 
+from miniscp.driving import NameGen
 from miniscp.harness import artifacts
 from miniscp.interpreter import (
     CompiledProgram, ConsOntoTFError, EmptyPatternError, FuelExhaustedError,
     NonTailError, Outcome, StuckTermError, _MAX_SHARED_DEPTH,
-    check_tail_form, eval_call, eval_reference, match_lhs, naive_matcher,
-    naive_outcome, naive_search, trace_call,
+    check_tail_form, eval_call, eval_reference, match, match_lhs,
+    naive_matcher, naive_outcome, naive_search, trace_call,
 )
 from miniscp.syntax import (
-    Call, Cons, FALSE, ListVar, NIL, Program, Rule, Sym, SymVar, TRUE, chain,
-    parse_program, spine, unword, validate, word,
+    Call, Cons, FALSE, ListParam, ListVar, NIL, Program, Rule, Sym, SymParam,
+    SymVar, TRUE, chain, parse_program, spine, unword, validate, word,
 )
 
 
@@ -47,6 +48,33 @@ def test_match_last_rule_of_l():
     binding = match_lhs(rule, (NIL, NIL, word("a"), NIL))
     assert binding == {ListVar("y"): NIL, ListVar("q"): word("a"),
                        ListVar("z"): NIL}
+
+
+def test_match_ground_and_narrowing_modes():
+    lhs = parse_program("G { s.a:'b':x, s.a = T; }").rules("G")[0].lhs
+    assert match(lhs, (word("abc"), Sym("a"))) == (
+        {}, {SymVar("a"): Sym("a"), ListVar("x"): word("c")})
+    assert match(lhs, (word("abc"), Sym("b"))) is None
+    # narrowing #y one cell at a time, a fresh symbol before a fresh list;
+    # the narrowing names only #y, and both results are fully resolved
+    y = ListParam("y")
+    names = NameGen.for_exprs(y)
+    narrowing, binding = match(lhs, (y, Sym("a")), names)
+    assert narrowing == {y: Cons(Sym("a"), Cons(Sym("b"), ListParam("y2")))}
+    assert binding == {SymVar("a"): Sym("a"), ListVar("x"): ListParam("y2")}
+    assert (names.fresh_sym(), names.fresh_list()) == (
+        SymParam("c3"), ListParam("y3"))
+    # a parameter is opaque without a NameGen
+    assert match(lhs, (y, Sym("a"))) is None
+
+
+def test_reference_engine_matches_a_long_rule_pattern():
+    # the match walks the 3000-cell pattern in a loop (one frame per cell
+    # would raise RecursionError)
+    prog = parse_program("F {\n  " + "'a':" * 3000 + "y = T;\n  y = F;\n}\n")
+    call = Call("F", (word("a" * 3000),))
+    assert eval_reference(prog, call) == eval_call(prog, call) == Outcome(
+        TRUE, 1)
 
 
 # --- eval -------------------------------------------------------------------

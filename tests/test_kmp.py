@@ -29,8 +29,8 @@ def test_failure_values_for_ababa_prefixes():
 
 
 def test_failure_table_slices():
-    assert failure_table("aab").values[:3] == (0, 0, 1)
-    assert failure_table("ababa").values[:5] == (0, 0, 0, 1, 2)
+    assert failure_table("aab")[:3] == (0, 0, 1)
+    assert failure_table("ababa")[:5] == (0, 0, 0, 1, 2)
 
 
 def test_failure_matches_brute_force_up_to_len_10():
@@ -45,9 +45,9 @@ def test_proper_border_invariant():
         for tup in itertools.product("ab", repeat=n):
             q = "".join(tup)
             table = failure_table(q)
-            assert table.values[0] == 0
+            assert table[0] == 0
             for k in range(1, len(q) + 1):
-                assert 0 <= table.values[k] < k
+                assert 0 <= table[k] < k
 
 
 def test_jump_examples():
@@ -127,7 +127,7 @@ def test_kmp_search_matches_per_call_definition():
     assert isinstance(table, tuple)
     assert table == (0, 0, 0, 1, 2, 3, 4, 0, 1, 2)
     assert _prefix_function("abcabcacab") is table
-    assert failure_table("abcabcacab").values == (0,) + table
+    assert failure_table("abcabcacab") == (0,) + table
 
 
 def test_automaton_for_aab():
