@@ -183,7 +183,9 @@ def shape(expr: Expr) -> tuple[tuple, list[Param]]:
     call with passive arguments) have equal keys exactly when a bijective,
     kind-preserving renaming sends one onto the other, and zipping their
     parameter lists gives that renaming.  One walk, iterative along each
-    spine; hashing the key hashes only strings and numbers."""
+    spine; hashing the key hashes only strings and numbers.  `covers`, the
+    fold candidates of `scp.supercompile` and the harness's restart facet
+    all compare configurations by this key."""
     index: dict = {}
 
     def code(t):

@@ -23,11 +23,11 @@ from typing import Optional
 
 from .configs import (
     Config, Restriction, apply_to_restriction, make_config, param_key,
-    restriction, satisfiable, shape,
+    restriction, satisfiable,
 )
 from .interpreter import DriveError, UnsupportedNarrowingError, match
 from .syntax import (
-    Call, Expr, ListParam, Param, Program, SymParam, params_of,
+    Call, Expr, ListParam, Program, SymParam, params_of,
     render_expr, spine, substitute,
 )
 
@@ -182,89 +182,35 @@ def _spine_depth(expr: Expr) -> int:
     return max((len(spine(e)[0]) for e in exprs), default=0)
 
 
-class TransientMemo:
-    """Single-branch drives of one specializer session, keyed by the driven
-    configuration up to renaming.
-
-    The key is the expression's shape (see `configs.shape`, which numbers
-    the parameters in first-occurrence order) and the restriction with the
-    k-th parameter renamed to the canonical name `k`; the value is the one
-    branch of that drive under the same renaming.  Only drives that took
-    no fresh name from the session's NameGen are stored, so a hit, which
-    skips the drive, leaves the session's parameter numbering as the drive
-    would have left it.  `drives` and `hits` count the drives made and
-    saved.
-    """
-
-    def __init__(self):
-        self.branches: dict = {}
-        self.drives = 0
-        self.hits = 0
-
-    def drive(self, program: Program, cfg: Config,
-              names: NameGen) -> list[Branch]:
-        """drive_step(program, cfg, names), answered from the memo when an
-        equal configuration up to renaming drove to one branch before."""
-        key, order = shape(cfg.expr)
-        canon = [_canonical(p, k) for k, p in enumerate(order)]
-        to_canon = dict(zip(order, canon))
-        key = key, apply_to_restriction(cfg.restriction, to_canon)
-        hit = self.branches.get(key)
-        if hit is not None:
-            self.hits += 1
-            return [_rename_branch(hit, dict(zip(canon, order)))]
-        issued = names._nsym, names._nlist
-        self.drives += 1
-        branches = drive_step(program, cfg, names)
-        if len(branches) == 1 and (names._nsym, names._nlist) == issued:
-            self.branches[key] = _rename_branch(branches[0], to_canon)
-        return branches
+# Caps on one transient chain, counted from where the chain starts.
+MAX_TRANSIENT_STEPS = 1000  # rule applications folded into one edge
+MAX_TRANSIENT_DEPTH = 400  # growth of the deepest list spine, in cells
 
 
-def _canonical(p: Param, k: int) -> Param:
-    return (SymParam if isinstance(p, SymParam) else ListParam)(str(k))
-
-
-def _rename_branch(branch: Branch, renaming: dict) -> Branch:
-    """A single uncompressed branch under a bijective parameter renaming
-    that covers every parameter the branch mentions."""
-    n = branch.narrowing
-    child = branch.child
-    return Branch(
-        Narrowing(_canon_subst({renaming[p]: substitute(e, renaming)
-                                for p, e in n.subst}),
-                  apply_to_restriction(n.added, renaming), n.rule_index),
-        Config(substitute(child.expr, renaming),
-               apply_to_restriction(child.restriction, renaming)),
-        branch.chain)
-
-
-def compress(program: Program, branch: Branch, names: Optional[NameGen] = None,
-             memo: Optional[TransientMemo] = None,
-             max_steps: int = 1000, max_depth: int = 400) -> Branch:
+def compress(program: Program, branch: Branch,
+             names: Optional[NameGen] = None) -> Branch:
     """Fold transient steps into the branch while its child drives to exactly
     one satisfiable branch; records the skipped configurations in order.
-    Transient drives go through `memo`, the session's TransientMemo (a fresh
-    one when not given).
+    Each chain configuration costs one drive_step call, and so does an
+    active child that ends the chain by driving to several branches.
 
-    Chains that loop (more than `max_steps` rule applications folded in
-    here) or grow their configurations (list spines more than `max_depth`
-    cells deeper than in the first configuration) are cut off with an
-    error: such divergence can neither fold nor raise the whistle, since
-    transients are not graph nodes.  Both caps count from where the chain
-    starts, so a configuration that is large to begin with, such as one
-    holding a long pattern word, is not mistaken for a growing one."""
+    Chains that loop (more than MAX_TRANSIENT_STEPS rule applications
+    folded in here) or grow their configurations (list spines more than
+    MAX_TRANSIENT_DEPTH cells deeper than in the first configuration) are
+    cut off with an error: such divergence can neither fold nor raise the
+    whistle, since transients are not graph nodes.  Both caps count from
+    where the chain starts, so a configuration that is large to begin with,
+    such as one holding a long pattern word, is not mistaken for a growing
+    one."""
     if names is None:
         names = NameGen.for_exprs(branch.child.expr)
-    if memo is None:
-        memo = TransientMemo()
     subst = branch.narrowing.subst_dict
     added = branch.narrowing.added
     chain = list(branch.chain)
     child = branch.child
     depth = _spine_depth(child.expr)
     while child.is_active():
-        nexts = memo.drive(program, child, names)
+        nexts = drive_step(program, child, names)
         if len(nexts) != 1:
             break
         nxt = nexts[0]
@@ -287,9 +233,9 @@ def compress(program: Program, branch: Branch, names: Optional[NameGen] = None,
                     "disequalities")
         added = restriction(added.diseqs | nxt.narrowing.added.diseqs)
         chain.append(child)
-        if len(chain) - len(branch.chain) > max_steps:
+        if len(chain) - len(branch.chain) > MAX_TRANSIENT_STEPS:
             raise DriveError("transient chain exceeded the step budget")
-        if _spine_depth(nxt.child.expr) - depth > max_depth:
+        if _spine_depth(nxt.child.expr) - depth > MAX_TRANSIENT_DEPTH:
             raise DriveError("transient chain grows without bound")
         child = nxt.child
     return Branch(Narrowing(_canon_subst(subst), added,

@@ -488,17 +488,21 @@ def branch_admits(branch, env: dict) -> Optional[dict]:
     return env2
 
 
-def replay_graph(graph: ProcessGraph, env: dict, max_visits: int = 100_000):
+MAX_REPLAY_VISITS = 100_000
+
+
+def replay_graph(graph: ProcessGraph, env: dict):
     """Walk a closed graph under a ground assignment of the root parameters
     and return the passive verdict it reaches.
 
     Exactly one branch must admit the instance at every interior node; fold
-    edges re-enter their target through the recorded renaming."""
+    edges re-enter their target through the recorded renaming.  A walk
+    longer than MAX_REPLAY_VISITS nodes fails as non-terminating."""
     node_id = graph.root
     visits = 0
     while True:
         visits += 1
-        if visits > max_visits:
+        if visits > MAX_REPLAY_VISITS:
             raise CheckFailure("graph replay did not terminate")
         node = graph.nodes[node_id]
         if node.kind == KIND_PASSIVE:

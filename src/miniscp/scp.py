@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 from .configs import (
     Config, Renaming, config_text, covers, make_config, renaming_text, shape,
 )
-from .driving import Branch, NameGen, TransientMemo, compress, drive_step
+from .driving import Branch, NameGen, compress, drive_step
 from .interpreter import EmptyPatternError, naive_matcher
 from .syntax import (
     Call, Cons, Expr, ListParam, Nil, Program, Sym, SymParam, spine, word,
@@ -85,10 +85,9 @@ class ProcessGraph:
 class ScpReport:
     """Outcome counts of one supercompile session.
 
-    `drive_steps` counts drive_step calls, `transient_steps` the steps
-    compressed into edges (the summed lengths of the edges' chains), and
-    `transient_memo_hits` the transient steps answered by the session's
-    TransientMemo instead of a drive."""
+    `drive_steps` counts every drive_step call of the session, and
+    `transient_steps` the steps compressed into edges (the summed lengths
+    of the edges' chains)."""
     generalizations_attempted: int
     pivots: list[Config]
     node_count: int
@@ -96,7 +95,6 @@ class ScpReport:
     whistle_pairs: list[tuple[int, int]] = field(default_factory=list)
     drive_steps: int = 0
     transient_steps: int = 0
-    transient_memo_hits: int = 0
 
 
 def head_fn(cfg: Config) -> Optional[str]:
@@ -177,7 +175,6 @@ def supercompile(program: Program, entry: Config,
     if not entry.is_active():
         raise ScpError("entry configuration must be active")
     names = NameGen.for_exprs(entry.expr)
-    memo = TransientMemo()
     graph = ProcessGraph([Node(entry)])
     report = ScpReport(0, [], 0, 0)
     keys: dict = {}  # active node -> its shape key
@@ -217,10 +214,14 @@ def supercompile(program: Program, entry: Config,
                 break
         if whistled:
             continue
-        report.drive_steps += 1
-        branches = [compress(program, b, names, memo)
+        branches = [compress(program, b, names)
                     for b in drive_step(program, cfg, names)]
-        report.transient_steps += sum(len(b.chain) for b in branches)
+        chained = sum(len(b.chain) for b in branches)
+        report.transient_steps += chained
+        # this node's drive, one per compressed step, and one per active
+        # child whose drive ended its chain
+        report.drive_steps += 1 + chained + sum(b.child.is_active()
+                                                for b in branches)
         node.kind = KIND_PIVOT if len(branches) >= 2 else KIND_TRANSIENT
         if node.kind == KIND_PIVOT:
             report.pivots.append(cfg)
@@ -234,8 +235,6 @@ def supercompile(program: Program, entry: Config,
         node.children = child_ids
         stack.extend(reversed(child_ids))
     report.node_count = len(graph.nodes)
-    report.drive_steps += memo.drives
-    report.transient_memo_hits = memo.hits
     return graph, report
 
 

@@ -545,11 +545,16 @@ class _Parser:
         """Iterative along the list spine, so long patterns are safe."""
         heads = []
         while self.cur.kind != "NAME":
+            t = self.cur
             atom = self._patatom()
             if atom is None:
                 self.err(f"expected pattern, found {self.cur.text!r}")
             if self.cur.kind != ":":
-                return chain(heads, atom)  # bare symbol position
+                if heads:
+                    raise ParseError(
+                        f"list pattern must end in Nil or a list variable, "
+                        f"found {render_expr(atom)}", t.line, t.col)
+                return atom  # bare symbol position
             self.advance()
             heads.append(atom)
         return chain(heads, self._nil_or_listvar())

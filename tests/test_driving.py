@@ -6,7 +6,7 @@ from miniscp.configs import (
     EMPTY, make_config, restriction, satisfiable,
 )
 from miniscp.driving import (
-    DriveError, NameGen, TransientMemo, compress, drive_step,
+    DriveError, NameGen, compress, drive_step,
 )
 from miniscp.harness import branch_admits
 from miniscp.interpreter import naive_matcher, trace_call
@@ -132,41 +132,6 @@ def test_compress_passive_branch_unchanged(prog):
     end = drive_step(prog, c)[2]  # y -> Nil, rewrites straight to F
     assert end.child.expr == FALSE
     assert compress(prog, end) == end
-
-
-def test_transient_memo_answers_renamed_configurations(prog):
-    # one branch, no narrowing: the literal heads decide rule 0
-    c1 = cfg("L(\"ab\", 'a':#y, \"aab\", #s.d:#y)",
-             [(SymParam("d"), Sym("b"))])
-    c2 = cfg("L(\"ab\", 'a':#z, \"aab\", #s.e:#z)",
-             [(SymParam("e"), Sym("b"))])
-    names = NameGen.for_exprs(c1.expr, c2.expr)
-    memo = TransientMemo()
-    assert memo.drive(prog, c1, names) == drive_step(prog, c1)
-    assert (memo.drives, memo.hits) == (1, 0)
-    got = memo.drive(prog, c2, names)
-    assert (memo.drives, memo.hits) == (1, 1)
-    assert got == drive_step(prog, c2)
-    assert got[0].child.restriction == restriction([(SymParam("e"), Sym("b"))])
-    # the restriction is part of the key
-    c3 = cfg("L(\"ab\", 'a':#y, \"aab\", #s.d:#y)",
-             [(SymParam("d"), Sym("a"))])
-    assert memo.drive(prog, c3, names) == drive_step(prog, c3)
-    assert (memo.drives, memo.hits) == (2, 1)
-    assert names.fresh_sym() == SymParam("c1")  # no name was taken
-
-
-def test_transient_memo_skips_drives_that_take_fresh_names():
-    # the single branch narrows #y to a cell of two fresh parameters
-    prog = parse_program("G { s.a:y = G(y); }")
-    c = cfg("G(#y)")
-    names = NameGen.for_exprs(c.expr)
-    memo = TransientMemo()
-    first = memo.drive(prog, c, names)
-    second = memo.drive(prog, c, names)
-    assert (memo.drives, memo.hits) == (2, 0)
-    assert first[0].child != second[0].child  # numbered apart, as before
-    assert memo.branches == {}
 
 
 def test_compression_soundness_against_interpreter(prog):

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from miniscp import driving, scp
 from miniscp.configs import (
     alpha_equivalent, covers, make_config, restriction,
 )
+from miniscp.driving import drive_step
 from miniscp.harness import replay_graph
 from miniscp.interpreter import naive_search
 from miniscp.scp import (
@@ -283,21 +285,25 @@ def test_graph_lines_cover_all_nodes(aab):
     assert len(fold_lines) == aab.report.fold_count
 
 
-def test_report_counts_drives_and_transient_steps():
+def test_report_counts_drives_and_transient_steps(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return drive_step(*args, **kwargs)
+
+    monkeypatch.setattr(driving, "drive_step", counting)
+    monkeypatch.setattr(scp, "drive_step", counting)
     graph, report = specialize_pattern("a" * 12)
+    assert report.drive_steps == len(calls) == 719
     branches = [n for n in graph.nodes if n.branch is not None]
     assert report.transient_steps == sum(len(n.branch.chain)
                                          for n in branches)
-    # without the transient memo, a^12 took 719 drive_step calls
-    assert report.drive_steps < 719
-    assert report.transient_memo_hits > 0
-    # each compressed step and each drive that ended a chain at an active
-    # child was either driven or answered by the memo, and each pivot and
-    # transient node was driven once more by itself
+    # each pivot and transient node was driven, and so was each compressed
+    # step and each active child whose drive ended a chain
     driven = sum(n.kind in (KIND_PIVOT, KIND_TRANSIENT) for n in graph.nodes)
     ends = sum(n.config.is_active() for n in branches)
-    assert report.drive_steps + report.transient_memo_hits \
-        == driven + report.transient_steps + ends
+    assert report.drive_steps == driven + report.transient_steps + ends
 
 
 def test_matcher_entry_rejects_empty_pattern():

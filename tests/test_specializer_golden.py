@@ -8,9 +8,10 @@ node kinds, configurations with their parameter names, edge labels with
 speed-up or a refactoring of the specializer must leave every one of them
 byte for byte as it was.
 
-The residual and graph digests were recorded with the specializer as it
-stood before driving was memoized, the DOT digests before `export_dot`
-and `graph_lines` were made to share one graph walk.
+The residual and graph digests were recorded with a specializer that, as
+now, drives every transient step afresh with no drive cache; the DOT
+digests before `export_dot` and `graph_lines` were made to share one graph
+walk.
 `python tests/test_specializer_golden.py --record` rewrites the file from
 the current code, so record only from code known to be right.
 """

@@ -6,7 +6,7 @@ from miniscp.syntax import (
     Call, Cons, FALSE, ListParam, ListVar, NIL, ParseError, Rule,
     Sym, SymParam, SymVar, TRUE, ValidationError,
     params_of, parse_expression, parse_program, render, render_expr,
-    render_pattern, render_rule, substitute, unword, word,
+    render_pattern, render_rule, spine, substitute, unword, word,
 )
 from miniscp.interpreter import NAIVE_MATCHER_SOURCE, eval_call
 
@@ -61,6 +61,19 @@ def test_syntax_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_program("F {\n  Nil = ;\n}")
     assert exc.value.line == 2
+
+
+def test_pattern_ending_in_a_symbol_rejected():
+    # a list pattern's spine ends in Nil or a list variable; a bare symbol is
+    # a whole pattern only
+    with pytest.raises(ParseError, match="'b'") as exc:
+        parse_program("F {\n  y = F;\n  'a':'b' = T;\n}")
+    assert (exc.value.line, exc.value.col) == (3, 7)
+    with pytest.raises(ParseError, match="s.x") as exc:
+        parse_program("G { s.x:'a':s.x, y = T; }")
+    assert (exc.value.line, exc.value.col) == (1, 13)
+    # whole-pattern symbols and cells ending in a list variable still parse
+    parse_program("H { s.x, 'a':'b':y = T; 'a', y = F; }")
 
 
 def test_duplicate_function_rejected():
@@ -288,5 +301,11 @@ def test_parse_round_trips_random_rules():
                      rng.choice([NIL, ListVar("y")]))
         rhs = rng.choice([TRUE, arg, Call("F", (arg, SymVar("c")))])
         rule = Rule((pat, bound), rhs)
-        prog = parse_program(f"F {{ {render_rule(rule)} }}")
+        text = f"F {{ {render_rule(rule)} }}"
+        if isinstance(pat, Cons) and isinstance(spine(pat)[1], (Sym, SymVar)):
+            # a symbol is a whole pattern only, never a list pattern's end
+            with pytest.raises(ParseError):
+                parse_program(text)
+            continue
+        prog = parse_program(text)
         assert prog.rules("F") == (rule,), render_rule(rule)
