@@ -18,8 +18,9 @@ cannot arise for the shipped matcher or for the programs it generates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .configs import (
     Config, Restriction, apply_to_restriction, make_config, param_key,
@@ -93,16 +94,25 @@ class Narrowing:
 class Branch:
     """One driven (and possibly compressed) edge out of a configuration.
 
-    `chain` holds the intermediate transient configurations folded into the
-    edge, in order."""
+    `steps` counts its rule applications: one for the drive that made it and
+    one per transient configuration compressed into it.  Those
+    configurations are not kept; `transients` walks them again."""
     narrowing: Narrowing
     child: Config
-    chain: tuple = ()
+    steps: int = 1
 
-    @property
-    def steps(self) -> int:
-        """Rule applications along the edge: one per configuration left."""
-        return 1 + len(self.chain)
+
+class _Scratch:
+    """Fresh names for the earlier-rule matches of `drive_step`, which are
+    read for their symbol keys only.  The prime keeps the names apart from
+    the parser's and NameGen's with no walk over the arguments."""
+    _n = itertools.count(1)  # shared, so no name is handed out twice
+
+    def fresh_sym(self) -> SymParam:
+        return SymParam(f"c'{next(self._n)}")
+
+    def fresh_list(self) -> ListParam:
+        return ListParam(f"y'{next(self._n)}")
 
 
 def _canon_subst(subst: dict) -> tuple:
@@ -137,12 +147,11 @@ def drive_step(program: Program, cfg: Config,
         known = set(inherited.diseqs)
         added_pairs: list[tuple] = []
         shadowed = False
-        scratch = None
+        narrowed_args = None
         for j in range(idx):
-            if scratch is None:
+            if narrowed_args is None:
                 narrowed_args = tuple(substitute(a, subst) for a in call.args)
-                scratch = NameGen.for_exprs(*narrowed_args)
-            mj = match(rules[j].lhs, narrowed_args, scratch)
+            mj = match(rules[j].lhs, narrowed_args, _Scratch())
             if mj is None:
                 continue
             eqs = list(mj[0].items())
@@ -187,11 +196,24 @@ MAX_TRANSIENT_STEPS = 1000  # rule applications folded into one edge
 MAX_TRANSIENT_DEPTH = 400  # growth of the deepest list spine, in cells
 
 
+def transients(program: Program, cfg: Config,
+               names: NameGen) -> Iterator[tuple[Config, Branch]]:
+    """Each transient configuration from `cfg` on, with the one branch it
+    drives to; the walk ends at a passive configuration or after a drive to
+    several branches, and costs one drive_step call per configuration."""
+    while cfg.is_active():
+        nexts = drive_step(program, cfg, names)
+        if len(nexts) != 1:
+            return
+        yield cfg, nexts[0]
+        cfg = nexts[0].child
+
+
 def compress(program: Program, branch: Branch,
              names: Optional[NameGen] = None) -> Branch:
     """Fold transient steps into the branch while its child drives to exactly
-    one satisfiable branch; records the skipped configurations in order.
-    Each chain configuration costs one drive_step call, and so does an
+    one satisfiable branch, adding one to the edge's step count per step.
+    Each folded configuration costs one drive_step call, and so does an
     active child that ends the chain by driving to several branches.
 
     Chains that loop (more than MAX_TRANSIENT_STEPS rule applications
@@ -206,14 +228,10 @@ def compress(program: Program, branch: Branch,
         names = NameGen.for_exprs(branch.child.expr)
     subst = branch.narrowing.subst_dict
     added = branch.narrowing.added
-    chain = list(branch.chain)
+    steps = branch.steps
     child = branch.child
     depth = _spine_depth(child.expr)
-    while child.is_active():
-        nexts = drive_step(program, child, names)
-        if len(nexts) != 1:
-            break
-        nxt = nexts[0]
+    for _, nxt in transients(program, child, names):
         s2 = nxt.narrowing.subst_dict
         if s2:
             # parameters introduced by the edge so far live in the images;
@@ -232,12 +250,12 @@ def compress(program: Program, branch: Branch,
                     "transient narrowing contradicts the edge's own "
                     "disequalities")
         added = restriction(added.diseqs | nxt.narrowing.added.diseqs)
-        chain.append(child)
-        if len(chain) - len(branch.chain) > MAX_TRANSIENT_STEPS:
+        steps += 1
+        if steps - branch.steps > MAX_TRANSIENT_STEPS:
             raise DriveError("transient chain exceeded the step budget")
         if _spine_depth(nxt.child.expr) - depth > MAX_TRANSIENT_DEPTH:
             raise DriveError("transient chain grows without bound")
         child = nxt.child
     return Branch(Narrowing(_canon_subst(subst), added,
                             branch.narrowing.rule_index),
-                  child, tuple(chain))
+                  child, steps)

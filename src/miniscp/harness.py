@@ -34,10 +34,11 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 from .configs import Config, alpha_equivalent, covers, make_config
-from .interpreter import CompiledProgram, naive_matcher
+from .driving import NameGen, drive_step, transients
+from .interpreter import CompiledProgram, DriveError, naive_matcher
 from .kmp import automaton, kmp_search
 from .residual import (
     ResidualProgram, consuming_functions, residualize, structural_report,
@@ -207,6 +208,37 @@ def _sweep(pattern: str, corpus: Corpus) -> SweepResult:
     return SweepResult(True, True, max_ratio, None, None)
 
 
+# --- compressed chains -------------------------------------------------------
+
+def _chains(graph: ProcessGraph, child_ids) -> Iterator[tuple[int, Config]]:
+    """Yield (child, configuration) for each transient configuration
+    compressed into the edges into `child_ids`, in chain order.  Each parent
+    is driven again with a fresh NameGen, once per run of its children, and
+    the child's branch walked `steps - 1` transients; no check minds the new
+    names.  A walk that ends early or off the stored child is a
+    CheckFailure."""
+    program, nodes = naive_matcher(), graph.nodes
+    for parent, run in itertools.groupby(child_ids,
+                                         lambda c: nodes[c].parent):
+        pnode = nodes[parent]
+        names = NameGen.for_exprs(pnode.config.expr)
+        try:
+            branches = drive_step(program, pnode.config, names)
+            for c in run:
+                want = nodes[c].branch.steps
+                end, steps = branches[pnode.children.index(c)].child, 1
+                for cfg, nxt in itertools.islice(
+                        transients(program, end, names), want - 1):
+                    yield c, cfg
+                    end, steps = nxt.child, steps + 1
+                if steps != want \
+                        or not alpha_equivalent(end, nodes[c].config):
+                    raise CheckFailure(f"re-driving the edge into node {c} "
+                                       f"does not reach it in {want} steps")
+        except DriveError as e:
+            raise CheckFailure(f"re-driving node {parent}: {e}") from e
+
+
 # --- first path ---------------------------------------------------------------
 
 def _comparison_config(pattern: str, i: int) -> Config:
@@ -243,10 +275,10 @@ def _first_path_facts(art: PatternArtifacts) -> None:
     lengths = [len(spine(cfg.expr.args[0])[0]) for cfg in actual]
     if any(a <= b for a, b in zip(lengths, lengths[1:])):
         raise CheckFailure(f"pattern-suffix lengths not decreasing: {lengths}")
-    last_branch = graph.nodes[path[-1]].branch
+    chain = [c for _, c in _chains(graph, [path[-1]])]
     # the whole pattern matched: L(Nil, Y, pattern, suffix(1) ++ Y)
     final = _comparison_config(art.pattern, len(art.pattern))
-    if not any(alpha_equivalent(c, final) for c in last_branch.chain):
+    if not any(alpha_equivalent(c, final) for c in chain):
         raise CheckFailure(
             "final comparison configuration missing from the compressed "
             f"chain into the T leaf (expected {final!r})")
@@ -315,9 +347,10 @@ def _restart_facts(art: PatternArtifacts) -> None:
 
     # Held-symbol configurations compressed into edges: they sit at the end
     # of their chain, with the first letter excluded, and the edge's child is
-    # a root restart.
-    for child_id, cfg in graph.chain_configs():
-        if covers(held_form, cfg) is None:
+    # a root restart.  Every edge is rebuilt, which checks every step count.
+    edges = [i for i, n in enumerate(nodes) if n.branch is not None]
+    for child_id, cfg in _chains(graph, edges):
+        if head_fn(cfg) != "S" or covers(held_form, cfg) is None:
             continue
         held = cfg.expr.args[1].head
         if not any(Sym(first) in pair and held in pair
@@ -526,21 +559,6 @@ def replay_graph(graph: ProcessGraph, env: dict):
                 f"{node_id}")
         node_id, env2 = admitted[0]
         env = {p: env2[p] for p in graph.nodes[node_id].config.params()}
-
-
-# --- step-count contrast -----------------------------------------------------------
-
-def step_contrast(pattern: str = "aaab",
-                  lengths: tuple[int, ...] = (50, 100, 200)) -> dict:
-    """Naive vs residual step counts on the all-first-letter family."""
-    art = artifacts(pattern)
-    rows = {}
-    for m in lengths:
-        y = pattern[0] * m
-        _, naive_steps = art.naive_runner.run("S", (pattern, y))
-        _, res_steps = art.runner.run(art.residual.entry, (y,))
-        rows[m] = (naive_steps, res_steps)
-    return rows
 
 
 # --- reports -----------------------------------------------------------------------

@@ -246,14 +246,6 @@ def match(lhs: tuple[Expr, ...], args: tuple[Expr, ...],
     return {p: resolved[p] for p in subst if p not in fresh}, binding
 
 
-def match_lhs(rule: Rule, args: tuple[Expr, ...]) -> Optional[dict]:
-    """The binding of `rule` on ground arguments, or None when the rule does
-    not apply (see `match`); ArityError when the counts differ."""
-    _check_arity(rule.lhs, args)
-    m = match(rule.lhs, args)
-    return None if m is None else m[1]
-
-
 def _check_arity(lhs: tuple, args: tuple) -> None:
     if len(lhs) != len(args):
         raise ArityError(f"expected {len(lhs)} arguments, got {len(args)}")
@@ -736,9 +728,3 @@ def naive_outcome(pattern: str, string: str,
     value, steps = prog.compiled.run(
         "S", (pattern, string), DEFAULT_FUEL if fuel is None else fuel)
     return Outcome(_decode_value(value), steps)
-
-
-def naive_search(pattern: str, string: str,
-                 fuel: Optional[int] = None) -> bool:
-    """True iff pattern occurs in string, by running the naive matcher."""
-    return naive_outcome(pattern, string, fuel).value == TRUE

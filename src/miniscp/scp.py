@@ -72,22 +72,14 @@ class ProcessGraph:
             yield p
             p = self.nodes[p].parent
 
-    def chain_configs(self) -> Iterator[tuple[int, Config]]:
-        """All compressed-away transient configurations, tagged with the
-        child node whose incoming edge absorbed them."""
-        for i, n in enumerate(self.nodes):
-            if n.branch is not None:
-                for c in n.branch.chain:
-                    yield i, c
-
 
 @dataclass
 class ScpReport:
     """Outcome counts of one supercompile session.
 
     `drive_steps` counts every drive_step call of the session, and
-    `transient_steps` the steps compressed into edges (the summed lengths
-    of the edges' chains)."""
+    `transient_steps` the steps compressed into edges (each edge's
+    `Branch.steps` less the one step of the drive that made it)."""
     generalizations_attempted: int
     pivots: list[Config]
     node_count: int
@@ -216,7 +208,7 @@ def supercompile(program: Program, entry: Config,
             continue
         branches = [compress(program, b, names)
                     for b in drive_step(program, cfg, names)]
-        chained = sum(len(b.chain) for b in branches)
+        chained = sum(b.steps - 1 for b in branches)
         report.transient_steps += chained
         # this node's drive, one per compressed step, and one per active
         # child whose drive ended its chain

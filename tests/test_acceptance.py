@@ -15,7 +15,7 @@ import pytest
 from miniscp.configs import alpha_equivalent, covers
 from miniscp.harness import (
     artifacts, binary_patterns, default_corpus, expected_path_pivots,
-    step_contrast, verify_pattern,
+    verify_pattern,
 )
 from miniscp.kmp import failure_table
 from miniscp.residual import structural_report
@@ -39,6 +39,18 @@ def reports(corpus):
 def _say(capsys, text):
     with capsys.disabled():
         print(text)
+
+
+def step_contrast(pattern, lengths):
+    """Naive vs residual step counts on the all-first-letter family."""
+    art = artifacts(pattern)
+    rows = {}
+    for m in lengths:
+        y = pattern[0] * m
+        _, naive_steps = art.naive_runner.run("S", (pattern, y))
+        _, res_steps = art.runner.run(art.residual.entry, (y,))
+        rows[m] = (naive_steps, res_steps)
+    return rows
 
 
 def test_criterion_1_failure_tables(capsys):

@@ -2,21 +2,22 @@
 ones.  Each test hands a check something subtly wrong and expects a failure.
 """
 
+import dataclasses
 import random
 
 import pytest
 
-from miniscp.configs import make_config
+from miniscp.configs import covers, make_config
 from miniscp.harness import (
-    CheckFailure, _automaton_facts, _first_path_facts, artifacts,
-    replay_graph,
+    CheckFailure, _automaton_facts, _chains, _first_path_facts,
+    _restart_facts, artifacts, replay_graph,
 )
 from miniscp.residual import (
     ResidualProgram, structural_report, transition,
 )
-from miniscp.scp import specialize_pattern
+from miniscp.scp import ProcessGraph, first_path, specialize_pattern
 from miniscp.syntax import (
-    Call, ListParam, Program, TRUE, parse_program, word,
+    Call, Cons, ListParam, Program, SymParam, parse_program, word,
 )
 from miniscp.harness import PatternArtifacts
 from miniscp.interpreter import CompiledProgram, naive_matcher
@@ -93,7 +94,7 @@ def test_replay_detects_overlapping_branches():
 def test_differential_driving_on_random_patterns():
     """Replaying the process graph must agree with the interpreter on random
     patterns and strings (exhaustive small strings would be too slow here)."""
-    from miniscp.interpreter import naive_search
+    from miniscp.interpreter import naive_outcome
     rng = random.Random(20)
     for _ in range(25):
         n = rng.randint(1, 8)
@@ -105,4 +106,49 @@ def test_differential_driving_on_random_patterns():
             y = "".join(rng.choice(alphabet)
                         for _ in range(rng.randint(0, 30)))
             verdict = replay_graph(graph, {ListParam("y"): word(y)})
-            assert (verdict == TRUE) == naive_search(pattern, y), (pattern, y)
+            assert verdict == naive_outcome(pattern, y).value, (pattern, y)
+
+
+# --- compressed chains, rebuilt by re-driving --------------------------------
+
+HELD_AAB = make_config(Call("S", (word("aab"),
+                                  Cons(SymParam("c"), ListParam("y")))))
+
+
+def _edges(art):
+    return [i for i, n in enumerate(art.graph.nodes) if n.branch is not None]
+
+
+def _with_steps(art, node_id, delta):
+    """A copy of `art` whose edge into `node_id` claims `delta` more steps."""
+    nodes = list(art.graph.nodes)
+    n = nodes[node_id]
+    nodes[node_id] = dataclasses.replace(
+        n, branch=dataclasses.replace(n.branch, steps=n.branch.steps + delta))
+    return dataclasses.replace(art, graph=ProcessGraph(nodes, art.graph.root))
+
+
+def test_rebuilt_chains_hold_every_compressed_configuration():
+    art = artifacts("aab")
+    configs = [c for _, c in _chains(art.graph, _edges(art))]
+    assert len(configs) == art.report.transient_steps == 11
+    assert sum(covers(HELD_AAB, c) is not None for c in configs) == 2
+
+
+@pytest.mark.parametrize("delta", (-1, 1))
+def test_first_path_check_rebuilds_the_chain_into_t(delta):
+    art = artifacts("aab")
+    leaf = first_path(art.graph)[-1]
+    _first_path_facts(art)
+    with pytest.raises(CheckFailure, match="re-driving"):
+        _first_path_facts(_with_steps(art, leaf, delta))
+
+
+@pytest.mark.parametrize("delta", (-1, 1))
+def test_restart_check_rebuilds_held_symbol_chains(delta):
+    art = artifacts("aab")
+    held = next(i for i, c in _chains(art.graph, _edges(art))
+                if covers(HELD_AAB, c) is not None)
+    _restart_facts(art)
+    with pytest.raises(CheckFailure, match="re-driving"):
+        _restart_facts(_with_steps(art, held, delta))

@@ -50,7 +50,7 @@ def test_specialize_run_round_trip(tmp_path):
 
 
 def test_written_residual_matches_search_verdicts(tmp_path):
-    from miniscp.interpreter import naive_search
+    from miniscp.interpreter import naive_outcome
     residual = tmp_path / "residual_ababa.scl"
     code, _, _ = run_cli("specialize", "--pattern", "ababa",
                          "--out", str(residual))
@@ -59,8 +59,7 @@ def test_written_residual_matches_search_verdicts(tmp_path):
         code, out, _ = run_cli("run", "--program", str(residual),
                                "--entry", "F_0", "--input", y)
         assert code == 0
-        verdict = out.splitlines()[0] == "T"
-        assert verdict == naive_search("ababa", y), y
+        assert out.splitlines()[0] == str(naive_outcome("ababa", y).value), y
 
 
 def test_run_two_argument_entry(tmp_path):

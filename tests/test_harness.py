@@ -5,7 +5,7 @@ import pytest
 
 from miniscp.harness import (
     Corpus, _automaton_facts, artifacts, binary_patterns, default_corpus,
-    expected_path_pivots, record_line, step_contrast, string_pool,
+    expected_path_pivots, record_line, string_pool,
     summary_lines, sweep_alphabet, verify_pattern,
 )
 from miniscp.kmp import automaton
@@ -135,15 +135,6 @@ def test_summary_reports_failures():
     lines = summary_lines([broken])
     assert lines[-1] == "result: FAIL"
     assert any("whistle fired" in l for l in lines)
-
-
-def test_step_contrast_shows_linear_vs_quadratic():
-    rows = step_contrast("aaab", (50, 100, 200))
-    naive200, residual200 = rows[200]
-    assert naive200 >= 2 * residual200
-    gap = {m: rows[m][0] - rows[m][1] for m in rows}
-    assert gap[100] >= 1.8 * gap[50]
-    assert gap[200] >= 1.8 * gap[100]
 
 
 def test_pivot_counts_stay_small(small_corpus):

@@ -8,9 +8,9 @@ from miniscp.driving import NameGen
 from miniscp.harness import artifacts
 from miniscp.interpreter import (
     CompiledProgram, ConsOntoTFError, EmptyPatternError, FuelExhaustedError,
-    NonTailError, Outcome, StuckTermError, _MAX_SHARED_DEPTH,
-    check_tail_form, eval_call, eval_reference, match, match_lhs,
-    naive_matcher, naive_outcome, naive_search, trace_call,
+    NonTailError, Outcome, StuckTermError, _MAX_SHARED_DEPTH, _check_arity,
+    check_tail_form, eval_call, eval_reference, match, naive_matcher,
+    naive_outcome, trace_call,
 )
 from miniscp.syntax import (
     Call, Cons, FALSE, ListParam, ListVar, NIL, Program, Rule, Sym, SymParam,
@@ -23,6 +23,14 @@ def S(p, y):
 
 
 # --- match_lhs --------------------------------------------------------------
+
+def match_lhs(rule, args):
+    """The binding of `rule` on ground arguments, or None when the rule does
+    not apply; ArityError when the counts differ."""
+    _check_arity(rule.lhs, args)
+    m = match(rule.lhs, args)
+    return None if m is None else m[1]
+
 
 def test_match_first_rule_of_s():
     rule = naive_matcher().rules("S")[0]
@@ -264,6 +272,11 @@ def test_naive_step_count_closed_form(k):
 
 
 # --- naive_search -----------------------------------------------------------
+
+def naive_search(pattern, string, fuel=None):
+    """True iff pattern occurs in string, by running the naive matcher."""
+    return naive_outcome(pattern, string, fuel).value == TRUE
+
 
 def test_naive_search_examples():
     assert naive_search("aab", "abaab") is True

@@ -9,7 +9,7 @@ from miniscp.configs import (
 )
 from miniscp.driving import drive_step
 from miniscp.harness import replay_graph
-from miniscp.interpreter import naive_search
+from miniscp.interpreter import naive_outcome
 from miniscp.scp import (
     KIND_DIAGNOSTIC, KIND_FOLDED, KIND_PASSIVE, KIND_PIVOT, KIND_TRANSIENT,
     NodeBudgetError, _embed, embeds, first_path, first_path_pivots,
@@ -263,7 +263,7 @@ def test_graph_soundness_replay():
             for tup in itertools.product(alphabet, repeat=n):
                 s = "".join(tup)
                 verdict = replay_graph(graph, {y: word(s)})
-                assert (verdict == TRUE) == naive_search(pattern, s), \
+                assert verdict == naive_outcome(pattern, s).value, \
                     (pattern, s)
 
 
@@ -297,7 +297,7 @@ def test_report_counts_drives_and_transient_steps(monkeypatch):
     graph, report = specialize_pattern("a" * 12)
     assert report.drive_steps == len(calls) == 719
     branches = [n for n in graph.nodes if n.branch is not None]
-    assert report.transient_steps == sum(len(n.branch.chain)
+    assert report.transient_steps == sum(n.branch.steps - 1
                                          for n in branches)
     # each pivot and transient node was driven, and so was each compressed
     # step and each active child whose drive ended a chain
