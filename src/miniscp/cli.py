@@ -1,7 +1,7 @@
 """Command-line front end.
 
     miniscp specialize --pattern aab [--program FILE] [--out FILE]
-                       [--dot FILE] [--report]
+                       [--dot FILE] [--report] [--stats]
     miniscp run --program FILE --entry NAME --input WORD [--steps]
     miniscp failure --pattern ababa
     miniscp verify [--pattern aab | --corpus default] [--seed N]
@@ -20,9 +20,6 @@ from typing import Optional
 
 from .configs import ConfigError, config_text
 from .driving import DriveError
-from .harness import (
-    Corpus, default_corpus, record_line, summary_lines, verify_corpus,
-)
 from .interpreter import (
     DEFAULT_FUEL, EvalError, Outcome, eval_call, naive_matcher,
 )
@@ -91,6 +88,13 @@ def _cmd_specialize(args, out, err) -> int:
             f"generalizations_attempted: {report.generalizations_attempted}\n")
         for line in residual_lines(rp):
             out.write(line + "\n")
+    if args.stats:
+        err.write(f"nodes: {report.node_count}\n"
+                  f"folds: {report.fold_count}\n"
+                  f"drive_steps: {report.drive_steps}\n"
+                  f"ground_steps: {report.ground_steps}\n"
+                  f"transient_steps: {report.transient_steps}\n"
+                  f"whistle_fires: {report.generalizations_attempted}\n")
     return 0
 
 
@@ -116,6 +120,10 @@ def _cmd_failure(args, out, err) -> int:
 
 
 def _cmd_verify(args, out, err) -> int:
+    # imported here, so that the other commands do not pay for it
+    from .harness import (
+        Corpus, default_corpus, record_line, summary_lines, verify_corpus,
+    )
     seed = args.seed if args.seed is not None else 7
     if args.pattern:
         corpus = Corpus((args.pattern,), seed=seed)
@@ -159,6 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None, help="write the residual here")
     sp.add_argument("--dot", default=None, help="write the process graph DOT")
     sp.add_argument("--report", action="store_true")
+    sp.add_argument("--stats", action="store_true",
+                    help="write the specializer's counters to stderr")
     sp.add_argument("--node-budget", type=int, default=10_000)
     sp.set_defaults(fn=_cmd_specialize)
 

@@ -1,5 +1,5 @@
 """One-step unfolding of configurations: narrowing, negative information,
-and transient compression.
+ground steps, and transient compression.
 
 Driving a configuration enumerates, in rule order, every satisfiable way a
 rule of the called function can fire after minimally narrowing the
@@ -9,6 +9,12 @@ disequalities under which all earlier rules fail on the same narrowed shape;
 the branch set partitions the ground instances of the configuration.  The
 narrowing and the rule's binding both come from `interpreter.match`, the
 matcher the reference engine rewrites with, in one pass per rule.
+
+A ground step is the special case that needs none of this: the
+configuration already decides which rule fires, with nothing narrowed.
+`ground_step` recognizes it in one probe pass over the rules and builds the
+child without walking the configuration; `compress` tries it before
+`drive_step` on every transient configuration.
 
 Negative information is only representable as symbol disequalities.  Rule
 layouts whose earlier-rule failure would need anything else (equality of two
@@ -20,16 +26,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .configs import (
-    Config, Restriction, apply_to_restriction, make_config, param_key,
-    restriction, satisfiable,
+    EMPTY, Config, Restriction, apply_to_restriction, make_config, param_key,
+    prune, restriction, satisfiable,
 )
 from .interpreter import DriveError, UnsupportedNarrowingError, match
 from .syntax import (
-    Call, Expr, ListParam, Program, SymParam, params_of,
-    render_expr, spine, substitute,
+    Call, Expr, ListParam, Program, Rule, Sym, SymParam, is_passive,
+    params_of, render_expr, spine, substitute, vars_of,
 )
 
 
@@ -186,6 +192,93 @@ def drive_step(program: Program, cfg: Config,
     return branches
 
 
+class _Refuse:
+    """The name supply of `ground_step`'s probes: a match that asks for a
+    fresh name narrows a list parameter, which no ground step does."""
+
+    def fresh_sym(self) -> SymParam:
+        raise DriveError("a ground step takes no fresh name")
+
+    fresh_list = fresh_sym
+
+
+_REFUSE = _Refuse()
+
+
+def rule_facts(rule: Rule) -> tuple[bool, int, tuple]:
+    """What a ground step needs to know of a rule: is its right-hand side
+    in tail form, the longest cell prefix of an argument of it, and the
+    variables of its left-hand side that the right-hand side drops.  Found
+    once per rule, as `Program.ground_facts`."""
+    rhs = rule.rhs
+    args = rhs.args if rhs.__class__ is Call else (rhs,)
+    kept = set(vars_of(rhs))
+    dropped = dict.fromkeys(v for a in rule.lhs for v in vars_of(a)
+                            if v not in kept)
+    return (all(is_passive(a) for a in args),
+            max((len(spine(a)[0]) for a in args), default=0),
+            tuple(dropped))
+
+
+def ground_step(program: Program, cfg: Config) -> Optional[Branch]:
+    """The one branch drive_step would return on `cfg`, when that branch
+    narrows nothing and adds no disequality; None otherwise, and then only
+    drive_step can say what the step is (or why it fails).
+
+    Every rule is matched once with a name supply that refuses.  Before the
+    firing rule each rule must fail outright or narrow one symbol parameter
+    to a symbol the restriction already rules out; the firing rule must
+    narrow nothing; after it each rule must fail, narrow nothing (it is
+    shadowed) or narrow to a ruled-out symbol.  Then drive_step finds the
+    same single branch, and since no probe asked for a name, it would take
+    none from the session either.
+
+    The child is the firing rule's right-hand side under its binding, with
+    the parent's restriction pruned to the child's parameters.  Narrowing
+    nothing, the rule carries every parameter of `cfg` into the child,
+    except those in what its dropped variables bind; so when those are all
+    symbols, the restriction (which names only parameters of `cfg`, see
+    `make_config`) stays as it is, and the step costs no walk over the
+    configuration."""
+    call = cfg.expr
+    if call.__class__ is not Call or cfg.restriction.unsat:
+        return None
+    rules = program.table.get(call.fn)
+    if not rules or len(rules[0].lhs) != len(call.args):
+        return None
+    known = cfg.restriction.diseqs
+    fired = None
+    for idx, rule in enumerate(rules):
+        try:
+            m = match(rule.lhs, call.args, _REFUSE)
+        except DriveError:
+            return None
+        if m is None:
+            continue
+        subst, binding = m
+        if not subst:
+            if fired is None:
+                fired = idx, binding
+            continue
+        if len(subst) != 1:
+            return None
+        (p, s), = subst.items()
+        if p.__class__ is not SymParam \
+                or not restriction([(p, s)]).diseqs <= known:
+            return None  # a narrowing drive_step would keep or reject
+    if fired is None:
+        return None
+    idx, binding = fired
+    tail_form, _, dropped = program.ground_facts[call.fn][idx]
+    if not tail_form:
+        return None
+    expr = substitute(rules[idx].rhs, binding)
+    r = cfg.restriction
+    if r.diseqs and any(binding[v].__class__ is not Sym for v in dropped):
+        r = prune(r, {p for p in params_of(expr) if p.__class__ is SymParam})
+    return Branch(Narrowing((), EMPTY, idx), Config(expr, r))
+
+
 def _spine_depth(expr: Expr) -> int:
     exprs = expr.args if isinstance(expr, Call) else (expr,)
     return max((len(spine(e)[0]) for e in exprs), default=0)
@@ -196,13 +289,32 @@ MAX_TRANSIENT_STEPS = 1000  # rule applications folded into one edge
 MAX_TRANSIENT_DEPTH = 400  # growth of the deepest list spine, in cells
 
 
-def transients(program: Program, cfg: Config,
-               names: NameGen) -> Iterator[tuple[Config, Branch]]:
-    """Each transient configuration from `cfg` on, with the one branch it
-    drives to; the walk ends at a passive configuration or after a drive to
-    several branches, and costs one drive_step call per configuration."""
+class GroundFirst:
+    """The stepping function of `compress`: a ground step where there is
+    one, drive_step with the session's names otherwise.  `ground` counts
+    the ground steps taken."""
+
+    def __init__(self, program: Program, names: NameGen):
+        self.program = program
+        self.names = names
+        self.ground = 0
+
+    def __call__(self, cfg: Config) -> list[Branch]:
+        b = ground_step(self.program, cfg)
+        if b is None:
+            return drive_step(self.program, cfg, self.names)
+        self.ground += 1
+        return [b]
+
+
+def transients(cfg: Config, step: Callable[[Config], list[Branch]]
+               ) -> Iterator[tuple[Config, Branch]]:
+    """Each transient configuration from `cfg` on, with the one branch
+    `step` drives it to; the walk ends at a passive configuration or after a
+    step to several branches, and costs one call of `step` per
+    configuration."""
     while cfg.is_active():
-        nexts = drive_step(program, cfg, names)
+        nexts = step(cfg)
         if len(nexts) != 1:
             return
         yield cfg, nexts[0]
@@ -210,11 +322,12 @@ def transients(program: Program, cfg: Config,
 
 
 def compress(program: Program, branch: Branch,
-             names: Optional[NameGen] = None) -> Branch:
+             step: Optional[GroundFirst] = None) -> Branch:
     """Fold transient steps into the branch while its child drives to exactly
     one satisfiable branch, adding one to the edge's step count per step.
-    Each folded configuration costs one drive_step call, and so does an
-    active child that ends the chain by driving to several branches.
+    `step` (by default a GroundFirst with a fresh NameGen) steps each
+    transient configuration, and also the active child that ends the chain
+    by driving to several branches.
 
     Chains that loop (more than MAX_TRANSIENT_STEPS rule applications
     folded in here) or grow their configurations (list spines more than
@@ -223,15 +336,18 @@ def compress(program: Program, branch: Branch,
     whistle, since transients are not graph nodes.  Both caps count from
     where the chain starts, so a configuration that is large to begin with,
     such as one holding a long pattern word, is not mistaken for a growing
-    one."""
-    if names is None:
-        names = NameGen.for_exprs(branch.child.expr)
+    one.  A step that narrows nothing deepens no spine by more than the
+    longest cell prefix in its rule's right-hand side, so the spines are
+    measured only after a narrowing or when that bound passes the cap; a
+    ground step costs no walk over the configuration."""
+    if step is None:
+        step = GroundFirst(program, NameGen.for_exprs(branch.child.expr))
     subst = branch.narrowing.subst_dict
     added = branch.narrowing.added
     steps = branch.steps
     child = branch.child
-    depth = _spine_depth(child.expr)
-    for _, nxt in transients(program, child, names):
+    depth = bound = _spine_depth(child.expr)
+    for cfg, nxt in transients(child, step):
         s2 = nxt.narrowing.subst_dict
         if s2:
             # parameters introduced by the edge so far live in the images;
@@ -249,12 +365,19 @@ def compress(program: Program, branch: Branch,
                 raise DriveError(
                     "transient narrowing contradicts the edge's own "
                     "disequalities")
-        added = restriction(added.diseqs | nxt.narrowing.added.diseqs)
+            bound = _spine_depth(nxt.child.expr)
+        else:
+            facts = program.ground_facts[cfg.expr.fn]
+            bound += facts[nxt.narrowing.rule_index][1]
+        if nxt.narrowing.added.diseqs:
+            added = restriction(added.diseqs | nxt.narrowing.added.diseqs)
         steps += 1
         if steps - branch.steps > MAX_TRANSIENT_STEPS:
             raise DriveError("transient chain exceeded the step budget")
-        if _spine_depth(nxt.child.expr) - depth > MAX_TRANSIENT_DEPTH:
-            raise DriveError("transient chain grows without bound")
+        if bound - depth > MAX_TRANSIENT_DEPTH:
+            bound = _spine_depth(nxt.child.expr)
+            if bound - depth > MAX_TRANSIENT_DEPTH:
+                raise DriveError("transient chain grows without bound")
         child = nxt.child
     return Branch(Narrowing(_canon_subst(subst), added,
                             branch.narrowing.rule_index),

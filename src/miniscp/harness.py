@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Optional
 
 from .configs import Config, alpha_equivalent, covers, make_config
@@ -214,21 +214,23 @@ def _chains(graph: ProcessGraph, child_ids) -> Iterator[tuple[int, Config]]:
     """Yield (child, configuration) for each transient configuration
     compressed into the edges into `child_ids`, in chain order.  Each parent
     is driven again with a fresh NameGen, once per run of its children, and
-    the child's branch walked `steps - 1` transients; no check minds the new
-    names.  A walk that ends early or off the stored child is a
-    CheckFailure."""
+    the child's branch walked `steps - 1` transients by drive_step alone;
+    no check minds the new names.  A walk that ends early or off the stored
+    child is a CheckFailure, so every edge that compress built from ground
+    steps is checked against the general drive."""
     program, nodes = naive_matcher(), graph.nodes
     for parent, run in itertools.groupby(child_ids,
                                          lambda c: nodes[c].parent):
         pnode = nodes[parent]
-        names = NameGen.for_exprs(pnode.config.expr)
+        step = partial(drive_step, program,
+                       names=NameGen.for_exprs(pnode.config.expr))
         try:
-            branches = drive_step(program, pnode.config, names)
+            branches = step(pnode.config)
             for c in run:
                 want = nodes[c].branch.steps
                 end, steps = branches[pnode.children.index(c)].child, 1
                 for cfg, nxt in itertools.islice(
-                        transients(program, end, names), want - 1):
+                        transients(end, step), want - 1):
                     yield c, cfg
                     end, steps = nxt.child, steps + 1
                 if steps != want \

@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 from .configs import (
     Config, Renaming, config_text, covers, make_config, renaming_text, shape,
 )
-from .driving import Branch, NameGen, compress, drive_step
+from .driving import Branch, GroundFirst, NameGen, compress, drive_step
 from .interpreter import EmptyPatternError, naive_matcher
 from .syntax import (
     Call, Cons, Expr, ListParam, Nil, Program, Sym, SymParam, spine, word,
@@ -77,15 +77,18 @@ class ProcessGraph:
 class ScpReport:
     """Outcome counts of one supercompile session.
 
-    `drive_steps` counts every drive_step call of the session, and
-    `transient_steps` the steps compressed into edges (each edge's
-    `Branch.steps` less the one step of the drive that made it)."""
+    `drive_steps` counts every configuration driven in the session, by
+    drive_step or as a ground step; `ground_steps` counts the ground steps
+    (`driving.ground_step`), all of them transient; `transient_steps`
+    counts the steps compressed into edges (each edge's `Branch.steps` less
+    the one step of the drive that made it)."""
     generalizations_attempted: int
     pivots: list[Config]
     node_count: int
     fold_count: int
     whistle_pairs: list[tuple[int, int]] = field(default_factory=list)
     drive_steps: int = 0
+    ground_steps: int = 0
     transient_steps: int = 0
 
 
@@ -110,33 +113,36 @@ def _couple(s: Expr, t: Expr) -> bool:
 
 
 def _embed(s: Expr, t: Expr) -> bool:
-    """Homeomorphic embedding of passive s in passive t, by dynamic
-    programming over the suffixes of the two list spines (heads are atoms):
-    O(|s|·|t|) steps and no recursion, where diving into both head and tail
-    without a memo is exponential on repetitive words.
+    """Homeomorphic embedding of passive s in passive t, in one greedy
+    left-to-right scan of the two list spines (heads are atoms): O(|s|+|t|)
+    steps and no recursion.
 
-    With s_i, t_j the suffixes from the i-th and j-th cell, a cell s_i
-    embeds in a cell t_j by coupling (heads couple and s_{i+1} embeds in
-    t_{j+1}) or by diving into t_{j+1}; it never embeds in an atom.  A
-    spine end e embeds in t_j by coupling with t_j, or -- unless e is a
-    parameter, which relates only to a parameter of its kind -- by diving
-    into any later head or the end of t.
+    A cell of s embeds in a cell of t by coupling heads (and tails) or by
+    diving into t's tail, and never in an atom, so along the spines the
+    embedding is a subsequence test: the heads of s couple, in order, with
+    heads of t, and the earliest such choice leaves the most of t for the
+    rest.  The end e of s then embeds in what is left of t, by coupling with
+    t's end or with one of the heads left.  A parameter relates only to a
+    parameter of its kind and cannot dive: it must couple with t's end, so
+    the last head of s couples with the last head of t, and an s without
+    heads embeds only in a t without heads.
     """
     s_heads, s_end = spine(s)
     t_heads, t_end = spine(t)
-    n = len(t_heads)
-    # row[j]: does the current suffix of s embed in t_j (t_n is t's end)?
-    row = [False] * (n + 1)
-    row[n] = _couple(s_end, t_end)
-    if not isinstance(s_end, (SymParam, ListParam)):
-        for j in range(n - 1, -1, -1):
-            row[j] = row[j + 1] or _couple(s_end, t_heads[j])
-    for h in reversed(s_heads):
-        nxt = row
-        row = [False] * (n + 1)
-        for j in range(n - 1, -1, -1):
-            row[j] = row[j + 1] or (nxt[j + 1] and _couple(h, t_heads[j]))
-    return row[0]
+    param_end = s_end.__class__ is SymParam or s_end.__class__ is ListParam
+    if param_end:
+        if not _couple(s_end, t_end):
+            return False
+        if not s_heads or not t_heads:
+            return not s_heads and not t_heads
+        if not _couple(s_heads.pop(), t_heads.pop()):
+            return False
+    rest = iter(t_heads)
+    for h in s_heads:
+        if not any(_couple(h, x) for x in rest):
+            return False
+    return (param_end or _couple(s_end, t_end)
+            or any(_couple(s_end, x) for x in rest))
 
 
 def embeds(c1: Config, c2: Config) -> bool:
@@ -167,6 +173,7 @@ def supercompile(program: Program, entry: Config,
     if not entry.is_active():
         raise ScpError("entry configuration must be active")
     names = NameGen.for_exprs(entry.expr)
+    step = GroundFirst(program, names)
     graph = ProcessGraph([Node(entry)])
     report = ScpReport(0, [], 0, 0)
     keys: dict = {}  # active node -> its shape key
@@ -206,7 +213,7 @@ def supercompile(program: Program, entry: Config,
                 break
         if whistled:
             continue
-        branches = [compress(program, b, names)
+        branches = [compress(program, b, step)
                     for b in drive_step(program, cfg, names)]
         chained = sum(b.steps - 1 for b in branches)
         report.transient_steps += chained
@@ -227,6 +234,7 @@ def supercompile(program: Program, entry: Config,
         node.children = child_ids
         stack.extend(reversed(child_ids))
     report.node_count = len(graph.nodes)
+    report.ground_steps = step.ground
     return graph, report
 
 

@@ -219,6 +219,14 @@ class Program:
         from .interpreter import CompiledProgram
         return CompiledProgram(self)
 
+    @cached_property
+    def ground_facts(self) -> dict:
+        """What ground steps need to know of each rule, per function, found
+        on first use and kept with the program (see driving.rule_facts)."""
+        from .driving import rule_facts
+        return {name: tuple(map(rule_facts, rules))
+                for name, rules in self.functions}
+
     def rules(self, name: str) -> tuple[Rule, ...]:
         try:
             return self.table[name]

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from miniscp import driving
 from miniscp.configs import covers, make_config
 from miniscp.harness import (
     CheckFailure, _automaton_facts, _chains, _first_path_facts,
@@ -152,3 +153,27 @@ def test_restart_check_rebuilds_held_symbol_chains(delta):
     _restart_facts(art)
     with pytest.raises(CheckFailure, match="re-driving"):
         _restart_facts(_with_steps(art, held, delta))
+
+
+def test_rebuild_catches_a_ground_step_one_step_too_far(monkeypatch):
+    # a ground step that lands one configuration beyond the one it counts
+    # builds edges whose step counts are one short; re-driving with
+    # drive_step alone overshoots them.  (The edge into T cannot show it:
+    # its last step, L(Nil, ...) to T, has nothing beyond it.)
+    real = driving.ground_step
+
+    def too_far(program, cfg):
+        b = real(program, cfg)
+        if b is None or not b.child.is_active():
+            return b
+        b2 = real(program, b.child)
+        return b if b2 is None else dataclasses.replace(b, child=b2.child)
+
+    monkeypatch.setattr(driving, "ground_step", too_far)
+    art = artifacts.__wrapped__("aab")
+    monkeypatch.undo()
+    good = artifacts("aab")
+    assert art.report.transient_steps < good.report.transient_steps
+    _first_path_facts(art)
+    with pytest.raises(CheckFailure, match="re-driving"):
+        _restart_facts(art)

@@ -36,6 +36,31 @@ def test_specialize_report():
     assert "function F_3/2 from" in out
 
 
+def test_specialize_stats_go_to_stderr():
+    code, plain, err = run_cli("specialize", "--pattern", "a" * 12,
+                               "--report")
+    assert code == 0 and err == ""
+    code, out, err = run_cli("specialize", "--pattern", "a" * 12,
+                             "--report", "--stats")
+    assert code == 0 and out == plain
+    _, report = specialize_pattern("a" * 12)
+    assert err.splitlines() == [
+        f"nodes: {report.node_count}", f"folds: {report.fold_count}",
+        "drive_steps: 719",
+        f"ground_steps: {report.transient_steps}",
+        f"transient_steps: {report.transient_steps}",
+        "whistle_fires: 0"]
+
+
+def test_specialize_does_not_import_the_harness():
+    code = ("import sys; from miniscp.cli import main; "
+            "main(['specialize', '--pattern', 'ab', '--out', '/dev/null']); "
+            "print('miniscp.harness' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"
+
+
 def test_specialize_run_round_trip(tmp_path):
     residual = tmp_path / "residual_aab.scl"
     code, _, _ = run_cli("specialize", "--pattern", "aab",

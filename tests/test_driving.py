@@ -1,18 +1,22 @@
 import itertools
+import random
 
 import pytest
 
 from miniscp.configs import (
-    EMPTY, make_config, restriction, satisfiable,
+    EMPTY, Config, ConfigError, make_config, restriction, satisfiable,
 )
 from miniscp.driving import (
-    DriveError, NameGen, compress, drive_step,
+    DriveError, NameGen, StuckConfigError, compress, drive_step, ground_step,
 )
 from miniscp.harness import branch_admits
-from miniscp.interpreter import naive_matcher, trace_call
+from miniscp.interpreter import (
+    UnsupportedNarrowingError, naive_matcher, trace_call,
+)
+from miniscp.scp import specialize_pattern
 from miniscp.syntax import (
-    Call, Cons, FALSE, ListParam, NIL, Sym, SymParam, TRUE, parse_expression,
-    parse_program, substitute, word,
+    Call, Cons, FALSE, ListParam, ListVar, NIL, Program, Rule, Sym, SymParam,
+    TRUE, parse_expression, parse_program, substitute, word,
 )
 
 
@@ -201,3 +205,122 @@ def test_fresh_names_avoid_existing(prog):
     gen = NameGen.for_exprs(parse_expression('S(#y1, #s.c1:#y2)'))
     assert gen.fresh_list().name == "y3"
     assert gen.fresh_sym().name == "c2"
+
+
+# --- ground steps --------------------------------------------------------------
+
+def _reached_configs(monkeypatch, patterns):
+    """Every active configuration stepped while specializing `patterns`:
+    the nodes drive_step drives and the transients ground_step is tried on."""
+    from miniscp import driving, scp
+    seen = {}
+    for mod, name in ((scp, "drive_step"), (driving, "ground_step")):
+        real = getattr(mod, name)
+
+        def record(program, c, *rest, real=real):
+            seen[c] = None
+            return real(program, c, *rest)
+        monkeypatch.setattr(mod, name, record)
+    for p in patterns:
+        specialize_pattern(p)
+    monkeypatch.undo()
+    return list(seen)
+
+
+def test_ground_steps_agree_with_drive_step(prog, monkeypatch):
+    # the benchmark ladder's (ab)^k and a^n rungs, and seeded random words
+    rng = random.Random(12)
+    patterns = ["ab" * k for k in range(1, 11)] + [
+        "a" * n for n in range(1, 18)] + [
+        "".join(rng.choice("abcd"[:k]) for _ in range(rng.randint(4, 24)))
+        for k in (2, 3, 4) for _ in range(5)]
+    configs = _reached_configs(monkeypatch, patterns)
+    answered = 0
+    for c in configs:
+        g = ground_step(prog, c)
+        names = NameGen.for_exprs(c.expr)
+        before = (names._nsym, names._nlist)
+        branches = drive_step(prog, c, names)
+        if g is None:
+            continue
+        answered += 1
+        assert branches == [g], c
+        assert (names._nsym, names._nlist) == before, c
+    assert 1000 < answered < len(configs)
+
+
+def test_ground_step_on_a_held_symbol_the_restriction_rules_out(prog):
+    c = cfg('S("abab", #s.c:#y)', [(SymParam("c"), Sym("a"))])
+    g = ground_step(prog, c)
+    assert g is not None and g.narrowing.rule_index == 1
+    assert [g] == drive_step(prog, c)
+    assert g.child == cfg('S("abab", #y)')
+
+
+def _nested_rhs_program():
+    # not in tail form, so the parser would refuse it
+    y = ListVar("y")
+    return Program((("F", (Rule((y,), Cons(Sym("a"), Call("G", (y,)))),)),
+                    ("G", (Rule((y,), TRUE),))))
+
+
+@pytest.mark.parametrize("source, text, pairs, error", [
+    # passive, unsatisfiable, arity mismatch: drive_step refuses them all
+    (None, "T", (), DriveError),
+    (None, 'S("ab", \'b\':#y)', [(Sym("a"), Sym("a"))], DriveError),
+    (None, 'S("ab")', (), DriveError),
+    # a fresh name: the first rule narrows #y to a cell
+    (None, 'S("ab", #y)', (), None),
+    # a symbol narrowing the restriction does not rule out
+    (None, 'L("ab", #s.c:#y, "ab", #s.c:#y)', (), None),
+    # a narrowing to Nil, which takes no name
+    ("F { Nil = T; s.a:y = F(y); }", "F(#y)", (), None),
+    # an equality of two symbol parameters
+    ("F { s.a, s.a = T; s.a, s.b = F; }", "F(#s.c, #s.d)",
+     (), UnsupportedNarrowingError),
+    # a stuck configuration
+    ("F { 'a' = T; }", "F('b')", (), StuckConfigError),
+    # a later rule asks for a name: drive_step takes it from the session
+    ("F { 'a':y, z = T; x, 'b':z = F; }", 'F("a", #w)', (), None),
+    # a right-hand side that is not in tail form
+    ("nested", 'F("a")', (), ConfigError),
+])
+def test_ground_step_falls_back(prog, source, text, pairs, error):
+    program = (prog if source is None else _nested_rhs_program()
+               if source == "nested" else parse_program(source))
+    c = Config(parse_expression(text), restriction(pairs))
+    assert ground_step(program, c) is None
+    if error is not None:
+        with pytest.raises(error):
+            drive_step(program, c)
+    else:
+        drive_step(program, c)
+
+
+def test_a_later_rule_that_asks_for_a_name_shifts_the_session_names():
+    # why ground_step probes every later rule: drive_step's one branch here
+    # narrows nothing, yet matching the second rule takes two fresh names
+    program = parse_program("F { 'a':y, z = T; x, 'b':z = F; }")
+    c = cfg('F("a", #w)')
+    names = NameGen.for_exprs(c.expr)
+    (b,) = drive_step(program, c, names)
+    assert b.narrowing.subst == () and b.child.expr == TRUE
+    assert (names._nsym, names._nlist) == (1, 1)
+
+
+def test_compress_measures_spines_only_past_the_bound(prog, monkeypatch):
+    from miniscp import driving
+    walks = []
+    real = driving._spine_depth
+
+    def counting(expr):
+        walks.append(expr)
+        return real(expr)
+    monkeypatch.setattr(driving, "_spine_depth", counting)
+    held = Cons(Sym("a"), Cons(Sym("b"), ListParam("y")))
+    c = make_config(Call("S", (word("ab" * 20), held)))
+    (first,) = drive_step(prog, c)
+    done = compress(prog, first)
+    # L compares two known letters, then its drive narrows #y and ends the
+    # chain: two ground steps, and one walk, where the chain starts
+    assert done.steps == 3 and len(walks) == 1

@@ -7,17 +7,17 @@ from miniscp import driving, scp
 from miniscp.configs import (
     alpha_equivalent, covers, make_config, restriction,
 )
-from miniscp.driving import drive_step
+from miniscp.driving import drive_step, ground_step
 from miniscp.harness import replay_graph
 from miniscp.interpreter import naive_outcome
 from miniscp.scp import (
     KIND_DIAGNOSTIC, KIND_FOLDED, KIND_PASSIVE, KIND_PIVOT, KIND_TRANSIENT,
-    NodeBudgetError, _embed, embeds, first_path, first_path_pivots,
+    NodeBudgetError, _couple, _embed, embeds, first_path, first_path_pivots,
     graph_lines, matcher_entry, specialize_pattern, supercompile,
 )
 from miniscp.syntax import (
     Cons, ListParam, NIL, Nil, Sym, SymParam, TRUE, parse_expression,
-    parse_program, unword, word,
+    parse_program, spine, unword, word,
 )
 
 
@@ -95,6 +95,41 @@ def test_embedding_agrees_with_its_recursive_definition():
         assert _embed(s, t) == want, (s, t)
         seen.add(want)
     assert seen == {True, False}
+
+
+def _embed_by_dp(s, t):
+    """The embedding by dynamic programming over the suffixes of the two
+    spines, O(|s|·|t|): row[j] says whether the current suffix of s embeds
+    in t's suffix from cell j (t_n being t's end).  A spine end couples
+    with t's end or, unless it is a parameter, dives into any later head;
+    a cell couples heads and tails or dives into t's tail."""
+    s_heads, s_end = spine(s)
+    t_heads, t_end = spine(t)
+    n = len(t_heads)
+    row = [False] * (n + 1)
+    row[n] = _couple(s_end, t_end)
+    if not isinstance(s_end, (SymParam, ListParam)):
+        for j in range(n - 1, -1, -1):
+            row[j] = row[j + 1] or _couple(s_end, t_heads[j])
+    for h in reversed(s_heads):
+        nxt = row
+        row = [False] * (n + 1)
+        for j in range(n - 1, -1, -1):
+            row[j] = row[j + 1] or (nxt[j + 1] and _couple(h, t_heads[j]))
+    return row[0]
+
+
+def test_greedy_embedding_agrees_with_dynamic_programming():
+    rng = random.Random(11)
+    pool = [_random_passive(rng) for _ in range(3000)]
+    seen = set()
+    for _ in range(100_000):
+        s, t = rng.choice(pool), rng.choice(pool)
+        want = _embed_by_dp(s, t)
+        assert _embed(s, t) == want, (s, t)
+        seen.add((want, type(spine(s)[1]).__name__))
+    assert seen >= {(w, k) for w in (True, False)
+                    for k in ("Nil", "ListParam", "SymParam", "Sym")}
 
 
 def test_embedding_of_long_repetitive_words():
@@ -247,6 +282,20 @@ def test_transient_chain_that_grows_or_loops_errors_out():
         supercompile(loops, entry)
 
 
+@pytest.mark.parametrize("budget, error", [(400, "step budget"),
+                                           (401, "grows without bound")])
+def test_growth_cap_fires_at_the_step_the_spines_pass_it(monkeypatch,
+                                                         budget, error):
+    # each ground step adds one cell, but the rule's right-hand side has a
+    # two-cell prefix: the bound compress keeps passes the cap after 200
+    # steps, the spines themselves after 401, and that is where it stops
+    from miniscp.driving import DriveError
+    monkeypatch.setattr(driving, "MAX_TRANSIENT_STEPS", budget)
+    grows = parse_program("F { 'a':x = F('a':'a':x); }")
+    with pytest.raises(DriveError, match=error):
+        supercompile(grows, make_config(parse_expression("F('a':#y)")))
+
+
 def test_node_budget_enforced():
     with pytest.raises(NodeBudgetError):
         specialize_pattern("abab", node_budget=3)
@@ -286,16 +335,26 @@ def test_graph_lines_cover_all_nodes(aab):
 
 
 def test_report_counts_drives_and_transient_steps(monkeypatch):
-    calls = []
+    drives, grounds = [], []
 
     def counting(*args, **kwargs):
-        calls.append(None)
+        drives.append(None)
         return drive_step(*args, **kwargs)
+
+    def counting_ground(*args):
+        b = ground_step(*args)
+        if b is not None:
+            grounds.append(None)
+        return b
 
     monkeypatch.setattr(driving, "drive_step", counting)
     monkeypatch.setattr(scp, "drive_step", counting)
+    monkeypatch.setattr(driving, "ground_step", counting_ground)
     graph, report = specialize_pattern("a" * 12)
-    assert report.drive_steps == len(calls) == 719
+    # every driven configuration counts once, by drive_step or as a ground
+    # step; on a^12 every transient step is a ground step
+    assert report.drive_steps == len(drives) + len(grounds) == 719
+    assert report.ground_steps == len(grounds) == report.transient_steps
     branches = [n for n in graph.nodes if n.branch is not None]
     assert report.transient_steps == sum(n.branch.steps - 1
                                          for n in branches)
