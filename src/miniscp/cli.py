@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
 
 from .configs import ConfigError, config_text
 from .driving import DriveError
@@ -50,7 +49,7 @@ def _fuel(args) -> int:
     return DEFAULT_FUEL
 
 
-def _load_program(path: Optional[str]) -> Program:
+def _load_program(path: str | None) -> Program:
     if path is None or path == "builtin":
         return naive_matcher()
     with open(path, "r", encoding="utf-8") as fh:
@@ -202,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None, out=None, err=None) -> int:
+def main(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = build_parser()

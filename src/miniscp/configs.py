@@ -15,15 +15,13 @@ renaming.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
-
+from .record import Record, setters
 from .syntax import (
     Call, Expr, ListParam, Nil, Param, Sym, SymParam, is_passive,
     params_of, render_expr, spine,
 )
 
-Term = Union[Sym, SymParam]
+Term = Sym | SymParam
 Renaming = dict  # Param -> Param, injective and kind-preserving
 
 
@@ -39,12 +37,22 @@ def _norm_pair(t1: Term, t2: Term) -> tuple[Term, Term]:
     return (t1, t2) if _term_key(t1) <= _term_key(t2) else (t2, t1)
 
 
-@dataclass(frozen=True, slots=True)
-class Restriction:
+class Restriction(Record, frozen=True):
     """Conjunction of disequalities t1 != t2, order-normalized and
     duplicate-free; `unsat` marks the canonical contradiction."""
-    diseqs: frozenset = frozenset()
-    unsat: bool = False
+    __slots__ = ("diseqs", "unsat")
+
+    def __init__(self, diseqs: frozenset = frozenset(), unsat: bool = False):
+        _set_diseqs(self, diseqs)
+        _set_unsat(self, unsat)
+
+    def __eq__(self, other):
+        if other.__class__ is Restriction:
+            return self.diseqs == other.diseqs and self.unsat == other.unsat
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.diseqs, self.unsat))
 
     def __repr__(self):
         if self.unsat:
@@ -64,6 +72,7 @@ class Restriction:
         return out
 
 
+_set_diseqs, _set_unsat = setters(Restriction)
 EMPTY = Restriction()
 UNSAT = Restriction(frozenset(), True)
 
@@ -131,16 +140,27 @@ def entails(r2: Restriction, r1: Restriction, renaming: Renaming) -> bool:
     return image.diseqs <= r2.diseqs
 
 
-@dataclass(frozen=True, slots=True)
-class Config:
+class Config(Record, frozen=True):
     """A node label: parameterized expression plus restriction.
 
     The expression is passive or a single top-level call with passive
     arguments; the restriction only names parameters occurring in the
     expression (construct via `make_config`, which prunes).
     """
-    expr: Expr
-    restriction: Restriction = EMPTY
+    __slots__ = ("expr", "restriction")
+
+    def __init__(self, expr: Expr, restriction: Restriction = EMPTY):
+        _set_expr(self, expr)
+        _set_restriction(self, restriction)
+
+    def __eq__(self, other):
+        if other.__class__ is Config:
+            return (self.expr == other.expr
+                    and self.restriction == other.restriction)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.expr, self.restriction))
 
     def __repr__(self):
         return config_text(self)
@@ -150,6 +170,9 @@ class Config:
 
     def params(self) -> list[Param]:
         return params_of(self.expr)
+
+
+_set_expr, _set_restriction = setters(Config)
 
 
 def make_config(expr: Expr, r: Restriction = EMPTY) -> Config:
@@ -208,7 +231,7 @@ def shape(expr: Expr) -> tuple[tuple, list[Param]]:
     return key, list(index)
 
 
-def covers(c1: Config, c2: Config) -> Optional[Renaming]:
+def covers(c1: Config, c2: Config) -> Renaming | None:
     """Renaming sending c1's expression exactly onto c2's, if one exists and
     c2's restriction entails the renamed restriction of c1: the two shapes
     must be equal, and the renaming pairs their parameters in order."""

@@ -25,14 +25,14 @@ cannot arise for the shipped matcher or for the programs it generates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from collections.abc import Callable, Iterator
 
 from .configs import (
     EMPTY, Config, Restriction, apply_to_restriction, make_config, param_key,
     prune, restriction, satisfiable,
 )
-from .interpreter import DriveError, UnsupportedNarrowingError, match
+from .interpreter import DriveError, UnsupportedNarrowingError, match, probe
+from .record import Record, setters
 from .syntax import (
     Call, Expr, ListParam, Program, Rule, Sym, SymParam, is_passive,
     params_of, render_expr, spine, substitute, vars_of,
@@ -77,13 +77,25 @@ class NameGen:
                 return ListParam(name)
 
 
-@dataclass(frozen=True, slots=True)
-class Narrowing:
+class Narrowing(Record, frozen=True):
     """Edge label: parameter substitution, new disequalities, and the index
-    of the fired rule (the first one, for a compressed edge)."""
-    subst: tuple  # ((Param, Expr), ...) in canonical parameter order
-    added: Restriction
-    rule_index: int
+    of the fired rule (the first one, for a compressed edge).  `subst` is
+    ((Param, Expr), ...) in canonical parameter order."""
+    __slots__ = ("subst", "added", "rule_index")
+
+    def __init__(self, subst: tuple, added: Restriction, rule_index: int):
+        _set_subst(self, subst)
+        _set_added(self, added)
+        _set_rule_index(self, rule_index)
+
+    def __eq__(self, other):
+        if other.__class__ is Narrowing:
+            return (self.subst == other.subst and self.added == other.added
+                    and self.rule_index == other.rule_index)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.subst, self.added, self.rule_index))
 
     @property
     def subst_dict(self) -> dict:
@@ -96,16 +108,33 @@ class Narrowing:
         return "; ".join(parts) if parts else "ε"
 
 
-@dataclass(frozen=True, slots=True)
-class Branch:
+_set_subst, _set_added, _set_rule_index = setters(Narrowing)
+
+
+class Branch(Record, frozen=True):
     """One driven (and possibly compressed) edge out of a configuration.
 
     `steps` counts its rule applications: one for the drive that made it and
     one per transient configuration compressed into it.  Those
     configurations are not kept; `transients` walks them again."""
-    narrowing: Narrowing
-    child: Config
-    steps: int = 1
+    __slots__ = ("narrowing", "child", "steps")
+
+    def __init__(self, narrowing: Narrowing, child: Config, steps: int = 1):
+        _set_narrowing(self, narrowing)
+        _set_child(self, child)
+        _set_steps(self, steps)
+
+    def __eq__(self, other):
+        if other.__class__ is Branch:
+            return (self.narrowing == other.narrowing
+                    and self.child == other.child and self.steps == other.steps)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.narrowing, self.child, self.steps))
+
+
+_set_narrowing, _set_child, _set_steps = setters(Branch)
 
 
 class _Scratch:
@@ -126,7 +155,7 @@ def _canon_subst(subst: dict) -> tuple:
 
 
 def drive_step(program: Program, cfg: Config,
-               names: Optional[NameGen] = None) -> list[Branch]:
+               names: NameGen | None = None) -> list[Branch]:
     """Enumerate the satisfiable branches of one unfolding step, in rule
     order, with earlier-rule failure recorded as disequalities."""
     if not cfg.is_active():
@@ -157,7 +186,7 @@ def drive_step(program: Program, cfg: Config,
         for j in range(idx):
             if narrowed_args is None:
                 narrowed_args = tuple(substitute(a, subst) for a in call.args)
-            mj = match(rules[j].lhs, narrowed_args, _Scratch())
+            mj = probe(rules[j].lhs, narrowed_args, _Scratch())
             if mj is None:
                 continue
             eqs = list(mj[0].items())
@@ -220,7 +249,7 @@ def rule_facts(rule: Rule) -> tuple[bool, int, tuple]:
             tuple(dropped))
 
 
-def ground_step(program: Program, cfg: Config) -> Optional[Branch]:
+def ground_step(program: Program, cfg: Config) -> Branch | None:
     """The one branch drive_step would return on `cfg`, when that branch
     narrows nothing and adds no disequality; None otherwise, and then only
     drive_step can say what the step is (or why it fails).
@@ -250,12 +279,12 @@ def ground_step(program: Program, cfg: Config) -> Optional[Branch]:
     fired = None
     for idx, rule in enumerate(rules):
         try:
-            m = match(rule.lhs, call.args, _REFUSE)
+            m = probe(rule.lhs, call.args, _REFUSE)
         except DriveError:
             return None
         if m is None:
             continue
-        subst, binding = m
+        subst, binding, _ = m  # the binding is match's when subst is empty
         if not subst:
             if fired is None:
                 fired = idx, binding
@@ -322,7 +351,7 @@ def transients(cfg: Config, step: Callable[[Config], list[Branch]]
 
 
 def compress(program: Program, branch: Branch,
-             step: Optional[GroundFirst] = None) -> Branch:
+             step: GroundFirst | None = None) -> Branch:
     """Fold transient steps into the branch while its child drives to exactly
     one satisfiable branch, adding one to the edge's step count per step.
     `step` (by default a GroundFirst with a fresh NameGen) steps each

@@ -32,22 +32,20 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import lru_cache, partial
-from typing import Iterator, Optional
 
 from .configs import Config, alpha_equivalent, covers, make_config
 from .driving import NameGen, drive_step, transients
 from .interpreter import CompiledProgram, DriveError, naive_matcher
 from .kmp import automaton, kmp_search
+from .record import Record
 from .residual import (
-    ResidualProgram, consuming_functions, residualize, structural_report,
-    transition,
+    consuming_functions, residualize, structural_report, transition,
 )
 from .scp import (
     KIND_DIAGNOSTIC, KIND_FOLDED, KIND_PASSIVE, KIND_PIVOT, ProcessGraph,
-    ScpReport, first_path, first_path_pivots, head_fn, matcher_entry,
-    specialize_pattern,
+    first_path, first_path_pivots, head_fn, matcher_entry, specialize_pattern,
 )
 from .syntax import (
     Call, Cons, ListParam, Nil, Sym, SymParam, TRUE, spine, word,
@@ -60,14 +58,12 @@ class CheckFailure(AssertionError):
     """A verification facet failed; the message carries the evidence."""
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(Record, frozen=True):
     """Test plan: patterns plus string-sweep sizes, deterministic per seed."""
-    patterns: tuple[str, ...]
-    exhaustive_len: int = 8
-    random_count: int = 1000
-    random_max_len: int = 200
-    seed: int = 7
+    __slots__ = ("patterns", "exhaustive_len", "random_count",
+                 "random_max_len", "seed")
+    _defaults = {"exhaustive_len": 8, "random_count": 1000,
+                 "random_max_len": 200, "seed": 7}
 
 
 def binary_patterns(max_len: int = 6) -> tuple[str, ...]:
@@ -89,18 +85,11 @@ def default_corpus(seed: int = 7) -> Corpus:
     return Corpus(tuple(pats), seed=seed)
 
 
-@dataclass
-class VerificationReport:
-    pattern: str
-    first_path_ok: bool
-    restart_ok: bool
-    covering_ok: bool
-    structural_ok: bool
-    equivalence_ok: bool
-    linearity_ok: bool
-    automaton_ok: bool
-    metrics: dict
-    failures: tuple = ()
+class VerificationReport(Record):
+    __slots__ = ("pattern", "first_path_ok", "restart_ok", "covering_ok",
+                 "structural_ok", "equivalence_ok", "linearity_ok",
+                 "automaton_ok", "metrics", "failures")
+    _defaults = {"failures": ()}
 
     @property
     def ok(self) -> bool:
@@ -111,14 +100,11 @@ class VerificationReport:
 
 # --- shared artifacts ---------------------------------------------------------
 
-@dataclass
-class PatternArtifacts:
-    pattern: str
-    graph: ProcessGraph
-    report: ScpReport
-    residual: ResidualProgram
-    runner: CompiledProgram
-    naive_runner: CompiledProgram
+class PatternArtifacts(Record):
+    """What every facet of one pattern reads: the process graph and report,
+    the residual, and the compiled residual and naive matcher."""
+    __slots__ = ("pattern", "graph", "report", "residual", "runner",
+                 "naive_runner")
 
 
 @lru_cache(maxsize=None)
@@ -173,13 +159,11 @@ def adversarial_strings(pattern: str) -> list[str]:
             (body * 200)[:200], (pattern * 200)[:200], (pattern * 200)[:197]]
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    equivalence_ok: bool
-    linearity_ok: bool
-    max_steps_ratio: float
-    counterexample: Optional[str]
-    bound_violation: Optional[str]
+class SweepResult(Record, frozen=True):
+    """The string sweep's verdicts, its largest step ratio, and the first
+    counterexample or bound violation found (str | None each)."""
+    __slots__ = ("equivalence_ok", "linearity_ok", "max_steps_ratio",
+                 "counterexample", "bound_violation")
 
 
 @lru_cache(maxsize=None)
@@ -495,7 +479,7 @@ def _automaton_facts(art: PatternArtifacts) -> dict:
 
 # --- ground-instance replay --------------------------------------------------------
 
-def branch_admits(branch, env: dict) -> Optional[dict]:
+def branch_admits(branch, env: dict) -> dict | None:
     """Does a ground assignment of the parent's parameters fall into this
     branch?  Returns the extended assignment (fresh parameters bound, spent
     ones dropped) or None."""

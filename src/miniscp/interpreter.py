@@ -10,7 +10,9 @@ stepper, by `residual.transition` and by driving.  On ground arguments it
 is first-match rewriting; given a driving session's name supply it narrows
 the arguments' parameters as deep as the patterns look and returns that
 narrowing with the rule's binding under it.  It walks list spines in loops,
-so rule patterns and words of any length are safe.
+so rule patterns and words of any length are safe.  `probe` is the same
+match without resolving the binding under the narrowing, for the probes of
+driving that read the narrowing only.
 
 Two engines are provided: a reference stepper over the syntax tree
 (`eval_reference`, `trace_call`) and a compiled engine (`eval_call`,
@@ -29,11 +31,11 @@ the jump back through the function dispatch but still counts its step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import lru_cache
 from operator import length_hint
-from typing import Iterator, Optional, Union
 
+from .record import Record
 from .syntax import (
     Call, Cons, Expr, FALSE, FalseVal, ListParam, ListVar, NIL, Nil, Program,
     Rule, Sym, SymParam, SymVar, TRUE, TrueVal, is_ground, is_passive,
@@ -111,12 +113,10 @@ def naive_matcher() -> Program:
     return parse_program(NAIVE_MATCHER_SOURCE)
 
 
-@dataclass(frozen=True, slots=True)
-class Outcome:
+class Outcome(Record, frozen=True):
     """Final passive value (T or F for every program in this package) and the
     number of rule applications it took."""
-    value: Expr
-    steps: int
+    __slots__ = ("value", "steps")  # Expr, int
 
 
 def check_tail_form(program: Program) -> None:
@@ -140,9 +140,9 @@ _ATOMS = frozenset((Sym, SymParam))
 
 
 def match(lhs: tuple[Expr, ...], args: tuple[Expr, ...],
-          names=None) -> Optional[tuple[dict, dict]]:
+          names=None) -> tuple[dict, dict] | None:
     """Match a rule's patterns against as many arguments: the one matcher
-    of ground rewriting and of driving.
+    of ground rewriting and of driving (see `probe` for the matching).
 
     Returns `(narrowing, binding)`, or None when the rule cannot fire.
     Without `names` a parameter is an opaque value, nothing is narrowed and
@@ -160,6 +160,27 @@ def match(lhs: tuple[Expr, ...], args: tuple[Expr, ...],
     representable: UnsupportedNarrowingError.  List spines are walked in
     loops, so long patterns and words are safe.
     """
+    m = probe(lhs, args, names)
+    if m is None:
+        return None
+    narrowing, binding, resolution = m
+    if resolution:
+        binding = {v: substitute(e, resolution) for v, e in binding.items()}
+    return narrowing, binding
+
+
+def probe(lhs: tuple[Expr, ...], args: tuple[Expr, ...],
+          names=None) -> tuple[dict, dict, dict] | None:
+    """`match` without its last walk, which resolves the binding: for a
+    caller that reads the narrowing only, or the binding only when nothing
+    was narrowed, such as the earlier-rule checks of driving.
+
+    Returns `(narrowing, binding, resolution)`, or None when the rule
+    cannot fire, raising as `match` does.  The binding is as the patterns
+    met the arguments; `resolution` is the narrowing as made, fresh
+    parameters included, fully resolved, and applying it to the binding
+    gives `match`'s.  When the narrowing is empty, so is `resolution`, and
+    the binding is `match`'s as it stands."""
     subst: dict = {}  # the narrowing as made: an image names only later keys
     fresh: set = set()  # the parameters made here
     binding: dict = {}
@@ -233,17 +254,18 @@ def match(lhs: tuple[Expr, ...], args: tuple[Expr, ...],
                 raise bad(pat)
             break
     resolved: dict = {}
-    if subst:
-        for p, img in reversed(subst.items()):
-            resolved[p] = substitute(img, resolved)
-        binding = {v: substitute(e, resolved) for v, e in binding.items()}
+    for p, img in reversed(subst.items()):
+        resolved[p] = substitute(img, resolved)
     for v, e in repeated:
-        if (substitute(e, resolved) if resolved else e) != binding[v]:
+        b = binding[v]
+        if resolved:
+            e, b = substitute(e, resolved), substitute(b, resolved)
+        if e != b:
             if names is None:
                 return None
             raise UnsupportedNarrowingError(
                 "repeated list variable binds unequal expressions")
-    return {p: resolved[p] for p in subst if p not in fresh}, binding
+    return {p: resolved[p] for p in subst if p not in fresh}, binding, resolved
 
 
 def _check_arity(lhs: tuple, args: tuple) -> None:
@@ -326,6 +348,17 @@ def _require_ground_call(call: Call) -> None:
 # that drops a prefix therefore copies nothing and costs O(1) in the length
 # of the string.
 #
+# A symbol and a one-letter word are the same str, so where they can meet
+# the length local tells them apart.  A symbol slot holds only symbols
+# (a call stores its length as 1) and T/F; a word handed to one at entry
+# matches none of its rules, so `eval_call` reports that call stuck
+# without running it.  A mixed slot, one that some rules match with a bare
+# symbol pattern and others with a list pattern, holds a symbol with
+# length -2, at offset 0, so no list test accepts it, and its bare symbol
+# patterns test `n == -2`; a call storing a symbol into any slot but a
+# symbol slot stores that length, and a mixed slot's entry sets it for a
+# `Symbol` argument.
+#
 # Each function's rules are emitted as a decision tree: a run of
 # consecutive rules whose tests start with the same test evaluates it once
 # under one `if`, and the tree recurses on the rest of each rule's tests.  A
@@ -342,7 +375,7 @@ def _require_ground_call(call: Call) -> None:
 # the callee's own code is inlined, one level deep, and every function
 # keeps its own arm, so each is still an entry and a target of `_fn`.
 # Where a right-hand side builds cells onto a list variable bound to a
-# whole argument, a `n < 0` test first raises ConsOntoTFError for a T/F
+# whole argument, an `n == -1` test first raises ConsOntoTFError for a T/F
 # argument, as the reference engine does.
 
 _Code = tuple[str, str, str]  # (s, o, n): a str, an offset into it, its length
@@ -379,11 +412,24 @@ def _length(value: _Code) -> str:
     return f"{n} - {o}" if o.isidentifier() or o.isdigit() else f"{n} - ({o})"
 
 
+# The length local of a symbol in a slot that is not a symbol slot.
+_SYMBOL_LENGTH = "-2"
+
+
+class Symbol(str):
+    """A bare symbol handed to the compiled engine: the one-letter str that
+    a mixed slot tells from a one-letter word (see above)."""
+    __slots__ = ()
+
+
+def _bare(pat: Expr) -> bool:
+    return pat.__class__ is Sym or pat.__class__ is SymVar
+
+
 def _slots(k: int, rules: tuple[Rule, ...]) -> list[_Code]:
     """Locals of function `k`'s arguments; a symbol slot's offset is "0"."""
     return [(f"s{k}_{i}",
-             "0" if all(isinstance(r.lhs[i], (Sym, SymVar)) for r in rules)
-             else f"o{k}_{i}",
+             "0" if all(_bare(r.lhs[i]) for r in rules) else f"o{k}_{i}",
              f"n{k}_{i}")
             for i in range(len(rules[0].lhs))]
 
@@ -413,16 +459,15 @@ class _Lhs:
     def _pattern(self, pat: Expr, slot: _Code) -> None:
         s, o, n = slot
         conds = self.conds
-        if isinstance(pat, (Sym, SymVar)):  # bare symbol position
-            if o == "0" and isinstance(pat, Sym):
-                conds.append(f"{s} == {pat.ch!r}")
-                return
-            conds.append(f"{n} == {_offset(o, 1)}")
-            at = s if o == "0" else f"{s}[{o}]"
+        if _bare(pat):  # a bare symbol position; a symbol sits at offset 0
+            if o != "0":
+                conds.append(f"{n} == {_SYMBOL_LENGTH}")
+            elif isinstance(pat, SymVar):
+                conds.append(f"{n} == 1")
             if isinstance(pat, Sym):
-                conds.append(f"{at} == {pat.ch!r}")
+                conds.append(f"{s} == {pat.ch!r}")
             else:
-                self._bind(pat, at)
+                self._bind(pat, s)
             return
         heads, end = spine(pat)
         depth = len(heads)
@@ -477,7 +522,7 @@ class _Lhs:
             return tail or ("''", "0", "0")
         if not shared and end in self.bare:
             self.checks.append(
-                f"if {tail[2]} < 0: raise _cons_onto({self.name!r}, "
+                f"if {tail[2]} == -1: raise _cons_onto({self.name!r}, "
                 f"{end.name!r}, {tail[0]})")
         parts: list[str] = []
         lit = ""
@@ -584,8 +629,13 @@ def _compile_source(program: Program) -> str:
         offsets = [o for _, o, _ in slots[k] if o != "0"]
         if offsets:
             emit(f"{pad}{' = '.join(offsets)} = 0")
-        for s, _, n in slots[k]:
-            emit(f"{pad}{n} = length_hint({s}, -1)")
+        rules = functions[k][1]
+        for i, (s, o, n) in enumerate(slots[k]):
+            if o != "0" and any(_bare(r.lhs[i]) for r in rules):  # mixed
+                emit(f"{pad}{n} = {_SYMBOL_LENGTH} if {s}.__class__ is "
+                     f"Symbol else length_hint({s}, -1)")
+            else:
+                emit(f"{pad}{n} = length_hint({s}, -1)")
 
     def body(k, rule, lhs, at):
         """Lines of rule `rule` of function k, run while `_fn` is `at`."""
@@ -602,6 +652,8 @@ def _compile_source(program: Program) -> str:
             if to == "0":
                 stores += [(ts, _text(value)), (tn, _length(value))]
             else:
+                if _bare(arg):
+                    value = (value[0], "0", _SYMBOL_LENGTH)
                 stores += [(ts, value[0]), (to, value[1]), (tn, value[2])]
         if callee == k:  # the slots being read are the ones stored
             stores = [(t, c) for t, c in stores if t != c]
@@ -654,6 +706,7 @@ class CompiledProgram:
             "_cons_onto": _cons_onto,
             "_stuck": _stuck,
             "length_hint": length_hint,
+            "Symbol": Symbol,
         }
         self.program = program
         exec(compile(_compile_source(program), "<rewriter>", "exec"),
@@ -661,14 +714,19 @@ class CompiledProgram:
         self._run = namespace["_run"]
         self._entries = {name: (k, len(rules[0].lhs))
                          for k, (name, rules) in enumerate(program.functions)}
+        # the positions of each function that every rule reads as a symbol
+        self.symbol_slots = {
+            name: tuple(i for i, (_, o, _) in enumerate(_slots(k, rules))
+                        if o == "0")
+            for k, (name, rules) in enumerate(program.functions)}
 
     @property
     def source(self) -> str:
         """The generated Python code, built again from the program."""
         return _compile_source(self.program)
 
-    def run(self, entry: str, args: tuple[Union[str, bool], ...],
-            fuel: int = DEFAULT_FUEL) -> tuple[Union[str, bool], int]:
+    def run(self, entry: str, args: tuple[str | bool, ...],
+            fuel: int = DEFAULT_FUEL) -> tuple[str | bool, int]:
         try:
             fid, arity = self._entries[entry]
         except KeyError:
@@ -679,11 +737,11 @@ class CompiledProgram:
         return self._run(fid, args, fuel)
 
 
-def _encode_arg(expr: Expr) -> Union[str, bool]:
+def _encode_arg(expr: Expr) -> str | bool:
     """The compiled engine's value of one argument, checked to be a ground
     word, symbol or T/F in the same walk."""
     if isinstance(expr, Sym):
-        return expr.ch
+        return Symbol(expr.ch)
     if isinstance(expr, TrueVal):
         return True
     if isinstance(expr, FalseVal):
@@ -695,7 +753,7 @@ def _encode_arg(expr: Expr) -> Union[str, bool]:
     raise EvalError(f"argument {render_expr(expr)} is not {what}")
 
 
-def _decode_value(v: Union[str, bool]) -> Expr:
+def _decode_value(v: str | bool) -> Expr:
     if v is True:
         return TRUE
     if v is False:
@@ -704,7 +762,7 @@ def _decode_value(v: Union[str, bool]) -> Expr:
 
 
 def eval_call(program: Program, call: Call,
-              fuel: Optional[int] = None) -> Outcome:
+              fuel: int | None = None) -> Outcome:
     """Evaluate a ground call to a passive value, counting rule applications.
 
     Deterministic; raises StuckTermError, FuelExhaustedError, NonTailError,
@@ -713,15 +771,23 @@ def eval_call(program: Program, call: Call,
     if not isinstance(call, Call):
         raise EvalError("entry expression must be a function call")
     args = [_encode_arg(a) for a in call.args]
-    value, steps = program.compiled.run(
-        call.fn, args, DEFAULT_FUEL if fuel is None else fuel)
+    compiled = program.compiled
+    fuel = DEFAULT_FUEL if fuel is None else fuel
+    bare = compiled.symbol_slots.get(call.fn, ())
+    if bare and len(args) == program.arity(call.fn) \
+            and any(args[i].__class__ is str for i in bare):
+        # a word where every rule reads a bare symbol: no rule fires
+        if fuel < 1:
+            raise FuelExhaustedError(1)
+        raise _stuck(call.fn, *(x for a in args for x in (a, 0)))
+    value, steps = compiled.run(call.fn, args, fuel)
     return Outcome(_decode_value(value), steps)
 
 
 # --- the naive matcher as a search function ---------------------------------
 
 def naive_outcome(pattern: str, string: str,
-                  fuel: Optional[int] = None) -> Outcome:
+                  fuel: int | None = None) -> Outcome:
     if not pattern:
         raise EmptyPatternError("pattern must be nonempty")
     prog = naive_matcher()

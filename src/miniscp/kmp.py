@@ -7,10 +7,10 @@ generated programs against textbook machinery built only from the pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .interpreter import EmptyPatternError
+from .record import Record
 
 
 @lru_cache(maxsize=1024)
@@ -76,14 +76,13 @@ def kmp_search(p: str, y: str) -> tuple[bool, int]:
     return False, comparisons
 
 
-@dataclass
-class Automaton:
+class Automaton(Record):
     """Deterministic matcher with states 0..|p| and accept sink |p|.
 
     Transitions follow failure chains; symbols outside the pattern's
     alphabet fall through the chain to state 0.
     """
-    pattern: str
+    __slots__ = ("pattern",)
 
     @property
     def accept(self) -> int:

@@ -13,12 +13,10 @@ not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .configs import config_text
 from .driving import Branch
 from .interpreter import check_tail_form, match
+from .record import Record
 from .scp import (
     KIND_DIAGNOSTIC, KIND_FOLDED, KIND_PASSIVE, KIND_PIVOT, ProcessGraph,
 )
@@ -33,21 +31,18 @@ class ResidualError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ResidualProgram:
-    program: Program
-    provenance: dict  # function name -> originating pivot Config
-    entry: str
+class ResidualProgram(Record, frozen=True):
+    """The residual program, the pivot configuration each of its functions
+    comes from (function name -> Config), and its entry function."""
+    __slots__ = ("program", "provenance", "entry")
 
 
-@dataclass(frozen=True, slots=True)
-class StructuralReport:
+class StructuralReport(Record, frozen=True):
     """Counts over a program's rules: literal/Nil occurrences inside call
     arguments, call arguments sharing or repeating a variable, and the
     deepest constructor nesting any pattern inspects."""
-    constants_in_rhs: int
-    repeated_params_in_rhs: int
-    max_lhs_cons_depth: int
+    __slots__ = ("constants_in_rhs", "repeated_params_in_rhs",
+                 "max_lhs_cons_depth")
 
 
 def _param_to_var(expr: Expr) -> Expr:
@@ -82,7 +77,7 @@ def _check_rule_order(branches: list[Branch], params) -> None:
                 return (q, "head")
         return None
 
-    def literal_at(subst: dict, pos) -> Optional[str]:
+    def literal_at(subst: dict, pos) -> str | None:
         q, where = pos
         img = subst.get(q)
         if where == "self":

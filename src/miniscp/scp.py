@@ -18,14 +18,14 @@ differs from the ancestor only at parameter positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from collections.abc import Iterator
 
 from .configs import (
-    Config, Renaming, config_text, covers, make_config, renaming_text, shape,
+    Config, config_text, covers, make_config, renaming_text, shape,
 )
-from .driving import Branch, GroundFirst, NameGen, compress, drive_step
+from .driving import GroundFirst, NameGen, compress, drive_step
 from .interpreter import EmptyPatternError, naive_matcher
+from .record import Record
 from .syntax import (
     Call, Cons, Expr, ListParam, Nil, Program, Sym, SymParam, spine, word,
 )
@@ -50,20 +50,18 @@ KIND_FOLDED = "folded"
 KIND_DIAGNOSTIC = "diagnostic"
 
 
-@dataclass
-class Node:
-    config: Config
-    kind: str = ""
-    parent: Optional[int] = None
-    branch: Optional[Branch] = None  # edge label from parent
-    children: list = field(default_factory=list)
-    fold: Optional[tuple[int, Renaming]] = None
+class Node(Record):
+    """A process-graph node: its configuration, its kind, its parent and
+    the branch (edge label) from it, its children, and its fold target
+    with the renaming, if it folds (tuple[int, Renaming])."""
+    __slots__ = ("config", "kind", "parent", "branch", "children", "fold")
+    _defaults = {"kind": "", "parent": None, "branch": None, "children": [],
+                 "fold": None}
 
 
-@dataclass
-class ProcessGraph:
-    nodes: list[Node]
-    root: int = 0
+class ProcessGraph(Record):
+    __slots__ = ("nodes", "root")  # list[Node], int
+    _defaults = {"root": 0}
 
     def ancestors(self, i: int) -> Iterator[int]:
         """Strict ancestors on the root path, nearest first."""
@@ -73,26 +71,23 @@ class ProcessGraph:
             p = self.nodes[p].parent
 
 
-@dataclass
-class ScpReport:
+class ScpReport(Record):
     """Outcome counts of one supercompile session.
 
     `drive_steps` counts every configuration driven in the session, by
     drive_step or as a ground step; `ground_steps` counts the ground steps
     (`driving.ground_step`), all of them transient; `transient_steps`
     counts the steps compressed into edges (each edge's `Branch.steps` less
-    the one step of the drive that made it)."""
-    generalizations_attempted: int
-    pivots: list[Config]
-    node_count: int
-    fold_count: int
-    whistle_pairs: list[tuple[int, int]] = field(default_factory=list)
-    drive_steps: int = 0
-    ground_steps: int = 0
-    transient_steps: int = 0
+    the one step of the drive that made it).  `pivots` is a list[Config],
+    `whistle_pairs` a list[tuple[int, int]]."""
+    __slots__ = ("generalizations_attempted", "pivots", "node_count",
+                 "fold_count", "whistle_pairs", "drive_steps", "ground_steps",
+                 "transient_steps")
+    _defaults = {"whistle_pairs": [], "drive_steps": 0, "ground_steps": 0,
+                 "transient_steps": 0}
 
 
-def head_fn(cfg: Config) -> Optional[str]:
+def head_fn(cfg: Config) -> str | None:
     return cfg.expr.fn if isinstance(cfg.expr, Call) else None
 
 
@@ -261,7 +256,7 @@ def first_path_pivots(graph: ProcessGraph) -> list[Config]:
 
 # --- entries and exports -----------------------------------------------------
 
-def matcher_entry(pattern: str, program: Optional[Program] = None
+def matcher_entry(pattern: str, program: Program | None = None
                   ) -> tuple[Program, Config]:
     """A matcher applied to a static pattern and a dynamic string: the
     entry S(pattern, #y) of `program`, the built-in naive matcher when it
@@ -272,7 +267,7 @@ def matcher_entry(pattern: str, program: Optional[Program] = None
     return naive_matcher() if program is None else program, entry
 
 
-def specialize_pattern(pattern: str, program: Optional[Program] = None,
+def specialize_pattern(pattern: str, program: Program | None = None,
                        node_budget: int = 10_000
                        ) -> tuple[ProcessGraph, ScpReport]:
     return supercompile(*matcher_entry(pattern, program), node_budget)

@@ -30,9 +30,10 @@ whole patterns and whole call arguments (single-symbol positions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from functools import cached_property
-from typing import Iterator, Optional, Union
+
+from .record import Record, setters
 
 
 class ParseError(Exception):
@@ -58,51 +59,87 @@ def _check_symbol_char(ch: str) -> str:
 
 
 # --- expression nodes -------------------------------------------------------
+#
+# The nodes are frozen records (see record.Record).  Those built by the
+# million have their own constructor, equality and hash.  Each equals only
+# an instance of its own class, so Sym('a') != SymVar('a'); a symbol hashes
+# as its character and a variable or parameter as its name, which equal
+# nodes share.
 
-@dataclass(frozen=True, slots=True)
-class Sym:
+class Sym(Record, frozen=True):
     """Symbol literal 'c': one printable non-metacharacter."""
-    ch: str
+    __slots__ = ("ch",)
 
-    def __post_init__(self):
-        _check_symbol_char(self.ch)
+    def __init__(self, ch: str):
+        _set_ch(self, _check_symbol_char(ch))
+
+    def __eq__(self, other):
+        if other.__class__ is Sym:
+            return self.ch == other.ch
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.ch)
 
     def __repr__(self):
         return f"'{self.ch}'"
 
 
-@dataclass(frozen=True, slots=True)
-class SymVar:
+_set_ch, = setters(Sym)
+
+
+class _Named(Record, frozen=True):
+    """A variable or parameter: a leaf known by its name."""
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_name(self, name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.name)
+
+
+_set_name, = setters(_Named)
+
+
+class SymVar(_Named):
     """Rule variable ranging over symbols, written s.name."""
-    name: str
+    __slots__ = ()
 
     def __repr__(self):
         return f"s.{self.name}"
 
 
-@dataclass(frozen=True, slots=True)
-class SymParam:
+class SymParam(_Named):
     """Specializer parameter ranging over symbols, written #s.name."""
-    name: str
+    __slots__ = ()
 
     def __repr__(self):
         return f"#s.{self.name}"
 
 
-@dataclass(frozen=True, slots=True)
-class Nil:
+class Nil(Record, frozen=True):
+    __slots__ = ()
+
     def __repr__(self):
         return "Nil"
 
 
-@dataclass(frozen=True, slots=True)
-class TrueVal:
+class TrueVal(Record, frozen=True):
+    __slots__ = ()
+
     def __repr__(self):
         return "T"
 
 
-@dataclass(frozen=True, slots=True)
-class FalseVal:
+class FalseVal(Record, frozen=True):
+    __slots__ = ()
+
     def __repr__(self):
         return "F"
 
@@ -112,8 +149,7 @@ TRUE = TrueVal()
 FALSE = FalseVal()
 
 
-@dataclass(frozen=True, slots=True)
-class Cons:
+class Cons(Record, frozen=True):
     """List cell.  Equality and hash walk the spine in a loop, so long words
     are safe; the hash is recomputed on each call, never stored.
 
@@ -121,14 +157,9 @@ class Cons:
     it holds that word's letters as one str, so unword() answers in O(1).
     It is never compared, hashed or rendered: such a word equals, hashes and
     prints like the same chain built cell by cell."""
-    head: "Atom"
-    tail: "Expr"
-    text: Optional[str] = field(default=None, compare=False, repr=False)
+    __slots__ = ("head", "tail", "text")
 
-    def __init__(self, head: "Atom", tail: "Expr",
-                 text: Optional[str] = None):
-        # The specializer builds cells by the million; storing through the
-        # slot descriptors skips the frozen dataclass's object.__setattr__.
+    def __init__(self, head: Atom, tail: Expr, text: str | None = None):
         _set_head(self, head)
         _set_tail(self, tail)
         _set_text(self, text)
@@ -153,60 +184,69 @@ class Cons:
         return render_expr(self)
 
 
-_set_head, _set_tail, _set_text = (
-    Cons.head.__set__, Cons.tail.__set__, Cons.text.__set__)
+_set_head, _set_tail, _set_text = setters(Cons)
 
 
-@dataclass(frozen=True, slots=True)
-class ListVar:
+class ListVar(_Named):
     """Rule variable ranging over lists, written bare lowercase."""
-    name: str
+    __slots__ = ()
 
     def __repr__(self):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class ListParam:
+class ListParam(_Named):
     """Specializer parameter ranging over lists, written #name."""
-    name: str
+    __slots__ = ()
 
     def __repr__(self):
         return f"#{self.name}"
 
 
-@dataclass(frozen=True, slots=True)
-class Call:
-    fn: str
-    args: tuple["Expr", ...]
+class Call(Record, frozen=True):
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn: str, args: tuple[Expr, ...]):
+        _set_fn(self, fn)
+        _set_args(self, args)
+
+    def __eq__(self, other):
+        if other.__class__ is Call:
+            return self.fn == other.fn and self.args == other.args
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.fn, self.args))
 
     def __repr__(self):
         return render_expr(self)
 
 
+_set_fn, _set_args = setters(Call)
+
+
 _PARAMS = frozenset((SymParam, ListParam))
 _LEAVES = frozenset((SymVar, ListVar, SymParam, ListParam))
 
-Atom = Union[Sym, SymVar, SymParam]
-Param = Union[SymParam, ListParam]
-Var = Union[SymVar, ListVar]
-Expr = Union[Sym, SymVar, SymParam, Nil, TrueVal, FalseVal, Cons, ListVar,
-             ListParam, Call]
+Atom = Sym | SymVar | SymParam
+Param = SymParam | ListParam
+Var = SymVar | ListVar
+Expr = (Sym | SymVar | SymParam | Nil | TrueVal | FalseVal | Cons | ListVar
+        | ListParam | Call)
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
-    lhs: tuple[Expr, ...]
-    rhs: Expr
+class Rule(Record, frozen=True):
+    __slots__ = ("lhs", "rhs")  # tuple[Expr, ...], Expr
 
     def __repr__(self):
         return render_rule(self)
 
 
-@dataclass(frozen=True)
-class Program:
-    """Functions in source order; each maps to its rules in source order."""
-    functions: tuple[tuple[str, tuple[Rule, ...]], ...]
+class Program(Record, frozen=True):
+    """Functions in source order; each maps to its rules in source order:
+    `functions` is a tuple[tuple[str, tuple[Rule, ...]], ...].  The
+    `__dict__` holds what the cached properties find."""
+    __slots__ = ("functions", "__dict__")
 
     @cached_property
     def table(self) -> dict[str, tuple[Rule, ...]]:
@@ -255,7 +295,7 @@ def word(text: str) -> Expr:
     return Cons(syms[text[0]], out, text)
 
 
-def unword(expr: Expr) -> Optional[str]:
+def unword(expr: Expr) -> str | None:
     """Inverse of word(); None if expr is not a pure ground word.  A word
     built by word() gives back its `text`, the very str it was built from,
     in O(1); a chain built cell by cell is walked."""
@@ -381,12 +421,9 @@ def substitute(expr: Expr, mapping: dict) -> Expr:
 _PUNCT = "{}(),:;="
 
 
-@dataclass(slots=True)
-class _Token:
-    kind: str  # NAME SYMVAR SYMPARAM LISTPARAM CHAR STRING punct EOF
-    text: str
-    line: int
-    col: int
+class _Token(Record):
+    # kind: NAME SYMVAR SYMPARAM LISTPARAM CHAR STRING punct EOF
+    __slots__ = ("kind", "text", "line", "col")
 
 
 def _tokenize(src: str) -> list[_Token]:
@@ -535,7 +572,7 @@ class _Parser:
         self.expect(";")
         return Rule(tuple(pats), rhs)
 
-    def _patatom(self) -> Optional[Atom]:
+    def _patatom(self) -> Atom | None:
         if self.cur.kind == "CHAR":
             return Sym(self.advance().text)
         if self.cur.kind == "SYMVAR":
@@ -587,7 +624,7 @@ class _Parser:
             return Call(fn, tuple(args))
         return self.pexpr()
 
-    def _atom(self) -> Optional[Atom]:
+    def _atom(self) -> Atom | None:
         if self.cur.kind == "SYMPARAM":
             return SymParam(self.advance().text)
         return self._patatom()
@@ -708,7 +745,7 @@ def render_rule(rule: Rule) -> str:
     return f"{lhs} = {render_expr(rule.rhs)};"
 
 
-def render(program: Program, comments: Optional[dict[str, str]] = None) -> str:
+def render(program: Program, comments: dict[str, str] | None = None) -> str:
     """Canonical program text; re-parses to an equal Program.
 
     `comments` optionally maps a function name to a line placed above its

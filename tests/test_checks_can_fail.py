@@ -2,7 +2,6 @@
 ones.  Each test hands a check something subtly wrong and expects a failure.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -16,7 +15,7 @@ from miniscp.harness import (
 from miniscp.residual import (
     ResidualProgram, structural_report, transition,
 )
-from miniscp.scp import ProcessGraph, first_path, specialize_pattern
+from miniscp.scp import Node, ProcessGraph, first_path, specialize_pattern
 from miniscp.syntax import (
     Call, Cons, ListParam, Program, SymParam, parse_program, word,
 )
@@ -124,9 +123,13 @@ def _with_steps(art, node_id, delta):
     """A copy of `art` whose edge into `node_id` claims `delta` more steps."""
     nodes = list(art.graph.nodes)
     n = nodes[node_id]
-    nodes[node_id] = dataclasses.replace(
-        n, branch=dataclasses.replace(n.branch, steps=n.branch.steps + delta))
-    return dataclasses.replace(art, graph=ProcessGraph(nodes, art.graph.root))
+    b = n.branch
+    nodes[node_id] = Node(n.config, n.kind, n.parent,
+                          driving.Branch(b.narrowing, b.child, b.steps + delta),
+                          n.children, n.fold)
+    return PatternArtifacts(art.pattern, ProcessGraph(nodes, art.graph.root),
+                            art.report, art.residual, art.runner,
+                            art.naive_runner)
 
 
 def test_rebuilt_chains_hold_every_compressed_configuration():
@@ -167,7 +170,8 @@ def test_rebuild_catches_a_ground_step_one_step_too_far(monkeypatch):
         if b is None or not b.child.is_active():
             return b
         b2 = real(program, b.child)
-        return b if b2 is None else dataclasses.replace(b, child=b2.child)
+        return b if b2 is None else driving.Branch(b.narrowing, b2.child,
+                                                   b.steps)
 
     monkeypatch.setattr(driving, "ground_step", too_far)
     art = artifacts.__wrapped__("aab")

@@ -1,9 +1,11 @@
 import io
+import os
 import subprocess
 import sys
 
 import pytest
 
+import miniscp
 from miniscp.cli import main
 from miniscp.scp import export_dot, specialize_pattern
 
@@ -53,12 +55,17 @@ def test_specialize_stats_go_to_stderr():
 
 
 def test_specialize_does_not_import_the_harness():
+    # -S keeps site from importing modules of its own; the package is found
+    # where this test imported it from
     code = ("import sys; from miniscp.cli import main; "
             "main(['specialize', '--pattern', 'ab', '--out', '/dev/null']); "
-            "print('miniscp.harness' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
-    assert done.stdout == "False\n"
+            "print(sorted(m for m in ('dataclasses', 'typing', 'inspect', "
+            "'miniscp.harness') if m in sys.modules))")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(miniscp.__file__)))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_specialize_run_round_trip(tmp_path):

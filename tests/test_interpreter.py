@@ -423,6 +423,31 @@ def test_t_and_f_arguments_in_list_and_symbol_positions():
     assert outcomes_agree(prog, Call("F", (word("ab"),)), 10) == (FALSE, 1)
 
 
+def test_a_symbol_is_not_a_one_letter_word():
+    # a position read both as a symbol and as a list
+    prog = parse_program("F { s.x = T; y = F; }")
+    assert outcomes_agree(prog, Call("F", (word("a"),)), 10) == (FALSE, 1)
+    assert outcomes_agree(prog, Call("F", (Sym("a"),)), 10) == (TRUE, 1)
+    prog = parse_program("F { 'a' = T; y = y; }")
+    assert outcomes_agree(prog, Call("F", (word("a"),)), 10) == (
+        word("a"), 1)
+    assert outcomes_agree(prog, Call("F", (Sym("a"),)), 10) == (TRUE, 1)
+    # a position read as a symbol by every rule: a word matches no rule
+    prog = parse_program("F { s.x = T; 'a' = F; }")
+    assert outcomes_agree(prog, Call("F", (word("a"),)), 10)[0] \
+        is StuckTermError
+    assert outcomes_agree(prog, Call("F", (word("a"),)), 0)[0] \
+        is FuelExhaustedError
+    # a symbol stored by a call into a mixed position
+    prog = parse_program("F { s.x:y = G(s.x, y); }\n"
+                         "G { 'a', y = T; s.c:x, y = F; z, y = y; }")
+    for first, value in (("a", TRUE), ("b", word("c"))):
+        assert outcomes_agree(prog, Call("F", (word(first + "c"),)), 10) \
+            == (value, 2)
+    # the naive matcher and the residuals hold no mixed position
+    assert "Symbol" not in naive_matcher().compiled.source
+
+
 def test_consing_onto_t_or_f_is_one_typed_error_in_both_engines():
     prog = parse_program("F { x = G('a':x); } G { y = y; }")
     for arg, name in ((TRUE, "T"), (FALSE, "F")):
@@ -604,7 +629,9 @@ def random_program(rng):
 
 def test_compiled_engine_agrees_with_reference_on_random_programs():
     rng = random.Random(2026)
-    inputs = {"s": [Sym("a"), Sym("b"), TRUE, FALSE],
+    # one-letter words go into symbol positions too, where they match no
+    # bare symbol pattern
+    inputs = {"s": [Sym("a"), Sym("b"), TRUE, FALSE, word("a")],
               "l": [word(w) for w in words("ab", 2)] + [TRUE, FALSE]}
     seen = set()
     shared = fused = 0
