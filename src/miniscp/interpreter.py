@@ -35,7 +35,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 from operator import length_hint
 
-from .record import Record
+from .record import Record, setters
 from .syntax import (
     Call, Cons, Expr, FALSE, FalseVal, ListParam, ListVar, NIL, Nil, Program,
     Rule, Sym, SymParam, SymVar, TRUE, TrueVal, is_ground, is_passive,
@@ -116,7 +116,14 @@ def naive_matcher() -> Program:
 class Outcome(Record, frozen=True):
     """Final passive value (T or F for every program in this package) and the
     number of rule applications it took."""
-    __slots__ = ("value", "steps")  # Expr, int
+    __slots__ = ("value", "steps")
+
+    def __init__(self, value: Expr, steps: int):
+        _set_value(self, value)
+        _set_steps(self, steps)
+
+
+_set_value, _set_steps = setters(Outcome)
 
 
 def check_tail_form(program: Program) -> None:
@@ -335,8 +342,8 @@ def _require_ground_call(call: Call) -> None:
 # 1-character str, T/F a bool.  A program becomes one generated function,
 # `_run`, whose locals hold each function's arguments in that function's own
 # slots.  A slot is three locals `(s, o, n)` standing for the suffix `s[o:]`
-# of a str `s` of length `n`; a slot that every rule matches with a bare
-# symbol pattern has offset the constant 0.  `n` is set once on entry to
+# of a str `s` of length `n`; a symbol slot (below) has offset the constant
+# 0.  `n` is set once on entry to
 # `length_hint(s, -1)`, which is -1 for a T/F argument (a bool has no
 # length), so every length test fails on it, as Nil, cell and bare symbol
 # patterns fail on T/F in the reference engine; the call has no branch, so
@@ -348,16 +355,22 @@ def _require_ground_call(call: Call) -> None:
 # that drops a prefix therefore copies nothing and costs O(1) in the length
 # of the string.
 #
-# A symbol and a one-letter word are the same str, so where they can meet
-# the length local tells them apart.  A symbol slot holds only symbols
-# (a call stores its length as 1) and T/F; a word handed to one at entry
-# matches none of its rules, so `eval_call` reports that call stuck
-# without running it.  A mixed slot, one that some rules match with a bare
-# symbol pattern and others with a list pattern, holds a symbol with
-# length -2, at offset 0, so no list test accepts it, and its bare symbol
-# patterns test `n == -2`; a call storing a symbol into any slot but a
-# symbol slot stores that length, and a mixed slot's entry sets it for a
-# `Symbol` argument.
+# A symbol and a one-letter word are the same str, so the length local
+# tells them apart.  A symbol slot is a position that every rule reads as
+# a bare symbol and every call passes a bare symbol: it holds only symbols,
+# with `n == 1`, and T/F.  In every other slot a symbol is its letter with
+# `n - o == -0.5`.  The reference engine also lets a right-hand side build
+# cells onto a list variable bound to a symbol; such a list of k cells is
+# its letters, the symbol's last, with `n - o == k - 0.5`.  So building
+# cells adds to the length as for a word, every list test compares `n`
+# with an integer and reads these lists right (none is Nil, and
+# `n > o + d - 1` holds for d cells or more), and a bare symbol pattern
+# tests `n == o - 0.5`.  The entry of a slot that some rule reads as a bare
+# symbol sets -0.5 for a `Symbol` argument.  The entry of a symbol slot
+# would take a word for a symbol, and that of a slot no rule reads as a
+# symbol a symbol for a word, so `eval_call` hands such a call to the
+# reference engine.  A right-hand side other than T or F returns the pair
+# `(s[o:], n - o)`.
 #
 # Each function's rules are emitted as a decision tree: a run of
 # consecutive rules whose tests start with the same test evaluates it once
@@ -412,13 +425,13 @@ def _length(value: _Code) -> str:
     return f"{n} - {o}" if o.isidentifier() or o.isdigit() else f"{n} - ({o})"
 
 
-# The length local of a symbol in a slot that is not a symbol slot.
-_SYMBOL_LENGTH = "-2"
+# `n - o` of a bare symbol: a list of no cells built onto it (see above).
+_SYMBOL_LENGTH = "-0.5"
 
 
 class Symbol(str):
     """A bare symbol handed to the compiled engine: the one-letter str that
-    a mixed slot tells from a one-letter word (see above)."""
+    the entry of a slot read as a symbol tells from a one-letter word."""
     __slots__ = ()
 
 
@@ -426,12 +439,26 @@ def _bare(pat: Expr) -> bool:
     return pat.__class__ is Sym or pat.__class__ is SymVar
 
 
-def _slots(k: int, rules: tuple[Rule, ...]) -> list[_Code]:
+def _symbol_positions(functions) -> set:
+    """The (function, position) pairs held in a symbol slot: every rule
+    reads the position as a bare symbol and every call passes one there."""
+    out = {(name, i) for name, rules in functions
+           for i in range(len(rules[0].lhs))
+           if all(_bare(r.lhs[i]) for r in rules)}
+    for _, rules in functions:
+        for rule in rules:
+            if isinstance(rule.rhs, Call):
+                for i, arg in enumerate(rule.rhs.args):
+                    if not _bare(arg):
+                        out.discard((rule.rhs.fn, i))
+    return out
+
+
+def _slots(k: int, name: str, arity: int, symbolic: set) -> list[_Code]:
     """Locals of function `k`'s arguments; a symbol slot's offset is "0"."""
-    return [(f"s{k}_{i}",
-             "0" if all(_bare(r.lhs[i]) for r in rules) else f"o{k}_{i}",
+    return [(f"s{k}_{i}", "0" if (name, i) in symbolic else f"o{k}_{i}",
              f"n{k}_{i}")
-            for i in range(len(rules[0].lhs))]
+            for i in range(arity)]
 
 
 class _Lhs:
@@ -459,15 +486,18 @@ class _Lhs:
     def _pattern(self, pat: Expr, slot: _Code) -> None:
         s, o, n = slot
         conds = self.conds
-        if _bare(pat):  # a bare symbol position; a symbol sits at offset 0
-            if o != "0":
-                conds.append(f"{n} == {_SYMBOL_LENGTH}")
-            elif isinstance(pat, SymVar):
-                conds.append(f"{n} == 1")
-            if isinstance(pat, Sym):
-                conds.append(f"{s} == {pat.ch!r}")
+        if _bare(pat):  # a bare symbol position
+            if o == "0":  # a symbol slot
+                if isinstance(pat, SymVar):
+                    conds.append(f"{n} == 1")
+                at = s
             else:
-                self._bind(pat, s)
+                conds.append(f"{n} == {o} - 0.5")
+                at = f"{s}[{o}]"
+            if isinstance(pat, Sym):
+                conds.append(f"{at} == {pat.ch!r}")
+            else:
+                self._bind(pat, at)
             return
         heads, end = spine(pat)
         depth = len(heads)
@@ -477,8 +507,10 @@ class _Lhs:
             if depth:
                 conds.append(f"{n} > {_offset(o, depth - 1)}")
             rest = (s, _offset(o, depth), n)
-            if end in self.lists:
-                conds.append(f"{_text(rest)} == {_text(self.lists[end])}")
+            if end in self.lists:  # the lengths tell a symbol from a word
+                other = self.lists[end]
+                conds.append(f"{_length(rest)} == {_length(other)}")
+                conds.append(f"{_text(rest)} == {_text(other)}")
             else:
                 self.lists[end] = rest
                 if not depth:
@@ -501,9 +533,9 @@ class _Lhs:
         front of it are built.  Cells built onto a variable bound to a whole
         argument, which may be T or F, need a check in `checks`."""
         if isinstance(expr, Sym):
-            return repr(expr.ch), "0", "1"
+            return repr(expr.ch), "0", _SYMBOL_LENGTH
         if isinstance(expr, SymVar):
-            return self.chars[expr], "0", "1"
+            return self.chars[expr], "0", _SYMBOL_LENGTH
         heads, end = spine(expr)
         shared, tail = 0, self.lists.get(end)
         for cell_heads, cell_end, (s, o, n) in self.cells:
@@ -615,7 +647,9 @@ def _compile_source(program: Program) -> str:
     check_tail_form(program)
     functions = program.functions
     ids = {name: k for k, (name, _) in enumerate(functions)}
-    slots = [_slots(k, rules) for k, (_, rules) in enumerate(functions)]
+    symbolic = _symbol_positions(functions)
+    slots = [_slots(k, name, len(rules[0].lhs), symbolic)
+             for k, (name, rules) in enumerate(functions)]
     fused = _fused(functions)
     lines = ["def _run(_fn, _args, _fuel):"]
     emit = lines.append
@@ -631,7 +665,7 @@ def _compile_source(program: Program) -> str:
             emit(f"{pad}{' = '.join(offsets)} = 0")
         rules = functions[k][1]
         for i, (s, o, n) in enumerate(slots[k]):
-            if o != "0" and any(_bare(r.lhs[i]) for r in rules):  # mixed
+            if o != "0" and any(_bare(r.lhs[i]) for r in rules):
                 emit(f"{pad}{n} = {_SYMBOL_LENGTH} if {s}.__class__ is "
                      f"Symbol else length_hint({s}, -1)")
             else:
@@ -641,19 +675,19 @@ def _compile_source(program: Program) -> str:
         """Lines of rule `rule` of function k, run while `_fn` is `at`."""
         rhs = rule.rhs
         if not isinstance(rhs, Call):
-            value = ("True" if isinstance(rhs, TrueVal) else
-                     "False" if isinstance(rhs, FalseVal) else
-                     _text(lhs.value(rhs)))
+            if isinstance(rhs, (TrueVal, FalseVal)):
+                value = str(isinstance(rhs, TrueVal))
+            else:
+                value = lhs.value(rhs)
+                value = f"({_text(value)}, {_length(value)})"
             return lhs.checks + [f"return ({value}, _steps)"]
         callee = ids[rhs.fn]
         stores = []
         for arg, (ts, to, tn) in zip(rhs.args, slots[callee]):
             value = lhs.value(arg)
-            if to == "0":
-                stores += [(ts, _text(value)), (tn, _length(value))]
+            if to == "0":  # a symbol from a bare argument
+                stores += [(ts, value[0]), (tn, "1")]
             else:
-                if _bare(arg):
-                    value = (value[0], "0", _SYMBOL_LENGTH)
                 stores += [(ts, value[0]), (to, value[1]), (tn, value[2])]
         if callee == k:  # the slots being read are the ones stored
             stores = [(t, c) for t, c in stores if t != c]
@@ -714,11 +748,16 @@ class CompiledProgram:
         self._run = namespace["_run"]
         self._entries = {name: (k, len(rules[0].lhs))
                          for k, (name, rules) in enumerate(program.functions)}
-        # the positions of each function that every rule reads as a symbol
-        self.symbol_slots = {
-            name: tuple(i for i, (_, o, _) in enumerate(_slots(k, rules))
-                        if o == "0")
-            for k, (name, rules) in enumerate(program.functions)}
+        # (position, class) of the arguments each function's entry misreads:
+        # a word in a symbol slot, a symbol where no rule reads one
+        symbolic = _symbol_positions(program.functions)
+        self.misread = {}
+        for name, rules in program.functions:
+            self.misread[name] = tuple(
+                (i, str if (name, i) in symbolic else Symbol)
+                for i in range(len(rules[0].lhs))
+                if (name, i) in symbolic
+                or not any(_bare(r.lhs[i]) for r in rules))
 
     @property
     def source(self) -> str:
@@ -726,7 +765,10 @@ class CompiledProgram:
         return _compile_source(self.program)
 
     def run(self, entry: str, args: tuple[str | bool, ...],
-            fuel: int = DEFAULT_FUEL) -> tuple[str | bool, int]:
+            fuel: int = DEFAULT_FUEL) -> tuple[object, int]:
+        """Run `entry` on words as strs, T/F as bools and, in a position
+        some rule reads as a bare symbol, symbols as `Symbol`.  Returns the
+        value, a bool or the pair `_decode_value` reads, and the steps."""
         try:
             fid, arity = self._entries[entry]
         except KeyError:
@@ -753,7 +795,16 @@ def _encode_arg(expr: Expr) -> str | bool:
     raise EvalError(f"argument {render_expr(expr)} is not {what}")
 
 
-def _decode_value(v: str | bool) -> Expr:
+def _decode_value(v: tuple | bool) -> Expr:
+    """The term of a value `_run` returns: T/F, or the pair `(s[o:], n - o)`
+    of a returned slot or list (see the comment on the compiled engine)."""
+    if v.__class__ is tuple:
+        v, n = v
+        if n.__class__ is float:  # cells, if any, built onto a symbol
+            out: Expr = Sym(v[-1])
+            for ch in reversed(v[:-1]):
+                out = Cons(Sym(ch), out)
+            return out
     if v is True:
         return TRUE
     if v is False:
@@ -773,13 +824,11 @@ def eval_call(program: Program, call: Call,
     args = [_encode_arg(a) for a in call.args]
     compiled = program.compiled
     fuel = DEFAULT_FUEL if fuel is None else fuel
-    bare = compiled.symbol_slots.get(call.fn, ())
-    if bare and len(args) == program.arity(call.fn) \
-            and any(args[i].__class__ is str for i in bare):
-        # a word where every rule reads a bare symbol: no rule fires
-        if fuel < 1:
-            raise FuelExhaustedError(1)
-        raise _stuck(call.fn, *(x for a in args for x in (a, 0)))
+    for i, cls in compiled.misread.get(call.fn, ()):
+        if i < len(args) and args[i].__class__ is cls:
+            # the compiled entry would take a symbol for a one-letter word
+            # or the other way round
+            return eval_reference(program, call, fuel)
     value, steps = compiled.run(call.fn, args, fuel)
     return Outcome(_decode_value(value), steps)
 

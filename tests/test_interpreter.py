@@ -8,13 +8,14 @@ from miniscp.driving import NameGen
 from miniscp.harness import artifacts
 from miniscp.interpreter import (
     CompiledProgram, ConsOntoTFError, EmptyPatternError, FuelExhaustedError,
-    NonTailError, Outcome, StuckTermError, _MAX_SHARED_DEPTH, _check_arity,
+    NonTailError, Outcome, StuckTermError, Symbol, _MAX_SHARED_DEPTH,
+    _check_arity,
     check_tail_form, eval_call, eval_reference, match, naive_matcher,
     naive_outcome, trace_call,
 )
 from miniscp.syntax import (
     Call, Cons, FALSE, ListParam, ListVar, NIL, Program, Rule, Sym, SymParam,
-    SymVar, TRUE, chain, parse_program, spine, unword, validate, word,
+    SymVar, TRUE, chain, parse_program, spine, validate, word,
 )
 
 
@@ -362,11 +363,32 @@ def test_eval_call_compiles_each_program_once(monkeypatch):
 
 # --- compiled engine against the reference engine ---------------------------
 
+def python_value(term):
+    """A ground value as the compiled engine holds it: T/F as a bool, a
+    symbol as its letter, and a list as its letters, a symbol it is built
+    onto last."""
+    if term in (TRUE, FALSE):
+        return term == TRUE
+    heads, end = spine(term)
+    return "".join(h.ch for h in heads + ([end] if isinstance(end, Sym)
+                                           else []))
+
+
+def delegated(prog, call):
+    """eval_call hands the call to the reference engine: an argument the
+    compiled entry misreads, a word in a symbol slot or a symbol where no
+    rule reads one."""
+    return any(isinstance(call.args[i], Sym) == (cls is Symbol)
+               and call.args[i] not in (TRUE, FALSE)
+               for i, cls in prog.compiled.misread.get(call.fn, ()))
+
+
 def outcomes_agree(prog, call, fuel):
     """Both engines give the same value and step count, or the same error:
     equal fuel and cons messages, and stuck messages naming the same stuck
     call (the reference renders its arguments as terms, the compiled engine
-    as Python values).  Returns what happened, for coverage."""
+    as Python values, unless eval_call handed the call to the reference
+    engine).  Returns what happened, for coverage."""
     got = []
     for engine in (eval_reference, eval_call):
         try:
@@ -376,16 +398,14 @@ def outcomes_agree(prog, call, fuel):
         else:
             got.append((out.value, out.steps))
     ref, comp = got
-    if ref[0] is StuckTermError:
+    if ref[0] is StuckTermError and not delegated(prog, call):
         stuck = call
         try:
             for stuck in trace_call(prog, call, fuel):
                 pass
         except StuckTermError:
             pass
-        values = tuple(True if a == TRUE else False if a == FALSE
-                       else a.ch if isinstance(a, Sym) else unword(a)
-                       for a in stuck.args)
+        values = tuple(python_value(a) for a in stuck.args)
         assert comp == (StuckTermError,
                         f"no rule of {stuck.fn} matches {values!r}"), (call,
                                                                       ref)
@@ -446,6 +466,46 @@ def test_a_symbol_is_not_a_one_letter_word():
             == (value, 2)
     # the naive matcher and the residuals hold no mixed position
     assert "Symbol" not in naive_matcher().compiled.source
+
+
+def test_a_symbol_bound_to_a_list_variable_stays_a_symbol():
+    b = Call("F", (Sym("b"),))
+    # cells built onto a symbol: the list the reference engine builds,
+    # which a cell pattern reads and a Nil-ended one does not
+    prog = parse_program("F { 'a' = T; y = G('c':y); }\n"
+                         "G { 'c':z = T; w = F; }")
+    assert outcomes_agree(prog, b, 10) == (TRUE, 2)
+    prog = parse_program("F { 'a' = T; y = G('c':y); }\n"
+                         "G { 'c':'b':Nil = T; 'c':z = H(z); w = F; }\n"
+                         "H { 'b' = F; y = T; }")
+    assert outcomes_agree(prog, b, 10) == (FALSE, 3)
+    prog = parse_program("F { 'a' = T; y = 'c':'d':y; }")
+    assert outcomes_agree(prog, b, 10) == (
+        Cons(Sym("c"), Cons(Sym("d"), Sym("b"))), 1)
+    # a bound symbol passed on into a symbol position, or returned
+    prog = parse_program("F { 'a' = F; y = G(y); } G { s.x = T; }")
+    assert outcomes_agree(prog, b, 10) == (TRUE, 2)
+    prog = parse_program("F { 'a' = T; y = y; }")
+    assert outcomes_agree(prog, b, 10) == (Sym("b"), 1)
+    # a bound one-letter word passed on into a symbol position sticks there
+    prog = parse_program("F { y = G(y); } G { 'a' = T; s.x = F; }")
+    assert outcomes_agree(prog, Call("F", (word("a"),)), 10)[0] \
+        is StuckTermError
+    assert outcomes_agree(prog, Call("F", (word("a"),)), 1)[0] \
+        is FuelExhaustedError
+    assert outcomes_agree(prog, Call("F", (Sym("a"),)), 10) == (TRUE, 2)
+    # a repeated list variable tells a symbol from a word
+    prog = parse_program("F { y, y = T; x, y = F; }")
+    assert outcomes_agree(prog, Call("F", (Sym("a"), word("a"))), 10) == (
+        FALSE, 1)
+    assert outcomes_agree(prog, Call("F", (Sym("a"), Sym("a"))), 10) == (
+        TRUE, 1)
+    # a symbol where no rule reads one, and a T or F bound with it
+    prog = parse_program("F { 'a':Nil = T; y = F; }")
+    assert outcomes_agree(prog, Call("F", (Sym("a"),)), 10) == (FALSE, 1)
+    prog = parse_program("F { 'a' = T; y = G('c':y); } G { y = y; }")
+    assert outcomes_agree(prog, Call("F", (TRUE,)), 10) == (
+        ConsOntoTFError, "function F conses onto y bound to T")
 
 
 def test_consing_onto_t_or_f_is_one_typed_error_in_both_engines():
@@ -560,7 +620,9 @@ def test_fused_callee_at_the_depth_cap_still_compiles():
 
 
 def random_pattern(rng, kind, depth_max=2):
-    if kind == "s":
+    """A pattern for a position read as a symbol ("s"), as a list ("l") or
+    by some rules as one and by others as the other ("m")."""
+    if kind == "s" or kind == "m" and rng.random() < 0.4:
         return rng.choice([Sym("a"), Sym("b"), SymVar("u"), SymVar("v")])
     heads = [rng.choice([Sym("a"), Sym("b"), SymVar("u"), SymVar("v")])
              for _ in range(rng.randint(0, depth_max))]
@@ -578,11 +640,15 @@ def random_rhs_list(rng, syms, lists):
 
 def random_program(rng):
     """A small tail-form program whose rules share leading patterns, with
-    repeated symbol and list variables, Nil, symbol slots, literals and
-    right-hand sides that cons onto bound lists.  Half of the programs with
-    two functions or more call their last function from one right-hand
-    side only, of another function, so that it is fused there."""
-    kinds = [rng.choice(["l", "s", "ll", "ls", "sl", "lll", "lsl"])
+    repeated symbol and list variables, Nil, symbol slots, positions read
+    as a symbol by some rules and as a list by others, literals and
+    right-hand sides that cons onto bound lists.  A call mostly passes a
+    symbol where the callee's patterns read one and a list elsewhere, but
+    any position may get either.  Half of the programs with two functions
+    or more call their last function from one right-hand side only, of
+    another function, so that it is fused there."""
+    kinds = [rng.choice(["l", "s", "m", "ll", "ls", "sl", "lm", "ml", "lll",
+                         "lsl"])
              for _ in range(rng.randint(1, 4))]
     lone = len(kinds) - 1 if len(kinds) > 1 and rng.random() < 0.5 else None
     functions = []
@@ -619,7 +685,8 @@ def random_program(rng):
     for k, i, syms, lists in calls:
         callee = functions[k][i][1]
         functions[k][i][1] = Call(f"F{callee}", tuple(
-            rng.choice([Sym("a"), Sym("b")] + syms) if c == "s"
+            rng.choice([Sym("a"), Sym("b")] + syms)
+            if rng.random() < {"s": 0.85, "m": 0.4, "l": 0.15}[c]
             else random_rhs_list(rng, syms, lists)
             for c in kinds[callee]))
     return validate(Program(tuple(
@@ -630,9 +697,12 @@ def random_program(rng):
 def test_compiled_engine_agrees_with_reference_on_random_programs():
     rng = random.Random(2026)
     # one-letter words go into symbol positions too, where they match no
-    # bare symbol pattern
+    # bare symbol pattern, and symbols into list positions
     inputs = {"s": [Sym("a"), Sym("b"), TRUE, FALSE, word("a")],
-              "l": [word(w) for w in words("ab", 2)] + [TRUE, FALSE]}
+              "l": [word(w) for w in words("ab", 2)] + [TRUE, FALSE,
+                                                         Sym("a")],
+              "m": [Sym("a"), Sym("b"), TRUE, FALSE, NIL, word("a"),
+                    word("ab")]}
     seen = set()
     shared = fused = 0
     for _ in range(60):
@@ -641,8 +711,10 @@ def test_compiled_engine_agrees_with_reference_on_random_programs():
         shared += len(re.findall(r"if [^\n]*:\n +if ", source))
         fused += fused_count(source)
         for name, rules in prog.functions:
-            kind = ["s" if isinstance(p, (Sym, SymVar)) else "l"
-                    for p in rules[0].lhs]
+            bare = [{isinstance(r.lhs[i], (Sym, SymVar)) for r in rules}
+                    for i in range(len(rules[0].lhs))]
+            kind = ["m" if len(b) == 2 else "s" if True in b else "l"
+                    for b in bare]
             for args in itertools.product(*(inputs[c] for c in kind)):
                 call = Call(name, args)
                 ref = outcomes_agree(prog, call, 30)
