@@ -37,7 +37,7 @@ from functools import lru_cache, partial
 
 from .configs import Config, alpha_equivalent, covers, make_config
 from .driving import NameGen, drive_step, transients
-from .interpreter import CompiledProgram, DriveError, naive_matcher
+from .interpreter import DriveError, naive_matcher
 from .kmp import automaton, kmp_search
 from .record import Record
 from .residual import (
@@ -111,8 +111,7 @@ class PatternArtifacts(Record):
 def artifacts(pattern: str) -> PatternArtifacts:
     graph, report = specialize_pattern(pattern)
     rp = residualize(graph)
-    return PatternArtifacts(pattern, graph, report, rp,
-                            CompiledProgram(rp.program),
+    return PatternArtifacts(pattern, graph, report, rp, rp.program.compiled,
                             naive_matcher().compiled)
 
 

@@ -18,15 +18,19 @@ Two engines are provided: a reference stepper over the syntax tree
 (`eval_reference`, `trace_call`) and a compiled engine (`eval_call`,
 `CompiledProgram`) that translates a program to one Python loop once and
 keeps it on the program (`Program.compiled`).  Both agree on value and step
-count, and raise the same errors.  The compiled engine runs ground words as
-plain Python strings and holds each argument as a `(string, offset,
-length)` triple, so a step that consumes a symbol moves an offset instead
-of copying the rest of the string: each step costs O(1) in the length of
-the input.  A word built by `syntax.word` carries its string, so
-`eval_call` hands it to the engine in O(1), and a run is linear in wall
-time wherever it is linear in steps.  A function called from a single
-right-hand side, not its own, runs inlined at that call site, which saves
-the jump back through the function dispatch but still counts its step.
+count, and raise the same errors.  The compiled engine takes well-sorted
+programs only, where each argument position always holds a bare symbol or
+always a list (see `symbol_positions`), as the naive matcher and every
+residual do; `eval_call` runs any other call in the reference engine.  The
+compiled engine runs ground words as plain Python strings and holds each
+argument as a `(string, offset, length)` triple, so a step that consumes a
+symbol moves an offset instead of copying the rest of the string: each
+step costs O(1) in the length of the input.  A word built by `syntax.word`
+carries its string, so `eval_call` hands it to the engine in O(1), and a
+run is linear in wall time wherever it is linear in steps.  A function
+called from a single right-hand side, not its own, runs inlined at that
+call site, which saves the jump back through the function dispatch but
+still counts its step.
 """
 
 from __future__ import annotations
@@ -280,10 +284,25 @@ def _check_arity(lhs: tuple, args: tuple) -> None:
         raise ArityError(f"expected {len(lhs)} arguments, got {len(args)}")
 
 
+def _entry_lhs(program: Program, call: Call) -> tuple:
+    """The first left-hand side of the function `call` enters, once the
+    entry is checked to be defined and to take as many arguments: the one
+    entry check of both engines."""
+    lhs = program.rules(call.fn)[0].lhs
+    _check_arity(lhs, call.args)
+    return lhs
+
+
+def _no_rule(fn: str, args) -> StuckTermError:
+    return StuckTermError(f"no rule of {fn} matches "
+                          f"({', '.join(render_expr(a) for a in args)})")
+
+
 def trace_call(program: Program, call: Call,
                fuel: int = DEFAULT_FUEL) -> Iterator[Expr]:
     """Yield the expression after each rule application until passive."""
     _require_ground_call(call)
+    _entry_lhs(program, call)
     check_tail_form(program)
     expr: Expr = call
     steps = 0
@@ -298,9 +317,7 @@ def trace_call(program: Program, call: Call,
             if m is not None:
                 break
         else:
-            raise StuckTermError(
-                f"no rule of {expr.fn} matches "
-                f"({', '.join(render_expr(a) for a in expr.args)})")
+            raise _no_rule(expr.fn, expr.args)
         binding = m[1]
         if any(v.__class__ in (TrueVal, FalseVal) for v in binding.values()):
             _check_cells(expr.fn, rule.rhs, binding)
@@ -342,35 +359,18 @@ def _require_ground_call(call: Call) -> None:
 # 1-character str, T/F a bool.  A program becomes one generated function,
 # `_run`, whose locals hold each function's arguments in that function's own
 # slots.  A slot is three locals `(s, o, n)` standing for the suffix `s[o:]`
-# of a str `s` of length `n`; a symbol slot (below) has offset the constant
-# 0.  `n` is set once on entry to
-# `length_hint(s, -1)`, which is -1 for a T/F argument (a bool has no
-# length), so every length test fails on it, as Nil, cell and bare symbol
-# patterns fail on T/F in the reference engine; the call has no branch, so
-# the generated code stays small.  `n` is copied whenever the slot is
-# passed on, and computed by arithmetic where a right-hand side builds a
-# new str.  A pattern tests `n > o + d`,
-# `n == o + d` and `s[o + d]`, a list variable binds `(s, o + d, n)`, and a
-# tail call assigns the callee's slots in place and sets `_fn`.  A step
-# that drops a prefix therefore copies nothing and costs O(1) in the length
-# of the string.
-#
-# A symbol and a one-letter word are the same str, so the length local
-# tells them apart.  A symbol slot is a position that every rule reads as
-# a bare symbol and every call passes a bare symbol: it holds only symbols,
-# with `n == 1`, and T/F.  In every other slot a symbol is its letter with
-# `n - o == -0.5`.  The reference engine also lets a right-hand side build
-# cells onto a list variable bound to a symbol; such a list of k cells is
-# its letters, the symbol's last, with `n - o == k - 0.5`.  So building
-# cells adds to the length as for a word, every list test compares `n`
-# with an integer and reads these lists right (none is Nil, and
-# `n > o + d - 1` holds for d cells or more), and a bare symbol pattern
-# tests `n == o - 0.5`.  The entry of a slot that some rule reads as a bare
-# symbol sets -0.5 for a `Symbol` argument.  The entry of a symbol slot
-# would take a word for a symbol, and that of a slot no rule reads as a
-# symbol a symbol for a word, so `eval_call` hands such a call to the
-# reference engine.  A right-hand side other than T or F returns the pair
-# `(s[o:], n - o)`.
+# of a str `s` of length `n`.  A symbol slot, a position of a well-sorted
+# program that every rule reads as a bare symbol, holds a symbol with `n ==
+# 1` and has offset the constant 0; every other slot holds a word.  `n` is
+# set once on entry to `length_hint(s, -1)`, which is -1 for a T/F argument
+# (a bool has no length), so every length test fails on it, as Nil, cell
+# and bare symbol patterns fail on T/F in the reference engine; the call has
+# no branch, so the generated code stays small.  `n` is copied whenever the
+# slot is passed on, and computed by arithmetic where a right-hand side
+# builds a new str.  A pattern tests `n > o + d`, `n == o + d` and
+# `s[o + d]`, a list variable binds `(s, o + d, n)`, and a tail call assigns
+# the callee's slots in place and sets `_fn`.  A step that drops a prefix
+# therefore copies nothing and costs O(1) in the length of the string.
 #
 # Each function's rules are emitted as a decision tree: a run of
 # consecutive rules whose tests start with the same test evaluates it once
@@ -425,33 +425,33 @@ def _length(value: _Code) -> str:
     return f"{n} - {o}" if o.isidentifier() or o.isdigit() else f"{n} - ({o})"
 
 
-# `n - o` of a bare symbol: a list of no cells built onto it (see above).
-_SYMBOL_LENGTH = "-0.5"
-
-
-class Symbol(str):
-    """A bare symbol handed to the compiled engine: the one-letter str that
-    the entry of a slot read as a symbol tells from a one-letter word."""
-    __slots__ = ()
-
-
 def _bare(pat: Expr) -> bool:
     return pat.__class__ is Sym or pat.__class__ is SymVar
 
 
-def _symbol_positions(functions) -> set:
-    """The (function, position) pairs held in a symbol slot: every rule
-    reads the position as a bare symbol and every call passes one there."""
-    out = {(name, i) for name, rules in functions
-           for i in range(len(rules[0].lhs))
-           if all(_bare(r.lhs[i]) for r in rules)}
-    for _, rules in functions:
+def _sorts(program: Program) -> dict:
+    """For each (function, position), the set of whether each rule there
+    reads, and each call passes, a bare symbol."""
+    sorts: dict = {}
+    for name, rules in program.functions:
         for rule in rules:
+            for i, pat in enumerate(rule.lhs):
+                sorts.setdefault((name, i), set()).add(_bare(pat))
             if isinstance(rule.rhs, Call):
                 for i, arg in enumerate(rule.rhs.args):
-                    if not _bare(arg):
-                        out.discard((rule.rhs.fn, i))
-    return out
+                    sorts.setdefault((rule.rhs.fn, i), set()).add(_bare(arg))
+    return sorts
+
+
+def symbol_positions(program: Program) -> set | None:
+    """The symbol slots of a well-sorted program: the (function, position)
+    pairs where every rule reads a bare symbol and every call passes one.
+    In a well-sorted program no rule reads and no call passes a bare symbol
+    at any other position.  None for an ill-sorted program."""
+    sorts = _sorts(program)
+    if any(len(kinds) > 1 for kinds in sorts.values()):
+        return None
+    return {slot for slot, kinds in sorts.items() if True in kinds}
 
 
 def _slots(k: int, name: str, arity: int, symbolic: set) -> list[_Code]:
@@ -486,18 +486,12 @@ class _Lhs:
     def _pattern(self, pat: Expr, slot: _Code) -> None:
         s, o, n = slot
         conds = self.conds
-        if _bare(pat):  # a bare symbol position
-            if o == "0":  # a symbol slot
-                if isinstance(pat, SymVar):
-                    conds.append(f"{n} == 1")
-                at = s
-            else:
-                conds.append(f"{n} == {o} - 0.5")
-                at = f"{s}[{o}]"
+        if _bare(pat):  # a symbol slot
             if isinstance(pat, Sym):
-                conds.append(f"{at} == {pat.ch!r}")
+                conds.append(f"{s} == {pat.ch!r}")
             else:
-                self._bind(pat, at)
+                conds.append(f"{n} == 1")
+                self._bind(pat, s)
             return
         heads, end = spine(pat)
         depth = len(heads)
@@ -507,10 +501,8 @@ class _Lhs:
             if depth:
                 conds.append(f"{n} > {_offset(o, depth - 1)}")
             rest = (s, _offset(o, depth), n)
-            if end in self.lists:  # the lengths tell a symbol from a word
-                other = self.lists[end]
-                conds.append(f"{_length(rest)} == {_length(other)}")
-                conds.append(f"{_text(rest)} == {_text(other)}")
+            if end in self.lists:
+                conds.append(f"{_text(rest)} == {_text(self.lists[end])}")
             else:
                 self.lists[end] = rest
                 if not depth:
@@ -533,9 +525,9 @@ class _Lhs:
         front of it are built.  Cells built onto a variable bound to a whole
         argument, which may be T or F, need a check in `checks`."""
         if isinstance(expr, Sym):
-            return repr(expr.ch), "0", _SYMBOL_LENGTH
+            return repr(expr.ch), "0", "1"
         if isinstance(expr, SymVar):
-            return self.chars[expr], "0", _SYMBOL_LENGTH
+            return self.chars[expr], "0", "1"
         heads, end = spine(expr)
         shared, tail = 0, self.lists.get(end)
         for cell_heads, cell_end, (s, o, n) in self.cells:
@@ -576,12 +568,20 @@ class _Lhs:
                 "0", length)
 
 
-def _stuck(name: str, *slots) -> StuckTermError:
-    """The error for function `name` stuck on its arguments, given as
-    alternating strs and offsets.  Built here rather than in the generated
-    code, which then needs no branch per argument to slice them."""
-    texts = tuple(s[o:] if o else s for s, o in zip(slots[::2], slots[1::2]))
-    return StuckTermError(f"no rule of {name} matches {texts!r}")
+def _stuck_in(symbolic: set):
+    """The `_stuck` of a program with symbol slots `symbolic`: the error for
+    function `name` stuck on its arguments, given as alternating values and
+    offsets, worded as in the reference engine.  Built here rather than in
+    the generated code, which then needs no branch per argument to slice
+    them."""
+    def _stuck(name: str, *slots) -> StuckTermError:
+        args = []
+        for i, (s, o) in enumerate(zip(slots[::2], slots[1::2])):
+            v = s[o:] if o else s
+            args.append(Sym(v) if v.__class__ is str and (name, i) in symbolic
+                        else _decode_value(v))
+        return _no_rule(name, args)
+    return _stuck
 
 
 def _emit_tree(emit, lo: int, hi: int, indent: str, leaf) -> None:
@@ -647,7 +647,7 @@ def _compile_source(program: Program) -> str:
     check_tail_form(program)
     functions = program.functions
     ids = {name: k for k, (name, _) in enumerate(functions)}
-    symbolic = _symbol_positions(functions)
+    symbolic = symbol_positions(program)
     slots = [_slots(k, name, len(rules[0].lhs), symbolic)
              for k, (name, rules) in enumerate(functions)]
     fused = _fused(functions)
@@ -663,13 +663,8 @@ def _compile_source(program: Program) -> str:
         offsets = [o for _, o, _ in slots[k] if o != "0"]
         if offsets:
             emit(f"{pad}{' = '.join(offsets)} = 0")
-        rules = functions[k][1]
-        for i, (s, o, n) in enumerate(slots[k]):
-            if o != "0" and any(_bare(r.lhs[i]) for r in rules):
-                emit(f"{pad}{n} = {_SYMBOL_LENGTH} if {s}.__class__ is "
-                     f"Symbol else length_hint({s}, -1)")
-            else:
-                emit(f"{pad}{n} = length_hint({s}, -1)")
+        for s, _, n in slots[k]:
+            emit(f"{pad}{n} = length_hint({s}, -1)")
 
     def body(k, rule, lhs, at):
         """Lines of rule `rule` of function k, run while `_fn` is `at`."""
@@ -677,18 +672,17 @@ def _compile_source(program: Program) -> str:
         if not isinstance(rhs, Call):
             if isinstance(rhs, (TrueVal, FalseVal)):
                 value = str(isinstance(rhs, TrueVal))
+            elif _bare(rhs):  # built by hand: the parser makes none
+                value = f"Sym({lhs.value(rhs)[0]})"
             else:
-                value = lhs.value(rhs)
-                value = f"({_text(value)}, {_length(value)})"
+                value = _text(lhs.value(rhs))
             return lhs.checks + [f"return ({value}, _steps)"]
         callee = ids[rhs.fn]
         stores = []
-        for arg, (ts, to, tn) in zip(rhs.args, slots[callee]):
-            value = lhs.value(arg)
-            if to == "0":  # a symbol from a bare argument
-                stores += [(ts, value[0]), (tn, "1")]
-            else:
-                stores += [(ts, value[0]), (to, value[1]), (tn, value[2])]
+        for arg, slot in zip(rhs.args, slots[callee]):
+            # a symbol slot's offset is the constant 0, not a local
+            stores += [(t, c) for t, c in zip(slot, lhs.value(arg))
+                       if t != "0"]
         if callee == k:  # the slots being read are the ones stored
             stores = [(t, c) for t, c in stores if t != c]
             if len(stores) > 1:
@@ -729,35 +723,32 @@ def _compile_source(program: Program) -> str:
 
 
 class CompiledProgram:
-    """A program translated to one generated Python function.  Its source
-    is built again on each use of `source` rather than kept, so that a
-    process holding many compiled programs (the verify sweep holds one per
-    pattern) does not hold their text as well."""
+    """A well-sorted program translated to one generated Python function.
+    Its source is built again on each use of `source` rather than kept, so
+    that a process holding many compiled programs (the verify sweep holds
+    one per pattern) does not hold their text as well."""
 
     def __init__(self, program: Program):
+        symbolic = symbol_positions(program)
+        if symbolic is None:
+            name, i = next(slot for slot, kinds in _sorts(program).items()
+                           if len(kinds) > 1)
+            raise EvalError(
+                f"function {name} reads or is passed both a symbol and a "
+                f"list at position {i}: the compiled engine takes "
+                f"well-sorted programs only")
         namespace = {
             "FuelExhaustedError": FuelExhaustedError,
             "_cons_onto": _cons_onto,
-            "_stuck": _stuck,
+            "_stuck": _stuck_in(symbolic),
             "length_hint": length_hint,
-            "Symbol": Symbol,
+            "Sym": Sym,
         }
         self.program = program
         exec(compile(_compile_source(program), "<rewriter>", "exec"),
              namespace)
         self._run = namespace["_run"]
-        self._entries = {name: (k, len(rules[0].lhs))
-                         for k, (name, rules) in enumerate(program.functions)}
-        # (position, class) of the arguments each function's entry misreads:
-        # a word in a symbol slot, a symbol where no rule reads one
-        symbolic = _symbol_positions(program.functions)
-        self.misread = {}
-        for name, rules in program.functions:
-            self.misread[name] = tuple(
-                (i, str if (name, i) in symbolic else Symbol)
-                for i in range(len(rules[0].lhs))
-                if (name, i) in symbolic
-                or not any(_bare(r.lhs[i]) for r in rules))
+        self._ids = {name: k for k, (name, _) in enumerate(program.functions)}
 
     @property
     def source(self) -> str:
@@ -766,50 +757,36 @@ class CompiledProgram:
 
     def run(self, entry: str, args: tuple[str | bool, ...],
             fuel: int = DEFAULT_FUEL) -> tuple[object, int]:
-        """Run `entry` on words as strs, T/F as bools and, in a position
-        some rule reads as a bare symbol, symbols as `Symbol`.  Returns the
-        value, a bool or the pair `_decode_value` reads, and the steps."""
-        try:
-            fid, arity = self._entries[entry]
-        except KeyError:
-            raise ArityError(f"undefined entry function {entry}") from None
-        if len(args) != arity:
-            raise ArityError(
-                f"{entry} takes {arity} arguments, got {len(args)}")
-        return self._run(fid, args, fuel)
+        """Run `entry` on words and symbols as strs and T/F as bools, a
+        symbol exactly in a symbol slot; the caller checks the entry, as
+        `eval_call` does.  Returns the value, a bool, a str for a list or a
+        Sym, and the steps."""
+        return self._run(self._ids[entry], args, fuel)
 
 
-def _encode_arg(expr: Expr) -> str | bool:
-    """The compiled engine's value of one argument, checked to be a ground
-    word, symbol or T/F in the same walk."""
+def _encode_arg(expr: Expr) -> str | bool | None:
+    """The compiled engine's value of one argument, checked to be ground in
+    the same walk: None for a ground list that is not a word, such as a
+    cell built onto T, which only the reference engine runs."""
     if isinstance(expr, Sym):
-        return Symbol(expr.ch)
+        return expr.ch
     if isinstance(expr, TrueVal):
         return True
     if isinstance(expr, FalseVal):
         return False
     w = unword(expr)
-    if w is not None:
-        return w
-    what = "a ground word" if is_ground(expr) else "ground"
-    raise EvalError(f"argument {render_expr(expr)} is not {what}")
+    if w is None and not is_ground(expr):
+        raise EvalError(f"argument {render_expr(expr)} is not ground")
+    return w
 
 
-def _decode_value(v: tuple | bool) -> Expr:
-    """The term of a value `_run` returns: T/F, or the pair `(s[o:], n - o)`
-    of a returned slot or list (see the comment on the compiled engine)."""
-    if v.__class__ is tuple:
-        v, n = v
-        if n.__class__ is float:  # cells, if any, built onto a symbol
-            out: Expr = Sym(v[-1])
-            for ch in reversed(v[:-1]):
-                out = Cons(Sym(ch), out)
-            return out
+def _decode_value(v: str | bool | Sym) -> Expr:
+    """The term of a value `_run` returns: T/F, a list, or a Sym."""
     if v is True:
         return TRUE
     if v is False:
         return FALSE
-    return word(v)
+    return word(v) if v.__class__ is str else v
 
 
 def eval_call(program: Program, call: Call,
@@ -817,18 +794,21 @@ def eval_call(program: Program, call: Call,
     """Evaluate a ground call to a passive value, counting rule applications.
 
     Deterministic; raises StuckTermError, FuelExhaustedError, NonTailError,
-    or ConsOntoTFError.
+    or ConsOntoTFError.  Runs in the compiled engine unless the program is
+    not well-sorted, or the call passes a word where the entry reads a
+    symbol, a symbol where it reads a list, or a list that is not a word;
+    the reference engine runs those, with the same outcome.
     """
     if not isinstance(call, Call):
         raise EvalError("entry expression must be a function call")
-    args = [_encode_arg(a) for a in call.args]
-    compiled = program.compiled
+    args = tuple(map(_encode_arg, call.args))
+    lhs = _entry_lhs(program, call)
     fuel = DEFAULT_FUEL if fuel is None else fuel
-    for i, cls in compiled.misread.get(call.fn, ()):
-        if i < len(args) and args[i].__class__ is cls:
-            # the compiled entry would take a symbol for a one-letter word
-            # or the other way round
-            return eval_reference(program, call, fuel)
+    compiled = program.compiled
+    if compiled is None or None in args or any(
+            _bare(p) != (a.__class__ is Sym) for p, a in zip(lhs, call.args)
+            if a.__class__ is not TrueVal and a.__class__ is not FalseVal):
+        return eval_reference(program, call, fuel)
     value, steps = compiled.run(call.fn, args, fuel)
     return Outcome(_decode_value(value), steps)
 

@@ -255,8 +255,12 @@ class Program(Record, frozen=True):
     @cached_property
     def compiled(self):
         """The program translated by the compiled engine, built on first use
-        and kept with the program (see interpreter.CompiledProgram)."""
-        from .interpreter import CompiledProgram
+        and kept with the program (see interpreter.CompiledProgram); None
+        when the program is not well-sorted, so that only the reference
+        engine runs it (see interpreter.symbol_positions)."""
+        from .interpreter import CompiledProgram, symbol_positions
+        if symbol_positions(self) is None:
+            return None
         return CompiledProgram(self)
 
     @cached_property

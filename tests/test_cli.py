@@ -112,6 +112,31 @@ def test_run_reports_evaluation_errors(tmp_path):
     assert "error" in err
 
 
+def run_file(tmp_path, source, *argv):
+    prog = tmp_path / "prog.scl"
+    prog.write_text(source)
+    return subprocess.run(
+        [sys.executable, "-m", "miniscp", "run", "--program", str(prog),
+         *argv], capture_output=True, text=True)
+
+
+def test_run_ill_sorted_program_in_a_subprocess(tmp_path):
+    # F's position is read as a symbol by one rule and as a list by the
+    # other, so the reference engine runs it: a one-letter word is no symbol
+    proc = run_file(tmp_path, "F { s.x = T; y = F; }\n",
+                    "--entry", "F", "--input", "a")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "F\n", "")
+
+
+def test_run_stuck_call_in_a_subprocess(tmp_path):
+    proc = run_file(tmp_path, "F { 'a':y = G(y, 'c'); }\n"
+                    "G { 'b':y, s.x = T; }\n",
+                    "--entry", "F", "--input", "aab")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == 'error: no rule of G matches ("ab", \'c\')\n'
+
+
 def test_run_long_chain_programs_never_show_a_traceback(tmp_path):
     # 3000-cell chains in patterns and call arguments: each file runs or
     # fails with a message (a RecursionError traceback when the parser

@@ -4,14 +4,17 @@ For each pattern of the specialize ladder (seed 7) and of the default
 corpus, `tests/data/specializer_golden.json` holds the SHA-256 of the
 rendered residual program, of the process-graph dump (`graph_lines`:
 node kinds, configurations with their parameter names, edge labels with
-`steps=`, fold renamings) and of the Graphviz export (`export_dot`).  A
-speed-up or a refactoring of the specializer must leave every one of them
-byte for byte as it was.
+`steps=`, fold renamings), of the Graphviz export (`export_dot`) and of
+the Python source the compiled engine generates for the residual.  Under
+the key `naive-matcher` it holds the digest of the source generated for
+the naive matcher.  A speed-up or a refactoring of the specializer or of
+the compiled engine must leave every one of them byte for byte as it was.
 
 The residual and graph digests were recorded with a specializer that, as
 now, drives every transient step afresh with no drive cache; the DOT
 digests before `export_dot` and `graph_lines` were made to share one graph
-walk.
+walk.  The compiled-source digests were recorded before the compiled
+engine was restricted to well-sorted programs.
 `python tests/test_specializer_golden.py --record` rewrites the file from
 the current code, so record only from code known to be right.
 """
@@ -26,10 +29,12 @@ from pathlib import Path
 import pytest
 
 from miniscp.harness import default_corpus
+from miniscp.interpreter import naive_matcher
 from miniscp.residual import render_residual, residualize
 from miniscp.scp import export_dot, graph_lines, specialize_pattern
 
 DATA = Path(__file__).parent / "data" / "specializer_golden.json"
+NAIVE = "naive-matcher"  # no pattern: patterns are lowercase letters
 
 # The 40 rungs of the specialize ladder at seed 7: (ab)^1..10, a^1..17 and
 # seeded random words over 2, 3 and 4 letters.
@@ -55,16 +60,22 @@ def _sha(text: str) -> str:
 
 def digests(pattern: str) -> dict:
     graph, _ = specialize_pattern(pattern)
-    return {"residual": _sha(render_residual(residualize(graph))),
+    rp = residualize(graph)
+    return {"residual": _sha(render_residual(rp)),
             "graph": _sha("\n".join(graph_lines(graph)) + "\n"),
-            "dot": _sha(export_dot(graph))}
+            "dot": _sha(export_dot(graph)),
+            "compiled": _sha(rp.program.compiled.source)}
+
+
+def naive_digests() -> dict:
+    return {"compiled": _sha(naive_matcher().compiled.source)}
 
 
 def test_golden_covers_ladder_and_corpus():
     golden = json.loads(DATA.read_text(encoding="utf-8"))
     assert len(LADDER_SEED_7) == 40
     assert len(default_corpus(7).patterns) == 128
-    assert sorted(golden) == sorted(_patterns())
+    assert sorted(golden) == sorted(_patterns() + [NAIVE])
 
 
 @pytest.mark.parametrize("pattern", _patterns())
@@ -73,10 +84,16 @@ def test_specializer_output_unchanged(pattern):
     assert digests(pattern) == golden[pattern]
 
 
+def test_naive_matcher_compiled_source_unchanged():
+    golden = json.loads(DATA.read_text(encoding="utf-8"))
+    assert naive_digests() == golden[NAIVE]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_specializer_golden.py --record")
     DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps({p: digests(p) for p in _patterns()},
-                               indent=1, sort_keys=True) + "\n",
+    golden = {p: digests(p) for p in _patterns()}
+    golden[NAIVE] = naive_digests()
+    DATA.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
                     encoding="utf-8")
