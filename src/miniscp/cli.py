@@ -8,20 +8,17 @@
     miniscp tree --pattern aab --dot FILE
 
 Exit codes: 0 success, 1 semantic failure (failed check, evaluation error),
-2 usage error.  SCP_FUEL overrides the evaluator's default fuel.
+2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .configs import ConfigError, config_text
 from .driving import DriveError
-from .interpreter import (
-    DEFAULT_FUEL, EvalError, Outcome, eval_call, naive_matcher,
-)
+from .interpreter import EvalError, Outcome, eval_call, naive_matcher
 from .kmp import table_rows
 from .residual import (
     ResidualError, render_residual, residual_lines, residualize,
@@ -31,22 +28,6 @@ from .syntax import (
     Call, ParseError, Program, ValidationError, parse_program, render_expr,
     word,
 )
-
-
-class UsageError(Exception):
-    pass
-
-
-def _fuel(args) -> int:
-    if getattr(args, "fuel", None) is not None:
-        return args.fuel
-    env = os.environ.get("SCP_FUEL")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"SCP_FUEL={env!r} is not an integer")
-    return DEFAULT_FUEL
 
 
 def _load_program(path: str | None) -> Program:
@@ -100,7 +81,7 @@ def _cmd_specialize(args, out, err) -> int:
 def _cmd_run(args, out, err) -> int:
     program = _load_program(args.program)
     call = Call(args.entry, tuple(word(w) for w in args.input))
-    outcome: Outcome = eval_call(program, call, fuel=_fuel(args))
+    outcome: Outcome = eval_call(program, call, fuel=args.fuel)
     out.write(f"{render_expr(outcome.value)}\n")
     if args.steps:
         out.write(f"steps={outcome.steps}\n")
@@ -211,9 +192,6 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args, out, err)
-    except UsageError as e:
-        err.write(f"usage error: {e}\n")
-        return 2
     except (ParseError, ValidationError, EvalError, ScpError, DriveError,
             ConfigError, ResidualError, ValueError, FileNotFoundError) as e:
         err.write(f"error: {e}\n")

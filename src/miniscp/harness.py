@@ -102,17 +102,14 @@ class VerificationReport(Record):
 
 class PatternArtifacts(Record):
     """What every facet of one pattern reads: the process graph and report,
-    the residual, and the compiled residual and naive matcher."""
-    __slots__ = ("pattern", "graph", "report", "residual", "runner",
-                 "naive_runner")
+    and the residual."""
+    __slots__ = ("pattern", "graph", "report", "residual")
 
 
 @lru_cache(maxsize=None)
 def artifacts(pattern: str) -> PatternArtifacts:
     graph, report = specialize_pattern(pattern)
-    rp = residualize(graph)
-    return PatternArtifacts(pattern, graph, report, rp, rp.program.compiled,
-                            naive_matcher().compiled)
+    return PatternArtifacts(pattern, graph, report, residualize(graph))
 
 
 def sweep_alphabet(pattern: str) -> str:
@@ -169,6 +166,8 @@ class SweepResult(Record, frozen=True):
 def _sweep(pattern: str, corpus: Corpus) -> SweepResult:
     art = artifacts(pattern)
     entry = art.residual.entry
+    runner = art.residual.program.compiled
+    naive_runner = naive_matcher().compiled
     bound_add = len(pattern) + 2
     max_ratio = 0.0
     for y in string_pool(pattern, corpus) + adversarial_strings(pattern):
@@ -177,8 +176,8 @@ def _sweep(pattern: str, corpus: Corpus) -> SweepResult:
         if comparisons > 2 * len(y):
             return SweepResult(False, False, max_ratio, None,
                                f"oracle comparisons {comparisons} on |y|={len(y)}")
-        naive_value, _ = art.naive_runner.run("S", (pattern, y))
-        res_value, res_steps = art.runner.run(entry, (y,))
+        naive_value, _ = naive_runner.run("S", (pattern, y))
+        res_value, res_steps = runner.run(entry, (y,))
         if not (expected == kmp_found == naive_value == res_value):
             detail = (f"y={y!r}: contains={expected} search={kmp_found} "
                       f"naive={naive_value} residual={res_value}")
@@ -572,8 +571,9 @@ def verify_pattern(pattern: str, corpus: Corpus) -> VerificationReport:
         failures.append(f"linearity: {sweep.bound_violation}")
 
     sample = pattern[0] * 120
-    _, naive_sample = art.naive_runner.run("S", (pattern, sample))
-    _, residual_sample = art.runner.run(art.residual.entry, (sample,))
+    _, naive_sample = naive_matcher().compiled.run("S", (pattern, sample))
+    _, residual_sample = art.residual.program.compiled.run(
+        art.residual.entry, (sample,))
     metrics = {
         "pivot_count": len(art.report.pivots),
         "residual_function_count": len(art.residual.program.functions),

@@ -2,8 +2,11 @@
 
 A step is one rule application, including rewrites a specializer would call
 transient, so naive and specialized programs are costed on the same scale.
-Right-hand sides must be passive or a single top-level call with passive
-arguments (tail form); anything else is rejected here with a clear error.
+Both engines run only what the grammar writes (see `syntax`): an entry call
+takes words and bare symbols, and T and F are results, never input data.
+A right-hand side is T, F, a list, or one top-level call whose arguments
+are lists or bare symbols (tail form); `check_tail_form` rejects anything
+else with a clear error.
 
 Rule patterns are matched by one function, `match`, used by the reference
 stepper, by `residual.transition` and by driving.  On ground arguments it
@@ -22,7 +25,7 @@ count, and raise the same errors.  The compiled engine takes well-sorted
 programs only, where each argument position always holds a bare symbol or
 always a list (see `symbol_positions`), as the naive matcher and every
 residual do; `eval_call` runs any other call in the reference engine.  The
-compiled engine runs ground words as plain Python strings and holds each
+compiled engine runs words as plain Python strings and holds each
 argument as a `(string, offset, length)` triple, so a step that consumes a
 symbol moves an offset instead of copying the rest of the string: each
 step costs O(1) in the length of the input.  A word built by `syntax.word`
@@ -42,8 +45,8 @@ from operator import length_hint
 from .record import Record, setters
 from .syntax import (
     Call, Cons, Expr, FALSE, FalseVal, ListParam, ListVar, NIL, Nil, Program,
-    Rule, Sym, SymParam, SymVar, TRUE, TrueVal, is_ground, is_passive,
-    parse_program, render_expr, spine, substitute, unword, word,
+    Rule, Sym, SymParam, SymVar, TRUE, TrueVal, parse_program, render_expr,
+    spine, substitute, unword, word,
 )
 
 DEFAULT_FUEL = 1_000_000
@@ -64,7 +67,9 @@ class FuelExhaustedError(EvalError):
 
 
 class NonTailError(EvalError):
-    """A right-hand side nests a call under a constructor or another call."""
+    """A right-hand side outside the grammar's forms: a call nested under a
+    constructor or in another call, T or F inside a larger term, or a bare
+    symbol as a whole right-hand side or at the end of a list."""
 
 
 class ArityError(EvalError):
@@ -77,16 +82,6 @@ class DriveError(Exception):
 
 class UnsupportedNarrowingError(DriveError):
     """The match would need a narrowing outside the supported forms."""
-
-
-class ConsOntoTFError(EvalError):
-    """A right-hand side builds a cell onto a list variable bound to T or F;
-    the list it would build is not a word."""
-
-
-def _cons_onto(name: str, var: str, value: bool) -> ConsOntoTFError:
-    return ConsOntoTFError(f"function {name} conses onto {var} bound to "
-                           f"{'T' if value else 'F'}")
 
 
 class EmptyPatternError(ValueError):
@@ -130,19 +125,51 @@ class Outcome(Record, frozen=True):
 _set_value, _set_steps = setters(Outcome)
 
 
+_SYMBOLS = frozenset((Sym, SymVar, SymParam))
+_LIST_ENDS = frozenset((Nil, ListVar, ListParam))
+
+
 def check_tail_form(program: Program) -> None:
+    """Check that each right-hand side has one of the grammar's forms: T,
+    F, a list, or one call whose arguments are lists or bare symbols, where
+    a list is symbols consed onto Nil or a list variable.  Raises
+    NonTailError naming the function, the fragment at fault and why."""
     for name, rules in program.functions:
         for rule in rules:
             rhs = rule.rhs
-            if isinstance(rhs, Call):
-                if any(not is_passive(a) for a in rhs.args):
+            if rhs.__class__ is TrueVal or rhs.__class__ is FalseVal:
+                continue
+            arg = rhs.__class__ is Call
+            for part in rhs.args if arg else (rhs,):
+                end = part
+                while end.__class__ is Cons and end.head.__class__ in _SYMBOLS:
+                    end = end.tail
+                if end.__class__ not in _LIST_ENDS and not (
+                        arg and end is part and end.__class__ in _SYMBOLS):
                     raise NonTailError(
-                        f"function {name}: nested call in arguments of "
-                        f"{render_expr(rhs)}")
-            elif not is_passive(rhs):
-                raise NonTailError(
-                    f"function {name}: call under a constructor in "
-                    f"{render_expr(rhs)}")
+                        f"function {name}: {_fault(part, rhs, arg)}")
+
+
+def _fault(part: Expr, rhs: Expr, arg: bool) -> str:
+    """Why `part` of the right-hand side `rhs`, one of its call arguments
+    when `arg` and else all of it, is outside the grammar."""
+    heads, end = spine(part)
+    inner = next((h for h in heads if h.__class__ not in _SYMBOLS), end)
+    cls = inner.__class__
+    if cls is Call:
+        return (f"nested call in arguments of {render_expr(rhs)}" if arg
+                else f"call under a constructor in {render_expr(rhs)}")
+    if cls is TrueVal or cls is FalseVal:
+        return (f"{inner!r} inside {render_expr(rhs)}: T and F stand only as "
+                f"a whole right-hand side")
+    if inner is not end:
+        return (f"{render_expr(inner)} as a cell head in "
+                f"{render_expr(part)}: a cell head is a symbol")
+    if heads:
+        return (f"the list {render_expr(part)} ends in the symbol {end!r}, "
+                f"not in Nil or a list variable")
+    return (f"the right-hand side {end!r} is a bare symbol, which stands "
+            f"only as a whole call argument")
 
 
 # --- reference engine -------------------------------------------------------
@@ -301,7 +328,7 @@ def _no_rule(fn: str, args) -> StuckTermError:
 def trace_call(program: Program, call: Call,
                fuel: int = DEFAULT_FUEL) -> Iterator[Expr]:
     """Yield the expression after each rule application until passive."""
-    _require_ground_call(call)
+    _entry_args(call)
     _entry_lhs(program, call)
     check_tail_form(program)
     expr: Expr = call
@@ -318,21 +345,8 @@ def trace_call(program: Program, call: Call,
                 break
         else:
             raise _no_rule(expr.fn, expr.args)
-        binding = m[1]
-        if any(v.__class__ in (TrueVal, FalseVal) for v in binding.values()):
-            _check_cells(expr.fn, rule.rhs, binding)
-        expr = substitute(rule.rhs, binding)
+        expr = substitute(rule.rhs, m[1])
         yield expr
-
-
-def _check_cells(name: str, rhs: Expr, binding: dict) -> None:
-    """Raise ConsOntoTFError at the first fragment of `rhs`, in argument
-    order, that builds cells onto a list variable bound to T or F."""
-    for part in rhs.args if isinstance(rhs, Call) else (rhs,):
-        heads, end = spine(part)
-        value = binding.get(end) if heads else None
-        if isinstance(value, (TrueVal, FalseVal)):
-            raise _cons_onto(name, end.name, isinstance(value, TrueVal))
 
 
 def eval_reference(program: Program, call: Call,
@@ -345,32 +359,39 @@ def eval_reference(program: Program, call: Call,
     return Outcome(expr, steps)
 
 
-def _require_ground_call(call: Call) -> None:
+def _entry_args(call: Call) -> tuple[str, ...]:
+    """The arguments of an entry call as the compiled engine holds them, a
+    bare symbol as its character and a word as its str: the one input check
+    of both engines.  Any other argument, such as T, F, a list ending in
+    one of them or in a symbol, or a term with variables, is an EvalError."""
     if not isinstance(call, Call):
         raise EvalError("entry expression must be a function call")
+    args = []
     for a in call.args:
-        if not is_ground(a):
-            raise EvalError(f"argument {render_expr(a)} is not ground")
+        text = a.ch if a.__class__ is Sym else unword(a)
+        if text is None:
+            raise EvalError(
+                f"argument {render_expr(a)} is not a word or a symbol")
+        args.append(text)
+    return tuple(args)
 
 
 # --- compiled engine --------------------------------------------------------
 #
-# Ground values are Python objects: a word is a str, a bare symbol its
-# 1-character str, T/F a bool.  A program becomes one generated function,
-# `_run`, whose locals hold each function's arguments in that function's own
-# slots.  A slot is three locals `(s, o, n)` standing for the suffix `s[o:]`
-# of a str `s` of length `n`.  A symbol slot, a position of a well-sorted
-# program that every rule reads as a bare symbol, holds a symbol with `n ==
-# 1` and has offset the constant 0; every other slot holds a word.  `n` is
-# set once on entry to `length_hint(s, -1)`, which is -1 for a T/F argument
-# (a bool has no length), so every length test fails on it, as Nil, cell
-# and bare symbol patterns fail on T/F in the reference engine; the call has
-# no branch, so the generated code stays small.  `n` is copied whenever the
-# slot is passed on, and computed by arithmetic where a right-hand side
-# builds a new str.  A pattern tests `n > o + d`, `n == o + d` and
-# `s[o + d]`, a list variable binds `(s, o + d, n)`, and a tail call assigns
-# the callee's slots in place and sets `_fn`.  A step that drops a prefix
-# therefore copies nothing and costs O(1) in the length of the string.
+# Values are Python objects: a word is a str, a bare symbol its 1-character
+# str, and T/F, which only a run returns, a bool.  A program becomes one
+# generated function, `_run`, whose locals hold each function's arguments
+# in that function's own slots.  A slot is three locals `(s, o, n)` standing
+# for the suffix `s[o:]` of a str `s` of length `n`.  A symbol slot, a
+# position of a well-sorted program that every rule reads as a bare symbol,
+# holds a symbol with `n == 1` and has offset the constant 0; every other
+# slot holds a word.  `n` is set once on entry to the length of `s`, copied
+# whenever the slot is passed on, and computed by arithmetic where a
+# right-hand side builds a new str.  A pattern tests `n > o + d`,
+# `n == o + d` and `s[o + d]`, a list variable binds `(s, o + d, n)`, and a
+# tail call assigns the callee's slots in place and sets `_fn`.  A step
+# that drops a prefix therefore copies nothing and costs O(1) in the length
+# of the string.
 #
 # Each function's rules are emitted as a decision tree: a run of
 # consecutive rules whose tests start with the same test evaluates it once
@@ -387,9 +408,6 @@ def _require_ground_call(call: Call) -> None:
 # the caller's id (a call from it back to the caller sets no `_fn`).  Only
 # the callee's own code is inlined, one level deep, and every function
 # keeps its own arm, so each is still an entry and a target of `_fn`.
-# Where a right-hand side builds cells onto a list variable bound to a
-# whole argument, an `n == -1` test first raises ConsOntoTFError for a T/F
-# argument, as the reference engine does.
 
 _Code = tuple[str, str, str]  # (s, o, n): a str, an offset into it, its length
 
@@ -406,19 +424,13 @@ def _offset(o: str, d: int) -> str:
 
 
 def _text(value: _Code) -> str:
-    """Code for the str `s[o:]`.  A bool (a T/F entry argument) only ever
-    sits at offset 0, so an offset held in a local is tested before
-    slicing."""
+    """Code for the str `s[o:]`."""
     s, o, _ = value
-    if o == "0":
-        return s
-    if o.isidentifier():
-        return f"({s}[{o}:] if {o} else {s})"
-    return f"{s}[{o}:]"
+    return s if o == "0" else f"{s}[{o}:]"
 
 
 def _length(value: _Code) -> str:
-    """Code for `len(s[o:])`, or -1 for a bool (which sits at offset 0)."""
+    """Code for `len(s[o:])`."""
     _, o, n = value
     if o == "0":
         return n
@@ -462,18 +474,15 @@ def _slots(k: int, name: str, arity: int, symbolic: set) -> list[_Code]:
 
 
 class _Lhs:
-    """The compiled left-hand side of one rule of function `name`: its
-    tests, in the order they may be evaluated, and where each of its
-    variables and pattern cells lives."""
+    """The compiled left-hand side of one rule: its tests, in the order
+    they may be evaluated, and where each of its variables and pattern
+    cells lives."""
 
-    def __init__(self, name: str, rule: Rule, slots: list[_Code]):
-        self.name = name
+    def __init__(self, rule: Rule, slots: list[_Code]):
         self.conds: list[str] = []
         self.chars: dict = {}   # symbol variable -> code of its character
         self.lists: dict = {}   # list variable -> its (s, o, n) code
-        self.bare: set = set()  # list variables bound to a whole argument
         self.cells: list = []   # (heads, end, slot) of each cons pattern
-        self.checks: list[str] = []  # statements value() needs run first
         for pat, slot in zip(rule.lhs, slots):
             self._pattern(pat, slot)
 
@@ -505,8 +514,6 @@ class _Lhs:
                 conds.append(f"{_text(rest)} == {_text(self.lists[end])}")
             else:
                 self.lists[end] = rest
-                if not depth:
-                    self.bare.add(end)
         else:
             raise EvalError(f"bad pattern {pat!r}")
         for d, head in enumerate(heads):
@@ -522,8 +529,7 @@ class _Lhs:
         """`(s, o, n)` code of a passive right-hand side fragment.  Its
         longest suffix that is a suffix of a cons pattern, or a bound list
         variable, is passed on as it lies in the argument; only the cells in
-        front of it are built.  Cells built onto a variable bound to a whole
-        argument, which may be T or F, need a check in `checks`."""
+        front of it are built."""
         if isinstance(expr, Sym):
             return repr(expr.ch), "0", "1"
         if isinstance(expr, SymVar):
@@ -544,10 +550,6 @@ class _Lhs:
         built = heads[:len(heads) - shared]
         if not built:
             return tail or ("''", "0", "0")
-        if not shared and end in self.bare:
-            self.checks.append(
-                f"if {tail[2]} == -1: raise _cons_onto({self.name!r}, "
-                f"{end.name!r}, {tail[0]})")
         parts: list[str] = []
         lit = ""
         for head in built:
@@ -575,12 +577,9 @@ def _stuck_in(symbolic: set):
     the generated code, which then needs no branch per argument to slice
     them."""
     def _stuck(name: str, *slots) -> StuckTermError:
-        args = []
-        for i, (s, o) in enumerate(zip(slots[::2], slots[1::2])):
-            v = s[o:] if o else s
-            args.append(Sym(v) if v.__class__ is str and (name, i) in symbolic
-                        else _decode_value(v))
-        return _no_rule(name, args)
+        return _no_rule(name, [
+            Sym(s) if (name, i) in symbolic else word(s[o:])
+            for i, (s, o) in enumerate(zip(slots[::2], slots[1::2]))])
     return _stuck
 
 
@@ -663,7 +662,7 @@ def _compile_source(program: Program) -> str:
         offsets = [o for _, o, _ in slots[k] if o != "0"]
         if offsets:
             emit(f"{pad}{' = '.join(offsets)} = 0")
-        for s, _, n in slots[k]:
+        for s, _, n in slots[k]:  # len(s), spelt so for the pinned digests
             emit(f"{pad}{n} = length_hint({s}, -1)")
 
     def body(k, rule, lhs, at):
@@ -672,11 +671,9 @@ def _compile_source(program: Program) -> str:
         if not isinstance(rhs, Call):
             if isinstance(rhs, (TrueVal, FalseVal)):
                 value = str(isinstance(rhs, TrueVal))
-            elif _bare(rhs):  # built by hand: the parser makes none
-                value = f"Sym({lhs.value(rhs)[0]})"
             else:
                 value = _text(lhs.value(rhs))
-            return lhs.checks + [f"return ({value}, _steps)"]
+            return [f"return ({value}, _steps)"]
         callee = ids[rhs.fn]
         stores = []
         for arg, slot in zip(rhs.args, slots[callee]):
@@ -688,7 +685,7 @@ def _compile_source(program: Program) -> str:
             if len(stores) > 1:
                 stores = [(", ".join(t for t, _ in stores),
                            ", ".join(c for _, c in stores))]
-        out = lhs.checks + [f"{target} = {code}" for target, code in stores]
+        out = [f"{target} = {code}" for target, code in stores]
         if k == at and rhs.fn in fused:  # one level deep
             return out + step + tree(callee, at)
         if callee != at:
@@ -702,7 +699,7 @@ def _compile_source(program: Program) -> str:
         out = [f"# {name}/{len(slots[k])}"]
         compiled = []
         for rule in rules:
-            lhs = _Lhs(name, rule, slots[k])
+            lhs = _Lhs(rule, slots[k])
             compiled.append((lhs.conds, body(k, rule, lhs, at)))
         if not _emit_rules(out.append, compiled, ""):
             pairs = "".join(f"{s}, {o}, " for s, o, _ in slots[k])
@@ -739,10 +736,8 @@ class CompiledProgram:
                 f"well-sorted programs only")
         namespace = {
             "FuelExhaustedError": FuelExhaustedError,
-            "_cons_onto": _cons_onto,
             "_stuck": _stuck_in(symbolic),
             "length_hint": length_hint,
-            "Sym": Sym,
         }
         self.program = program
         exec(compile(_compile_source(program), "<rewriter>", "exec"),
@@ -755,59 +750,41 @@ class CompiledProgram:
         """The generated Python code, built again from the program."""
         return _compile_source(self.program)
 
-    def run(self, entry: str, args: tuple[str | bool, ...],
-            fuel: int = DEFAULT_FUEL) -> tuple[object, int]:
-        """Run `entry` on words and symbols as strs and T/F as bools, a
-        symbol exactly in a symbol slot; the caller checks the entry, as
-        `eval_call` does.  Returns the value, a bool, a str for a list or a
-        Sym, and the steps."""
+    def run(self, entry: str, args: tuple[str, ...],
+            fuel: int = DEFAULT_FUEL) -> tuple[bool | str, int]:
+        """Run `entry` on words and symbols as strs, a symbol exactly in a
+        symbol slot; the caller checks the entry, as `eval_call` does.
+        Returns the value, a bool for T/F or a str for a list, and the
+        steps."""
         return self._run(self._ids[entry], args, fuel)
 
 
-def _encode_arg(expr: Expr) -> str | bool | None:
-    """The compiled engine's value of one argument, checked to be ground in
-    the same walk: None for a ground list that is not a word, such as a
-    cell built onto T, which only the reference engine runs."""
-    if isinstance(expr, Sym):
-        return expr.ch
-    if isinstance(expr, TrueVal):
-        return True
-    if isinstance(expr, FalseVal):
-        return False
-    w = unword(expr)
-    if w is None and not is_ground(expr):
-        raise EvalError(f"argument {render_expr(expr)} is not ground")
-    return w
-
-
-def _decode_value(v: str | bool | Sym) -> Expr:
-    """The term of a value `_run` returns: T/F, a list, or a Sym."""
+def _decode_value(v: bool | str) -> Expr:
+    """The term of a value `_run` returns: T/F or a word."""
     if v is True:
         return TRUE
     if v is False:
         return FALSE
-    return word(v) if v.__class__ is str else v
+    return word(v)
 
 
 def eval_call(program: Program, call: Call,
               fuel: int | None = None) -> Outcome:
-    """Evaluate a ground call to a passive value, counting rule applications.
+    """Evaluate a call on words and symbols to a passive value, counting
+    rule applications.
 
     Deterministic; raises StuckTermError, FuelExhaustedError, NonTailError,
-    or ConsOntoTFError.  Runs in the compiled engine unless the program is
-    not well-sorted, or the call passes a word where the entry reads a
-    symbol, a symbol where it reads a list, or a list that is not a word;
-    the reference engine runs those, with the same outcome.
+    or EvalError for an argument that is not a word or a symbol.  Runs in
+    the compiled engine unless the program is not well-sorted, or the call
+    passes a word where the entry reads a symbol or a symbol where it reads
+    a list; the reference engine runs those, with the same outcome.
     """
-    if not isinstance(call, Call):
-        raise EvalError("entry expression must be a function call")
-    args = tuple(map(_encode_arg, call.args))
+    args = _entry_args(call)
     lhs = _entry_lhs(program, call)
     fuel = DEFAULT_FUEL if fuel is None else fuel
     compiled = program.compiled
-    if compiled is None or None in args or any(
-            _bare(p) != (a.__class__ is Sym) for p, a in zip(lhs, call.args)
-            if a.__class__ is not TrueVal and a.__class__ is not FalseVal):
+    if compiled is None or any(
+            _bare(p) != (a.__class__ is Sym) for p, a in zip(lhs, call.args)):
         return eval_reference(program, call, fuel)
     value, steps = compiled.run(call.fn, args, fuel)
     return Outcome(_decode_value(value), steps)

@@ -2,10 +2,11 @@
 language.
 
 Programs are sets of functions, each a list of rewrite rules tried top-down,
-first match wins.  Values are words (right-nested chains of single-character
-symbols ending in Nil), the logical constants T and F, and -- in argument
-positions only -- bare symbols.  Expressions may additionally contain rule
-variables (`s.a`, `y`) and specializer parameters (`#s.a`, `#y`).
+first match wins.  A call's inputs are words (right-nested chains of
+single-character symbols ending in Nil) and, in argument positions only,
+bare symbols; the logical constants T and F are results, written only as a
+whole right-hand side.  Expressions may additionally contain rule variables
+(`s.a`, `y`) and specializer parameters (`#s.a`, `#y`).
 
 The concrete grammar:
 
@@ -378,12 +379,6 @@ def vars_of(expr: Expr) -> list[Var]:
         if isinstance(t, (SymVar, ListVar)) and t not in seen:
             seen.append(t)
     return seen
-
-
-def is_ground(expr: Expr) -> bool:
-    return not any(
-        isinstance(t, (SymVar, ListVar, SymParam, ListParam, Call))
-        for t in subterms(expr))
 
 
 def substitute(expr: Expr, mapping: dict) -> Expr:

@@ -17,6 +17,7 @@ from miniscp.harness import (
     artifacts, binary_patterns, default_corpus, expected_path_pivots,
     verify_pattern,
 )
+from miniscp.interpreter import naive_matcher
 from miniscp.kmp import failure_table
 from miniscp.residual import structural_report
 from miniscp.scp import first_path, first_path_pivots
@@ -47,8 +48,9 @@ def step_contrast(pattern, lengths):
     rows = {}
     for m in lengths:
         y = pattern[0] * m
-        _, naive_steps = art.naive_runner.run("S", (pattern, y))
-        _, res_steps = art.runner.run(art.residual.entry, (y,))
+        _, naive_steps = naive_matcher().compiled.run("S", (pattern, y))
+        _, res_steps = art.residual.program.compiled.run(
+            art.residual.entry, (y,))
         rows[m] = (naive_steps, res_steps)
     return rows
 

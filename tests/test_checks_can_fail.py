@@ -20,7 +20,6 @@ from miniscp.syntax import (
     Call, Cons, ListParam, Program, SymParam, parse_program, word,
 )
 from miniscp.harness import PatternArtifacts
-from miniscp.interpreter import CompiledProgram, naive_matcher
 
 
 def _swap_entry_rules(program: Program) -> Program:
@@ -55,9 +54,7 @@ def test_automaton_check_rejects_swapped_rules():
     art = artifacts("ab")
     broken = ResidualProgram(_swap_entry_rules(art.residual.program),
                              art.residual.provenance, art.residual.entry)
-    fake = PatternArtifacts("ab", art.graph, art.report, broken,
-                            CompiledProgram(broken.program),
-                            CompiledProgram(naive_matcher()))
+    fake = PatternArtifacts("ab", art.graph, art.report, broken)
     with pytest.raises(CheckFailure):
         _automaton_facts(fake)
 
@@ -65,8 +62,7 @@ def test_automaton_check_rejects_swapped_rules():
 def test_first_path_check_rejects_wrong_pattern():
     # the graph for "ab" does not satisfy the expectations for "ba"
     art = artifacts("ab")
-    fake = PatternArtifacts("ba", art.graph, art.report, art.residual,
-                            art.runner, art.naive_runner)
+    fake = PatternArtifacts("ba", art.graph, art.report, art.residual)
     with pytest.raises(CheckFailure):
         _first_path_facts(fake)
 
@@ -128,8 +124,7 @@ def _with_steps(art, node_id, delta):
                           driving.Branch(b.narrowing, b.child, b.steps + delta),
                           n.children, n.fold)
     return PatternArtifacts(art.pattern, ProcessGraph(nodes, art.graph.root),
-                            art.report, art.residual, art.runner,
-                            art.naive_runner)
+                            art.report, art.residual)
 
 
 def test_rebuilt_chains_hold_every_compressed_configuration():

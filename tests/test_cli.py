@@ -165,6 +165,24 @@ def test_run_long_chain_programs_never_show_a_traceback(tmp_path):
             assert proc.stdout.splitlines()[0] == value, i
 
 
+def test_specialize_refuses_a_residual_outside_the_grammar(tmp_path):
+    # G conses onto a list variable that S fills with a symbol, so the
+    # residual would end a list in a symbol, 'c':s.c1, which no program
+    # text can say; residualize refuses it instead of printing it
+    prog = tmp_path / "cons.scl"
+    prog.write_text("S { p, s.a:y = G(s.a, y); p, Nil = F; }\n"
+                    "G { x, y = 'c':x; }\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "miniscp", "specialize", "--pattern", "ab",
+         "--program", str(prog)],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        "error: function F_0: the list 'c':s.c1 ends in the symbol s.c1, "
+        "not in Nil or a list variable\n")
+
+
 def test_specialize_long_rule_pattern_exits_with_a_message(tmp_path):
     # rule 0 narrows #y 3000 cells deep, in a loop; driving rule 1 then
     # finds that rule 0 splits a finer region, which is rejected with a
@@ -251,12 +269,11 @@ def test_verify_rejects_pattern_and_corpus_together():
     assert code == 2
 
 
-def test_fuel_environment_override(tmp_path, monkeypatch):
+def test_fuel_option(tmp_path):
     prog = tmp_path / "naive.scl"
     prog.write_text(__import__("miniscp").NAIVE_MATCHER_SOURCE)
-    monkeypatch.setenv("SCP_FUEL", "2")
     code, _, err = run_cli("run", "--program", str(prog), "--entry", "S",
-                           "--input", "a", "--input", "ba")
+                           "--input", "a", "--input", "ba", "--fuel", "2")
     assert code == 1
     assert "fuel" in err.lower()
 

@@ -8,6 +8,7 @@ from miniscp.harness import (
     expected_path_pivots, record_line, string_pool,
     summary_lines, sweep_alphabet, verify_pattern,
 )
+from miniscp.interpreter import naive_matcher
 from miniscp.kmp import automaton
 
 
@@ -122,8 +123,9 @@ def test_summary_lines(small_corpus):
 def test_adversarial_steps_for_aab():
     art = artifacts("aab")
     y = "a" * 100
-    _, naive_steps = art.naive_runner.run("S", ("aab", y))
-    _, residual_steps = art.runner.run(art.residual.entry, (y,))
+    _, naive_steps = naive_matcher().compiled.run("S", ("aab", y))
+    _, residual_steps = art.residual.program.compiled.run(
+        art.residual.entry, (y,))
     assert residual_steps <= 202
     assert naive_steps >= 290
 

@@ -7,8 +7,8 @@ import pytest
 from miniscp.driving import NameGen
 from miniscp.harness import artifacts
 from miniscp.interpreter import (
-    ArityError, CompiledProgram, ConsOntoTFError, EmptyPatternError,
-    EvalError, FuelExhaustedError, NonTailError, Outcome, StuckTermError,
+    ArityError, CompiledProgram, EmptyPatternError, EvalError,
+    FuelExhaustedError, NonTailError, Outcome, StuckTermError,
     _MAX_SHARED_DEPTH, _check_arity, check_tail_form, eval_call,
     eval_reference, match, naive_matcher, naive_outcome, symbol_positions,
     trace_call,
@@ -208,11 +208,9 @@ def test_nested_call_arguments_rejected():
 
 
 def test_non_ground_arguments_rejected():
-    with pytest.raises(Exception, match="ground"):
-        eval_call(naive_matcher(), Call("S", (word("a"), ListVar("y"))))
-    with pytest.raises(Exception, match="not ground"):
-        eval_call(naive_matcher(),
-                  Call("S", (word("a"), Cons(Sym("a"), ListVar("y")))))
+    for arg in (ListVar("y"), Cons(Sym("a"), ListVar("y"))):
+        with pytest.raises(EvalError, match="is not a word or a symbol"):
+            eval_call(naive_matcher(), Call("S", (word("a"), arg)))
 
 
 def test_tail_form_check_accepts_long_literals():
@@ -220,6 +218,35 @@ def test_tail_form_check_accepts_long_literals():
     check_tail_form(Program((("F", (Rule((ListVar("x"),), long),
                                     Rule((ListVar("x"),),
                                          Call("F", (long,))))),)))
+
+
+def test_right_hand_sides_outside_the_grammar_rejected_in_both_engines():
+    x, z = ListVar("x"), ListVar("z")
+    g = ("G", (Rule((z,), z),))
+    cases = [
+        # T in a call, and under a cons
+        (Rule((x,), Call("G", (TRUE,))),
+         "function F: T inside G(T): T and F stand only as a whole "
+         "right-hand side"),
+        (Rule((x,), Call("G", (Cons(Sym("a"), FALSE),))),
+         "function F: F inside G('a':F): T and F stand only as a whole "
+         "right-hand side"),
+        # a bare symbol as a whole right-hand side, and ending a list
+        (Rule((SymVar("c"),), SymVar("c")),
+         "function F: the right-hand side s.c is a bare symbol, which "
+         "stands only as a whole call argument"),
+        (Rule((SymVar("c"),), Call("G", (Cons(Sym("a"), SymVar("c")),))),
+         "function F: the list 'a':s.c ends in the symbol s.c, not in Nil "
+         "or a list variable"),
+        (Rule((x,), Cons(Cons(Sym("a"), NIL), x)),
+         "function F: \"a\" as a cell head in \"a\":x: a cell head is a "
+         "symbol"),
+    ]
+    for rule, message in cases:
+        prog = Program((("F", (rule,)), g))
+        arg = Sym("b") if isinstance(rule.lhs[0], SymVar) else word("b")
+        assert outcomes_agree(prog, Call("F", (arg,)), 10) == (
+            NonTailError, message)
 
 
 # --- long inputs ------------------------------------------------------------
@@ -370,8 +397,7 @@ def outcomes_agree(prog, call, fuel):
     for engine in (eval_reference, eval_call):
         try:
             out = engine(prog, call, fuel)
-        except (StuckTermError, FuelExhaustedError, ConsOntoTFError,
-                ArityError, ValidationError) as err:
+        except (EvalError, ValidationError) as err:
             got.append((type(err), str(err)))
         else:
             got.append((out.value, out.steps))
@@ -381,13 +407,12 @@ def outcomes_agree(prog, call, fuel):
 
 
 def attempts(prog, call):
-    """Rule applications a run tries: its steps, plus one if it sticks or
-    its last rule conses onto T or F."""
+    """Rule applications a run tries: its steps, plus one if it sticks."""
     n = 0
     try:
         for _ in trace_call(prog, call):
             n += 1
-    except (StuckTermError, ConsOntoTFError):
+    except StuckTermError:
         n += 1
     return n
 
@@ -409,13 +434,6 @@ def test_ill_sorted_programs_are_not_compiled():
     # a symbol slot and a list slot
     prog = parse_program("F { s.x, y = F(s.x, 'a':y); 'a', y = T; }")
     assert symbol_positions(prog) == {("F", 0)}
-    # a bare symbol returned from a symbol slot, in a program built by hand
-    # (the parser makes no such right-hand side)
-    prog = Program((("F", (Rule((Sym("a"),), Sym("c")),
-                           Rule((SymVar("x"),), SymVar("x")))),))
-    assert prog.compiled is not None
-    for arg, value in (("a", Sym("c")), ("b", Sym("b"))):
-        assert outcomes_agree(prog, Call("F", (Sym(arg),)), 10) == (value, 1)
 
 
 def test_matcher_and_residuals_are_well_sorted(full_corpus):
@@ -424,7 +442,7 @@ def test_matcher_and_residuals_are_well_sorted(full_corpus):
     for pattern in full_corpus.patterns:
         rp = artifacts(pattern).residual
         assert symbol_positions(rp.program) is not None, pattern
-        assert artifacts(pattern).runner is rp.program.compiled
+        assert rp.program.compiled is not None, pattern
 
 
 def test_engines_check_the_entry_alike():
@@ -436,25 +454,27 @@ def test_engines_check_the_entry_alike():
     prog = parse_program("F { s.x = T; y = F; }")  # not compiled
     assert outcomes_agree(prog, Call("F", (word("a"), NIL)), 10) == (
         ArityError, "expected 1 arguments, got 2")
-    # ground lists that are not words
+    # arguments that are not words or symbols
     prog = parse_program("F { 'a':y = y; x = F; }")
-    for arg, value in ((Cons(Sym("a"), TRUE), TRUE),
-                       (Cons(Sym("a"), Sym("b")), Sym("b")),
-                       (Cons(Sym("b"), TRUE), FALSE)):
-        assert outcomes_agree(prog, Call("F", (arg,)), 10) == (value, 1)
+    for arg, text in ((TRUE, "T"), (FALSE, "F"),
+                      (Cons(Sym("a"), TRUE), "'a':T"),
+                      (Cons(Sym("a"), Sym("b")), "'a':'b'")):
+        assert outcomes_agree(prog, Call("F", (arg,)), 10) == (
+            EvalError, f"argument {text} is not a word or a symbol")
 
 
 def test_t_and_f_arguments_in_list_and_symbol_positions():
-    # a length local of -1 fails every length test, as T and F match no
-    # Nil, cell or bare symbol in the reference engine
-    prog = parse_program("F { Nil = T; x = F; }")
-    assert eval_call(prog, Call("F", (TRUE,))) == Outcome(FALSE, 1)
-    assert outcomes_agree(prog, Call("F", (TRUE,)), 10) == (FALSE, 1)
-    stuck = outcomes_agree(naive_matcher(), Call("S", (TRUE, word("a"))), 10)
-    assert stuck[0] is StuckTermError
+    # T and F are results, never inputs: both engines refuse them alike in
+    # a list position, a symbol position and a position read as both
+    for source in ("F { Nil = T; x = F; }", "F { s.c = T; 'a' = F; }",
+                   "F { s.c = T; 'a' = T; x = x; }"):
+        for arg in (TRUE, FALSE):
+            call = Call("F", (arg,))
+            assert outcomes_agree(parse_program(source), call, 10) == (
+                EvalError, f"argument {arg!r} is not a word or a symbol")
+    refused = outcomes_agree(naive_matcher(), Call("S", (TRUE, word("a"))), 10)
+    assert refused == (EvalError, "argument T is not a word or a symbol")
     prog = parse_program("F { s.c = T; 'a' = T; x = x; }")
-    for arg in (TRUE, FALSE):
-        assert outcomes_agree(prog, Call("F", (arg,)), 10) == (arg, 1)
     assert outcomes_agree(prog, Call("F", (Sym("b"),)), 10) == (TRUE, 1)
     # a symbol variable matches no list in either engine
     prog = parse_program("F { s.c = T; y = F; }")
@@ -519,33 +539,9 @@ def test_a_symbol_bound_to_a_list_variable_stays_a_symbol():
         FALSE, 1)
     assert outcomes_agree(prog, Call("F", (Sym("a"), Sym("a"))), 10) == (
         TRUE, 1)
-    # a symbol where no rule reads one, and a T or F bound with it
+    # a symbol where no rule reads one
     prog = parse_program("F { 'a':Nil = T; y = F; }")
     assert outcomes_agree(prog, Call("F", (Sym("a"),)), 10) == (FALSE, 1)
-    prog = parse_program("F { 'a' = T; y = G('c':y); } G { y = y; }")
-    assert outcomes_agree(prog, Call("F", (TRUE,)), 10) == (
-        ConsOntoTFError, "function F conses onto y bound to T")
-
-
-def test_consing_onto_t_or_f_is_one_typed_error_in_both_engines():
-    prog = parse_program("F { x = G('a':x); } G { y = y; }")
-    for arg, name in ((TRUE, "T"), (FALSE, "F")):
-        assert outcomes_agree(prog, Call("F", (arg,)), 10) == (
-            ConsOntoTFError, f"function F conses onto x bound to {name}")
-    assert outcomes_agree(prog, Call("F", (word("b"),)), 10) == (
-        word("ab"), 2)
-    # a returned list, and the first offending argument in order
-    prog = parse_program("F { x, y = 'b':x; }\n"
-                         "G { x, y = F('a':y, 'a':x); }")
-    assert outcomes_agree(prog, Call("F", (FALSE, TRUE)), 10) == (
-        ConsOntoTFError, "function F conses onto x bound to F")
-    assert outcomes_agree(prog, Call("G", (FALSE, TRUE)), 10) == (
-        ConsOntoTFError, "function G conses onto y bound to T")
-    # the check is generated only where cells are built onto a variable
-    # bound to a whole argument
-    assert "_cons_onto" not in naive_matcher().compiled.source
-    assert parse_program("F { 'a':x = G('b':x); } G { y = y; }") \
-        .compiled.source.count("_cons_onto") == 0
 
 
 def fused_count(source):
@@ -650,8 +646,8 @@ def random_pattern(rng, kind, depth_max=2):
 
 
 def random_rhs_list(rng, syms, lists):
-    """A list expression over the bound variables; its cells may be built
-    onto a list variable bound to a T/F argument."""
+    """A list expression over the bound variables, built onto Nil or a
+    bound list variable."""
     heads = [rng.choice([Sym("a"), Sym("b")] + syms)
              for _ in range(rng.choice([0, 0, 1, 2]))]
     return chain(heads, rng.choice([NIL] + lists))
@@ -722,14 +718,12 @@ def test_compiled_engine_agrees_with_reference_on_random_programs():
     rng = random.Random(2026)
     # one-letter words go into symbol positions too, where they match no
     # bare symbol pattern, and symbols into list positions
-    inputs = {"s": [Sym("a"), Sym("b"), TRUE, FALSE, word("a")],
-              "l": [word(w) for w in words("ab", 2)] + [TRUE, FALSE,
-                                                         Sym("a")],
-              "m": [Sym("a"), Sym("b"), TRUE, FALSE, NIL, word("a"),
-                    word("ab")]}
+    inputs = {"s": [Sym("a"), Sym("b"), word("a")],
+              "l": [word(w) for w in words("ab", 2)] + [Sym("a")],
+              "m": [Sym("a"), Sym("b"), NIL, word("a"), word("ab")]}
     seen = set()
     shared = fused = compiled = 0
-    for _ in range(60):
+    for _ in range(80):
         prog = random_program(rng)
         if prog.compiled is not None:
             compiled += 1
@@ -753,10 +747,9 @@ def test_compiled_engine_agrees_with_reference_on_random_programs():
                 assert outcomes_agree(prog, call, steps - 1) == (
                     FuelExhaustedError,
                     f"fuel exhausted after {steps} rule applications")
-                seen.add(ref[0] if ref[0] in (StuckTermError, ConsOntoTFError,
-                                              TRUE, FALSE) else "word")
-    assert seen == {"fuel", StuckTermError, ConsOntoTFError, TRUE, FALSE,
-                    "word"}
-    assert 40 <= compiled <= 55
+                seen.add(ref[0] if ref[0] in (StuckTermError, TRUE, FALSE)
+                         else "word")
+    assert seen == {"fuel", StuckTermError, TRUE, FALSE, "word"}
+    assert 52 <= compiled <= 70
     assert shared >= 20
     assert fused >= 20

@@ -102,9 +102,9 @@ CASES = {
         "equivalence_ok=True, linearity_ok=True, automaton_ok=False, "
         "metrics={'nodes': 3}, failures=())", False, False),
     PatternArtifacts: (
-        lambda: PatternArtifacts("ab", None, None, None, None, None),
+        lambda: PatternArtifacts("ab", None, None, None),
         "PatternArtifacts(pattern='ab', graph=None, report=None, "
-        "residual=None, runner=None, naive_runner=None)", False, False),
+        "residual=None)", False, False),
     SweepResult: (lambda: SweepResult(True, False, 1.5, None, "too long"),
                   "SweepResult(equivalence_ok=True, linearity_ok=False, "
                   "max_steps_ratio=1.5, counterexample=None, "

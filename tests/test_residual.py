@@ -109,7 +109,7 @@ def test_tail_form_and_bindings():
 def test_semantic_preservation_exhaustive():
     for pattern in ("a", "ab", "aa", "aab", "aba"):
         art = artifacts(pattern)
-        runner = art.runner
+        runner = art.residual.program.compiled
         alphabet = sorted(set(pattern)) + ["z"]
         for n in range(7):
             for tup in itertools.product(alphabet, repeat=n):
@@ -126,7 +126,8 @@ def test_semantic_preservation_random_long():
         for _ in range(300):
             y = "".join(rng.choice(alphabet)
                         for _ in range(rng.randint(0, 200)))
-            value, steps = art.runner.run(art.residual.entry, (y,))
+            value, steps = art.residual.program.compiled.run(
+                art.residual.entry, (y,))
             assert value == (pattern in y)
             assert steps <= 2 * len(y) + len(pattern) + 2
 
@@ -147,7 +148,7 @@ def test_engines_agree_on_residual_programs():
 def test_single_letter_residual_step_count():
     art = artifacts("a")
     for y in ("", "b", "bbb", "b" * 17):
-        value, steps = art.runner.run("F_0", (y,))
+        value, steps = art.residual.program.compiled.run("F_0", (y,))
         assert value is False
         assert steps == len(y) + 1
 
