@@ -2,18 +2,20 @@
 
     miniscp specialize --pattern aab [--program FILE] [--out FILE]
                        [--dot FILE] [--report] [--stats]
-    miniscp run --program FILE --entry NAME --input WORD [--steps]
+    miniscp run --program FILE --entry NAME --input WORD [--steps] [--fuel N]
     miniscp failure --pattern ababa
     miniscp verify [--pattern aab | --corpus default] [--seed N]
     miniscp tree --pattern aab --dot FILE
 
 Exit codes: 0 success, 1 semantic failure (failed check, evaluation error),
-2 usage error.
+2 usage error, 141 (128 + SIGPIPE, as a shell reports it) when the reader
+of the output closes it early, as `| head` does.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .configs import ConfigError, config_text
@@ -41,6 +43,17 @@ def _word_arg(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("pattern words must be nonempty")
     return text
+
+
+def _fuel_arg(text: str) -> int:
+    try:
+        fuel = int(text)
+    except ValueError:
+        fuel = 0
+    if fuel < 1:
+        raise argparse.ArgumentTypeError(
+            f"fuel must be a whole number of at least 1, not {text!r}")
+    return fuel
 
 
 def _cmd_specialize(args, out, err) -> int:
@@ -158,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     rn.add_argument("--input", action="append", required=True,
                     help="one word per argument (repeatable)")
     rn.add_argument("--steps", action="store_true")
-    rn.add_argument("--fuel", type=int, default=None)
+    rn.add_argument("--fuel", type=_fuel_arg, default=None,
+                    help="most rule applications to run (at least 1)")
     rn.set_defaults(fn=_cmd_run)
 
     fl = sub.add_parser("failure", help="print the failure table")
@@ -191,7 +205,14 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args, out, err)
+        code = args.fn(args, out, err)
+        out.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stop quietly; the output then goes to os.devnull, so that the
+        # flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 141
     except (ParseError, ValidationError, EvalError, ScpError, DriveError,
             ConfigError, ResidualError, ValueError, FileNotFoundError) as e:
         err.write(f"error: {e}\n")

@@ -31,11 +31,13 @@ from .configs import (
     EMPTY, Config, Restriction, apply_to_restriction, make_config, param_key,
     prune, restriction, satisfiable,
 )
-from .interpreter import DriveError, UnsupportedNarrowingError, match, probe
+from .interpreter import (
+    DriveError, UnsupportedNarrowingError, match, probe, resolve,
+)
 from .record import Record, setters
 from .syntax import (
-    Call, Expr, ListParam, Program, Rule, Sym, SymParam, is_passive,
-    params_of, render_expr, spine, substitute, vars_of,
+    Call, Expr, ListParam, Program, Rule, Sym, SymParam, params_of,
+    render_expr, spine, substitute, vars_of,
 )
 
 
@@ -234,19 +236,13 @@ class _Refuse:
 _REFUSE = _Refuse()
 
 
-def rule_facts(rule: Rule) -> tuple[bool, int, tuple]:
-    """What a ground step needs to know of a rule: is its right-hand side
-    in tail form, the longest cell prefix of an argument of it, and the
-    variables of its left-hand side that the right-hand side drops.  Found
-    once per rule, as `Program.ground_facts`."""
-    rhs = rule.rhs
-    args = rhs.args if rhs.__class__ is Call else (rhs,)
-    kept = set(vars_of(rhs))
-    dropped = dict.fromkeys(v for a in rule.lhs for v in vars_of(a)
-                            if v not in kept)
-    return (all(is_passive(a) for a in args),
-            max((len(spine(a)[0]) for a in args), default=0),
-            tuple(dropped))
+def rule_facts(rule: Rule) -> tuple:
+    """What a ground step needs to know of a rule: the variables of its
+    left-hand side that the right-hand side drops.  Found once per rule, as
+    `Program.ground_facts`."""
+    kept = set(vars_of(rule.rhs))
+    return tuple(dict.fromkeys(v for a in rule.lhs for v in vars_of(a)
+                               if v not in kept))
 
 
 def ground_step(program: Program, cfg: Config) -> Branch | None:
@@ -268,7 +264,8 @@ def ground_step(program: Program, cfg: Config) -> Branch | None:
     except those in what its dropped variables bind; so when those are all
     symbols, the restriction (which names only parameters of `cfg`, see
     `make_config`) stays as it is, and the step costs no walk over the
-    configuration."""
+    configuration.  The program must be in tail form, which
+    `supercompile` checks before its first drive."""
     call = cfg.expr
     if call.__class__ is not Call or cfg.restriction.unsat:
         return None
@@ -298,9 +295,7 @@ def ground_step(program: Program, cfg: Config) -> Branch | None:
     if fired is None:
         return None
     idx, binding = fired
-    tail_form, _, dropped = program.ground_facts[call.fn][idx]
-    if not tail_form:
-        return None
+    dropped = program.ground_facts[call.fn][idx]
     expr = substitute(rules[idx].rhs, binding)
     r = cfg.restriction
     if r.diseqs and any(binding[v].__class__ is not Sym for v in dropped):
@@ -313,8 +308,10 @@ def _spine_depth(expr: Expr) -> int:
     return max((len(spine(e)[0]) for e in exprs), default=0)
 
 
-# Caps on one transient chain, counted from where the chain starts.
-MAX_TRANSIENT_STEPS = 1000  # rule applications folded into one edge
+# Caps on one transient chain, counted from where the chain starts.  The
+# longest edge takes about n^2/2 steps on a^n and |p|^2/4 on (ab)^n c (1,274
+# at a^50, 2,600 at (ab)^50 c), so the step cap admits a^316 and (ab)^223 c.
+MAX_TRANSIENT_STEPS = 50_000  # rule applications folded into one edge
 MAX_TRANSIENT_DEPTH = 400  # growth of the deepest list spine, in cells
 
 
@@ -358,6 +355,10 @@ def compress(program: Program, branch: Branch,
     transient configuration, and also the active child that ends the chain
     by driving to several branches.
 
+    The edge's narrowing is kept as made, each step's entries after the
+    earlier ones, and resolved once at the end (see interpreter.resolve),
+    so that a chain costs time linear in its length.
+
     Chains that loop (more than MAX_TRANSIENT_STEPS rule applications
     folded in here) or grow their configurations (list spines more than
     MAX_TRANSIENT_DEPTH cells deeper than in the first configuration) are
@@ -365,49 +366,37 @@ def compress(program: Program, branch: Branch,
     whistle, since transients are not graph nodes.  Both caps count from
     where the chain starts, so a configuration that is large to begin with,
     such as one holding a long pattern word, is not mistaken for a growing
-    one.  A step that narrows nothing deepens no spine by more than the
-    longest cell prefix in its rule's right-hand side, so the spines are
-    measured only after a narrowing or when that bound passes the cap; a
-    ground step costs no walk over the configuration."""
+    one.  The spines are measured where the chain starts and after each
+    step that narrows, whose drive walks the configuration anyway; steps
+    that narrow nothing cost no walk, and the step cap bounds their growth."""
     if step is None:
         step = GroundFirst(program, NameGen.for_exprs(branch.child.expr))
-    subst = branch.narrowing.subst_dict
+    made = branch.narrowing.subst_dict
     added = branch.narrowing.added
     steps = branch.steps
     child = branch.child
-    depth = bound = _spine_depth(child.expr)
-    for cfg, nxt in transients(child, step):
+    depth = _spine_depth(child.expr)
+    for _, nxt in transients(child, step):
         s2 = nxt.narrowing.subst_dict
         if s2:
-            # parameters introduced by the edge so far live in the images;
-            # s2 entries for them fold in, entries for untouched parent
-            # parameters are appended
-            edge_fresh = set()
-            for e in subst.values():
-                edge_fresh.update(params_of(e))
-            subst = {p: substitute(e, s2) for p, e in subst.items()}
-            for p, e in s2.items():
-                if p not in subst and p not in edge_fresh:
-                    subst[p] = e
+            made.update(s2)
             added = apply_to_restriction(added, s2)
             if added.unsat:
                 raise DriveError(
                     "transient narrowing contradicts the edge's own "
                     "disequalities")
-            bound = _spine_depth(nxt.child.expr)
-        else:
-            facts = program.ground_facts[cfg.expr.fn]
-            bound += facts[nxt.narrowing.rule_index][1]
         if nxt.narrowing.added.diseqs:
             added = restriction(added.diseqs | nxt.narrowing.added.diseqs)
         steps += 1
         if steps - branch.steps > MAX_TRANSIENT_STEPS:
             raise DriveError("transient chain exceeded the step budget")
-        if bound - depth > MAX_TRANSIENT_DEPTH:
-            bound = _spine_depth(nxt.child.expr)
-            if bound - depth > MAX_TRANSIENT_DEPTH:
-                raise DriveError("transient chain grows without bound")
+        if s2 and _spine_depth(nxt.child.expr) - depth > MAX_TRANSIENT_DEPTH:
+            raise DriveError("transient chain grows without bound")
         child = nxt.child
+    resolved = resolve(made)
+    # an image names only parameters the edge made, never the parent's
+    made_here = {q for e in made.values() for q in params_of(e)}
+    subst = {p: resolved[p] for p in made if p not in made_here}
     return Branch(Narrowing(_canon_subst(subst), added,
                             branch.narrowing.rule_index),
                   child, steps)

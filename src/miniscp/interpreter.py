@@ -6,7 +6,8 @@ Both engines run only what the grammar writes (see `syntax`): an entry call
 takes words and bare symbols, and T and F are results, never input data.
 A right-hand side is T, F, a list, or one top-level call whose arguments
 are lists or bare symbols (tail form); `check_tail_form` rejects anything
-else with a clear error.
+else with a clear error, and `Program.tail_form` keeps its verdict with the
+program, so that it runs once per program.
 
 Rule patterns are matched by one function, `match`, used by the reference
 stepper, by `residual.transition` and by driving.  On ground arguments it
@@ -291,9 +292,7 @@ def probe(lhs: tuple[Expr, ...], args: tuple[Expr, ...],
             else:
                 raise bad(pat)
             break
-    resolved: dict = {}
-    for p, img in reversed(subst.items()):
-        resolved[p] = substitute(img, resolved)
+    resolved = resolve(subst)
     for v, e in repeated:
         b = binding[v]
         if resolved:
@@ -304,6 +303,16 @@ def probe(lhs: tuple[Expr, ...], args: tuple[Expr, ...],
             raise UnsupportedNarrowingError(
                 "repeated list variable binds unequal expressions")
     return {p: resolved[p] for p in subst if p not in fresh}, binding, resolved
+
+
+def resolve(made: dict) -> dict:
+    """A narrowing as made, where an image names only later keys, fully
+    resolved in one pass from the last key back; each resolved image is
+    shared, not copied, so this costs time linear in the images as made."""
+    resolved: dict = {}
+    for p, img in reversed(made.items()):
+        resolved[p] = substitute(img, resolved)
+    return resolved
 
 
 def _check_arity(lhs: tuple, args: tuple) -> None:
@@ -330,7 +339,7 @@ def trace_call(program: Program, call: Call,
     """Yield the expression after each rule application until passive."""
     _entry_args(call)
     _entry_lhs(program, call)
-    check_tail_form(program)
+    program.tail_form  # or NonTailError, found once per program
     expr: Expr = call
     steps = 0
     while isinstance(expr, Call):
@@ -643,7 +652,7 @@ def _fused(functions) -> set:
 
 
 def _compile_source(program: Program) -> str:
-    check_tail_form(program)
+    program.tail_form  # or NonTailError
     functions = program.functions
     ids = {name: k for k, (name, _) in enumerate(functions)}
     symbolic = symbol_positions(program)

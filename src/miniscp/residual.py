@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .configs import config_text
 from .driving import Branch
-from .interpreter import check_tail_form, match
+from .interpreter import match
 from .record import Record
 from .scp import (
     KIND_DIAGNOSTIC, KIND_FOLDED, KIND_PASSIVE, KIND_PIVOT, ProcessGraph,
@@ -152,7 +152,7 @@ def residualize(graph: ProcessGraph) -> ResidualProgram:
         functions.append((names[i], tuple(rules)))
         provenance[names[i]] = node.config
     program = Program(tuple(functions))
-    check_tail_form(program)
+    program.tail_form  # or NonTailError
     validate(program)
     return ResidualProgram(program, provenance, names[graph.root])
 

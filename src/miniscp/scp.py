@@ -163,10 +163,12 @@ def supercompile(program: Program, entry: Config,
     """Build the folded process graph of the program for the given entry.
 
     Terminates with every leaf passive, folded, or diagnostic; raises
-    NodeBudgetError past `node_budget` nodes.
+    NodeBudgetError past `node_budget` nodes, and NonTailError for a
+    program outside the grammar.
     """
     if not entry.is_active():
         raise ScpError("entry configuration must be active")
+    program.tail_form  # or NonTailError
     names = NameGen.for_exprs(entry.expr)
     step = GroundFirst(program, names)
     graph = ProcessGraph([Node(entry)])

@@ -265,6 +265,16 @@ class Program(Record, frozen=True):
         return CompiledProgram(self)
 
     @cached_property
+    def tail_form(self) -> bool:
+        """True once every right-hand side is found to have one of the
+        grammar's forms, checked on first use and kept with the program;
+        raises NonTailError for a program outside the grammar (see
+        interpreter.check_tail_form)."""
+        from .interpreter import check_tail_form
+        check_tail_form(self)
+        return True
+
+    @cached_property
     def ground_facts(self) -> dict:
         """What ground steps need to know of each rule, per function, found
         on first use and kept with the program (see driving.rule_facts)."""

@@ -278,6 +278,31 @@ def test_fuel_option(tmp_path):
     assert "fuel" in err.lower()
 
 
+@pytest.mark.parametrize("fuel", ["-5", "0", "ten"])
+def test_fuel_below_one_is_a_usage_error(tmp_path, fuel):
+    proc = run_file(tmp_path, __import__("miniscp").NAIVE_MATCHER_SOURCE,
+                    "--entry", "S", "--input", "a", "--input", "ba",
+                    "--fuel", fuel)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "fuel must be a whole number of at least 1" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["tree", "--pattern", "ab" * 8, "--lines"],
+    ["verify", "--pattern", "abab"],
+])
+def test_a_closed_pipe_stops_quietly(argv):
+    # the reader is gone before the first write, as `| head -1` may be
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "miniscp", *argv],
+                              stdout=w, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
 def test_console_script_installed():
     out = subprocess.run([sys.executable, "-m", "miniscp.cli", "failure",
                           "--pattern", "aa"],

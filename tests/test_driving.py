@@ -4,19 +4,19 @@ import random
 import pytest
 
 from miniscp.configs import (
-    EMPTY, Config, ConfigError, make_config, restriction, satisfiable,
+    EMPTY, Config, make_config, restriction, satisfiable,
 )
 from miniscp.driving import (
     DriveError, NameGen, StuckConfigError, compress, drive_step, ground_step,
 )
 from miniscp.harness import branch_admits
 from miniscp.interpreter import (
-    UnsupportedNarrowingError, naive_matcher, trace_call,
+    NonTailError, UnsupportedNarrowingError, naive_matcher, trace_call,
 )
-from miniscp.scp import specialize_pattern
+from miniscp.scp import specialize_pattern, supercompile
 from miniscp.syntax import (
     Call, Cons, FALSE, ListParam, ListVar, NIL, Program, Rule, Sym, SymParam,
-    TRUE, parse_expression, parse_program, substitute, word,
+    TRUE, parse_expression, parse_program, spine, substitute, word,
 )
 
 
@@ -282,12 +282,9 @@ def _nested_rhs_program():
     ("F { 'a' = T; }", "F('b')", (), StuckConfigError),
     # a later rule asks for a name: drive_step takes it from the session
     ("F { 'a':y, z = T; x, 'b':z = F; }", 'F("a", #w)', (), None),
-    # a right-hand side that is not in tail form
-    ("nested", 'F("a")', (), ConfigError),
 ])
 def test_ground_step_falls_back(prog, source, text, pairs, error):
-    program = (prog if source is None else _nested_rhs_program()
-               if source == "nested" else parse_program(source))
+    program = prog if source is None else parse_program(source)
     c = Config(parse_expression(text), restriction(pairs))
     assert ground_step(program, c) is None
     if error is not None:
@@ -308,7 +305,14 @@ def test_a_later_rule_that_asks_for_a_name_shifts_the_session_names():
     assert (names._nsym, names._nlist) == (1, 1)
 
 
-def test_compress_measures_spines_only_past_the_bound(prog, monkeypatch):
+def test_supercompile_refuses_a_right_hand_side_outside_the_grammar():
+    # ground_step trusts the program's tail form, which supercompile checks
+    with pytest.raises(NonTailError, match="call under a constructor"):
+        supercompile(_nested_rhs_program(), cfg("F(#y)"))
+
+
+def test_compress_measures_spines_at_the_start_and_after_narrowing(
+        prog, monkeypatch):
     from miniscp import driving
     walks = []
     real = driving._spine_depth
@@ -324,3 +328,29 @@ def test_compress_measures_spines_only_past_the_bound(prog, monkeypatch):
     # L compares two known letters, then its drive narrows #y and ends the
     # chain: two ground steps, and one walk, where the chain starts
     assert done.steps == 3 and len(walks) == 1
+    # a ground step (G), then two steps that narrow (H and K): one walk
+    # where the chain starts and one after each narrowing step
+    program = parse_program("F { s.a:y = G('a':y); } G { 'a':y = H(y); } "
+                            "H { s.a:y = K(y); } K { s.a:y = T; }")
+    (first,) = drive_step(program, cfg("F(#y)"))
+    walks.clear()
+    done = compress(program, first)
+    assert done.steps == 4 and done.child.expr == TRUE and len(walks) == 3
+    ((p, image),) = done.narrowing.subst
+    assert p == ListParam("y") and len(spine(image)[0]) == 3
+
+
+def test_a_long_narrowing_chain_compresses_into_one_edge():
+    # F1 .. F1999 each narrow one more cell of #y and F2000 returns T: one
+    # edge of 2,000 steps whose narrowing is resolved once, at the end
+    n = 2000
+    program = parse_program(
+        "".join(f"F{i} {{ s.a:y = F{i + 1}(y); }}\n" for i in range(1, n))
+        + f"F{n} {{ y = T; }}\n")
+    (first,) = drive_step(program, cfg("F1(#y)"))
+    done = compress(program, first)
+    assert done.steps == n and done.child.expr == TRUE
+    ((p, image),) = done.narrowing.subst
+    heads, end = spine(image)
+    assert p == ListParam("y") and len(heads) == n - 1
+    assert end.__class__ is ListParam and end not in done.narrowing.subst_dict

@@ -274,26 +274,36 @@ def test_transient_chain_caps_count_from_the_first_configuration():
 def test_transient_chain_that_grows_or_loops_errors_out():
     from miniscp.driving import DriveError
     entry = make_config(parse_expression("F(#y)"))
+    # ground steps only: growth that narrows nothing is bounded by the
+    # step cap, as a loop is
     grows = parse_program("F { x = F('a':x); }")
-    with pytest.raises(DriveError, match="grows without bound"):
+    with pytest.raises(DriveError, match="step budget"):
         supercompile(grows, entry)
     loops = parse_program("F { x = G(x); } G { x = F(x); }")
     with pytest.raises(DriveError, match="step budget"):
         supercompile(loops, entry)
+    # each step narrows #y and drops the cell it made
+    narrows = parse_program("F { s.a:y = F(y); }")
+    with pytest.raises(DriveError, match="step budget"):
+        supercompile(narrows, entry)
+    # each step narrows #y and moves its first cell onto the second list
+    moves = parse_program("F { s.a:y, z = F(y, s.a:z); }")
+    with pytest.raises(DriveError, match="grows without bound"):
+        supercompile(moves, make_config(parse_expression("F(#y, #z)")))
 
 
 @pytest.mark.parametrize("budget, error", [(400, "step budget"),
                                            (401, "grows without bound")])
 def test_growth_cap_fires_at_the_step_the_spines_pass_it(monkeypatch,
                                                          budget, error):
-    # each ground step adds one cell, but the rule's right-hand side has a
-    # two-cell prefix: the bound compress keeps passes the cap after 200
-    # steps, the spines themselves after 401, and that is where it stops
+    # the chain starts at F(#y1, #c1:#z), one cell deep; each step narrows
+    # and adds a cell, so the spines pass the cap 401 steps on, and that is
+    # where the chain stops
     from miniscp.driving import DriveError
     monkeypatch.setattr(driving, "MAX_TRANSIENT_STEPS", budget)
-    grows = parse_program("F { 'a':x = F('a':'a':x); }")
+    grows = parse_program("F { s.a:y, z = F(y, s.a:z); }")
     with pytest.raises(DriveError, match=error):
-        supercompile(grows, make_config(parse_expression("F('a':#y)")))
+        supercompile(grows, make_config(parse_expression("F(#y, #z)")))
 
 
 def test_node_budget_enforced():
