@@ -4,7 +4,7 @@
                        [--dot FILE] [--report] [--stats]
     miniscp run --program FILE --entry NAME --input WORD [--steps] [--fuel N]
     miniscp failure --pattern ababa
-    miniscp verify [--pattern aab | --corpus default] [--seed N]
+    miniscp verify [--pattern aab | --corpus default] [--seed N] [--timings]
     miniscp tree --pattern aab --dot FILE
 
 Exit codes: 0 success, 1 semantic failure (failed check, evaluation error),
@@ -122,11 +122,17 @@ def _cmd_verify(args, out, err) -> int:
         corpus = Corpus((args.pattern,), seed=seed)
     else:
         corpus = default_corpus(seed=seed)
-    reports = verify_corpus(corpus)
+    seconds = {}
+    reports = verify_corpus(corpus, seconds)
     for r in reports:
         out.write(record_line(r) + "\n")
     for line in summary_lines(reports):
         out.write(line + "\n")
+    if args.timings:
+        err.write("seconds per phase, summed over the patterns:\n")
+        for phase, t in seconds.items():
+            err.write(f"  {phase:<12}{t:8.3f}\n")
+        err.write(f"  {'total':<12}{sum(seconds.values()):8.3f}\n")
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -184,6 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--pattern", default=None, type=_word_arg)
     group.add_argument("--corpus", choices=["default"], default=None)
     vf.add_argument("--seed", type=int, default=None)
+    vf.add_argument("--timings", action="store_true",
+                    help="write the seconds of each phase (specialize, "
+                         "compile, each facet, string_pool, sweep), summed "
+                         "over the patterns, to stderr; for the split "
+                         "between the naive and residual engines, use "
+                         "perfbench/run.py --trace 1")
     vf.set_defaults(fn=_cmd_verify)
 
     tr = sub.add_parser("tree", help="export the process graph only")

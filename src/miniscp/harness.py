@@ -32,13 +32,15 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from collections.abc import Iterator
 from functools import lru_cache, partial
+from time import perf_counter
 
 from .configs import Config, alpha_equivalent, covers, make_config
 from .driving import NameGen, drive_step, transients
 from .interpreter import DriveError, naive_matcher
-from .kmp import automaton, kmp_search
+from .kmp import automaton, kmp_resume, kmp_search
 from .record import Record
 from .residual import (
     consuming_functions, residualize, structural_report, transition,
@@ -122,29 +124,72 @@ def sweep_alphabet(pattern: str) -> str:
     return "".join(base) + fresh
 
 
+# Every word of length at most 8 over a 6-letter sweep alphabet (a pattern
+# of 5 distinct letters): the most exhaustive strings one pattern may sweep.
+POOL_BUDGET = 2_015_539
+
+
+def exhaustive_count(letters: int, max_len: int) -> int:
+    """How many words of length at most max_len a `letters`-letter alphabet
+    has."""
+    return sum(letters ** n for n in range(max_len + 1))
+
+
+def check_pool_budget(pattern: str, corpus: Corpus) -> None:
+    """Refuse, with a ValueError naming the count, a pattern with more than
+    POOL_BUDGET exhaustive strings."""
+    letters = len(sweep_alphabet(pattern))
+    count = exhaustive_count(letters, corpus.exhaustive_len)
+    if count > POOL_BUDGET:
+        raise ValueError(
+            f"pattern {pattern!r} has {count:,} exhaustive strings (every "
+            f"word of length at most {corpus.exhaustive_len} over its "
+            f"{letters}-letter sweep alphabet), more than the budget of "
+            f"{POOL_BUDGET:,}; a pattern of at most 5 distinct letters fits")
+
+
+@lru_cache(maxsize=1)
+def _exhaustive(alpha: str, max_len: int) -> tuple[str, ...]:
+    """Every word over alpha of length at most max_len: shorter words first,
+    each length in itertools.product order.  Kept for one alphabet at a
+    time; corpus patterns with the same alphabet come in runs."""
+    level, words = [""], [""]
+    for _ in range(max_len):
+        level = [w + ch for w in level for ch in alpha]
+        words += level
+    return tuple(words)
+
+
 def string_pool(pattern: str, corpus: Corpus) -> list[str]:
     """Exhaustive strings up to corpus.exhaustive_len over the sweep
     alphabet, then corpus.random_count seeded random strings."""
     alpha = sweep_alphabet(pattern)
-    pool = []
-    for n in range(corpus.exhaustive_len + 1):
-        pool.extend("".join(t) for t in itertools.product(alpha, repeat=n))
+    pool = list(_exhaustive(alpha, corpus.exhaustive_len))
     rng = random.Random(f"{corpus.seed}:{pattern}")
-    # Each letter is rng.choice(alpha) inlined: the draw Random._randbelow
-    # makes (getrandbits of len(alpha).bit_length() bits, redrawn while out
-    # of range), so the strings are exactly choice's, without its two
-    # Python frames per letter.
-    size = len(alpha)
-    bits = size.bit_length()
-    getrandbits = rng.getrandbits
+    # Each letter is rng.choice(alpha): Random._randbelow takes the top
+    # len(alpha).bit_length() bits of one 32-bit Mersenne Twister word, and
+    # draws again while they are out of range.  getrandbits(32 * k) returns
+    # k words, the first drawn least significant, so the top byte of each
+    # holds one draw (of at most 8 bits: an alphabet of up to 255 letters);
+    # `translate` drops the draws out of range and turns the rest into
+    # letter indices.  Each round asks for the letters still missing, so the
+    # words consumed are exactly choice's, and rng.randint still draws the
+    # lengths.  test_string_pool_draws_as_random_choice checks this against
+    # random.choice itself.
+    shift = 8 - len(alpha).bit_length()
+    index = bytes(b >> shift for b in range(256))
+    reject = bytes(b for b in range(256) if b >> shift >= len(alpha))
+    letters = dict(enumerate(alpha))
+    getrandbits, randint = rng.getrandbits, rng.randint
     for _ in range(corpus.random_count):
-        letters = []
-        for _ in range(rng.randint(0, corpus.random_max_len)):
-            r = getrandbits(bits)
-            while r >= size:
-                r = getrandbits(bits)
-            letters.append(alpha[r])
-        pool.append("".join(letters))
+        need = randint(0, corpus.random_max_len)
+        drawn = []
+        while need:
+            got = getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
+            got = got.translate(index, reject)
+            drawn.append(got)
+            need -= len(got)
+        pool.append(b"".join(drawn).decode("latin-1").translate(letters))
     return pool
 
 
@@ -155,6 +200,32 @@ def adversarial_strings(pattern: str) -> list[str]:
             (body * 200)[:200], (pattern * 200)[:200], (pattern * 200)[:197]]
 
 
+def oracle_levels(pattern: str, alpha: str,
+                  depth: int) -> Iterator[tuple[bool, int]]:
+    """kmp_search(pattern, y) for every word y over alpha of length at most
+    depth, in the order of the exhaustive strings.
+
+    A word of length n + 1 is a word of length n plus one letter, so each
+    level extends the one before: a search is coded as comparisons *
+    (len(pattern) + 1) + state, each code's successors (one per letter) come
+    once from kmp_resume, and a level is an array of codes."""
+    m1 = len(pattern) + 1
+    verdict = {}  # code -> (found, comparisons)
+    after = {}  # code -> the codes one letter later, one per letter
+    level = array("I", (0,))
+    for n in range(depth + 1):
+        for code in set(level).difference(verdict):
+            comparisons, j = divmod(code, m1)
+            verdict[code] = (j == m1 - 1, comparisons)
+            after[code] = [c * m1 + k for k, c in
+                           (kmp_resume(pattern, ch, j, comparisons)
+                            for ch in alpha)]
+        yield from map(verdict.__getitem__, level)
+        if n < depth:
+            level = array("I", itertools.chain.from_iterable(
+                map(after.__getitem__, level)))
+
+
 class SweepResult(Record, frozen=True):
     """The string sweep's verdicts, its largest step ratio, and the first
     counterexample or bound violation found (str | None each)."""
@@ -162,31 +233,43 @@ class SweepResult(Record, frozen=True):
                  "counterexample", "bound_violation")
 
 
-@lru_cache(maxsize=None)
-def _sweep(pattern: str, corpus: Corpus) -> SweepResult:
+def _sweep(pattern: str, corpus: Corpus, strings: list[str]) -> SweepResult:
+    """Check each of `strings`, string_pool(pattern, corpus) followed by
+    adversarial_strings(pattern): the naive matcher and the residual, each
+    run black-box, agree with `in` and with the KMP oracle; the oracle's
+    comparisons and the residual's steps stay within their linear bounds.
+    The oracle's results on the exhaustive strings come from oracle_levels,
+    on the others from kmp_search."""
     art = artifacts(pattern)
     entry = art.residual.entry
-    runner = art.residual.program.compiled
-    naive_runner = naive_matcher().compiled
+    residual_run = art.residual.program.compiled.run
+    naive_run = naive_matcher().compiled.run
+    alpha = sweep_alphabet(pattern)
+    exhaustive = exhaustive_count(len(alpha), corpus.exhaustive_len)
+    oracle = itertools.chain(
+        oracle_levels(pattern, alpha, corpus.exhaustive_len),
+        map(partial(kmp_search, pattern),
+            itertools.islice(strings, exhaustive, None)))
     bound_add = len(pattern) + 2
     max_ratio = 0.0
-    for y in string_pool(pattern, corpus) + adversarial_strings(pattern):
-        expected = pattern in y
-        kmp_found, comparisons = kmp_search(pattern, y)
-        if comparisons > 2 * len(y):
+    for y, (kmp_found, comparisons) in zip(strings, oracle):
+        n = len(y)
+        if comparisons > 2 * n:
             return SweepResult(False, False, max_ratio, None,
-                               f"oracle comparisons {comparisons} on |y|={len(y)}")
-        naive_value, _ = naive_runner.run("S", (pattern, y))
-        res_value, res_steps = runner.run(entry, (y,))
-        if not (expected == kmp_found == naive_value == res_value):
-            detail = (f"y={y!r}: contains={expected} search={kmp_found} "
+                               f"oracle comparisons {comparisons} on |y|={n}")
+        naive_value, _ = naive_run("S", (pattern, y))
+        res_value, res_steps = residual_run(entry, (y,))
+        if not ((pattern in y) == kmp_found == naive_value == res_value):
+            detail = (f"y={y!r}: contains={pattern in y} search={kmp_found} "
                       f"naive={naive_value} residual={res_value}")
             return SweepResult(False, True, max_ratio, detail, None)
-        if res_steps > 2 * len(y) + bound_add:
-            detail = (f"y of length {len(y)}: residual took {res_steps} steps, "
-                      f"bound {2 * len(y) + bound_add}")
+        if res_steps > 2 * n + bound_add:
+            detail = (f"y of length {n}: residual took {res_steps} steps, "
+                      f"bound {2 * n + bound_add}")
             return SweepResult(True, False, max_ratio, None, detail)
-        max_ratio = max(max_ratio, res_steps / (len(y) + 1))
+        ratio = res_steps / (n + 1)
+        if ratio > max_ratio:
+            max_ratio = ratio
     return SweepResult(True, True, max_ratio, None, None)
 
 
@@ -547,24 +630,42 @@ def replay_graph(graph: ProcessGraph, env: dict):
 
 # --- reports -----------------------------------------------------------------------
 
-def verify_pattern(pattern: str, corpus: Corpus) -> VerificationReport:
-    art = artifacts(pattern)
+def verify_pattern(pattern: str, corpus: Corpus,
+                   seconds: dict | None = None) -> VerificationReport:
+    """Check every facet of one pattern.  If given, `seconds` gains the
+    time of each phase: specialize (and residualize), compile, the five
+    graph and residual facets, string_pool, and the sweep."""
+    check_pool_budget(pattern, corpus)
+    seconds = {} if seconds is None else seconds
     failures = []
 
-    def facet(fn, *args) -> bool:
+    def timed(phase, fn, *args):
+        t0 = perf_counter()
         try:
-            fn(*args)
+            return fn(*args)
+        finally:
+            seconds[phase] = seconds.get(phase, 0.0) + perf_counter() - t0
+
+    def facet(phase, fn, *args) -> bool:
+        try:
+            timed(phase, fn, *args)
             return True
         except CheckFailure as e:
             failures.append(f"{fn.__name__.lstrip('_')}: {e}")
             return False
 
-    first_ok = facet(_first_path_facts, art)
-    restart_ok = facet(_restart_facts, art)
-    covering_ok = facet(_covering_facts, art)
-    structural_ok = facet(_structure_facts, art)
-    auto_ok = facet(_automaton_facts, art)
-    sweep = _sweep(pattern, corpus)
+    art = timed("specialize", artifacts, pattern)
+    # each program compiles on its first use, here
+    timed("compile", lambda: (art.residual.program.compiled,
+                              naive_matcher().compiled))
+    first_ok = facet("first_path", _first_path_facts, art)
+    restart_ok = facet("restart", _restart_facts, art)
+    covering_ok = facet("covering", _covering_facts, art)
+    structural_ok = facet("structural", _structure_facts, art)
+    auto_ok = facet("automaton", _automaton_facts, art)
+    strings = timed("string_pool", string_pool, pattern, corpus)
+    strings += adversarial_strings(pattern)
+    sweep = timed("sweep", _sweep, pattern, corpus, strings)
     if sweep.counterexample:
         failures.append(f"equivalence: {sweep.counterexample}")
     if sweep.bound_violation:
@@ -590,8 +691,9 @@ def verify_pattern(pattern: str, corpus: Corpus) -> VerificationReport:
         tuple(failures))
 
 
-def verify_corpus(corpus: Corpus) -> list[VerificationReport]:
-    return [verify_pattern(p, corpus) for p in corpus.patterns]
+def verify_corpus(corpus: Corpus,
+                  seconds: dict | None = None) -> list[VerificationReport]:
+    return [verify_pattern(p, corpus, seconds) for p in corpus.patterns]
 
 
 def record_line(report: VerificationReport) -> str:

@@ -17,8 +17,8 @@ from .record import Record
 def _prefix_function(p: str) -> tuple[int, ...]:
     """pi[i] = length of the longest proper border of p[:i+1].
 
-    Computed once per word while it is in use (kmp_search runs once per
-    swept string of a pattern) and shared, hence a tuple; bounded because
+    Computed once per word while it is in use (the verify sweep searches
+    for one pattern many times) and shared, hence a tuple; bounded because
     `failure` takes arbitrary words."""
     pi = [0] * len(p)
     k = 0
@@ -51,6 +51,30 @@ def jump(i: int, q: str) -> int:
     return i - failure(q)
 
 
+def kmp_resume(p: str, y: str, j: int = 0,
+               comparisons: int = 0) -> tuple[int, int]:
+    """The failure-link search of p over y, resumed in state j (letters of
+    p matched) with `comparisons` made so far.  Returns the state and the
+    comparisons; state len(p) means an occurrence was found, and the search
+    stops there."""
+    pi = _prefix_function(p)
+    m = len(p)
+    if j == m:
+        return j, comparisons
+    for ch in y:
+        while True:
+            comparisons += 1
+            if ch == p[j]:
+                j += 1
+                if j == m:
+                    return j, comparisons
+                break
+            if j == 0:
+                break
+            j = pi[j - 1]
+    return j, comparisons
+
+
 def kmp_search(p: str, y: str) -> tuple[bool, int]:
     """Failure-link search; returns (occurrence found, symbol comparisons).
 
@@ -58,22 +82,8 @@ def kmp_search(p: str, y: str) -> tuple[bool, int]:
     """
     if not p:
         raise EmptyPatternError("pattern must be nonempty")
-    pi = _prefix_function(p)
-    m = len(p)
-    j = 0
-    comparisons = 0
-    for ch in y:
-        while True:
-            comparisons += 1
-            if ch == p[j]:
-                j += 1
-                if j == m:
-                    return True, comparisons
-                break
-            if j == 0:
-                break
-            j = pi[j - 1]
-    return False, comparisons
+    j, comparisons = kmp_resume(p, y)
+    return j == len(p), comparisons
 
 
 class Automaton(Record):

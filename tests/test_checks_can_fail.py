@@ -6,11 +6,11 @@ import random
 
 import pytest
 
-from miniscp import driving
+from miniscp import driving, harness
 from miniscp.configs import covers, make_config
 from miniscp.harness import (
-    CheckFailure, _automaton_facts, _chains, _first_path_facts,
-    _restart_facts, artifacts, replay_graph,
+    CheckFailure, Corpus, _automaton_facts, _chains, _first_path_facts,
+    _restart_facts, artifacts, replay_graph, verify_pattern,
 )
 from miniscp.residual import (
     ResidualProgram, structural_report, transition,
@@ -75,6 +75,24 @@ def test_transition_walk_rejects_rejecting_symbol_rules():
     from miniscp.residual import ResidualError
     with pytest.raises(ResidualError):
         transition(rp, "F_0", "a")
+
+
+def test_sweep_fails_on_an_oracle_that_miscounts_one_exhaustive_string(
+        monkeypatch):
+    corpus = Corpus(("ab",), exhaustive_len=3, random_count=5,
+                    random_max_len=10, seed=7)
+    assert verify_pattern("ab", corpus).ok
+    real = harness.oracle_levels
+
+    def miscounted(pattern, alpha, depth):
+        for k, (found, comparisons) in enumerate(real(pattern, alpha, depth)):
+            # exhaustive string 20 is "acb": 4 comparisons, at most 6 allowed
+            yield found, comparisons + (7 if k == 20 else 0)
+
+    monkeypatch.setattr(harness, "oracle_levels", miscounted)
+    report = verify_pattern("ab", corpus)
+    assert not report.equivalence_ok and not report.linearity_ok
+    assert report.failures == ("linearity: oracle comparisons 11 on |y|=3",)
 
 
 def test_replay_detects_overlapping_branches():

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import miniscp
+from miniscp import harness
 from miniscp.cli import main
 from miniscp.scp import export_dot, specialize_pattern
 
@@ -262,6 +263,37 @@ def test_verify_pattern_without_a_fresh_letter_is_an_error():
     assert code == 1
     assert err.startswith("error: ") and "fresh letter" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("pattern, count", [("abcdefg", "19,173,961"),
+                                            ("abcdefgh", "48,427,561")])
+def test_verify_refuses_a_pattern_over_the_pool_budget(monkeypatch, pattern,
+                                                      count):
+    # refused before specializing or building any string
+    def never(*args):
+        raise AssertionError("the refused pattern was specialized or swept")
+    monkeypatch.setattr(harness, "artifacts", never)
+    monkeypatch.setattr(harness, "string_pool", never)
+    code, out, err = run_cli("verify", "--pattern", pattern)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and f"{count} exhaustive strings" in err
+    assert "budget of 2,015,539" in err
+
+
+def test_verify_timings_go_to_stderr_and_leave_stdout_alone():
+    code, plain, err = run_cli("verify", "--pattern", "aab", "--seed", "7")
+    assert code == 0 and err == ""
+    code, out, err = run_cli("verify", "--pattern", "aab", "--seed", "7",
+                             "--timings")
+    assert code == 0 and out == plain
+    lines = err.splitlines()
+    assert lines[0] == "seconds per phase, summed over the patterns:"
+    assert [line.split()[0] for line in lines[1:]] == [
+        "specialize", "compile", "first_path", "restart", "covering",
+        "structural", "automaton", "string_pool", "sweep", "total"]
+    seconds = [float(line.split()[1]) for line in lines[1:]]
+    assert min(seconds) >= 0
+    assert abs(sum(seconds[:-1]) - seconds[-1]) < 0.01
 
 
 def test_verify_rejects_pattern_and_corpus_together():

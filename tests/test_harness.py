@@ -4,12 +4,13 @@ import random
 import pytest
 
 from miniscp.harness import (
-    Corpus, _automaton_facts, artifacts, binary_patterns, default_corpus,
-    expected_path_pivots, record_line, string_pool,
-    summary_lines, sweep_alphabet, verify_pattern,
+    POOL_BUDGET, Corpus, _automaton_facts, artifacts, binary_patterns,
+    check_pool_budget, default_corpus, exhaustive_count, expected_path_pivots,
+    oracle_levels, record_line, string_pool, summary_lines, sweep_alphabet,
+    verify_pattern,
 )
 from miniscp.interpreter import naive_matcher
-from miniscp.kmp import automaton
+from miniscp.kmp import automaton, kmp_search
 
 
 def test_default_corpus_contents():
@@ -44,8 +45,11 @@ def _string_pool_by_choice(pattern, corpus):
     return pool
 
 
-# sweep alphabets of 2, 3, 4 and 5 letters
-@pytest.mark.parametrize("pattern", ["aa", "aba", "abcab", "abcda"])
+# sweep alphabets of 2, 3, 4, 5, 9 and 17 letters: draws of 2, 2, 3, 3, 4
+# and 5 bits, each read off the top byte of a 32-bit word that
+# getrandbits(32 * k) returns, which depends on CPython's word order
+@pytest.mark.parametrize("pattern", ["aa", "aba", "abcab", "abcda",
+                                     "abcdefgh", "abcdefghijklmnop"])
 def test_string_pool_draws_as_random_choice(pattern):
     assert len(sweep_alphabet(pattern)) == len(set(pattern)) + 1
     for seed, count in zip(range(6), (1000, 200, 37, 1, 0, 5)):
@@ -55,6 +59,33 @@ def test_string_pool_draws_as_random_choice(pattern):
             pool = string_pool(pattern, corpus)
             assert pool == _string_pool_by_choice(pattern, corpus), \
                 (seed, count, max_len)
+
+
+@pytest.mark.parametrize("alpha", ["ab", "bac", "abcd"])
+def test_oracle_levels_equal_kmp_search_on_every_exhaustive_string(alpha):
+    # the pool's exhaustive strings for alphabets of 2-4 letters, and
+    # patterns that share letters with it, take one letter outside it, or
+    # repeat a border
+    words = ["".join(t) for n in range(9)
+             for t in itertools.product(alpha, repeat=n)]
+    for pattern in ("a", "b", "ab", "ba", "aab", "abab", "bbabab", "ababa",
+                    "abcabcaca", "abcabcacab", "ad"):
+        want = [kmp_search(pattern, y) for y in words]
+        assert list(oracle_levels(pattern, alpha, 8)) == want, pattern
+        for depth in range(8):
+            count = exhaustive_count(len(alpha), depth)
+            got = list(oracle_levels(pattern, alpha, depth))
+            assert got == want[:count], (pattern, depth)
+
+
+def test_pool_budget_is_a_six_letter_sweep_alphabet():
+    corpus = default_corpus()
+    assert exhaustive_count(6, 8) == POOL_BUDGET
+    check_pool_budget("abcde", corpus)  # 6 letters: at the budget
+    with pytest.raises(ValueError, match="6,725,601 exhaustive strings"):
+        check_pool_budget("abcdef", corpus)
+    # a smaller exhaustive length admits more letters
+    check_pool_budget("abcdefghij", Corpus(("abcdefghij",), exhaustive_len=5))
 
 
 def test_sweep_alphabet_adds_fresh_letter():

@@ -5,8 +5,8 @@ import pytest
 
 from miniscp.interpreter import EmptyPatternError
 from miniscp.kmp import (
-    _prefix_function, automaton, failure, failure_table, jump, kmp_search,
-    table_rows,
+    _prefix_function, automaton, failure, failure_table, jump, kmp_resume,
+    kmp_search, table_rows,
 )
 
 
@@ -194,3 +194,17 @@ def test_table_rows_cover_mismatchable_prefixes():
     assert [r[0] for r in rows] == [0, 1, 2, 3, 4]
     assert [r[2] for r in rows] == [0, 0, 0, 1, 2]
     assert rows[3][3] == "j(i) = i-1"
+
+
+def test_kmp_resume_continues_the_search_where_it_stopped():
+    rng = random.Random(11)
+    for _ in range(2000):
+        p = "".join(rng.choice("abc") for _ in range(rng.randint(1, 6)))
+        y = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 30)))
+        whole = kmp_resume(p, y)
+        assert (whole[0] == len(p), whole[1]) == kmp_search(p, y)
+        cut = rng.randint(0, len(y))
+        assert kmp_resume(p, y[cut:], *kmp_resume(p, y[:cut])) == whole
+    # once found, the search stops: no further comparisons
+    assert kmp_resume("ab", "ab") == (2, 2)
+    assert kmp_resume("ab", "bbbb", 2, 2) == (2, 2)
