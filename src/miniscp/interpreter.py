@@ -219,48 +219,13 @@ def probe(lhs: tuple[Expr, ...], args: tuple[Expr, ...],
     met the arguments; `resolution` is the narrowing as made, fresh
     parameters included, fully resolved, and applying it to the binding
     gives `match`'s.  When the narrowing is empty, so is `resolution`, and
-    the binding is `match`'s as it stands."""
+    the binding is `match`'s as it stands.  A narrowing that made no fresh
+    name maps parameters to symbols and Nil only, so it is its own
+    resolution and the two are one dict."""
     subst: dict = {}  # the narrowing as made: an image names only later keys
-    fresh: set = set()  # the parameters made here
     binding: dict = {}
-    repeated: list = []  # (list variable, a later term it must equal)
-
-    def bad(pat) -> Exception:
-        return (EvalError if names is None else DriveError)(
-            f"bad pattern {pat!r}")
-
-    def atom(pat, a) -> bool:
-        a = subst.get(a, a) if a.__class__ is SymParam else a
-        if pat.__class__ is Sym:
-            if a.__class__ is Sym:
-                return pat.ch == a.ch
-            if names is not None and a.__class__ is SymParam:
-                subst[a] = pat
-                return True
-            return False
-        if pat.__class__ is not SymVar:
-            raise bad(pat)
-        if pat not in binding:
-            binding[pat] = a
-            return True
-        b = binding[pat]
-        b = subst.get(b, b) if b.__class__ is SymParam else b
-        if b == a:
-            return True
-        if names is None:
-            return False
-        if b.__class__ is Sym and a.__class__ is SymParam:
-            subst[a] = b
-            return True
-        if b.__class__ is SymParam:
-            if a.__class__ is Sym:
-                subst[b] = a
-                return True
-            if a.__class__ is SymParam:
-                raise UnsupportedNarrowingError(
-                    f"equality between two symbol parameters {b!r} and {a!r}")
-        return False
-
+    fresh = None  # the parameters made here, once there are any
+    repeated = None  # (list variable, a later term it must equal), if any
     for pat, a in zip(lhs, args):
         while True:
             if a.__class__ is ListParam:
@@ -268,41 +233,86 @@ def probe(lhs: tuple[Expr, ...], args: tuple[Expr, ...],
             cls = pat.__class__
             if cls is Cons:
                 if a.__class__ is ListParam and names is not None:
-                    cell = Cons(names.fresh_sym(), names.fresh_list())
-                    subst[a] = cell
-                    fresh.update((cell.head, cell.tail))
-                    a = cell
-                if a.__class__ is not Cons or not atom(pat.head, a.head):
+                    head, tail = names.fresh_sym(), names.fresh_list()
+                    subst[a] = a = Cons(head, tail)
+                    if fresh is None:
+                        fresh = set()
+                    fresh.update((head, tail))
+                if a.__class__ is not Cons:
                     return None
-                pat, a = pat.tail, a.tail
-                continue
-            if cls is ListVar:
-                if pat in binding:
-                    repeated.append((pat, a))
-                else:
+                p, x = pat.head, a.head
+            elif cls is Sym or cls is SymVar:  # a bare symbol position
+                if a.__class__ not in _ATOMS:
+                    return None
+                p, x = pat, a
+            elif cls is ListVar:
+                if pat not in binding:
                     binding[pat] = a
+                else:
+                    if repeated is None:
+                        repeated = []
+                    repeated.append((pat, a))
+                break
             elif cls is Nil:
                 if a.__class__ is ListParam and names is not None:
                     subst[a] = a = NIL
                 if a.__class__ is not Nil:
                     return None
-            elif cls is Sym or cls is SymVar:  # a bare symbol position
-                if a.__class__ not in _ATOMS or not atom(pat, a):
-                    return None
+                break
             else:
-                raise bad(pat)
-            break
-    resolved = resolve(subst)
-    for v, e in repeated:
-        b = binding[v]
-        if resolved:
-            e, b = substitute(e, resolved), substitute(b, resolved)
-        if e != b:
-            if names is None:
-                return None
-            raise UnsupportedNarrowingError(
-                "repeated list variable binds unequal expressions")
+                raise _bad(pat, names)
+            # the symbol pattern p against the symbol x
+            if x.__class__ is SymParam:
+                x = subst.get(x, x)
+            if p.__class__ is Sym:
+                if x is not p:
+                    if names is None or x.__class__ is not SymParam:
+                        return None
+                    subst[x] = p
+            elif p.__class__ is not SymVar:
+                raise _bad(p, names)
+            elif p not in binding:
+                binding[p] = x
+            else:
+                b = binding[p]
+                if b.__class__ is SymParam:
+                    b = subst.get(b, b)
+                if b != x:
+                    if names is None:
+                        return None
+                    if b.__class__ is Sym and x.__class__ is SymParam:
+                        subst[x] = b
+                    elif b.__class__ is not SymParam:
+                        return None
+                    elif x.__class__ is Sym:
+                        subst[b] = x
+                    elif x.__class__ is SymParam:
+                        raise UnsupportedNarrowingError(
+                            f"equality between two symbol parameters {b!r} "
+                            f"and {x!r}")
+                    else:
+                        return None
+            if cls is not Cons:
+                break
+            pat, a = pat.tail, a.tail
+    resolved = subst if fresh is None else resolve(subst)
+    if repeated is not None:
+        for v, e in repeated:
+            b = binding[v]
+            if resolved:
+                e, b = substitute(e, resolved), substitute(b, resolved)
+            if e != b:
+                if names is None:
+                    return None
+                raise UnsupportedNarrowingError(
+                    "repeated list variable binds unequal expressions")
+    if fresh is None:
+        return subst, binding, subst
     return {p: resolved[p] for p in subst if p not in fresh}, binding, resolved
+
+
+def _bad(pat, names) -> Exception:
+    return (EvalError if names is None else DriveError)(f"bad pattern {pat!r}")
 
 
 def resolve(made: dict) -> dict:

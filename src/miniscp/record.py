@@ -1,11 +1,12 @@
 """The one base of the package's record classes, in place of `dataclasses`.
 
 A subclass of `Record` lists its fields as `__slots__`, in constructor
-order (a `__dict__` entry there, which cached properties need, is not a
-field), and may give defaults in `_defaults` (a list default is copied for
-each record).  It gets a constructor taking the fields by position or by
-name, equality between records of one class whose fields are equal, and
-the repr `Name(field=value, ...)`.  A subclass declared with `frozen=True`
+order (a `__dict__` entry there, which cached properties need, and a
+`__weakref__` entry, which weak references need, are not fields), and may
+give defaults in `_defaults` (a list default is copied for each record).
+It gets a constructor taking the fields by position or by name, equality
+between records of one class whose fields are equal, and the repr
+`Name(field=value, ...)`.  A subclass declared with `frozen=True`
 (and every subclass of it) refuses to set or delete a field once built,
 with AttributeError, and hashes by its fields; any other record is mutable
 and unhashable.  Records copy and pickle through their constructor.
@@ -35,7 +36,7 @@ class Record:
     def __init_subclass__(cls, frozen: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields += tuple(f for f in cls.__dict__.get("__slots__", ())
-                             if f != "__dict__")
+                             if f not in ("__dict__", "__weakref__"))
         if frozen or cls.__setattr__ is _refuse_set:
             cls.__setattr__ = _refuse_set
             cls.__delattr__ = _refuse_delete

@@ -27,7 +27,7 @@ from .driving import GroundFirst, NameGen, compress, drive_step
 from .interpreter import EmptyPatternError, naive_matcher
 from .record import Record
 from .syntax import (
-    Call, Cons, Expr, ListParam, Nil, Program, Sym, SymParam, spine, word,
+    Call, Cons, Expr, ListParam, Nil, Program, SymParam, spine, word,
 )
 
 
@@ -95,13 +95,11 @@ def head_fn(cfg: Config) -> str | None:
 
 def _couple(s: Expr, t: Expr) -> bool:
     """Embedding of s in a t that is not a list cell, so that t offers
-    nothing to dive into."""
+    nothing to dive into.  A symbol couples only with itself."""
     if isinstance(s, SymParam):
         return isinstance(t, SymParam)
     if isinstance(s, ListParam):
         return isinstance(t, ListParam)
-    if isinstance(s, Sym):
-        return isinstance(t, Sym) and s.ch == t.ch
     if isinstance(s, Nil):
         return isinstance(t, Nil)
     return not isinstance(s, Cons) and s == t

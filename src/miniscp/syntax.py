@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import cached_property
+from weakref import WeakValueDictionary
 
 from .record import Record, setters
 
@@ -62,47 +63,58 @@ def _check_symbol_char(ch: str) -> str:
 # --- expression nodes -------------------------------------------------------
 #
 # The nodes are frozen records (see record.Record).  Those built by the
-# million have their own constructor, equality and hash.  Each equals only
-# an instance of its own class, so Sym('a') != SymVar('a'); a symbol hashes
-# as its character and a variable or parameter as its name, which equal
-# nodes share.
+# million have their own constructor, equality and hash.  The atoms are
+# interned: building a Sym, SymVar, SymParam, ListVar or ListParam returns
+# the one live instance of that class for that character or name, so two
+# atoms are equal exactly when they are one object, and they compare and
+# hash by identity, in C.  Sym('a') and SymVar('a') are two objects, so
+# unequal.  Symbols are kept for the life of the process; a variable or
+# parameter is kept only while something refers to it, since driving hands
+# out names it never uses again (see driving._Scratch).
 
 class Sym(Record, frozen=True):
     """Symbol literal 'c': one printable non-metacharacter."""
     __slots__ = ("ch",)
+    __init__ = object.__init__  # __new__ builds, or finds, the instance
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __init__(self, ch: str):
-        _set_ch(self, _check_symbol_char(ch))
-
-    def __eq__(self, other):
-        if other.__class__ is Sym:
-            return self.ch == other.ch
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.ch)
+    def __new__(cls, ch: str):
+        self = _SYMS.get(ch)
+        if self is None:
+            self = object.__new__(cls)
+            _set_ch(self, _check_symbol_char(ch))
+            _SYMS[ch] = self
+        return self
 
     def __repr__(self):
         return f"'{self.ch}'"
 
 
 _set_ch, = setters(Sym)
+_SYMS: dict = {}  # character -> its Sym
 
 
 class _Named(Record, frozen=True):
-    """A variable or parameter: a leaf known by its name."""
-    __slots__ = ("name",)
+    """A variable or parameter: a leaf known by its name, one instance per
+    class and name while it is referred to."""
+    __slots__ = ("name", "__weakref__")
+    __init__ = object.__init__  # __new__ builds, or finds, the instance
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __init__(self, name: str):
-        _set_name(self, name)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._live = WeakValueDictionary()  # name -> the instance
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.name)
+    def __new__(cls, name: str):
+        live = cls._live
+        self = live.get(name)
+        if self is None:
+            self = object.__new__(cls)
+            _set_name(self, name)
+            live[name] = self
+        return self
 
 
 _set_name, = setters(_Named)
@@ -299,8 +311,8 @@ class Program(Record, frozen=True):
 
 def word(text: str) -> Expr:
     """Build the word value for a plain string, e.g. "ab" -> 'a':'b':Nil.
-    Each distinct letter is checked once and becomes one Sym that all its
-    cells share; the head cell keeps `text` for unword()."""
+    Each distinct letter's Sym is looked up once for all its cells; the
+    head cell keeps `text` for unword()."""
     if not text:
         return NIL
     syms = {ch: Sym(ch) for ch in dict.fromkeys(reversed(text))}

@@ -61,6 +61,17 @@ def test_string_pool_draws_as_random_choice(pattern):
                 (seed, count, max_len)
 
 
+@pytest.mark.parametrize("pattern", ["a\u2200", "\xe9\u0101b", "\U0001f600"])
+def test_string_pool_draws_letters_outside_ascii_as_random_choice(pattern):
+    # latin-1 letters decode as themselves, and an alphabet with a letter
+    # beyond latin-1 through a charmap
+    for seed in range(3):
+        corpus = Corpus((pattern,), exhaustive_len=2, random_count=300,
+                        random_max_len=50, seed=seed)
+        assert string_pool(pattern, corpus) \
+            == _string_pool_by_choice(pattern, corpus)
+
+
 @pytest.mark.parametrize("alpha", ["ab", "bac", "abcd"])
 def test_oracle_levels_equal_kmp_search_on_every_exhaustive_string(alpha):
     # the pool's exhaustive strings for alphabets of 2-4 letters, and

@@ -4,19 +4,19 @@ import re
 
 import pytest
 
-from miniscp.driving import NameGen
+from miniscp.driving import _REFUSE, NameGen
 from miniscp.harness import artifacts
 from miniscp.interpreter import (
-    ArityError, CompiledProgram, EmptyPatternError, EvalError,
+    ArityError, CompiledProgram, DriveError, EmptyPatternError, EvalError,
     FuelExhaustedError, NonTailError, Outcome, StuckTermError,
-    _MAX_SHARED_DEPTH, _check_arity, check_tail_form, eval_call,
-    eval_reference, match, naive_matcher, naive_outcome, symbol_positions,
-    trace_call,
+    UnsupportedNarrowingError, _MAX_SHARED_DEPTH, _check_arity,
+    check_tail_form, eval_call, eval_reference, match, naive_matcher,
+    naive_outcome, probe, resolve, symbol_positions, trace_call,
 )
 from miniscp.syntax import (
-    Call, Cons, FALSE, ListParam, ListVar, NIL, Program, Rule, Sym, SymParam,
-    SymVar, TRUE, ValidationError, chain, parse_program, spine, validate,
-    word,
+    Call, Cons, FALSE, ListParam, ListVar, NIL, Nil, Program, Rule, Sym,
+    SymParam, SymVar, TRUE, ValidationError, chain, parse_program, spine,
+    substitute, validate, word,
 )
 
 
@@ -75,6 +75,188 @@ def test_match_ground_and_narrowing_modes():
         SymParam("c3"), ListParam("y3"))
     # a parameter is opaque without a NameGen
     assert match(lhs, (y, Sym("a"))) is None
+
+
+# --- probe against its closure-based form ----------------------------------
+
+def reference_probe(lhs, args, names=None):
+    """`probe` as first written, with its symbol match and error as
+    closures, kept as the reference for the inlined one."""
+    subst: dict = {}
+    fresh: set = set()
+    binding: dict = {}
+    repeated: list = []
+
+    def bad(pat) -> Exception:
+        return (EvalError if names is None else DriveError)(
+            f"bad pattern {pat!r}")
+
+    def atom(pat, a) -> bool:
+        a = subst.get(a, a) if a.__class__ is SymParam else a
+        if pat.__class__ is Sym:
+            if a.__class__ is Sym:
+                return pat.ch == a.ch
+            if names is not None and a.__class__ is SymParam:
+                subst[a] = pat
+                return True
+            return False
+        if pat.__class__ is not SymVar:
+            raise bad(pat)
+        if pat not in binding:
+            binding[pat] = a
+            return True
+        b = binding[pat]
+        b = subst.get(b, b) if b.__class__ is SymParam else b
+        if b == a:
+            return True
+        if names is None:
+            return False
+        if b.__class__ is Sym and a.__class__ is SymParam:
+            subst[a] = b
+            return True
+        if b.__class__ is SymParam:
+            if a.__class__ is Sym:
+                subst[b] = a
+                return True
+            if a.__class__ is SymParam:
+                raise UnsupportedNarrowingError(
+                    f"equality between two symbol parameters {b!r} and {a!r}")
+        return False
+
+    for pat, a in zip(lhs, args):
+        while True:
+            if a.__class__ is ListParam:
+                a = subst.get(a, a)
+            cls = pat.__class__
+            if cls is Cons:
+                if a.__class__ is ListParam and names is not None:
+                    cell = Cons(names.fresh_sym(), names.fresh_list())
+                    subst[a] = cell
+                    fresh.update((cell.head, cell.tail))
+                    a = cell
+                if a.__class__ is not Cons or not atom(pat.head, a.head):
+                    return None
+                pat, a = pat.tail, a.tail
+                continue
+            if cls is ListVar:
+                if pat in binding:
+                    repeated.append((pat, a))
+                else:
+                    binding[pat] = a
+            elif cls is Nil:
+                if a.__class__ is ListParam and names is not None:
+                    subst[a] = a = NIL
+                if a.__class__ is not Nil:
+                    return None
+            elif cls is Sym or cls is SymVar:
+                if a.__class__ not in (Sym, SymParam) or not atom(pat, a):
+                    return None
+            else:
+                raise bad(pat)
+            break
+    resolved = resolve(subst)
+    for v, e in repeated:
+        b = binding[v]
+        if resolved:
+            e, b = substitute(e, resolved), substitute(b, resolved)
+        if e != b:
+            if names is None:
+                return None
+            raise UnsupportedNarrowingError(
+                "repeated list variable binds unequal expressions")
+    return {p: resolved[p] for p in subst if p not in fresh}, binding, resolved
+
+
+def random_probe_pattern(rng):
+    """A rule pattern over few names, so that variables repeat; now and
+    then one outside the grammar."""
+    roll = rng.random()
+    if roll < 0.03:
+        return rng.choice([SymParam("c1"), ListParam("y1"), TRUE,
+                           Call("F", (NIL,))])
+    if roll < 0.25:
+        return rng.choice([Sym("a"), Sym("b"), SymVar("a"), SymVar("b")])
+    heads = []
+    for _ in range(rng.randint(0, 3)):
+        heads.append(rng.choice([Sym("a"), Sym("b"), SymVar("a"),
+                                 SymVar("b")]
+                                if rng.random() > 0.02 else [ListVar("x")]))
+    end = rng.choice([NIL, ListVar("x"), ListVar("z")]
+                     if rng.random() > 0.02 else [Sym("a"), SymParam("c1")])
+    return chain(heads, end)
+
+
+def random_probe_argument(rng):
+    """A configuration argument: symbols and a few parameters, so that
+    narrowings meet the same parameter twice."""
+    atoms = [Sym("a"), Sym("b"), SymParam("c1"), SymParam("c2")]
+    roll = rng.random()
+    if roll < 0.02:
+        return rng.choice([SymVar("a"), ListVar("x"), TRUE])
+    if roll < 0.2:
+        return rng.choice(atoms)
+    heads = [rng.choice(atoms) if rng.random() > 0.02 else ListParam("y1")
+             for _ in range(rng.randint(0, 3))]
+    return chain(heads, rng.choice([NIL, ListParam("y1"), ListParam("y2")]))
+
+
+class LoggedNames(NameGen):
+    """A NameGen that keeps the names it hands out, in order."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.log = []
+
+    def fresh_sym(self):
+        self.log.append(super().fresh_sym())
+        return self.log[-1]
+
+    def fresh_list(self):
+        self.log.append(super().fresh_list())
+        return self.log[-1]
+
+
+def probe_outcome(fn, lhs, args, mode):
+    """What `fn` gives: its result, with the narrowing and binding in
+    order, or its exception's class and message; and the names a NameGen
+    handed out, in order."""
+    names = {"none": None, "refuse": _REFUSE}.get(mode)
+    if mode == "namegen":
+        names = LoggedNames.for_exprs(*args)
+    try:
+        m = fn(lhs, args, names)
+    except Exception as e:  # noqa: BLE001 - compared, not handled
+        got = (type(e), str(e))
+    else:
+        got = m if m is None else (list(m[0].items()), list(m[1].items()),
+                                   m[2])
+    used = names.log if mode == "namegen" else None
+    return got, used
+
+
+def test_probe_agrees_with_its_reference_on_random_rules_and_arguments():
+    rng = random.Random(19)
+    kinds = set()
+    for trial in range(20_000):
+        lhs = tuple(random_probe_pattern(rng) for _ in range(rng.randint(1, 3)))
+        args = tuple(random_probe_argument(rng) for _ in lhs)
+        for mode in ("none", "namegen", "refuse"):
+            want = probe_outcome(reference_probe, lhs, args, mode)
+            assert probe_outcome(probe, lhs, args, mode) == want, \
+                (trial, mode, lhs, args)
+            got = want[0]
+            kinds.add((mode, "none" if got is None
+                       else got[0].__name__ if isinstance(got[1], str)
+                       else "narrowed" if got[0] else "plain"))
+    # every outcome of each mode is drawn: no match, a match with and
+    # without narrowing, and each error that mode can raise
+    assert kinds == {
+        ("none", "none"), ("none", "plain"), ("none", "EvalError"),
+        ("namegen", "none"), ("namegen", "plain"), ("namegen", "narrowed"),
+        ("namegen", "DriveError"), ("namegen", "UnsupportedNarrowingError"),
+        ("refuse", "none"), ("refuse", "plain"), ("refuse", "narrowed"),
+        ("refuse", "DriveError"), ("refuse", "UnsupportedNarrowingError"),
+    }
 
 
 def test_reference_engine_matches_a_long_rule_pattern():

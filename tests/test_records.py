@@ -1,14 +1,16 @@
 """Every record class keeps the semantics it had as a dataclass: equal only
 within its own class, a hash consistent with equality, the same repr text,
-copies and pickles, and no field set once a frozen record is built."""
+copies and pickles, and no field set once a frozen record is built.  The
+atoms are interned: each build, copy and pickle of one is the one object."""
 
 import copy
+import gc
 import pickle
 
 import pytest
 
 from miniscp.configs import make_config, restriction
-from miniscp.driving import Branch, Narrowing
+from miniscp.driving import Branch, Narrowing, _Scratch
 from miniscp.harness import (
     Corpus, PatternArtifacts, SweepResult, VerificationReport,
 )
@@ -16,7 +18,7 @@ from miniscp.interpreter import Outcome
 from miniscp.kmp import Automaton
 from miniscp.record import Record
 from miniscp.residual import ResidualProgram, StructuralReport
-from miniscp.scp import Node, ProcessGraph, ScpReport
+from miniscp.scp import Node, ProcessGraph, ScpReport, specialize_pattern
 from miniscp.syntax import (
     NIL, TRUE, Call, Cons, FalseVal, ListParam, ListVar, Nil, Rule, Sym,
     SymParam, SymVar, TrueVal, ValidationError, _Token, chain, parse_program,
@@ -112,6 +114,9 @@ CASES = {
 }
 
 
+ATOMS = (Sym, SymVar, SymParam, ListVar, ListParam)
+
+
 def _twin(record):
     """An instance of another record class with the same fields and
     values."""
@@ -124,7 +129,12 @@ def _twin(record):
 def test_record_semantics(cls):
     build, text, frozen, hashable = CASES[cls]
     a, b = build(), build()
-    assert type(a) is cls and a is not b
+    assert type(a) is cls
+    if cls in ATOMS:  # one object per class and character or name
+        assert a is b and pickle.loads(pickle.dumps(a)) is a \
+            and copy.deepcopy(a) is a
+    else:
+        assert a is not b
     assert a == b and not a != b
     assert a != _twin(a) and _twin(a) != a
     assert repr(a) == text
@@ -157,6 +167,35 @@ def test_equal_only_within_one_class():
     cells = chain([Sym("a"), Sym("b")], NIL)
     assert word("ab") == cells and hash(word("ab")) == hash(cells)
     assert word("ab") != chain([Sym("a"), Sym("b")], ListParam("y"))
+
+
+def _live_params() -> int:
+    return len(SymParam._live) + len(ListParam._live)
+
+
+def test_parameters_live_only_while_referred_to():
+    # driving names parameters it never uses again (see driving._Scratch);
+    # the intern tables keep none of them once nothing refers to them
+    gc.collect()
+    level = _live_params()
+    scratch = _Scratch()
+    made = [scratch.fresh_sym(), scratch.fresh_list()]
+    assert _live_params() == level + 2
+    del made
+    gc.collect()
+    assert _live_params() == level
+    specialize_pattern("ab" * 5)
+    gc.collect()
+    level = _live_params()
+    specialize_pattern("ab" * 5)
+    gc.collect()
+    assert _live_params() == level
+
+
+def test_a_refused_symbol_is_refused_on_every_build():
+    for _ in range(2):  # a refused character is not interned
+        with pytest.raises(ValidationError):
+            Sym("{")
 
 
 def test_defaults_and_checks_stay():
