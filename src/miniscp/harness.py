@@ -173,17 +173,13 @@ def string_pool(pattern: str, corpus: Corpus) -> list[str]:
     # k words, the first drawn least significant, so the top byte of each
     # holds one draw (of at most 8 bits: an alphabet of up to 255 letters);
     # one `translate` drops the draws out of range and turns the rest into
-    # their letters' bytes, and each string is decoded once: as latin-1, or,
-    # when a letter lies outside latin-1, through the letters as a charmap,
-    # the bytes being letter indices.  Each round asks for the letters still
-    # missing, so the words consumed are exactly choice's, and rng.randint
-    # still draws the lengths.  test_string_pool_draws_as_random_choice
-    # checks this against random.choice itself.
+    # letter indices, and each string is decoded once, through the letters
+    # as a charmap.  Each round asks for the letters still missing, so the
+    # words consumed are exactly choice's, and rng.randint still draws the
+    # lengths.  test_string_pool_draws_as_random_choice checks this against
+    # random.choice itself.
     shift = 8 - len(alpha).bit_length()
-    charmap = None if max(alpha) <= "\xff" else alpha
-    codes = bytes(range(len(alpha))) if charmap else alpha.encode("latin-1")
-    table = bytes(codes[b >> shift] if b >> shift < len(alpha) else 0
-                  for b in range(256))
+    index = bytes(b >> shift for b in range(256))
     reject = bytes(b for b in range(256) if b >> shift >= len(alpha))
     getrandbits, randint = rng.getrandbits, rng.randint
     for _ in range(corpus.random_count):
@@ -191,10 +187,10 @@ def string_pool(pattern: str, corpus: Corpus) -> list[str]:
         drawn = []
         while need:
             got = getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
-            got = got.translate(table, reject)
+            got = got.translate(index, reject)
             drawn.append(got)
             need -= len(got)
-        pool.append(charmap_decode(b"".join(drawn), None, charmap)[0])
+        pool.append(charmap_decode(b"".join(drawn), None, alpha)[0])
     return pool
 
 

@@ -47,9 +47,11 @@ def _string_pool_by_choice(pattern, corpus):
 
 # sweep alphabets of 2, 3, 4, 5, 9 and 17 letters: draws of 2, 2, 3, 3, 4
 # and 5 bits, each read off the top byte of a 32-bit word that
-# getrandbits(32 * k) returns, which depends on CPython's word order
+# getrandbits(32 * k) returns, which depends on CPython's word order; and
+# letters beyond ASCII and beyond latin-1, decoded through the charmap
 @pytest.mark.parametrize("pattern", ["aa", "aba", "abcab", "abcda",
-                                     "abcdefgh", "abcdefghijklmnop"])
+                                     "abcdefgh", "abcdefghijklmnop",
+                                     "a\u2200", "\xe9\u0101b", "\U0001f600"])
 def test_string_pool_draws_as_random_choice(pattern):
     assert len(sweep_alphabet(pattern)) == len(set(pattern)) + 1
     for seed, count in zip(range(6), (1000, 200, 37, 1, 0, 5)):
@@ -59,17 +61,6 @@ def test_string_pool_draws_as_random_choice(pattern):
             pool = string_pool(pattern, corpus)
             assert pool == _string_pool_by_choice(pattern, corpus), \
                 (seed, count, max_len)
-
-
-@pytest.mark.parametrize("pattern", ["a\u2200", "\xe9\u0101b", "\U0001f600"])
-def test_string_pool_draws_letters_outside_ascii_as_random_choice(pattern):
-    # latin-1 letters decode as themselves, and an alphabet with a letter
-    # beyond latin-1 through a charmap
-    for seed in range(3):
-        corpus = Corpus((pattern,), exhaustive_len=2, random_count=300,
-                        random_max_len=50, seed=seed)
-        assert string_pool(pattern, corpus) \
-            == _string_pool_by_choice(pattern, corpus)
 
 
 @pytest.mark.parametrize("alpha", ["ab", "bac", "abcd"])
