@@ -45,15 +45,15 @@ def _word_arg(text: str) -> str:
     return text
 
 
-def _fuel_arg(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
-        fuel = int(text)
+        n = int(text)
     except ValueError:
-        fuel = 0
-    if fuel < 1:
+        n = 0
+    if n < 1:
         raise argparse.ArgumentTypeError(
-            f"fuel must be a whole number of at least 1, not {text!r}")
-    return fuel
+            f"must be a whole number of at least 1, not {text!r}")
+    return n
 
 
 def _cmd_specialize(args, out, err) -> int:
@@ -117,11 +117,10 @@ def _cmd_verify(args, out, err) -> int:
     from .harness import (
         Corpus, default_corpus, record_line, summary_lines, verify_corpus,
     )
-    seed = args.seed if args.seed is not None else 7
     if args.pattern:
-        corpus = Corpus((args.pattern,), seed=seed)
+        corpus = Corpus((args.pattern,), seed=args.seed)
     else:
-        corpus = default_corpus(seed=seed)
+        corpus = default_corpus(seed=args.seed)
     seconds = {}
     reports = verify_corpus(corpus, seconds)
     for r in reports:
@@ -168,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--report", action="store_true")
     sp.add_argument("--stats", action="store_true",
                     help="write the specializer's counters to stderr")
-    sp.add_argument("--node-budget", type=int, default=10_000)
+    sp.add_argument("--node-budget", type=_positive_int, default=10_000)
     sp.set_defaults(fn=_cmd_specialize)
 
     rn = sub.add_parser("run", help="evaluate a call on ground words")
@@ -177,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     rn.add_argument("--input", action="append", required=True,
                     help="one word per argument (repeatable)")
     rn.add_argument("--steps", action="store_true")
-    rn.add_argument("--fuel", type=_fuel_arg, default=None,
+    rn.add_argument("--fuel", type=_positive_int, default=None,
                     help="most rule applications to run (at least 1)")
     rn.set_defaults(fn=_cmd_run)
 
@@ -189,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = vf.add_mutually_exclusive_group()
     group.add_argument("--pattern", default=None, type=_word_arg)
     group.add_argument("--corpus", choices=["default"], default=None)
-    vf.add_argument("--seed", type=int, default=None)
+    vf.add_argument("--seed", type=int, default=7)
     vf.add_argument("--timings", action="store_true",
                     help="write the seconds of each phase (specialize, "
                          "compile, each facet, string_pool, sweep), summed "
@@ -203,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--dot", default=None)
     tr.add_argument("--lines", action="store_true",
                     help="also print the line-oriented dump")
-    tr.add_argument("--node-budget", type=int, default=10_000)
+    tr.add_argument("--node-budget", type=_positive_int, default=10_000)
     tr.set_defaults(fn=_cmd_tree)
     return parser
 

@@ -12,9 +12,10 @@ matcher the reference engine rewrites with, in one pass per rule.
 
 A ground step is the special case that needs none of this: the
 configuration already decides which rule fires, with nothing narrowed.
-`ground_step` recognizes it in one probe pass over the rules and builds the
-child without walking the configuration; `compress` tries it before
-`drive_step` on every transient configuration.
+`ground_step` recognizes it in one probe pass over the rules and returns
+the child alone, built without walking the configuration; `compress` steps
+each chain in one loop and tries it before `drive_step` on every transient
+configuration.
 
 Negative information is only representable as symbol disequalities.  Rule
 layouts whose earlier-rule failure would need anything else (equality of two
@@ -25,10 +26,9 @@ cannot arise for the shipped matcher or for the programs it generates.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterator
 
 from .configs import (
-    EMPTY, Config, Restriction, apply_to_restriction, make_config, param_key,
+    Config, Restriction, apply_to_restriction, make_config, param_key,
     prune, restriction, satisfiable,
 )
 from .interpreter import (
@@ -37,7 +37,7 @@ from .interpreter import (
 from .record import Record, setters
 from .syntax import (
     Call, Expr, ListParam, Program, Rule, Sym, SymParam, params_of,
-    render_expr, spine, substitute, vars_of,
+    spine, substitute, vars_of,
 )
 
 
@@ -79,64 +79,41 @@ class NameGen:
                 return ListParam(name)
 
 
-class Narrowing(Record, frozen=True):
-    """Edge label: parameter substitution, new disequalities, and the index
-    of the fired rule (the first one, for a compressed edge).  `subst` is
-    ((Param, Expr), ...) in canonical parameter order."""
-    __slots__ = ("subst", "added", "rule_index")
-
-    def __init__(self, subst: tuple, added: Restriction, rule_index: int):
-        _set_subst(self, subst)
-        _set_added(self, added)
-        _set_rule_index(self, rule_index)
-
-    def __eq__(self, other):
-        if other.__class__ is Narrowing:
-            return (self.subst == other.subst and self.added == other.added
-                    and self.rule_index == other.rule_index)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.subst, self.added, self.rule_index))
-
-    @property
-    def subst_dict(self) -> dict:
-        return dict(self.subst)
-
-    def __repr__(self):
-        parts = [f"{p!r}↦{render_expr(e)}" for p, e in self.subst]
-        if self.added.diseqs:
-            parts.append(repr(self.added))
-        return "; ".join(parts) if parts else "ε"
-
-
-_set_subst, _set_added, _set_rule_index = setters(Narrowing)
-
-
 class Branch(Record, frozen=True):
-    """One driven (and possibly compressed) edge out of a configuration.
+    """One driven (and possibly compressed) edge out of a configuration,
+    labelled with its narrowing: `subst` maps the parent's parameters to
+    their images, as ((Param, Expr), ...) in canonical parameter order;
+    `added` holds the disequalities the edge adds; `rule_index` is the
+    fired rule (the first one, for a compressed edge).
 
     `steps` counts its rule applications: one for the drive that made it and
     one per transient configuration compressed into it.  Those
-    configurations are not kept; `transients` walks them again."""
-    __slots__ = ("narrowing", "child", "steps")
+    configurations are not kept; `harness._chains` walks them again."""
+    __slots__ = ("subst", "added", "rule_index", "child", "steps")
 
-    def __init__(self, narrowing: Narrowing, child: Config, steps: int = 1):
-        _set_narrowing(self, narrowing)
+    def __init__(self, subst: tuple, added: Restriction, rule_index: int,
+                 child: Config, steps: int = 1):
+        _set_subst(self, subst)
+        _set_added(self, added)
+        _set_rule_index(self, rule_index)
         _set_child(self, child)
         _set_steps(self, steps)
 
     def __eq__(self, other):
         if other.__class__ is Branch:
-            return (self.narrowing == other.narrowing
-                    and self.child == other.child and self.steps == other.steps)
+            return (self.subst == other.subst and self.added == other.added
+                    and self.rule_index == other.rule_index
+                    and self.child == other.child
+                    and self.steps == other.steps)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.narrowing, self.child, self.steps))
+        return hash((self.subst, self.added, self.rule_index, self.child,
+                     self.steps))
 
 
-_set_narrowing, _set_child, _set_steps = setters(Branch)
+(_set_subst, _set_added, _set_rule_index, _set_child,
+ _set_steps) = setters(Branch)
 
 
 class _Scratch:
@@ -216,8 +193,7 @@ def drive_step(program: Program, cfg: Config,
         added = restriction(added_pairs)
         child = make_config(substitute(rule.rhs, binding),
                             restriction(inherited.diseqs | added.diseqs))
-        branches.append(Branch(Narrowing(_canon_subst(subst), added, idx),
-                               child))
+        branches.append(Branch(_canon_subst(subst), added, idx, child))
     if not branches:
         raise StuckConfigError(f"no rule of {call.fn} can fire on {cfg!r}")
     return branches
@@ -245,10 +221,10 @@ def rule_facts(rule: Rule) -> tuple:
                                if v not in kept))
 
 
-def ground_step(program: Program, cfg: Config) -> Branch | None:
-    """The one branch drive_step would return on `cfg`, when that branch
-    narrows nothing and adds no disequality; None otherwise, and then only
-    drive_step can say what the step is (or why it fails).
+def ground_step(program: Program, cfg: Config) -> Config | None:
+    """The child of the one branch drive_step would return on `cfg`, when
+    that branch narrows nothing and adds no disequality; None otherwise,
+    and then only drive_step can say what the step is (or why it fails).
 
     Every rule is matched once with a name supply that refuses.  Before the
     firing rule each rule must fail outright or narrow one symbol parameter
@@ -300,7 +276,7 @@ def ground_step(program: Program, cfg: Config) -> Branch | None:
     r = cfg.restriction
     if r.diseqs and any(binding[v].__class__ is not Sym for v in dropped):
         r = prune(r, {p for p in params_of(expr) if p.__class__ is SymParam})
-    return Branch(Narrowing((), EMPTY, idx), Config(expr, r))
+    return Config(expr, r)
 
 
 def _spine_depth(expr: Expr) -> int:
@@ -316,43 +292,21 @@ MAX_TRANSIENT_DEPTH = 400  # growth of the deepest list spine, in cells
 
 
 class GroundFirst:
-    """The stepping function of `compress`: a ground step where there is
-    one, drive_step with the session's names otherwise.  `ground` counts
-    the ground steps taken."""
+    """What `compress` keeps across one session: the session's names, for
+    drive_step, and `ground`, the number of ground steps taken."""
 
-    def __init__(self, program: Program, names: NameGen):
-        self.program = program
+    def __init__(self, names: NameGen):
         self.names = names
         self.ground = 0
-
-    def __call__(self, cfg: Config) -> list[Branch]:
-        b = ground_step(self.program, cfg)
-        if b is None:
-            return drive_step(self.program, cfg, self.names)
-        self.ground += 1
-        return [b]
-
-
-def transients(cfg: Config, step: Callable[[Config], list[Branch]]
-               ) -> Iterator[tuple[Config, Branch]]:
-    """Each transient configuration from `cfg` on, with the one branch
-    `step` drives it to; the walk ends at a passive configuration or after a
-    step to several branches, and costs one call of `step` per
-    configuration."""
-    while cfg.is_active():
-        nexts = step(cfg)
-        if len(nexts) != 1:
-            return
-        yield cfg, nexts[0]
-        cfg = nexts[0].child
 
 
 def compress(program: Program, branch: Branch,
              step: GroundFirst | None = None) -> Branch:
     """Fold transient steps into the branch while its child drives to exactly
     one satisfiable branch, adding one to the edge's step count per step.
-    `step` (by default a GroundFirst with a fresh NameGen) steps each
-    transient configuration, and also the active child that ends the chain
+    Each transient configuration takes a ground step where there is one and
+    drive_step with the names of `step` (by default a GroundFirst with a
+    fresh NameGen) otherwise; so does the active child that ends the chain
     by driving to several branches.
 
     The edge's narrowing is kept as made, each step's entries after the
@@ -370,33 +324,41 @@ def compress(program: Program, branch: Branch,
     step that narrows, whose drive walks the configuration anyway; steps
     that narrow nothing cost no walk, and the step cap bounds their growth."""
     if step is None:
-        step = GroundFirst(program, NameGen.for_exprs(branch.child.expr))
-    made = branch.narrowing.subst_dict
-    added = branch.narrowing.added
+        step = GroundFirst(NameGen.for_exprs(branch.child.expr))
+    made = dict(branch.subst)
+    added = branch.added
     steps = branch.steps
     child = branch.child
     depth = _spine_depth(child.expr)
-    for _, nxt in transients(child, step):
-        s2 = nxt.narrowing.subst_dict
-        if s2:
-            made.update(s2)
-            added = apply_to_restriction(added, s2)
-            if added.unsat:
-                raise DriveError(
-                    "transient narrowing contradicts the edge's own "
-                    "disequalities")
-        if nxt.narrowing.added.diseqs:
-            added = restriction(added.diseqs | nxt.narrowing.added.diseqs)
+    while child.is_active():
+        nxt = ground_step(program, child)
+        narrowed = None
+        if nxt is not None:
+            step.ground += 1
+        else:
+            nexts = drive_step(program, child, step.names)
+            if len(nexts) != 1:
+                break
+            (b,) = nexts
+            nxt = b.child
+            if b.subst:
+                narrowed = dict(b.subst)
+                made.update(narrowed)
+                added = apply_to_restriction(added, narrowed)
+                if added.unsat:
+                    raise DriveError(
+                        "transient narrowing contradicts the edge's own "
+                        "disequalities")
+            if b.added.diseqs:
+                added = restriction(added.diseqs | b.added.diseqs)
         steps += 1
         if steps - branch.steps > MAX_TRANSIENT_STEPS:
             raise DriveError("transient chain exceeded the step budget")
-        if s2 and _spine_depth(nxt.child.expr) - depth > MAX_TRANSIENT_DEPTH:
+        if narrowed and _spine_depth(nxt.expr) - depth > MAX_TRANSIENT_DEPTH:
             raise DriveError("transient chain grows without bound")
-        child = nxt.child
+        child = nxt
     resolved = resolve(made)
     # an image names only parameters the edge made, never the parent's
     made_here = {q for e in made.values() for q in params_of(e)}
     subst = {p: resolved[p] for p in made if p not in made_here}
-    return Branch(Narrowing(_canon_subst(subst), added,
-                            branch.narrowing.rule_index),
-                  child, steps)
+    return Branch(_canon_subst(subst), added, branch.rule_index, child, steps)

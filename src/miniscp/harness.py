@@ -39,7 +39,7 @@ from functools import lru_cache, partial
 from time import perf_counter
 
 from .configs import Config, alpha_equivalent, covers, make_config
-from .driving import NameGen, drive_step, transients
+from .driving import NameGen, drive_step
 from .interpreter import DriveError, naive_matcher
 from .kmp import automaton, kmp_resume, kmp_search
 from .record import Record
@@ -109,8 +109,9 @@ class PatternArtifacts(Record):
     __slots__ = ("pattern", "graph", "report", "residual")
 
 
-@lru_cache(maxsize=None)
 def artifacts(pattern: str) -> PatternArtifacts:
+    """Specialize and residualize one pattern.  Nothing is cached, so a
+    pattern's graph lives only as long as its caller holds it."""
     graph, report = specialize_pattern(pattern)
     return PatternArtifacts(pattern, graph, report, residualize(graph))
 
@@ -234,14 +235,15 @@ class SweepResult(Record, frozen=True):
                  "counterexample", "bound_violation")
 
 
-def _sweep(pattern: str, corpus: Corpus, strings: list[str]) -> SweepResult:
+def _sweep(art: PatternArtifacts, corpus: Corpus,
+           strings: list[str]) -> SweepResult:
     """Check each of `strings`, string_pool(pattern, corpus) followed by
     adversarial_strings(pattern): the naive matcher and the residual, each
     run black-box, agree with `in` and with the KMP oracle; the oracle's
     comparisons and the residual's steps stay within their linear bounds.
     The oracle's results on the exhaustive strings come from oracle_levels,
     on the others from kmp_search."""
-    art = artifacts(pattern)
+    pattern = art.pattern
     entry = art.residual.entry
     residual_run = art.residual.program.compiled.run
     naive_run = naive_matcher().compiled.run
@@ -280,25 +282,27 @@ def _chains(graph: ProcessGraph, child_ids) -> Iterator[tuple[int, Config]]:
     """Yield (child, configuration) for each transient configuration
     compressed into the edges into `child_ids`, in chain order.  Each parent
     is driven again with a fresh NameGen, once per run of its children, and
-    the child's branch walked `steps - 1` transients by drive_step alone;
-    no check minds the new names.  A walk that ends early or off the stored
-    child is a CheckFailure, so every edge that compress built from ground
-    steps is checked against the general drive."""
+    the chain from the child's branch stepped `steps - 1` times by
+    drive_step alone, never by a ground step; no check minds the new names.
+    A walk that ends early or off the stored child is a CheckFailure, so
+    every edge that compress built from ground steps is checked against the
+    general drive."""
     program, nodes = naive_matcher(), graph.nodes
     for parent, run in itertools.groupby(child_ids,
                                          lambda c: nodes[c].parent):
         pnode = nodes[parent]
-        step = partial(drive_step, program,
-                       names=NameGen.for_exprs(pnode.config.expr))
+        names = NameGen.for_exprs(pnode.config.expr)
         try:
-            branches = step(pnode.config)
+            branches = drive_step(program, pnode.config, names)
             for c in run:
                 want = nodes[c].branch.steps
                 end, steps = branches[pnode.children.index(c)].child, 1
-                for cfg, nxt in itertools.islice(
-                        transients(end, step), want - 1):
-                    yield c, cfg
-                    end, steps = nxt.child, steps + 1
+                while steps < want and end.is_active():
+                    nexts = drive_step(program, end, names)
+                    if len(nexts) != 1:
+                        break
+                    yield c, end
+                    end, steps = nexts[0].child, steps + 1
                 if steps != want \
                         or not alpha_equivalent(end, nodes[c].config):
                     raise CheckFailure(f"re-driving the edge into node {c} "
@@ -439,7 +443,7 @@ def _restart_facts(art: PatternArtifacts) -> None:
         n = nodes[node_id]
         for c in n.children:
             b = nodes[c].branch
-            if not b.narrowing.added.diseqs:
+            if not b.added.diseqs:
                 continue  # not a mismatch branch
             child = nodes[c]
             if child.kind == KIND_FOLDED:
@@ -578,10 +582,10 @@ def branch_admits(branch, env: dict) -> dict | None:
                     and match_image(img.tail, val.tail))
         raise ValueError(f"unexpected narrowing image {img!r}")
 
-    for p, img in branch.narrowing.subst:
+    for p, img in branch.subst:
         if not match_image(img, env[p]):
             return None
-    for t1, t2 in branch.narrowing.added.diseqs:
+    for t1, t2 in branch.added.diseqs:
         v1 = env2.get(t1, t1)
         v2 = env2.get(t2, t2)
         if v1 == v2:
@@ -666,7 +670,7 @@ def verify_pattern(pattern: str, corpus: Corpus,
     auto_ok = facet("automaton", _automaton_facts, art)
     strings = timed("string_pool", string_pool, pattern, corpus)
     strings += adversarial_strings(pattern)
-    sweep = timed("sweep", _sweep, pattern, corpus, strings)
+    sweep = timed("sweep", _sweep, art, corpus, strings)
     if sweep.counterexample:
         failures.append(f"equivalence: {sweep.counterexample}")
     if sweep.bound_violation:

@@ -87,9 +87,9 @@ def _check_rule_order(branches: list[Branch], params) -> None:
         return None
 
     for k, b in enumerate(branches):
-        subst = b.narrowing.subst_dict
+        subst = dict(b.subst)
         by_param: dict = {}
-        for t1, t2 in b.narrowing.added.diseqs:
+        for t1, t2 in b.added.diseqs:
             lit, par = (t1, t2) if isinstance(t1, Sym) else (t2, t1)
             if not (isinstance(lit, Sym) and isinstance(par, SymParam)):
                 raise ResidualError(
@@ -102,7 +102,7 @@ def _check_rule_order(branches: list[Branch], params) -> None:
                     f"constrained parameter {par!r} has no pattern position")
             earlier = set()
             for b2 in branches[:k]:
-                lit = literal_at(b2.narrowing.subst_dict, pos)
+                lit = literal_at(dict(b2.subst), pos)
                 if lit is not None:
                     earlier.add(lit)
             if lits != earlier:
@@ -132,7 +132,7 @@ def residualize(graph: ProcessGraph) -> ResidualProgram:
         for c in node.children:
             child = nodes[c]
             b = child.branch
-            subst = b.narrowing.subst_dict
+            subst = dict(b.subst)
             lhs = tuple(_param_to_var(subst.get(p, p)) for p in params)
             if child.kind == KIND_PASSIVE:
                 rhs = _param_to_var(child.config.expr)

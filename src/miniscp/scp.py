@@ -23,11 +23,12 @@ from collections.abc import Iterator
 from .configs import (
     Config, config_text, covers, make_config, renaming_text, shape,
 )
-from .driving import GroundFirst, NameGen, compress, drive_step
+from .driving import Branch, GroundFirst, NameGen, compress, drive_step
 from .interpreter import EmptyPatternError, naive_matcher
 from .record import Record
 from .syntax import (
-    Call, Cons, Expr, ListParam, Nil, Program, SymParam, spine, word,
+    Call, Cons, Expr, ListParam, Nil, Program, SymParam, render_expr, spine,
+    word,
 )
 
 
@@ -75,10 +76,11 @@ class ScpReport(Record):
     """Outcome counts of one supercompile session.
 
     `drive_steps` counts every configuration driven in the session, by
-    drive_step or as a ground step; `ground_steps` counts the ground steps
-    (`driving.ground_step`), all of them transient; `transient_steps`
-    counts the steps compressed into edges (each edge's `Branch.steps` less
-    the one step of the drive that made it).  `pivots` is a list[Config],
+    drive_step or as a ground step; `ground_steps` counts the transient
+    steps `compress` took by `driving.ground_step`, which returns only the
+    child; `transient_steps` counts all the steps compressed into edges
+    (each edge's `Branch.steps` less the one step of the drive that made
+    it), ground or not.  `pivots` is a list[Config],
     `whistle_pairs` a list[tuple[int, int]]."""
     __slots__ = ("generalizations_attempted", "pivots", "node_count",
                  "fold_count", "whistle_pairs", "drive_steps", "ground_steps",
@@ -168,7 +170,7 @@ def supercompile(program: Program, entry: Config,
         raise ScpError("entry configuration must be active")
     program.tail_form  # or NonTailError
     names = NameGen.for_exprs(entry.expr)
-    step = GroundFirst(program, names)
+    step = GroundFirst(names)
     graph = ProcessGraph([Node(entry)])
     report = ScpReport(0, [], 0, 0)
     keys: dict = {}  # active node -> its shape key
@@ -285,6 +287,15 @@ def _graph_text(graph: ProcessGraph, node, edge, fold) -> list[str]:
     return out
 
 
+def _edge_label(b: Branch) -> str:
+    """An edge's narrowing as both exports print it: each parameter's
+    image, then the disequalities the edge adds; ε when there are none."""
+    parts = [f"{p!r}↦{render_expr(e)}" for p, e in b.subst]
+    if b.added.diseqs:
+        parts.append(repr(b.added))
+    return "; ".join(parts) if parts else "ε"
+
+
 def graph_lines(graph: ProcessGraph) -> list[str]:
     """Line-oriented dump: one node per line, then tree and fold edges."""
     def node(i, n):
@@ -292,8 +303,8 @@ def graph_lines(graph: ProcessGraph) -> list[str]:
         return f"node {i} {n.kind}{mark} {config_text(n.config)}"
 
     def edge(i, c, b):
-        return (f"edge {i} -> {c} rule {b.narrowing.rule_index} "
-                f"[{b.narrowing!r}] steps={b.steps}")
+        return (f"edge {i} -> {c} rule {b.rule_index} "
+                f"[{_edge_label(b)}] steps={b.steps}")
 
     def fold(i, t, sigma):
         return f"fold {i} ..> {t} [{renaming_text(sigma)}]"
@@ -313,7 +324,7 @@ def export_dot(graph: ProcessGraph) -> str:
         return f'  n{i} [label="{label}"{extra}];'
 
     def edge(i, c, b):
-        lab = esc(f"rule {b.narrowing.rule_index}: {b.narrowing!r}")
+        lab = esc(f"rule {b.rule_index}: {_edge_label(b)}")
         return f'  n{i} -> n{c} [label="{lab}"];'
 
     def fold(i, t, sigma):

@@ -300,9 +300,6 @@ class Program(Record, frozen=True):
         except KeyError:
             raise ValidationError(f"undefined function {name}") from None
 
-    def arity(self, name: str) -> int:
-        return len(self.rules(name)[0].lhs)
-
     def __repr__(self):
         return f"<Program {'/'.join(n for n, _ in self.functions)}>"
 

@@ -1,6 +1,12 @@
+"""Session fixtures: the corpora, and the one cache of specialized
+patterns that the test modules share."""
+
+from functools import lru_cache
+
 import pytest
 
-from miniscp.harness import Corpus, artifacts, default_corpus
+from miniscp import harness
+from miniscp.harness import Corpus, default_corpus
 
 
 @pytest.fixture(scope="session")
@@ -16,10 +22,18 @@ def small_corpus() -> Corpus:
 
 
 @pytest.fixture(scope="session")
-def aab():
+def artifacts():
+    """harness.artifacts, kept for the whole session: the one cache of
+    specialized patterns that the test modules share.  harness itself keeps
+    nothing past a pattern."""
+    return lru_cache(maxsize=None)(harness.artifacts)
+
+
+@pytest.fixture(scope="session")
+def aab(artifacts):
     return artifacts("aab")
 
 
 @pytest.fixture(scope="session")
-def ababa():
+def ababa(artifacts):
     return artifacts("ababa")

@@ -14,8 +14,7 @@ import pytest
 
 from miniscp.configs import alpha_equivalent, covers
 from miniscp.harness import (
-    artifacts, binary_patterns, default_corpus, expected_path_pivots,
-    verify_pattern,
+    binary_patterns, default_corpus, expected_path_pivots, verify_pattern,
 )
 from miniscp.interpreter import naive_matcher
 from miniscp.kmp import failure_table
@@ -42,9 +41,9 @@ def _say(capsys, text):
         print(text)
 
 
-def step_contrast(pattern, lengths):
+def step_contrast(art, lengths):
     """Naive vs residual step counts on the all-first-letter family."""
-    art = artifacts(pattern)
+    pattern = art.pattern
     rows = {}
     for m in lengths:
         y = pattern[0] * m
@@ -63,7 +62,7 @@ def test_criterion_1_failure_tables(capsys):
                  f"({time.perf_counter() - t0:.2f}s)")
 
 
-def test_criterion_2_first_path_reproduction(corpus, capsys):
+def test_criterion_2_first_path_reproduction(corpus, capsys, artifacts):
     t0 = time.perf_counter()
     for pattern in corpus.patterns:
         art = artifacts(pattern)
@@ -84,7 +83,7 @@ def test_criterion_2_first_path_reproduction(corpus, capsys):
                  f"({time.perf_counter() - t0:.2f}s)")
 
 
-def test_criterion_3_no_generalization_sweep(corpus, capsys):
+def test_criterion_3_no_generalization_sweep(corpus, capsys, artifacts):
     t0 = time.perf_counter()
     assert len(binary_patterns(6)) == 126
     for pattern in corpus.patterns:
@@ -111,7 +110,7 @@ def test_criterion_4_four_way_equivalence(corpus, reports, capsys):
                  f"check {time.perf_counter() - t0:.2f}s)")
 
 
-def test_criterion_5_structural_claims(corpus, capsys):
+def test_criterion_5_structural_claims(corpus, capsys, artifacts):
     t0 = time.perf_counter()
     for pattern in corpus.patterns:
         rep = structural_report(artifacts(pattern).residual.program)
@@ -122,11 +121,12 @@ def test_criterion_5_structural_claims(corpus, capsys):
                  f"one-symbol rules ({time.perf_counter() - t0:.2f}s)")
 
 
-def test_criterion_6_complexity_contrast(corpus, reports, capsys):
+def test_criterion_6_complexity_contrast(corpus, reports, capsys,
+                                         artifacts):
     t0 = time.perf_counter()
     for pattern in corpus.patterns:
         assert reports[pattern].linearity_ok, pattern
-    rows = step_contrast("aaab", (50, 100, 200))
+    rows = step_contrast(artifacts("aaab"), (50, 100, 200))
     naive, residual = rows[200]
     assert naive >= 2 * residual, rows
     gap = {m: n - r for m, (n, r) in rows.items()}

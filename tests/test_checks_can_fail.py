@@ -1,5 +1,8 @@
 """The verification facets must reject broken inputs, not just accept good
 ones.  Each test hands a check something subtly wrong and expects a failure.
+Edges whose step count is off by one, and a ground step that lands one
+configuration too far, must fail the facets that re-drive compressed
+chains (`harness._chains`).
 """
 
 import random
@@ -10,7 +13,7 @@ from miniscp import driving, harness
 from miniscp.configs import covers, make_config
 from miniscp.harness import (
     CheckFailure, Corpus, _automaton_facts, _chains, _first_path_facts,
-    _restart_facts, artifacts, replay_graph, verify_pattern,
+    _restart_facts, replay_graph, verify_pattern,
 )
 from miniscp.residual import (
     ResidualProgram, structural_report, transition,
@@ -50,7 +53,7 @@ def test_structural_check_sees_deep_patterns():
     assert rep.max_lhs_cons_depth == 2
 
 
-def test_automaton_check_rejects_swapped_rules():
+def test_automaton_check_rejects_swapped_rules(artifacts):
     art = artifacts("ab")
     broken = ResidualProgram(_swap_entry_rules(art.residual.program),
                              art.residual.provenance, art.residual.entry)
@@ -59,7 +62,7 @@ def test_automaton_check_rejects_swapped_rules():
         _automaton_facts(fake)
 
 
-def test_first_path_check_rejects_wrong_pattern():
+def test_first_path_check_rejects_wrong_pattern(artifacts):
     # the graph for "ab" does not satisfy the expectations for "ba"
     art = artifacts("ab")
     fake = PatternArtifacts("ba", art.graph, art.report, art.residual)
@@ -139,13 +142,14 @@ def _with_steps(art, node_id, delta):
     n = nodes[node_id]
     b = n.branch
     nodes[node_id] = Node(n.config, n.kind, n.parent,
-                          driving.Branch(b.narrowing, b.child, b.steps + delta),
+                          driving.Branch(b.subst, b.added, b.rule_index,
+                                         b.child, b.steps + delta),
                           n.children, n.fold)
     return PatternArtifacts(art.pattern, ProcessGraph(nodes, art.graph.root),
                             art.report, art.residual)
 
 
-def test_rebuilt_chains_hold_every_compressed_configuration():
+def test_rebuilt_chains_hold_every_compressed_configuration(artifacts):
     art = artifacts("aab")
     configs = [c for _, c in _chains(art.graph, _edges(art))]
     assert len(configs) == art.report.transient_steps == 11
@@ -153,7 +157,7 @@ def test_rebuilt_chains_hold_every_compressed_configuration():
 
 
 @pytest.mark.parametrize("delta", (-1, 1))
-def test_first_path_check_rebuilds_the_chain_into_t(delta):
+def test_first_path_check_rebuilds_the_chain_into_t(delta, artifacts):
     art = artifacts("aab")
     leaf = first_path(art.graph)[-1]
     _first_path_facts(art)
@@ -162,7 +166,7 @@ def test_first_path_check_rebuilds_the_chain_into_t(delta):
 
 
 @pytest.mark.parametrize("delta", (-1, 1))
-def test_restart_check_rebuilds_held_symbol_chains(delta):
+def test_restart_check_rebuilds_held_symbol_chains(delta, artifacts):
     art = artifacts("aab")
     held = next(i for i, c in _chains(art.graph, _edges(art))
                 if covers(HELD_AAB, c) is not None)
@@ -171,7 +175,8 @@ def test_restart_check_rebuilds_held_symbol_chains(delta):
         _restart_facts(_with_steps(art, held, delta))
 
 
-def test_rebuild_catches_a_ground_step_one_step_too_far(monkeypatch):
+def test_rebuild_catches_a_ground_step_one_step_too_far(monkeypatch,
+                                                        artifacts):
     # a ground step that lands one configuration beyond the one it counts
     # builds edges whose step counts are one short; re-driving with
     # drive_step alone overshoots them.  (The edge into T cannot show it:
@@ -179,15 +184,14 @@ def test_rebuild_catches_a_ground_step_one_step_too_far(monkeypatch):
     real = driving.ground_step
 
     def too_far(program, cfg):
-        b = real(program, cfg)
-        if b is None or not b.child.is_active():
-            return b
-        b2 = real(program, b.child)
-        return b if b2 is None else driving.Branch(b.narrowing, b2.child,
-                                                   b.steps)
+        child = real(program, cfg)
+        if child is None or not child.is_active():
+            return child
+        beyond = real(program, child)
+        return child if beyond is None else beyond
 
     monkeypatch.setattr(driving, "ground_step", too_far)
-    art = artifacts.__wrapped__("aab")
+    art = harness.artifacts("aab")
     monkeypatch.undo()
     good = artifacts("aab")
     assert art.report.transient_steps < good.report.transient_steps

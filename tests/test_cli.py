@@ -310,13 +310,20 @@ def test_fuel_option(tmp_path):
     assert "fuel" in err.lower()
 
 
-@pytest.mark.parametrize("fuel", ["-5", "0", "ten"])
-def test_fuel_below_one_is_a_usage_error(tmp_path, fuel):
+@pytest.mark.parametrize("value", ["-5", "0", "ten"])
+def test_fuel_below_one_is_a_usage_error(tmp_path, capsys, value):
     proc = run_file(tmp_path, __import__("miniscp").NAIVE_MATCHER_SOURCE,
                     "--entry", "S", "--input", "a", "--input", "ba",
-                    "--fuel", fuel)
+                    "--fuel", value)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert "fuel must be a whole number of at least 1" in proc.stderr
+    assert "--fuel: must be a whole number of at least 1" in proc.stderr
+    # the node budgets take the same type
+    for command in ("specialize", "tree"):
+        code, out, _ = run_cli(command, "--pattern", "ab",
+                               "--node-budget", value)
+        assert (code, out) == (2, "")
+        assert "--node-budget: must be a whole number of at least 1" \
+            in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,7 +7,8 @@ from miniscp.configs import (
     EMPTY, Config, make_config, restriction, satisfiable,
 )
 from miniscp.driving import (
-    DriveError, NameGen, StuckConfigError, compress, drive_step, ground_step,
+    Branch, DriveError, NameGen, StuckConfigError, compress, drive_step,
+    ground_step,
 )
 from miniscp.harness import branch_admits
 from miniscp.interpreter import (
@@ -33,13 +34,13 @@ def prog():
 
 def test_drive_entry_three_branches(prog):
     branches = drive_step(prog, cfg('S("aab", #y)'))
-    assert [b.narrowing.rule_index for b in branches] == [0, 1, 2]
+    assert [b.rule_index for b in branches] == [0, 1, 2]
     adv, miss, end = branches
 
     y = ListParam("y")
     # (i) y -> 'a':fresh, no new constraints
-    assert dict(adv.narrowing.subst)[y] == Cons(Sym("a"), _fresh_list(adv, y))
-    assert adv.narrowing.added == EMPTY
+    assert dict(adv.subst)[y] == Cons(Sym("a"), _fresh_list(adv, y))
+    assert adv.added == EMPTY
     assert adv.child.expr.fn == "L"
     # child is L("aab", 'a':t, "aab", t)
     t = _fresh_list(adv, y)
@@ -47,19 +48,19 @@ def test_drive_entry_three_branches(prog):
         word("aab"), Cons(Sym("a"), t), word("aab"), t)
 
     # (ii) y -> c:fresh with c != 'a'
-    img = dict(miss.narrowing.subst)[y]
+    img = dict(miss.subst)[y]
     assert isinstance(img.head, SymParam)
-    assert miss.narrowing.added == restriction([(img.head, Sym("a"))])
+    assert miss.added == restriction([(img.head, Sym("a"))])
     assert miss.child.expr == Call("S", (word("aab"), img.tail))
     assert miss.child.restriction == EMPTY  # spent symbol pruned
 
     # (iii) y -> Nil
-    assert dict(end.narrowing.subst)[y] == NIL
+    assert dict(end.subst)[y] == NIL
     assert end.child.expr == FALSE
 
 
 def _fresh_list(branch, param):
-    img = dict(branch.narrowing.subst)[param]
+    img = dict(branch.subst)[param]
     assert isinstance(img, Cons)
     return img.tail
 
@@ -72,8 +73,8 @@ def test_drive_comparison_state(prog):
     t = _fresh_list(adv, y)
     assert adv.child.expr == Call(
         "L", (word("b"), t, word("aab"), Cons(Sym("a"), t)))
-    img = dict(miss.narrowing.subst)[y]
-    assert miss.narrowing.added == restriction([(img.head, Sym("a"))])
+    img = dict(miss.subst)[y]
+    assert miss.added == restriction([(img.head, Sym("a"))])
     assert miss.child.expr == Call(
         "S", (word("aab"), Cons(img.head, img.tail)))
     assert end.child.expr == Call("S", (word("aab"), NIL))
@@ -88,7 +89,7 @@ def test_drive_prunes_contradicted_branch(prog):
     c = cfg('S("aab", #s.c:#w)', [(SymParam("c"), Sym("a"))])
     branches = drive_step(prog, c)
     assert len(branches) == 1  # the head-match rule cannot fire
-    assert branches[0].narrowing.rule_index == 1
+    assert branches[0].rule_index == 1
 
 
 def test_stuck_configuration_is_an_error():
@@ -104,7 +105,7 @@ def test_repeated_list_variable_compared_under_the_whole_narrowing():
     prog = parse_program("F { z, 'a':y, z = F('b':z, Nil, z); }")
     (b,) = drive_step(prog, cfg("F(#y, #y, #y)"))
     t = _fresh_list(b, ListParam("y"))
-    assert dict(b.narrowing.subst) == {ListParam("y"): Cons(Sym("a"), t)}
+    assert dict(b.subst) == {ListParam("y"): Cons(Sym("a"), t)}
     assert b.child.expr == Call("F", (
         Cons(Sym("b"), Cons(Sym("a"), t)), NIL, Cons(Sym("a"), t)))
 
@@ -118,7 +119,7 @@ def test_compress_entry_match_branch_reaches_comparison_state(prog):
     # two rule applications folded into the edge
     assert done.steps == 2
     got = done.child
-    t = dict(done.narrowing.subst)[ListParam("y")].tail
+    t = dict(done.subst)[ListParam("y")].tail
     assert got.expr == Call("L", (word("ab"), t, word("aab"), t))
 
 
@@ -187,7 +188,7 @@ def test_branches_partition_instances(prog):
 
 def test_branch_order_follows_rule_order(prog):
     branches = drive_step(prog, cfg('L("b", #y, "aab", \'a\':#y)'))
-    indices = [b.narrowing.rule_index for b in branches]
+    indices = [b.rule_index for b in branches]
     assert indices == sorted(indices)
 
 
@@ -244,7 +245,8 @@ def test_ground_steps_agree_with_drive_step(prog, monkeypatch):
         if g is None:
             continue
         answered += 1
-        assert branches == [g], c
+        (b,) = branches
+        assert (b.subst, b.added, b.child) == ((), EMPTY, g), c
         assert (names._nsym, names._nlist) == before, c
     assert 1000 < answered < len(configs)
 
@@ -252,9 +254,8 @@ def test_ground_steps_agree_with_drive_step(prog, monkeypatch):
 def test_ground_step_on_a_held_symbol_the_restriction_rules_out(prog):
     c = cfg('S("abab", #s.c:#y)', [(SymParam("c"), Sym("a"))])
     g = ground_step(prog, c)
-    assert g is not None and g.narrowing.rule_index == 1
-    assert [g] == drive_step(prog, c)
-    assert g.child == cfg('S("abab", #y)')
+    assert g == cfg('S("abab", #y)')
+    assert drive_step(prog, c) == [Branch((), EMPTY, 1, g)]
 
 
 def _nested_rhs_program():
@@ -301,7 +302,7 @@ def test_a_later_rule_that_asks_for_a_name_shifts_the_session_names():
     c = cfg('F("a", #w)')
     names = NameGen.for_exprs(c.expr)
     (b,) = drive_step(program, c, names)
-    assert b.narrowing.subst == () and b.child.expr == TRUE
+    assert b.subst == () and b.child.expr == TRUE
     assert (names._nsym, names._nlist) == (1, 1)
 
 
@@ -336,7 +337,7 @@ def test_compress_measures_spines_at_the_start_and_after_narrowing(
     walks.clear()
     done = compress(program, first)
     assert done.steps == 4 and done.child.expr == TRUE and len(walks) == 3
-    ((p, image),) = done.narrowing.subst
+    ((p, image),) = done.subst
     assert p == ListParam("y") and len(spine(image)[0]) == 3
 
 
@@ -350,7 +351,7 @@ def test_a_long_narrowing_chain_compresses_into_one_edge():
     (first,) = drive_step(program, cfg("F1(#y)"))
     done = compress(program, first)
     assert done.steps == n and done.child.expr == TRUE
-    ((p, image),) = done.narrowing.subst
+    ((p, image),) = done.subst
     heads, end = spine(image)
     assert p == ListParam("y") and len(heads) == n - 1
-    assert end.__class__ is ListParam and end not in done.narrowing.subst_dict
+    assert end.__class__ is ListParam and end not in dict(done.subst)

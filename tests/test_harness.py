@@ -4,10 +4,9 @@ import random
 import pytest
 
 from miniscp.harness import (
-    POOL_BUDGET, Corpus, _automaton_facts, artifacts, binary_patterns,
-    check_pool_budget, default_corpus, exhaustive_count, expected_path_pivots,
-    oracle_levels, record_line, string_pool, summary_lines, sweep_alphabet,
-    verify_pattern,
+    POOL_BUDGET, Corpus, _automaton_facts, binary_patterns, check_pool_budget,
+    default_corpus, exhaustive_count, expected_path_pivots, oracle_levels,
+    record_line, string_pool, summary_lines, sweep_alphabet, verify_pattern,
 )
 from miniscp.interpreter import naive_matcher
 from miniscp.kmp import automaton, kmp_search
@@ -162,7 +161,7 @@ def test_summary_lines(small_corpus):
     assert lines[-1] == "result: PASS"
 
 
-def test_adversarial_steps_for_aab():
+def test_adversarial_steps_for_aab(artifacts):
     art = artifacts("aab")
     y = "a" * 100
     _, naive_steps = naive_matcher().compiled.run("S", ("aab", y))
@@ -181,7 +180,7 @@ def test_summary_reports_failures():
     assert any("whistle fired" in l for l in lines)
 
 
-def test_pivot_counts_stay_small(small_corpus):
+def test_pivot_counts_stay_small(small_corpus, artifacts):
     for pattern in small_corpus.patterns:
         art = artifacts(pattern)
         cap = (len(pattern) + 1) ** 2

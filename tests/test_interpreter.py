@@ -5,7 +5,6 @@ import re
 import pytest
 
 from miniscp.driving import _REFUSE, NameGen
-from miniscp.harness import artifacts
 from miniscp.interpreter import (
     ArityError, CompiledProgram, DriveError, EmptyPatternError, EvalError,
     FuelExhaustedError, NonTailError, Outcome, StuckTermError,
@@ -445,7 +444,7 @@ def avoiding(pattern, n, rng):
 
 
 @pytest.mark.parametrize("pattern", ["aab", "abcabcacab"])
-def test_residual_on_long_inputs(pattern):
+def test_residual_on_long_inputs(pattern, artifacts):
     rp = artifacts(pattern).residual
     rng = random.Random(f"long:{pattern}")
     for y in (pattern[0] * 100_000, avoiding(pattern, 100_000, rng)):
@@ -455,7 +454,7 @@ def test_residual_on_long_inputs(pattern):
 
 
 @pytest.mark.parametrize("pattern", ["aab", "abcabcacab"])
-def test_engines_agree_on_long_inputs(pattern):
+def test_engines_agree_on_long_inputs(pattern, artifacts):
     rp = artifacts(pattern).residual
     rng = random.Random(f"agree:{pattern}")
     y = avoiding(pattern, 2000, rng)
@@ -618,7 +617,7 @@ def test_ill_sorted_programs_are_not_compiled():
     assert symbol_positions(prog) == {("F", 0)}
 
 
-def test_matcher_and_residuals_are_well_sorted(full_corpus):
+def test_matcher_and_residuals_are_well_sorted(full_corpus, artifacts):
     assert symbol_positions(naive_matcher()) == set()
     assert naive_matcher().compiled is not None
     for pattern in full_corpus.patterns:

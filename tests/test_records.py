@@ -10,7 +10,7 @@ import pickle
 import pytest
 
 from miniscp.configs import make_config, restriction
-from miniscp.driving import Branch, Narrowing, _Scratch
+from miniscp.driving import Branch, _Scratch
 from miniscp.harness import (
     Corpus, PatternArtifacts, SweepResult, VerificationReport,
 )
@@ -32,8 +32,8 @@ def _config():
     return make_config(Call("S", (word("ab"), ListParam("y"))))
 
 
-def _narrowing():
-    return Narrowing(((ListParam("y"), NIL),), HELD, 2)
+def _branch(*steps):
+    return Branch(((ListParam("y"), NIL),), HELD, 2, _config(), *steps)
 
 
 # class -> (build an instance, its repr, frozen, hashable)
@@ -63,9 +63,8 @@ CASES = {
                                        Cons(SymParam("c"), ListParam("y")))),
                             HELD),
         "⟨S(\"ab\", #s.c:#y) ; 'a'≠#s.c⟩", True, True),
-    Narrowing: (_narrowing, "#y↦Nil; 'a'≠#s.c", True, True),
-    Branch: (lambda: Branch(_narrowing(), _config(), 3),
-             "Branch(narrowing=#y↦Nil; 'a'≠#s.c, "
+    Branch: (lambda: _branch(3),
+             "Branch(subst=((#y, Nil),), added='a'≠#s.c, rule_index=2, "
              "child=⟨S(\"ab\", #y)⟩, steps=3)",
              True, True),
     Outcome: (lambda: Outcome(TRUE, 4), "Outcome(value=T, steps=4)",
@@ -213,7 +212,7 @@ def test_defaults_and_checks_stay():
     assert (node.kind, node.parent, node.branch, node.children, node.fold) \
         == ("", 3, None, [], None)
     assert Node(_config()).children is not Node(_config()).children
-    assert Branch(_narrowing(), _config()).steps == 1
+    assert _branch().steps == 1
     assert make_config(Call("F", (NIL,))).restriction == restriction([])
     with pytest.raises(TypeError):
         Outcome(TRUE)

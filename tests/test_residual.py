@@ -14,7 +14,7 @@ from miniscp.syntax import (
     Call, Cons, FALSE, Nil, Sym, SymVar, TRUE, parse_expression,
     parse_program, word,
 )
-from miniscp.harness import artifacts, sweep_alphabet
+from miniscp.harness import sweep_alphabet
 
 
 def rule_shapes(program, name):
@@ -81,7 +81,7 @@ def test_function_count_matches_pivots_and_provenance(aab, ababa):
             assert alpha_equivalent(rp.provenance[name], pivot)
 
 
-def test_structural_reports():
+def test_structural_reports(artifacts):
     for pattern in ("a", "aab", "ababa"):
         rp = artifacts(pattern).residual
         rep = structural_report(rp.program)
@@ -97,7 +97,7 @@ def test_naive_matcher_baseline_repeats_variables():
     assert rep.repeated_params_in_rhs >= 1
 
 
-def test_tail_form_and_bindings():
+def test_tail_form_and_bindings(artifacts):
     for pattern in ("ab", "aab", "abcabcaca"):
         prog = artifacts(pattern).residual.program
         for name, rules in prog.functions:
@@ -106,7 +106,7 @@ def test_tail_form_and_bindings():
                 assert rhs in (TRUE, FALSE) or isinstance(rhs, Call)
 
 
-def test_semantic_preservation_exhaustive():
+def test_semantic_preservation_exhaustive(artifacts):
     for pattern in ("a", "ab", "aa", "aab", "aba"):
         art = artifacts(pattern)
         runner = art.residual.program.compiled
@@ -118,7 +118,7 @@ def test_semantic_preservation_exhaustive():
                 assert value == (pattern in y), (pattern, y)
 
 
-def test_semantic_preservation_random_long():
+def test_semantic_preservation_random_long(artifacts):
     rng = random.Random(99)
     for pattern in ("aab", "ababa"):
         art = artifacts(pattern)
@@ -132,7 +132,7 @@ def test_semantic_preservation_random_long():
             assert steps <= 2 * len(y) + len(pattern) + 2
 
 
-def test_engines_agree_on_residual_programs():
+def test_engines_agree_on_residual_programs(artifacts):
     # the residual for "aab" exercises bare-symbol arguments (the fallback
     # function) in both evaluators
     from miniscp.interpreter import eval_reference
@@ -145,7 +145,7 @@ def test_engines_agree_on_residual_programs():
         assert (fast.value, fast.steps) == (slow.value, slow.steps), y
 
 
-def test_single_letter_residual_step_count():
+def test_single_letter_residual_step_count(artifacts):
     art = artifacts("a")
     for y in ("", "b", "bbb", "b" * 17):
         value, steps = art.residual.program.compiled.run("F_0", (y,))
@@ -196,7 +196,7 @@ def _transition_reference(rp, name, ch):
             return name
 
 
-def test_transition_agrees_with_first_pattern_walk(full_corpus):
+def test_transition_agrees_with_first_pattern_walk(full_corpus, artifacts):
     checked = 0
     for pattern in full_corpus.patterns:
         rp = artifacts(pattern).residual

@@ -344,6 +344,17 @@ def test_graph_lines_cover_all_nodes(aab):
     assert len(fold_lines) == aab.report.fold_count
 
 
+# a^12, where every transient step is a ground step, and an edge out of
+# F(#y) whose chain mixes a ground step (G) with narrowing steps (H and K);
+# each with its drive_steps, ground_steps, transient_steps and node_count
+MIXED = parse_program("F { s.a:y = G('a':y); } G { 'a':y = H(y); } "
+                      "H { s.a:y = K(y); } K { s.a:y = T; }")
+COUNTED = [
+    (matcher_entry("a" * 12), (719, 684, 684, 37)),
+    ((MIXED, cfg("F(#y)")), (4, 1, 3, 2)),
+]
+
+
 def test_report_counts_drives_and_transient_steps(monkeypatch):
     drives, grounds = [], []
 
@@ -360,19 +371,25 @@ def test_report_counts_drives_and_transient_steps(monkeypatch):
     monkeypatch.setattr(driving, "drive_step", counting)
     monkeypatch.setattr(scp, "drive_step", counting)
     monkeypatch.setattr(driving, "ground_step", counting_ground)
-    graph, report = specialize_pattern("a" * 12)
-    # every driven configuration counts once, by drive_step or as a ground
-    # step; on a^12 every transient step is a ground step
-    assert report.drive_steps == len(drives) + len(grounds) == 719
-    assert report.ground_steps == len(grounds) == report.transient_steps
-    branches = [n for n in graph.nodes if n.branch is not None]
-    assert report.transient_steps == sum(n.branch.steps - 1
-                                         for n in branches)
-    # each pivot and transient node was driven, and so was each compressed
-    # step and each active child whose drive ended a chain
-    driven = sum(n.kind in (KIND_PIVOT, KIND_TRANSIENT) for n in graph.nodes)
-    ends = sum(n.config.is_active() for n in branches)
-    assert report.drive_steps == driven + report.transient_steps + ends
+    for entry, counts in COUNTED:
+        drives.clear()
+        grounds.clear()
+        graph, report = supercompile(*entry)
+        assert (report.drive_steps, report.ground_steps,
+                report.transient_steps, report.node_count) == counts
+        # every driven configuration counts once, by drive_step or as a
+        # ground step
+        assert report.drive_steps == len(drives) + len(grounds)
+        assert report.ground_steps == len(grounds)
+        branches = [n for n in graph.nodes if n.branch is not None]
+        assert report.transient_steps == sum(n.branch.steps - 1
+                                             for n in branches)
+        # each pivot and transient node was driven, and so was each
+        # compressed step and each active child whose drive ended a chain
+        driven = sum(n.kind in (KIND_PIVOT, KIND_TRANSIENT)
+                     for n in graph.nodes)
+        ends = sum(n.config.is_active() for n in branches)
+        assert report.drive_steps == driven + report.transient_steps + ends
 
 
 def test_matcher_entry_rejects_empty_pattern():
