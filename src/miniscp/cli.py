@@ -87,7 +87,9 @@ def _cmd_specialize(args, out, err) -> int:
                   f"drive_steps: {report.drive_steps}\n"
                   f"ground_steps: {report.ground_steps}\n"
                   f"transient_steps: {report.transient_steps}\n"
-                  f"whistle_fires: {report.generalizations_attempted}\n")
+                  f"whistle_fires: {report.generalizations_attempted}\n"
+                  f"whistle_checks: {report.whistle_checks}\n"
+                  f"ground_runs: {report.ground_runs}\n")
     return 0
 
 

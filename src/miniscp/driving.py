@@ -15,7 +15,10 @@ configuration already decides which rule fires, with nothing narrowed.
 `ground_step` recognizes it in one probe pass over the rules and returns
 the child alone, built without walking the configuration; `compress` steps
 each chain in one loop and tries it before `drive_step` on every transient
-configuration.
+configuration.  Most ground steps come in runs of one self-recursive rule
+over known words, such as the matcher comparing two known letters again
+and again; `ground_run` advances such a run in one loop, deciding which
+rule fires once per tuple of inspected symbols, not once per step.
 
 Negative information is only representable as symbol disequalities.  Rule
 layouts whose earlier-rule failure would need anything else (equality of two
@@ -36,8 +39,8 @@ from .interpreter import (
 )
 from .record import Record, setters
 from .syntax import (
-    Call, Expr, ListParam, Program, Rule, Sym, SymParam, params_of,
-    spine, substitute, vars_of,
+    Call, Cons, Expr, ListParam, ListVar, Nil, Program, Rule, Sym, SymParam,
+    params_of, spine, subterms, substitute, vars_of,
 )
 
 
@@ -213,12 +216,71 @@ _REFUSE = _Refuse()
 
 
 def rule_facts(rule: Rule) -> tuple:
-    """What a ground step needs to know of a rule: the variables of its
-    left-hand side that the right-hand side drops.  Found once per rule, as
-    `Program.ground_facts`."""
+    """The variables of a rule's left-hand side that its right-hand side
+    drops."""
     kept = set(vars_of(rule.rhs))
     return tuple(dict.fromkeys(v for a in rule.lhs for v in vars_of(a)
                                if v not in kept))
+
+
+class GroundFacts(Record, frozen=True):
+    """What ground steps need to know of one function's rules, found once
+    per function as `Program.ground_facts`: `dropped[i]` holds what rule i
+    drops (see rule_facts); `runs[i]` the argument positions rule i
+    consumes when it is a run rule, else None, and `runs` is () when no
+    rule is; `visible` pairs each argument position the patterns inspect
+    with how many spine elements they inspect there, and is () when no
+    rule is a run rule.
+
+    A run rule calls its own function; each argument either re-emits its
+    pattern unchanged (kept) or is the tail variable of a one-cell pattern
+    `h:t` (consumed), and at least one is consumed, so the only variables
+    it drops are the heads of consumed cells.  No rule of the function may
+    repeat a list variable, whose test would see a whole argument."""
+    __slots__ = ("dropped", "runs", "visible")
+
+
+def _consumed(name: str, rule: Rule) -> tuple | None:
+    """The positions a run rule of function `name` consumes; None when the
+    rule is not one.  What a kept pattern binds, and a consumed cell's
+    tail, the rule re-emits, so it can drop only consumed heads."""
+    rhs = rule.rhs
+    if rhs.__class__ is not Call or rhs.fn != name \
+            or len(rhs.args) != len(rule.lhs):
+        return None
+    consumed = tuple(j for j, (pat, out) in enumerate(zip(rule.lhs, rhs.args))
+                     if out != pat)
+    for j in consumed:
+        pat = rule.lhs[j]
+        if pat.__class__ is not Cons or pat.tail.__class__ is not ListVar \
+                or rhs.args[j] is not pat.tail:
+            return None
+    return consumed or None
+
+
+def _inspected(pat: Expr) -> int:
+    """How many spine elements of its argument a pattern inspects: each
+    cell's head, and what ends the spine unless a list variable takes it."""
+    heads, end = spine(pat)
+    return len(heads) + (end.__class__ is not ListVar)
+
+
+def _repeats_a_list_variable(rule: Rule) -> bool:
+    lists = [t for a in rule.lhs for t in subterms(a)
+             if t.__class__ is ListVar]
+    return len(lists) != len(set(lists))
+
+
+def function_facts(name: str, rules: tuple[Rule, ...]) -> GroundFacts:
+    """The GroundFacts of function `name`."""
+    dropped = tuple(map(rule_facts, rules))
+    runs = tuple(_consumed(name, r) for r in rules)
+    if not any(runs) or any(map(_repeats_a_list_variable, rules)):
+        return GroundFacts(dropped, (), ())
+    depths = [max(map(_inspected, pats))
+              for pats in zip(*(r.lhs for r in rules))]
+    visible = tuple((j, d) for j, d in enumerate(depths) if d)
+    return GroundFacts(dropped, runs, visible)
 
 
 def ground_step(program: Program, cfg: Config) -> Config | None:
@@ -242,6 +304,22 @@ def ground_step(program: Program, cfg: Config) -> Config | None:
     `make_config`) stays as it is, and the step costs no walk over the
     configuration.  The program must be in tail form, which
     `supercompile` checks before its first drive."""
+    fired = _fire(program, cfg)
+    if fired is None:
+        return None
+    idx, binding = fired
+    call = cfg.expr
+    dropped = program.ground_facts[call.fn].dropped[idx]
+    expr = substitute(program.table[call.fn][idx].rhs, binding)
+    r = cfg.restriction
+    if r.diseqs and any(binding[v].__class__ is not Sym for v in dropped):
+        r = prune(r, {p for p in params_of(expr) if p.__class__ is SymParam})
+    return Config(expr, r)
+
+
+def _fire(program: Program, cfg: Config) -> tuple[int, dict] | None:
+    """The index and binding of the rule a ground step fires on `cfg`, or
+    None when there is no ground step (see ground_step)."""
     call = cfg.expr
     if call.__class__ is not Call or cfg.restriction.unsat:
         return None
@@ -268,15 +346,78 @@ def ground_step(program: Program, cfg: Config) -> Config | None:
         if p.__class__ is not SymParam \
                 or not restriction([(p, s)]).diseqs <= known:
             return None  # a narrowing drive_step would keep or reject
-    if fired is None:
-        return None
-    idx, binding = fired
-    dropped = program.ground_facts[call.fn][idx]
-    expr = substitute(rules[idx].rhs, binding)
-    r = cfg.restriction
-    if r.diseqs and any(binding[v].__class__ is not Sym for v in dropped):
-        r = prune(r, {p for p in params_of(expr) if p.__class__ is SymParam})
-    return Config(expr, r)
+    return fired
+
+
+def ground_run(program: Program, cfg: Config, verdicts: dict,
+               limit: int) -> tuple[Config, int]:
+    """Where ground steps by run rules take `cfg`, and how many they take,
+    at most `limit`: (cfg, 0) when ground_step would not fire a run rule
+    on it.
+
+    Where every spine element the function's patterns inspect (see
+    GroundFacts.visible) is a symbol head or Nil, no probe can narrow, and
+    no rule repeats a list variable, so whether ground_step fires a rule,
+    and which, is a function of those elements alone: of their tuple, the
+    window.  It is found once per window, by _fire on the configuration
+    at hand, and kept in `verdicts`, the session's table; past that, a
+    step builds no configuration and probes nothing.  While it is a run
+    rule, the step keeps every other argument and drops the head symbols
+    of the consumed cells, so it leaves the restriction as it is, and
+    moves each consumed argument on by one cell.  The run stops at the
+    first window that holds anything but head symbols and Nil (a
+    parameter, say), or whose verdict is not a run rule."""
+    call = cfg.expr
+    facts = program.ground_facts.get(call.fn)
+    # no ground step fires on an unsatisfiable restriction or a call of
+    # the wrong arity, whatever the window, so neither may enter the table
+    if facts is None or not facts.runs or cfg.restriction.unsat \
+            or len(program.table[call.fn][0].lhs) != len(call.args):
+        return cfg, 0
+    table = verdicts.setdefault(call.fn, {})
+    args = list(call.args)
+    n = 0
+    while n < limit:
+        window = _window(args, facts.visible)
+        if window is None:
+            break
+        consumed = table.get(window, _UNKNOWN)
+        if consumed is _UNKNOWN:
+            fired = _fire(program, Config(Call(call.fn, tuple(args)),
+                                          cfg.restriction))
+            consumed = table[window] = (None if fired is None
+                                        else facts.runs[fired[0]])
+        if consumed is None:
+            break
+        for j in consumed:
+            args[j] = args[j].tail
+        n += 1
+    if not n:
+        return cfg, 0
+    return Config(Call(call.fn, tuple(args)), cfg.restriction), n
+
+
+_UNKNOWN = object()
+
+
+def _window(args: list, visible: tuple) -> tuple | None:
+    """The spine elements the patterns inspect (see GroundFacts.visible),
+    in order, or None when one is neither a cell with a symbol head nor
+    Nil.  An argument shorter than its depth ends its part with Nil, so
+    the parts cannot run together."""
+    window = []
+    for j, depth in visible:
+        a = args[j]
+        for _ in range(depth):
+            if a.__class__ is Cons and a.head.__class__ is Sym:
+                window.append(a.head)
+                a = a.tail
+            elif a.__class__ is Nil:
+                window.append(a)
+                break
+            else:
+                return None
+    return tuple(window)
 
 
 def _spine_depth(expr: Expr) -> int:
@@ -293,11 +434,15 @@ MAX_TRANSIENT_DEPTH = 400  # growth of the deepest list spine, in cells
 
 class GroundFirst:
     """What `compress` keeps across one session: the session's names, for
-    drive_step, and `ground`, the number of ground steps taken."""
+    drive_step; `ground`, the number of ground steps taken; `runs`, how
+    many runs of them ground_run advanced in one go; and `verdicts`,
+    ground_run's table."""
 
     def __init__(self, names: NameGen):
         self.names = names
         self.ground = 0
+        self.runs = 0
+        self.verdicts: dict = {}
 
 
 def compress(program: Program, branch: Branch,
@@ -307,7 +452,9 @@ def compress(program: Program, branch: Branch,
     Each transient configuration takes a ground step where there is one and
     drive_step with the names of `step` (by default a GroundFirst with a
     fresh NameGen) otherwise; so does the active child that ends the chain
-    by driving to several branches.
+    by driving to several branches.  After each ground step, ground_run
+    takes the run of ground steps that follows, if any, in one go; each
+    rule application in it counts as one step, as ground_step's would.
 
     The edge's narrowing is kept as made, each step's entries after the
     earlier ones, and resolved once at the end (see interpreter.resolve),
@@ -335,6 +482,14 @@ def compress(program: Program, branch: Branch,
         narrowed = None
         if nxt is not None:
             step.ground += 1
+            if nxt.is_active():
+                # the budget left after this step, and one step more
+                limit = MAX_TRANSIENT_STEPS + branch.steps - steps
+                nxt, run = ground_run(program, nxt, step.verdicts, limit)
+                if run:
+                    step.ground += run
+                    step.runs += 1
+                    steps += run
         else:
             nexts = drive_step(program, child, step.names)
             if len(nexts) != 1:

@@ -7,8 +7,10 @@ whose restriction the node's entails, which makes it cover the node (fold
 edge on success); failing that it checks whether any ancestor with the same
 head function embeds into the node (whistle: the path stops with a
 diagnostic leaf and a counter tick, no generalization operator is
-provided); otherwise the node is driven, transient steps are compressed into
-the edges, and the children are visited depth-first in branch order.
+provided), skipping, by their shape keys, the ancestors with an argument
+of more spine heads than the node's, which cannot embed; otherwise the
+node is driven, transient steps are compressed into the edges, and the
+children are visited depth-first in branch order.
 
 The embedding ignores restrictions, couples equal constructors and literals,
 dives into subterms, and relates a parameter only to parameters of the same
@@ -19,6 +21,7 @@ differs from the ancestor only at parameter positions.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from operator import le
 
 from .configs import (
     Config, config_text, covers, make_config, renaming_text, shape,
@@ -77,16 +80,19 @@ class ScpReport(Record):
 
     `drive_steps` counts every configuration driven in the session, by
     drive_step or as a ground step; `ground_steps` counts the transient
-    steps `compress` took by `driving.ground_step`, which returns only the
-    child; `transient_steps` counts all the steps compressed into edges
-    (each edge's `Branch.steps` less the one step of the drive that made
-    it), ground or not.  `pivots` is a list[Config],
-    `whistle_pairs` a list[tuple[int, int]]."""
+    steps `compress` took as ground steps, one at a time by
+    `driving.ground_step` or in runs by `driving.ground_run`, and
+    `ground_runs` those runs; `transient_steps` counts all the steps
+    compressed into edges (each edge's `Branch.steps` less the one step of
+    the drive that made it), ground or not.  `whistle_checks` counts the
+    (ancestor, node) pairs `embeds` decided, those the head-count filter
+    let through.  `pivots` is a list[Config], `whistle_pairs` a
+    list[tuple[int, int]]."""
     __slots__ = ("generalizations_attempted", "pivots", "node_count",
                  "fold_count", "whistle_pairs", "drive_steps", "ground_steps",
-                 "transient_steps")
+                 "transient_steps", "whistle_checks", "ground_runs")
     _defaults = {"whistle_pairs": [], "drive_steps": 0, "ground_steps": 0,
-                 "transient_steps": 0}
+                 "transient_steps": 0, "whistle_checks": 0, "ground_runs": 0}
 
 
 def head_fn(cfg: Config) -> str | None:
@@ -138,6 +144,16 @@ def _embed(s: Expr, t: Expr) -> bool:
             return False
     return (param_end or _couple(s_end, t_end)
             or any(_couple(s_end, x) for x in rest))
+
+
+def heads_fit(k1: tuple, k2: tuple) -> bool:
+    """Whether no argument of a call with shape key k1 (see
+    `configs.shape`) has more spine heads than the same argument of a call
+    of the same function with key k2.  When one has, the first cannot
+    embed in the second, since along a spine the embedding is a
+    subsequence test (see `_embed`).  A key holds the function's name,
+    then each argument's heads and end."""
+    return all(map(le, map(len, k1), map(len, k2)))
 
 
 def embeds(c1: Config, c2: Config) -> bool:
@@ -200,8 +216,9 @@ def supercompile(program: Program, entry: Config,
         whistled = False
         for a in graph.ancestors(i):
             anc = graph.nodes[a].config
-            if head_fn(anc) != fn:
+            if head_fn(anc) != fn or not heads_fit(keys[a], key):
                 continue
+            report.whistle_checks += 1
             if embeds(anc, cfg):
                 node.kind = KIND_DIAGNOSTIC
                 report.generalizations_attempted += 1
@@ -232,6 +249,7 @@ def supercompile(program: Program, entry: Config,
         stack.extend(reversed(child_ids))
     report.node_count = len(graph.nodes)
     report.ground_steps = step.ground
+    report.ground_runs = step.runs
     return graph, report
 
 

@@ -288,10 +288,10 @@ class Program(Record, frozen=True):
 
     @cached_property
     def ground_facts(self) -> dict:
-        """What ground steps need to know of each rule, per function, found
-        on first use and kept with the program (see driving.rule_facts)."""
-        from .driving import rule_facts
-        return {name: tuple(map(rule_facts, rules))
+        """What ground steps need to know of each function's rules, found
+        on first use and kept with the program (see driving.GroundFacts)."""
+        from .driving import function_facts
+        return {name: function_facts(name, rules)
                 for name, rules in self.functions}
 
     def rules(self, name: str) -> tuple[Rule, ...]:

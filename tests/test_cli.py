@@ -52,7 +52,9 @@ def test_specialize_stats_go_to_stderr():
         "drive_steps: 719",
         f"ground_steps: {report.transient_steps}",
         f"transient_steps: {report.transient_steps}",
-        "whistle_fires: 0"]
+        "whistle_fires: 0", "whistle_checks: 0",
+        f"ground_runs: {report.ground_runs}"]
+    assert report.ground_runs == 110
 
 
 def test_specialize_does_not_import_the_harness():

@@ -7,14 +7,17 @@ from miniscp.configs import (
     EMPTY, Config, make_config, restriction, satisfiable,
 )
 from miniscp.driving import (
-    Branch, DriveError, NameGen, StuckConfigError, compress, drive_step,
-    ground_step,
+    Branch, DriveError, GroundFirst, NameGen, StuckConfigError, compress,
+    drive_step, ground_run, ground_step,
 )
 from miniscp.harness import branch_admits
 from miniscp.interpreter import (
-    NonTailError, UnsupportedNarrowingError, naive_matcher, trace_call,
+    NAIVE_MATCHER_SOURCE, NonTailError, UnsupportedNarrowingError,
+    naive_matcher, trace_call,
 )
-from miniscp.scp import specialize_pattern, supercompile
+from miniscp.scp import (
+    ScpReport, graph_lines, matcher_entry, specialize_pattern, supercompile,
+)
 from miniscp.syntax import (
     Call, Cons, FALSE, ListParam, ListVar, NIL, Program, Rule, Sym, SymParam,
     TRUE, parse_expression, parse_program, spine, substitute, word,
@@ -210,9 +213,12 @@ def test_fresh_names_avoid_existing(prog):
 
 # --- ground steps --------------------------------------------------------------
 
-def _reached_configs(monkeypatch, patterns):
-    """Every active configuration stepped while specializing `patterns`:
-    the nodes drive_step drives and the transients ground_step is tried on."""
+def _reached_configs(monkeypatch, patterns, entries=()):
+    """Every active configuration stepped while specializing `patterns`
+    and supercompiling the (program, entry) pairs of `entries`:
+    the nodes drive_step drives and the transients ground_step is tried on,
+    each run that ground_run takes in one go expanded one ground step at a
+    time."""
     from miniscp import driving, scp
     seen = {}
     for mod, name in ((scp, "drive_step"), (driving, "ground_step")):
@@ -222,20 +228,35 @@ def _reached_configs(monkeypatch, patterns):
             seen[c] = None
             return real(program, c, *rest)
         monkeypatch.setattr(mod, name, record)
+    real_run = driving.ground_run
+
+    def expand(program, c, *rest):
+        end, n = real_run(program, c, *rest)
+        for _ in range(n):
+            seen[c] = None
+            c = ground_step(program, c)
+        assert c == end
+        return end, n
+    monkeypatch.setattr(driving, "ground_run", expand)
     for p in patterns:
         specialize_pattern(p)
+    for program, entry in entries:
+        supercompile(program, entry)
     monkeypatch.undo()
     return list(seen)
 
 
-def test_ground_steps_agree_with_drive_step(prog, monkeypatch):
+def _ladder_patterns():
     # the benchmark ladder's (ab)^k and a^n rungs, and seeded random words
     rng = random.Random(12)
-    patterns = ["ab" * k for k in range(1, 11)] + [
+    return ["ab" * k for k in range(1, 11)] + [
         "a" * n for n in range(1, 18)] + [
         "".join(rng.choice("abcd"[:k]) for _ in range(rng.randint(4, 24)))
         for k in (2, 3, 4) for _ in range(5)]
-    configs = _reached_configs(monkeypatch, patterns)
+
+
+def test_ground_steps_agree_with_drive_step(prog, monkeypatch):
+    configs = _reached_configs(monkeypatch, _ladder_patterns())
     answered = 0
     for c in configs:
         g = ground_step(prog, c)
@@ -355,3 +376,217 @@ def test_a_long_narrowing_chain_compresses_into_one_edge():
     heads, end = spine(image)
     assert p == ListParam("y") and len(heads) == n - 1
     assert end.__class__ is ListParam and end not in dict(done.subst)
+
+
+# --- ground runs ---------------------------------------------------------------
+
+def _one_step_chain(program, branch):
+    """The reference for compress's chain: one ground_step or drive_step at
+    a time, never a run.  The child, the steps and the ground steps."""
+    names = NameGen.for_exprs(branch.child.expr)
+    child, steps, ground = branch.child, branch.steps, 0
+    while child.is_active():
+        nxt = ground_step(program, child)
+        if nxt is not None:
+            ground += 1
+        else:
+            nexts = drive_step(program, child, names)
+            if len(nexts) != 1:
+                break
+            nxt = nexts[0].child
+        child, steps = nxt, steps + 1
+    return child, steps, ground
+
+
+def _runs_agree(program, configs):
+    """compress, taking runs in one go, agrees with the reference on the
+    chain from each configuration; returns the number of runs it took.
+    The chains share one table of verdicts, as one session's do."""
+    runs = 0
+    verdicts = {}
+    for c in configs:
+        start = Branch((), EMPTY, 0, c)
+        step = GroundFirst(NameGen.for_exprs(c.expr))
+        step.verdicts = verdicts
+        done = compress(program, start, step)
+        assert (done.child, done.steps, step.ground) \
+            == _one_step_chain(program, start), c
+        runs += step.runs
+    return runs
+
+
+def _one_step_at_a_time(monkeypatch):
+    from miniscp import driving
+    monkeypatch.setattr(driving, "ground_run",
+                        lambda program, cfg, verdicts, limit: (cfg, 0))
+
+
+def _same_graph_either_way(monkeypatch, program, entry):
+    """supercompile with runs and one ground step at a time build the same
+    graph with the same counters; returns the report with runs."""
+    graph, report = supercompile(program, entry)
+    with monkeypatch.context() as m:
+        _one_step_at_a_time(m)
+        graph1, report1 = supercompile(program, entry)
+    assert graph_lines(graph) == graph_lines(graph1)
+    assert report1.ground_runs == 0
+    for f in ScpReport._fields:
+        if f != "ground_runs":
+            assert getattr(report, f) == getattr(report1, f), f
+    return report
+
+
+def test_ground_runs_agree_with_one_step_at_a_time(prog, monkeypatch):
+    # the chain from every sixth configuration reached (from all of them,
+    # the two paths take about 13 s), and every graph
+    patterns = _ladder_patterns()
+    configs = _reached_configs(monkeypatch, patterns)
+    assert _runs_agree(prog, configs[::6]) > 1000
+    for p in patterns:
+        _same_graph_either_way(monkeypatch, *matcher_entry(p))
+
+
+TWO_KEPT = parse_program("""
+F { u, s.a:x, v, s.a:y = F(u, x, v, y);
+    u, s.a:x, v, s.b:y = G(v, u);
+    u, Nil, v, y = T;
+    u, s.a:x, v, Nil = F; }
+G { u, v = F; }
+""")
+REPEATS = parse_program("F { s.a:x, s.a:y = F(x, y); x, x = T; "
+                        "s.a:x, s.b:y = F; Nil, y = F; }")
+NO_REPEAT = parse_program("F { s.a:x, s.a:y = F(x, y); Nil, Nil = T; "
+                          "s.a:x, s.b:y = F; Nil, y = F; }")
+RENAMED = parse_program(NAIVE_MATCHER_SOURCE.replace("S", "Scan")
+                        .replace("L", "Cmp"))
+
+
+def test_run_rules_come_from_rule_facts():
+    facts = TWO_KEPT.ground_facts["F"]
+    assert facts.runs == ((1, 3), None, None, None)
+    assert facts.visible == ((1, 1), (3, 1))
+    assert TWO_KEPT.ground_facts["G"].runs == ()
+    # the matcher's L rule 0 and S rule 1, whatever the functions are named
+    for program, scan, cmp in ((naive_matcher(), "S", "L"),
+                               (RENAMED, "Scan", "Cmp")):
+        assert program.ground_facts[scan].runs == (None, (1,), None)
+        assert program.ground_facts[cmp].runs == ((0, 1), None, None, None)
+    # x, x repeats a list variable, so F has no run rule, though its first
+    # rule alone would be one
+    assert REPEATS.ground_facts["F"].runs == ()
+    assert NO_REPEAT.ground_facts["F"].runs == ((0, 1), None, None, None)
+
+
+def test_a_run_that_consumes_two_positions_and_keeps_two(monkeypatch):
+    entries = [(TWO_KEPT, cfg(text)) for text in (
+        'F(#u, "abcabcab", #v, "abcabd")',
+        "F(#u, \"abcab\", #v, 'a':'b':'c':#w)",
+        'F("xy", "aaaaaa", #v, #w)')]
+    configs = _reached_configs(monkeypatch, (), entries)
+    assert _runs_agree(TWO_KEPT, configs) > 0
+    for program, entry in entries:
+        _same_graph_either_way(monkeypatch, program, entry)
+
+
+# the window must hold what any pattern inspects: a kept argument's head
+# (SWAP), the Nil that ends an argument (UPTO), and more than one cell
+# (DEEP); each entry is followed by the value its chain ends in
+SWAP = parse_program("""
+F { s.a:u, s.a:x, v = F(s.a:u, x, v);
+    s.a:u, s.b:x, v = F(v, x, s.a:u);
+    'a':u, Nil, v = T;
+    u, Nil, v = F; }
+""")
+UPTO = parse_program("""
+G { Nil, s.a:x = G(Nil, x);
+    s.a:u, s.a:x = G(s.a:u, x);
+    u, Nil = T;
+    s.a:u, s.b:x = F; }
+""")
+DEEP = parse_program("H { 'a':'b':x = T; 'c':Nil = T; s.a:x = H(x); "
+                     "Nil = F; }")
+
+
+@pytest.mark.parametrize("program, entries", [
+    (SWAP, [('F("b", "bbaab", "a")', FALSE), ('F("a", "aab", "b")', FALSE),
+            ('F("b", "bba", "a")', TRUE)]),
+    (UPTO, [('G(Nil, "aaa")', TRUE), ('G("a", "aa")', TRUE),
+            ('G("a", "ab")', FALSE), ('G("a", Nil)', TRUE)]),
+    (DEEP, [('H("aaab")', TRUE), ('H("cc")', TRUE), ('H("ca")', FALSE),
+            ('H("aac")', TRUE)]),
+], ids=["kept", "nil", "deep"])
+def test_a_window_tells_apart_what_the_patterns_do(monkeypatch, program,
+                                                    entries):
+    entries = [(program, cfg(text), value) for text, value in entries]
+    for _, entry, value in entries:
+        graph, _ = supercompile(program, entry)
+        assert graph.nodes[-1].config.expr == value, entry
+        _same_graph_either_way(monkeypatch, program, entry)
+    configs = _reached_configs(monkeypatch, (),
+                               [(p, e) for p, e, _ in entries])
+    assert _runs_agree(program, configs) > 0
+
+
+def test_a_renamed_matcher_takes_the_same_runs(monkeypatch):
+    for pattern in ("aab", "abab", "a" * 9, "abacabab"):
+        graph, report = specialize_pattern(pattern)
+        entry = make_config(Call("Scan", (word(pattern), ListParam("y"))))
+        renamed = _same_graph_either_way(monkeypatch, RENAMED, entry)
+        assert renamed.ground_runs == report.ground_runs > 0
+        for f in ScpReport._fields:
+            if f != "pivots":
+                assert getattr(renamed, f) == getattr(report, f), f
+        lines = [line.replace("Scan(", "S(").replace("Cmp(", "L(")
+                 for line in graph_lines(supercompile(RENAMED, entry)[0])]
+        assert lines == graph_lines(graph)
+
+
+def test_a_repeated_list_variable_is_never_fast_forwarded(monkeypatch):
+    # x, x compares whole arguments, which no window of inspected symbols
+    # shows, so F takes every ground step one at a time
+    for text in ('F("abab", "abab")', 'F("aab", "aab")'):
+        graph, report = supercompile(REPEATS, cfg(text))
+        assert report.ground_runs == 0 and report.ground_steps > 2
+        assert graph.nodes[-1].config.expr == TRUE
+        _same_graph_either_way(monkeypatch, REPEATS, cfg(text))
+        graph, report = supercompile(NO_REPEAT, cfg(text))
+        assert report.ground_runs == 1
+        assert graph.nodes[-1].config.expr == TRUE
+
+
+def test_a_run_stops_where_the_known_word_ends_in_a_parameter(monkeypatch):
+    program = parse_program("F { s.a:x, s.a:y = F(x, y); s.a:x, s.b:y = F; "
+                            "Nil, y = T; s.a:x, Nil = F; }")
+    c = cfg("F(\"aaaa\", 'a':'a':#w)")
+    assert ground_run(program, c, {}, 100) == (cfg('F("aa", #w)'), 2)
+    # a symbol parameter in the middle of the known word ends it too
+    held = cfg('F("aaaa", \'a\':#s.c:\'a\':#w)', [(SymParam("c"), Sym("a"))])
+    assert ground_run(program, held, {}, 100) \
+        == (cfg('F("aaa", #s.c:\'a\':#w)', [(SymParam("c"), Sym("a"))]), 1)
+    assert ground_run(program, c, {}, 1) == (cfg("F(\"aaa\", 'a':#w)"), 1)
+    configs = _reached_configs(monkeypatch, (),
+                               [(program, c), (program, held)])
+    assert _runs_agree(program, configs) > 0
+    for entry in (c, held, cfg('F("aaaa", #w)')):
+        _same_graph_either_way(monkeypatch, program, entry)
+
+
+@pytest.mark.parametrize("cap", range(1, 22))
+def test_a_run_past_the_step_cap_fails_as_one_step_at_a_time(prog, monkeypatch,
+                                                             cap):
+    # a^6's longest edge takes 19 transient steps, so caps below that fail,
+    # each inside a run, and the others pass
+    from miniscp import driving
+    monkeypatch.setattr(driving, "MAX_TRANSIENT_STEPS", cap)
+
+    def outcome():
+        try:
+            report = specialize_pattern("a" * 6)[1]
+        except DriveError as e:
+            return str(e)
+        return [getattr(report, f) for f in ScpReport._fields
+                if f != "ground_runs"]
+    fast = outcome()
+    _one_step_at_a_time(monkeypatch)
+    assert fast == outcome()
+    assert (fast == "transient chain exceeded the step budget") == (cap < 19)

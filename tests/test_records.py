@@ -80,7 +80,8 @@ CASES = {
                 "ScpReport(generalizations_attempted=0, "
                 "pivots=[⟨S(\"ab\", #y)⟩], node_count=1, fold_count=0, "
                 "whistle_pairs=[], drive_steps=0, ground_steps=0, "
-                "transient_steps=0)", False, False),
+                "transient_steps=0, whistle_checks=0, ground_runs=0)",
+                False, False),
     ResidualProgram: (
         lambda: ResidualProgram(parse_program("F { x = T; }"),
                                 {"F": _config()}, "F"),
@@ -204,8 +205,8 @@ def test_defaults_and_checks_stay():
     other = ScpReport(0, [], 0, 0)
     assert report.whistle_pairs == [] \
         and report.whistle_pairs is not other.whistle_pairs
-    assert (report.drive_steps, report.ground_steps,
-            report.transient_steps) == (0, 0, 0)
+    assert (report.drive_steps, report.ground_steps, report.transient_steps,
+            report.whistle_checks, report.ground_runs) == (0, 0, 0, 0, 0)
     graph = ProcessGraph([])
     assert graph.root == 0
     node = Node(_config(), parent=3)

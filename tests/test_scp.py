@@ -5,18 +5,18 @@ import pytest
 
 from miniscp import driving, scp
 from miniscp.configs import (
-    alpha_equivalent, covers, make_config, restriction,
+    alpha_equivalent, covers, make_config, restriction, shape,
 )
-from miniscp.driving import drive_step, ground_step
+from miniscp.driving import drive_step, ground_run, ground_step
 from miniscp.harness import replay_graph
 from miniscp.interpreter import naive_outcome
 from miniscp.scp import (
     KIND_DIAGNOSTIC, KIND_FOLDED, KIND_PASSIVE, KIND_PIVOT, KIND_TRANSIENT,
     NodeBudgetError, _couple, _embed, embeds, first_path, first_path_pivots,
-    graph_lines, matcher_entry, specialize_pattern, supercompile,
+    graph_lines, heads_fit, matcher_entry, specialize_pattern, supercompile,
 )
 from miniscp.syntax import (
-    Cons, ListParam, NIL, Nil, Sym, SymParam, TRUE, parse_expression,
+    Call, Cons, ListParam, NIL, Nil, Sym, SymParam, TRUE, parse_expression,
     parse_program, spine, unword, word,
 )
 
@@ -120,16 +120,23 @@ def _embed_by_dp(s, t):
 
 
 def test_greedy_embedding_agrees_with_dynamic_programming():
+    # and the whistle's head-count filter passes every pair that embeds
     rng = random.Random(11)
     pool = [_random_passive(rng) for _ in range(3000)]
+    keys = {id(e): shape(Call("F", (e,)))[0] for e in pool}
     seen = set()
+    filtered = 0
     for _ in range(100_000):
         s, t = rng.choice(pool), rng.choice(pool)
         want = _embed_by_dp(s, t)
         assert _embed(s, t) == want, (s, t)
+        fits = heads_fit(keys[id(s)], keys[id(t)])
+        assert fits or not want, (s, t)
+        filtered += not fits
         seen.add((want, type(spine(s)[1]).__name__))
     assert seen >= {(w, k) for w in (True, False)
                     for k in ("Nil", "ListParam", "SymParam", "Sym")}
+    assert filtered > 10_000
 
 
 def test_embedding_of_long_repetitive_words():
@@ -356,7 +363,7 @@ COUNTED = [
 
 
 def test_report_counts_drives_and_transient_steps(monkeypatch):
-    drives, grounds = [], []
+    drives, grounds, runs = [], [], []
 
     def counting(*args, **kwargs):
         drives.append(None)
@@ -368,19 +375,29 @@ def test_report_counts_drives_and_transient_steps(monkeypatch):
             grounds.append(None)
         return b
 
+    def counting_run(*args):
+        end, n = ground_run(*args)
+        grounds.extend([None] * n)  # one per rule application in the run
+        if n:
+            runs.append(n)
+        return end, n
+
     monkeypatch.setattr(driving, "drive_step", counting)
     monkeypatch.setattr(scp, "drive_step", counting)
     monkeypatch.setattr(driving, "ground_step", counting_ground)
+    monkeypatch.setattr(driving, "ground_run", counting_run)
     for entry, counts in COUNTED:
         drives.clear()
         grounds.clear()
+        runs.clear()
         graph, report = supercompile(*entry)
         assert (report.drive_steps, report.ground_steps,
                 report.transient_steps, report.node_count) == counts
         # every driven configuration counts once, by drive_step or as a
-        # ground step
+        # ground step, whether ground_step or ground_run took it
         assert report.drive_steps == len(drives) + len(grounds)
         assert report.ground_steps == len(grounds)
+        assert report.ground_runs == len(runs)
         branches = [n for n in graph.nodes if n.branch is not None]
         assert report.transient_steps == sum(n.branch.steps - 1
                                              for n in branches)
