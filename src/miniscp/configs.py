@@ -181,6 +181,8 @@ def make_config(expr: Expr, r: Restriction = EMPTY) -> Config:
             raise ConfigError(f"nested call in {render_expr(expr)}")
     elif not is_passive(expr):
         raise ConfigError(f"call under constructor in {render_expr(expr)}")
+    if not r.diseqs:  # nothing to prune, so no walk for the live parameters
+        return Config(expr, r)
     live = {p for p in params_of(expr) if isinstance(p, SymParam)}
     return Config(expr, prune(r, live))
 

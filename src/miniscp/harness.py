@@ -51,7 +51,7 @@ from .scp import (
     first_path, first_path_pivots, head_fn, matcher_entry, specialize_pattern,
 )
 from .syntax import (
-    Call, Cons, ListParam, Nil, Sym, SymParam, TRUE, spine, word,
+    Call, Cons, ListParam, Nil, Sym, SymParam, TRUE, Word, spine, word_cells,
 )
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -320,7 +320,8 @@ def _comparison_config(pattern: str, i: int) -> Config:
     tail = y
     for ch in reversed(pattern[1:i]):
         tail = Cons(Sym(ch), tail)
-    return make_config(Call("L", (word(pattern[i:]), y, word(pattern), tail)))
+    return make_config(Call("L", (word_cells(pattern[i:]), y,
+                                  word_cells(pattern), tail)))
 
 
 def expected_path_pivots(pattern: str) -> list[Config]:
@@ -365,7 +366,7 @@ def _restart_facts(art: PatternArtifacts) -> None:
     # up to renaming, a restart is S(pattern, #y), and a held-symbol
     # configuration S(pattern, #s.c:#y) holds one read symbol c
     restart_form = matcher_entry(pattern)[1]
-    held_form = make_config(Call("S", (word(pattern),
+    held_form = make_config(Call("S", (word_cells(pattern),
                                        Cons(SymParam("c"), ListParam("y")))))
 
     # Folds into S-configurations always target the root.
@@ -578,6 +579,8 @@ def branch_admits(branch, env: dict) -> dict | None:
         if isinstance(img, (Sym, Nil)):
             return img == val
         if isinstance(img, Cons):
+            if val.__class__ is Word:
+                val = val.cells()
             return (isinstance(val, Cons) and match_image(img.head, val.head)
                     and match_image(img.tail, val.tail))
         raise ValueError(f"unexpected narrowing image {img!r}")

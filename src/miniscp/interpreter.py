@@ -30,11 +30,11 @@ compiled engine runs words as plain Python strings and holds each
 argument as a `(string, offset, length)` triple, so a step that consumes a
 symbol moves an offset instead of copying the rest of the string: each
 step costs O(1) in the length of the input.  A word built by `syntax.word`
-carries its string, so `eval_call` hands it to the engine in O(1), and a
-run is linear in wall time wherever it is linear in steps.  A function
-called from a single right-hand side, not its own, runs inlined at that
-call site, which saves the jump back through the function dispatch but
-still counts its step.
+is a `syntax.Word`, which holds its string, so `eval_call` hands it to the
+engine in O(1), and a run is linear in wall time wherever it is linear in
+steps.  A function called from a single right-hand side, not its own, runs
+inlined at that call site, which saves the jump back through the function
+dispatch but still counts its step.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from operator import length_hint
 from .record import Record, setters
 from .syntax import (
     Call, Cons, Expr, FALSE, FalseVal, ListParam, ListVar, NIL, Nil, Program,
-    Rule, Sym, SymParam, SymVar, TRUE, TrueVal, parse_program, render_expr,
-    spine, substitute, unword, word,
+    Rule, Sym, SymParam, SymVar, TRUE, TrueVal, Word, parse_program,
+    render_expr, spine, substitute, unword, word,
 )
 
 DEFAULT_FUEL = 1_000_000
@@ -127,13 +127,13 @@ _set_value, _set_steps = setters(Outcome)
 
 
 _SYMBOLS = frozenset((Sym, SymVar, SymParam))
-_LIST_ENDS = frozenset((Nil, ListVar, ListParam))
+_LIST_ENDS = frozenset((Nil, Word, ListVar, ListParam))
 
 
 def check_tail_form(program: Program) -> None:
     """Check that each right-hand side has one of the grammar's forms: T,
     F, a list, or one call whose arguments are lists or bare symbols, where
-    a list is symbols consed onto Nil or a list variable.  Raises
+    a list is symbols consed onto Nil, a Word or a list variable.  Raises
     NonTailError naming the function, the fragment at fault and why."""
     for name, rules in program.functions:
         for rule in rules:
@@ -197,7 +197,8 @@ def match(lhs: tuple[Expr, ...], args: tuple[Expr, ...],
     symbol parameter.  A narrowing that would need two symbol parameters
     equal, or a repeated list variable bound to unequal expressions, is not
     representable: UnsupportedNarrowingError.  List spines are walked in
-    loops, so long patterns and words are safe.
+    loops, so long patterns and words are safe.  A Word that a cell pattern
+    meets is turned into its cells first, once per argument.
     """
     m = probe(lhs, args, names)
     if m is None:
@@ -232,14 +233,17 @@ def probe(lhs: tuple[Expr, ...], args: tuple[Expr, ...],
                 a = subst.get(a, a)
             cls = pat.__class__
             if cls is Cons:
-                if a.__class__ is ListParam and names is not None:
-                    head, tail = names.fresh_sym(), names.fresh_list()
-                    subst[a] = a = Cons(head, tail)
-                    if fresh is None:
-                        fresh = set()
-                    fresh.update((head, tail))
                 if a.__class__ is not Cons:
-                    return None
+                    if a.__class__ is Word:  # its cells, once per argument
+                        a = a.cells()
+                    elif a.__class__ is ListParam and names is not None:
+                        head, tail = names.fresh_sym(), names.fresh_list()
+                        subst[a] = a = Cons(head, tail)
+                        if fresh is None:
+                            fresh = set()
+                        fresh.update((head, tail))
+                    else:
+                        return None
                 p, x = pat.head, a.head
             elif cls is Sym or cls is SymVar:  # a bare symbol position
                 if a.__class__ not in _ATOMS:
@@ -346,11 +350,15 @@ def _no_rule(fn: str, args) -> StuckTermError:
 
 def trace_call(program: Program, call: Call,
                fuel: int = DEFAULT_FUEL) -> Iterator[Expr]:
-    """Yield the expression after each rule application until passive."""
+    """Yield the expression after each rule application until passive.  A
+    Word argument is turned into its cells here, once: a rule that passes
+    it on whole would otherwise hand it to the next step's matches, which
+    would turn it into cells again on every step."""
     _entry_args(call)
     _entry_lhs(program, call)
     program.tail_form  # or NonTailError, found once per program
-    expr: Expr = call
+    expr: Expr = Call(call.fn, tuple(a.cells() if a.__class__ is Word else a
+                                     for a in call.args))
     steps = 0
     while isinstance(expr, Call):
         steps += 1

@@ -31,7 +31,7 @@ from .interpreter import EmptyPatternError, naive_matcher
 from .record import Record
 from .syntax import (
     Call, Cons, Expr, ListParam, Nil, Program, SymParam, render_expr, spine,
-    word,
+    word_cells,
 )
 
 
@@ -283,7 +283,7 @@ def matcher_entry(pattern: str, program: Program | None = None
     is not given."""
     if not pattern:
         raise EmptyPatternError("pattern must be nonempty")
-    entry = make_config(Call("S", (word(pattern), ListParam("y"))))
+    entry = make_config(Call("S", (word_cells(pattern), ListParam("y"))))
     return naive_matcher() if program is None else program, entry
 
 

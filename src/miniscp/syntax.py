@@ -3,10 +3,11 @@ language.
 
 Programs are sets of functions, each a list of rewrite rules tried top-down,
 first match wins.  A call's inputs are words (right-nested chains of
-single-character symbols ending in Nil) and, in argument positions only,
-bare symbols; the logical constants T and F are results, written only as a
-whole right-hand side.  Expressions may additionally contain rule variables
-(`s.a`, `y`) and specializer parameters (`#s.a`, `#y`).
+single-character symbols ending in Nil, or a Word holding such a chain as
+a str) and, in argument positions only, bare symbols; the logical
+constants T and F are results, written only as a whole right-hand side.
+Expressions may additionally contain rule variables (`s.a`, `y`) and
+specializer parameters (`#s.a`, `#y`).
 
 The concrete grammar:
 
@@ -71,6 +72,20 @@ def _check_symbol_char(ch: str) -> str:
 # unequal.  Symbols are kept for the life of the process; a variable or
 # parameter is kept only while something refers to it, since driving hands
 # out names it never uses again (see driving._Scratch).
+#
+# A ground word has two forms of one value: a chain of Cons cells, and a
+# Word, one node holding the letters as a str, which word() builds.  A Word
+# equals, hashes and renders as its chain, also as the tail of one.
+# Walkers that read cells see a Word through spine(), as its letters' Syms
+# and Nil (render_expr, configs.shape, scp._embed and the compiled engine's
+# code generation), and subterms() yields the same Syms and Nil; it has no
+# parameter, so params_of, substitute and is_passive pass it through as a
+# leaf; interpreter.probe turns it into cells where a cell pattern meets it,
+# and interpreter.trace_call turns an entry Word into cells once.
+# Driving keeps cells: the parser's string literals, the matcher entry and
+# the harness's configurations are built by word_cells(), since a ground
+# step takes one cell off a chain in O(1) and driving.ground_run advances
+# over cells only, so a Word there would be expanded again on every probe.
 
 class Sym(Record, frozen=True):
     """Symbol literal 'c': one printable non-metacharacter."""
@@ -164,22 +179,16 @@ FALSE = FalseVal()
 
 class Cons(Record, frozen=True):
     """List cell.  Equality and hash walk the spine in a loop, so long words
-    are safe; the hash is recomputed on each call, never stored.
+    are safe; the hash is recomputed on each call, never stored."""
+    __slots__ = ("head", "tail")
 
-    `text` is None except on the head cell of a word built by word(), where
-    it holds that word's letters as one str, so unword() answers in O(1).
-    It is never compared, hashed or rendered: such a word equals, hashes and
-    prints like the same chain built cell by cell."""
-    __slots__ = ("head", "tail", "text")
-
-    def __init__(self, head: Atom, tail: Expr, text: str | None = None):
+    def __init__(self, head: Atom, tail: Expr):
         _set_head(self, head)
         _set_tail(self, tail)
-        _set_text(self, text)
 
     def __eq__(self, other):
         if other.__class__ is not Cons:
-            return NotImplemented
+            return NotImplemented  # a Word compares itself with cells
         a, b = self, other
         while a is not b:
             if a.head != b.head:
@@ -197,7 +206,45 @@ class Cons(Record, frozen=True):
         return render_expr(self)
 
 
-_set_head, _set_tail, _set_text = setters(Cons)
+_set_head, _set_tail = setters(Cons)
+
+
+class Word(Record, frozen=True):
+    """A nonempty ground word held as its str: the value of the chain of
+    its letters' symbols ending in Nil, in one node.  It equals, hashes and
+    renders as that chain, also as the tail of a chain, and so do its
+    copies and pickles, which are rebuilt through the constructor.
+    Building one checks each distinct letter once and makes no cell (see
+    word())."""
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        if not text:
+            raise ValueError("the empty word is Nil, not a Word")
+        # each letter not yet a symbol is checked once, in a fixed order,
+        # so that the letter a refusal names is the same on every run
+        for ch in sorted(set(text).difference(_SYMS)):
+            Sym(ch)
+        _set_text(self, text)
+
+    def __eq__(self, other):
+        if other.__class__ is Word:
+            return self.text == other.text
+        if other.__class__ is Cons:
+            return unword(other) == self.text
+        return NotImplemented
+
+    __hash__ = Cons.__hash__
+
+    def __repr__(self):
+        return render_expr(self)
+
+    def cells(self) -> Cons:
+        """The chain of cells this word stands for."""
+        return chain(*spine(self))
+
+
+_set_text, = setters(Word)
 
 
 class ListVar(_Named):
@@ -244,8 +291,8 @@ _LEAVES = frozenset((SymVar, ListVar, SymParam, ListParam))
 Atom = Sym | SymVar | SymParam
 Param = SymParam | ListParam
 Var = SymVar | ListVar
-Expr = (Sym | SymVar | SymParam | Nil | TrueVal | FalseVal | Cons | ListVar
-        | ListParam | Call)
+Expr = (Sym | SymVar | SymParam | Nil | TrueVal | FalseVal | Cons | Word
+        | ListVar | ListParam | Call)
 
 
 class Rule(Record, frozen=True):
@@ -307,42 +354,47 @@ class Program(Record, frozen=True):
 # --- word helpers -----------------------------------------------------------
 
 def word(text: str) -> Expr:
-    """Build the word value for a plain string, e.g. "ab" -> 'a':'b':Nil.
-    Each distinct letter's Sym is looked up once for all its cells; the
-    head cell keeps `text` for unword()."""
-    if not text:
-        return NIL
-    syms = {ch: Sym(ch) for ch in dict.fromkeys(reversed(text))}
-    out: Expr = NIL
-    for ch in text[:0:-1]:
-        out = Cons(syms[ch], out)
-    return Cons(syms[text[0]], out, text)
+    """The word value of a plain string: a Word holding it, or Nil for the
+    empty string.  Refuses a letter that is not a symbol."""
+    return Word(text) if text else NIL
+
+
+def word_cells(text: str) -> Expr:
+    """The word value of a plain string as a chain of cells, e.g. "ab" ->
+    'a':'b':Nil, for the terms that driving steps through (see Word)."""
+    return Word(text).cells() if text else NIL
 
 
 def unword(expr: Expr) -> str | None:
-    """Inverse of word(); None if expr is not a pure ground word.  A word
-    built by word() gives back its `text`, the very str it was built from,
-    in O(1); a chain built cell by cell is walked."""
-    if expr.__class__ is Cons and expr.text is not None:
+    """Inverse of word(); None if expr is not a pure ground word.  A Word
+    gives back its text, the very str it was built from, in O(1); the cells
+    in front of one, or of Nil, are walked."""
+    if expr.__class__ is Word:
         return expr.text
     chars = []
-    while isinstance(expr, Cons):
-        if not isinstance(expr.head, Sym):
+    while expr.__class__ is Cons:
+        if expr.head.__class__ is not Sym:
             return None
         chars.append(expr.head.ch)
         expr = expr.tail
-    if not isinstance(expr, Nil):
+    if expr.__class__ is Word:
+        chars.append(expr.text)
+    elif expr.__class__ is not Nil:
         return None
     return "".join(chars)
 
 
 def spine(expr: Expr) -> tuple[list, Expr]:
     """The heads of a list expression's cells, in order, and what ends it
-    (Nil, a list parameter or variable; expr itself when not a cell)."""
+    (Nil, a list parameter or variable; expr itself when not a list).  A
+    Word counts as the cells of its letters and Nil."""
     heads = []
     while expr.__class__ is Cons:
         heads.append(expr.head)
         expr = expr.tail
+    if expr.__class__ is Word:
+        heads += map(_SYMS.__getitem__, expr.text)
+        expr = NIL
     return heads, expr
 
 
@@ -370,6 +422,9 @@ def subterms(expr: Expr) -> Iterator[Expr]:
         if isinstance(e, Cons):
             yield e.head
             stack.append(e.tail)
+        elif e.__class__ is Word:
+            yield from spine(e)[0]
+            yield NIL
         elif isinstance(e, Call):
             stack.extend(reversed(e.args))
 
@@ -669,8 +724,8 @@ class _Parser:
         if t.kind == "NAME":
             return chain(heads, self._nil_or_listvar())
         self.advance()
-        return chain(heads,
-                     word(t.text) if t.kind == "STRING" else ListParam(t.text))
+        return chain(heads, word_cells(t.text) if t.kind == "STRING"
+                     else ListParam(t.text))
 
     def expression(self) -> Expr:
         t = self.cur

@@ -10,17 +10,19 @@ from miniscp.driving import (
     Branch, DriveError, GroundFirst, NameGen, StuckConfigError, compress,
     drive_step, ground_run, ground_step,
 )
-from miniscp.harness import branch_admits
+from miniscp.harness import branch_admits, default_corpus
 from miniscp.interpreter import (
     NAIVE_MATCHER_SOURCE, NonTailError, UnsupportedNarrowingError,
     naive_matcher, trace_call,
 )
+from miniscp.residual import residualize
 from miniscp.scp import (
     ScpReport, graph_lines, matcher_entry, specialize_pattern, supercompile,
 )
 from miniscp.syntax import (
     Call, Cons, FALSE, ListParam, ListVar, NIL, Program, Rule, Sym, SymParam,
-    TRUE, parse_expression, parse_program, spine, substitute, word,
+    TRUE, Word, parse_expression, parse_program, render, spine, substitute,
+    word,
 )
 
 
@@ -444,6 +446,24 @@ def test_ground_runs_agree_with_one_step_at_a_time(prog, monkeypatch):
     assert _runs_agree(prog, configs[::6]) > 1000
     for p in patterns:
         _same_graph_either_way(monkeypatch, *matcher_entry(p))
+
+
+def test_a_word_entry_gives_the_graph_of_its_cells(prog):
+    # the root holds the pattern as a Word, which probe turns into cells
+    # on the first drive: every output and counter is the cell entry's
+    corpus = default_corpus().patterns
+    patterns = _ladder_patterns() + list(corpus[::len(corpus) // 16][:16])
+    assert len(set(patterns)) > 50
+    for p in patterns:
+        held = make_config(Call("S", (word(p), ListParam("y"))))
+        assert type(held.expr.args[0]) is Word
+        graph, report = supercompile(prog, held)
+        graph1, report1 = specialize_pattern(p)
+        assert graph_lines(graph) == graph_lines(graph1), p
+        assert render(residualize(graph).program) \
+            == render(residualize(graph1).program), p
+        for f in ScpReport._fields:
+            assert getattr(report, f) == getattr(report1, f), (p, f)
 
 
 TWO_KEPT = parse_program("""

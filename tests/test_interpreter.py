@@ -14,8 +14,8 @@ from miniscp.interpreter import (
 )
 from miniscp.syntax import (
     Call, Cons, FALSE, ListParam, ListVar, NIL, Nil, Program, Rule, Sym,
-    SymParam, SymVar, TRUE, ValidationError, chain, parse_program, spine,
-    substitute, validate, word,
+    SymParam, SymVar, TRUE, ValidationError, Word, chain, parse_program,
+    spine, substitute, unword, validate, word,
 )
 
 
@@ -233,16 +233,36 @@ def probe_outcome(fn, lhs, args, mode):
     return got, used
 
 
+def _ground_suffix_as_word(arg):
+    """arg with the longest ground word that ends it held as a Word; arg
+    itself when none does."""
+    heads, end = spine(arg)
+    if end is not NIL:
+        return arg
+    k = len(heads)
+    while k and heads[k - 1].__class__ is Sym:
+        k -= 1
+    if k == len(heads):
+        return arg
+    return chain(heads[:k], word("".join(h.ch for h in heads[k:])))
+
+
 def test_probe_agrees_with_its_reference_on_random_rules_and_arguments():
     rng = random.Random(19)
     kinds = set()
+    words_met = 0
     for trial in range(20_000):
         lhs = tuple(random_probe_pattern(rng) for _ in range(rng.randint(1, 3)))
         args = tuple(random_probe_argument(rng) for _ in lhs)
+        # the same arguments, their ground suffixes held as Words
+        held = tuple(map(_ground_suffix_as_word, args))
+        words_met += any(a is not b for a, b in zip(held, args))
         for mode in ("none", "namegen", "refuse"):
             want = probe_outcome(reference_probe, lhs, args, mode)
             assert probe_outcome(probe, lhs, args, mode) == want, \
                 (trial, mode, lhs, args)
+            assert probe_outcome(probe, lhs, held, mode) == want, \
+                (trial, mode, lhs, held)
             got = want[0]
             kinds.add((mode, "none" if got is None
                        else got[0].__name__ if isinstance(got[1], str)
@@ -256,6 +276,7 @@ def test_probe_agrees_with_its_reference_on_random_rules_and_arguments():
         ("refuse", "none"), ("refuse", "plain"), ("refuse", "narrowed"),
         ("refuse", "DriveError"), ("refuse", "UnsupportedNarrowingError"),
     }
+    assert words_met > 3000  # trials where some argument ends in a Word
 
 
 def test_reference_engine_matches_a_long_rule_pattern():
@@ -464,6 +485,52 @@ def test_engines_agree_on_long_inputs(pattern, artifacts):
             a = eval_call(prog, call)
             b = eval_reference(prog, call)
             assert (a.value, a.steps) == (b.value, b.steps)
+
+
+def _forms(call):
+    """The call with its words as Words, as cells, and as one cell ending
+    in a Word."""
+    def mixed(a):
+        text = unword(a) if a.__class__ is not Sym else None
+        return Cons(Sym(text[0]), word(text[1:])) if text else a
+    cells = Call(call.fn, tuple(chain(*spine(a)) for a in call.args))
+    return call, cells, Call(call.fn, tuple(map(mixed, call.args)))
+
+
+def test_a_long_word_gives_the_reference_outcome_of_its_cells():
+    # the reference engine turns the Word into cells once, on entry, and
+    # stays linear in the 20,000 letters
+    y = "ab" * 9_999 + "abb"
+    by_word, by_cells, _ = _forms(S("abb", y))
+    assert type(by_word.args[1]) is Word and by_cells.args[1].__class__ is Cons
+    want = eval_reference(naive_matcher(), by_cells)
+    assert want.value == TRUE
+    assert eval_reference(naive_matcher(), by_word) == want
+    assert eval_call(naive_matcher(), by_word) == want
+    # a rule that passes a Word on whole passes on cells: no later step's
+    # match turns it into cells again
+    keep = parse_program("F { 'b':x, y = T; x, 'a':y = F(x, y); x, Nil = F; }")
+    steps = trace_call(keep, Call("F", (word("a" * 3000), word("a" * 3000))))
+    assert all(e.args[0].__class__ is Cons for e in itertools.islice(steps, 5))
+
+
+def test_both_engines_give_one_outcome_for_a_word_and_its_cells(artifacts):
+    rp = artifacts("aab").residual
+    calls = [Call(rp.entry, (word(y),)) for y in words("ab", 5)]
+    calls += [S(p, y) for p in ("a", "ab", "aab") for y in words("ab", 4)]
+    calls += [Call("F", (word(y),)) for y in words("abc", 4)]
+    calls += [Call("M", (word(x), word(y)))
+              for x, y in itertools.product(words("ab", 2), repeat=2)]
+    calls += [Call("K", (Sym("a"), Sym("b"), word(x))) for x in words("ab", 2)]
+    values = set()
+    for call in calls:
+        prog = rp.program if call.fn == rp.entry else \
+            naive_matcher() if call.fn == "S" else SHAPES
+        outcomes = [run(prog, form) for form in _forms(call)
+                    for run in (eval_call, eval_reference)]
+        assert all(o == outcomes[0] for o in outcomes), (call, outcomes)
+        values.add(outcomes[0].value)
+    assert {TRUE, FALSE, word("done")} <= values
 
 
 @pytest.mark.parametrize("k", [2, 4])

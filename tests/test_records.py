@@ -21,8 +21,8 @@ from miniscp.residual import ResidualProgram, StructuralReport
 from miniscp.scp import Node, ProcessGraph, ScpReport, specialize_pattern
 from miniscp.syntax import (
     NIL, TRUE, Call, Cons, FalseVal, ListParam, ListVar, Nil, Rule, Sym,
-    SymParam, SymVar, TrueVal, ValidationError, _Token, chain, parse_program,
-    word,
+    SymParam, SymVar, TrueVal, ValidationError, Word, _Token, chain,
+    parse_program, word,
 )
 
 HELD = restriction([(SymParam("c"), Sym("a"))])
@@ -46,7 +46,8 @@ CASES = {
     Nil: (Nil, "Nil", True, True),
     TrueVal: (TrueVal, "T", True, True),
     FalseVal: (FalseVal, "F", True, True),
-    Cons: (lambda: word("ab"), '"ab"', True, True),
+    Cons: (lambda: chain([Sym("a"), Sym("b")], NIL), '"ab"', True, True),
+    Word: (lambda: word("ab"), '"ab"', True, True),
     Call: (lambda: Call("F", (word("a"), ListParam("y"))), 'F("a", #y)',
            True, True),
     Rule: (lambda: Rule((Sym("a"), ListVar("y")), TRUE), "'a', y = T;",
@@ -163,10 +164,18 @@ def test_equal_only_within_one_class():
     assert SymParam("x") != ListParam("x")
     assert hash(SymParam("x")) == hash(SymParam("x"))
     assert Nil() == NIL and Nil() != TrueVal() and TrueVal() != FalseVal()
-    # a word built by word() and the same chain built cell by cell
+    # a word built by word(), the same chain built cell by cell, and cells
+    # ending in a Word
     cells = chain([Sym("a"), Sym("b")], NIL)
+    assert type(word("ab")) is Word
     assert word("ab") == cells and hash(word("ab")) == hash(cells)
+    assert cells == word("ab") and not cells != word("ab")
+    assert chain([Sym("a")], word("b")) == cells == chain([Sym("a")],
+                                                          word("b"))
     assert word("ab") != chain([Sym("a"), Sym("b")], ListParam("y"))
+    assert chain([Sym("a"), Sym("b")], ListParam("y")) != word("ab")
+    assert word("a") != Sym("a") and Sym("a") != word("a")
+    assert word("a") != NIL and NIL != word("a") and word("ab") != word("a")
 
 
 def _live_params() -> int:

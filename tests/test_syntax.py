@@ -1,12 +1,16 @@
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 
+from miniscp.configs import make_config, restriction
 from miniscp.syntax import (
-    Call, Cons, FALSE, ListParam, ListVar, NIL, ParseError, Rule,
-    Sym, SymParam, SymVar, TRUE, ValidationError,
+    Call, Cons, FALSE, ListParam, ListVar, NIL, Nil, ParseError, Rule,
+    Sym, SymParam, SymVar, TRUE, ValidationError, Word, chain,
     params_of, parse_expression, parse_program, render, render_expr,
-    render_pattern, render_rule, spine, substitute, unword, word,
+    render_pattern, render_rule, spine, substitute, subterms, unword, word,
+    word_cells,
 )
 from miniscp.interpreter import NAIVE_MATCHER_SOURCE, eval_call
 
@@ -174,21 +178,119 @@ def test_long_words_hash_and_compare():
     assert w != word("ab" * 2500 + "a") and word("ab" * 2500 + "a") != w
     assert Cons(SymParam("c"), w) != Cons(Sym("c"), w)
     assert Call("G", (w,)) == Call("G", (v,))
+    # the same words as cells, and as cells ending in a Word
+    cells = word_cells("ab" * 2500)
+    assert w == cells and cells == w and hash(w) == hash(cells)
+    assert len({w, v, cells}) == 1
+    mixed = Cons(Sym("a"), Cons(Sym("b"), word("ab" * 2499)))
+    assert mixed == w and w == mixed and mixed == cells and cells == mixed
+    assert hash(mixed) == hash(w)
+    assert cells != word("ab" * 2499 + "ba") != cells
+    assert mixed != word_cells("ab" * 2499 + "ba") != mixed
+    assert word_cells("ab" * 2500 + "a") != w != word_cells("ab" * 2499)
+    assert Call("G", (w,)) == Call("G", (cells,)) == Call("G", (mixed,))
 
 
 def test_word_keeps_its_text_and_shares_its_letters():
     text = "abcab" * 40
     w = word(text)
+    assert type(w) is Word and w.text is text
     assert unword(w) is text
-    assert w.head is w.tail.tail.tail.head  # one Sym per distinct letter
-    # the text is not part of the value: a chain built cell by cell, which
-    # has none, equals, hashes and renders the same, and unword walks it
-    cells = _chain([Sym(ch) for ch in text], NIL)
-    assert cells.text is None and w.tail.text is None
+    heads, end = spine(w)
+    assert heads[0] is heads[3] and end is NIL  # one Sym per distinct letter
+    # the same word built as cells, by word_cells or cell by cell, equals,
+    # hashes and renders the same, and unword walks it
+    cells = word_cells(text)
+    assert cells.head is cells.tail.tail.tail.head
+    assert cells == _chain([Sym(ch) for ch in text], NIL)
     assert w == cells and cells == w and hash(w) == hash(cells)
     assert repr(w) == repr(cells) == f'"{text}"'
-    assert unword(cells) == text and unword(w.tail) == text[1:]
+    assert unword(cells) == text and unword(cells.tail) == text[1:]
+    assert unword(Cons(Sym("x"), w)) == "x" + text
+    assert unword(Cons(SymParam("c"), w)) is None
     assert Call("F", (w,)) == Call("F", (cells,))
+    assert word("") is NIL and word_cells("") is NIL
+
+
+def test_word_builds_no_cells():
+    # one node however long the word: far below the ~54 MiB of 10^6 cells
+    text = "ab" * 500_000
+    tracemalloc.start()
+    try:
+        w = word(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert unword(w) is text
+    assert peak < 64 * 1024, peak
+    with pytest.raises(ValidationError):
+        word(text + ":")
+    with pytest.raises(ValueError):
+        Word("")
+
+
+ALPHABETS = ("ab", "abc", "aé中ß", "xΩλ0", "0123456789")
+
+
+def _random_text(rng) -> str:
+    alphabet = rng.choice(ALPHABETS)
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 300)))
+
+
+def _split(text: str):
+    """The word as one cell ending in a Word, or Nil."""
+    return Cons(Sym(text[0]), word(text[1:])) if text else NIL
+
+
+def _constants(expr) -> Counter:
+    return Counter(t.__class__ for t in subterms(expr)
+                   if t.__class__ in (Sym, Nil))
+
+
+def test_a_word_behaves_exactly_like_its_chain():
+    rng = random.Random(23)
+    atoms = [Sym("a"), Sym("é"), SymParam("c"), SymParam("d")]
+    mapping = {SymParam("c"): Sym("b"), ListParam("y"): NIL}
+    held = restriction([(SymParam("c"), Sym("a"))])
+    for _ in range(400):
+        text = _random_text(rng)
+        w = word(text)
+        # a cell prefix, some of whose heads are parameters, ending in w
+        prefix = [rng.choice(atoms) for _ in range(rng.choice((0, 0, 1, 3)))]
+        value, cells = chain(prefix, w), chain(prefix, word_cells(text))
+        assert value == cells and cells == value
+        assert not value != cells and not cells != value
+        assert hash(value) == hash(cells) and repr(value) == repr(cells)
+        assert spine(value) == spine(cells)
+        assert unword(value) == unword(cells)
+        assert params_of(value) == params_of(cells)
+        assert substitute(w, mapping) is w
+        out = substitute(value, mapping)
+        assert out == substitute(cells, mapping)
+        assert spine(out)[0][len(prefix):] == spine(w)[0]
+        tail = out
+        for _ in prefix:
+            tail = tail.tail
+        assert tail is w  # shared, not rebuilt
+        assert _constants(value) == _constants(cells)
+        # inside a call and a configuration
+        call_v = Call("F", (value, ListParam("y")))
+        call_c = Call("F", (cells, ListParam("y")))
+        assert call_v == call_c and hash(call_v) == hash(call_c)
+        cfg_v, cfg_c = make_config(call_v, held), make_config(call_c, held)
+        assert cfg_v == cfg_c and cfg_c == cfg_v and hash(cfg_v) == hash(cfg_c)
+        assert repr(cfg_v) == repr(cfg_c)
+        # equal to the prefix ending in the word split after its first
+        # letter, and unequal to the prefix ending in any other word, in
+        # each form and both ways
+        assert value == chain(prefix, _split(text)) == cells
+        other = text[:-1] + ("a" if text[-1] != "a" else "b")
+        for wrong in (other, text + text[-1], text[:-1], text[1:]):
+            for form in (word(wrong), word_cells(wrong), _split(wrong)):
+                theirs = chain(prefix, form)
+                for mine in (value, cells):
+                    assert mine != theirs and theirs != mine
+                    assert not mine == theirs and not theirs == mine
 
 
 def test_params_of_first_occurrence_order():
