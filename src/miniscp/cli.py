@@ -193,10 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--seed", type=int, default=7)
     vf.add_argument("--timings", action="store_true",
                     help="write the seconds of each phase (specialize, "
-                         "compile, each facet, string_pool, sweep), summed "
-                         "over the patterns, to stderr; for the split "
-                         "between the naive and residual engines, use "
-                         "perfbench/run.py --trace 1")
+                         "compile, each facet, string_pool for the random "
+                         "draws, sweep, which makes the exhaustive strings "
+                         "as it reads them), summed over the patterns, to "
+                         "stderr; for the split between the naive and "
+                         "residual engines, use perfbench/run.py --trace 1")
     vf.set_defaults(fn=_cmd_verify)
 
     tr = sub.add_parser("tree", help="export the process graph only")

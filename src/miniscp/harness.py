@@ -151,22 +151,52 @@ def check_pool_budget(pattern: str, corpus: Corpus) -> None:
 
 
 @lru_cache(maxsize=1)
-def _exhaustive(alpha: str, max_len: int) -> tuple[str, ...]:
-    """Every word over alpha of length at most max_len: shorter words first,
-    each length in itertools.product order.  Kept for one alphabet at a
-    time; corpus patterns with the same alphabet come in runs."""
-    level, words = [""], [""]
+def _levels(alpha: str, max_len: int) -> tuple[tuple[str, ...], ...]:
+    """The words over alpha of each length 0..max_len, each length in
+    itertools.product order.  Kept for one alphabet at a time; corpus
+    patterns with the same alphabet come in runs."""
+    levels = [("",)]
     for _ in range(max_len):
-        level = [w + ch for w in level for ch in alpha]
-        words += level
-    return tuple(words)
+        levels.append(tuple(w + ch for w in levels[-1] for ch in alpha))
+    return tuple(levels)
 
 
-def string_pool(pattern: str, corpus: Corpus) -> list[str]:
+class StringPool(Record, frozen=True):
+    """The strings one pattern is swept with: every word over `alpha` of
+    length at most `depth`, shorter words first and each length in
+    itertools.product order, then the seeded random strings `randoms`.
+
+    Sized, and iterable any number of times.  The words up to length
+    depth - 2 are kept (by _levels); the two longest levels, which hold
+    most of the words (three quarters of them for a 2-letter alphabet, 97%
+    for a 6-letter one), are made from them as they are read, so no list
+    of every word is built."""
+    __slots__ = ("alpha", "depth", "randoms")
+
+    def __len__(self) -> int:
+        return exhaustive_count(len(self.alpha), self.depth) \
+            + len(self.randoms)
+
+    def __iter__(self) -> Iterator[str]:
+        return itertools.chain(self.exhaustive(), self.randoms)
+
+    def exhaustive(self) -> Iterator[str]:
+        """The words over alpha of length at most depth, in pool order."""
+        kept = _levels(self.alpha, max(self.depth - 2, 0))
+        top = len(kept) - 1  # the length of the longest kept words
+        # a word of length n > top is a kept word of length top followed by
+        # n - top letters, in the order of both
+        return itertools.chain(*kept, *(
+            map("".join, itertools.product(kept[top],
+                                           *[self.alpha] * (n - top)))
+            for n in range(top + 1, self.depth + 1)))
+
+
+def string_pool(pattern: str, corpus: Corpus) -> StringPool:
     """Exhaustive strings up to corpus.exhaustive_len over the sweep
-    alphabet, then corpus.random_count seeded random strings."""
+    alphabet, made as the pool is read, then corpus.random_count seeded
+    random strings, drawn here."""
     alpha = sweep_alphabet(pattern)
-    pool = list(_exhaustive(alpha, corpus.exhaustive_len))
     rng = random.Random(f"{corpus.seed}:{pattern}")
     # Each letter is rng.choice(alpha): Random._randbelow takes the top
     # len(alpha).bit_length() bits of one 32-bit Mersenne Twister word, and
@@ -183,6 +213,7 @@ def string_pool(pattern: str, corpus: Corpus) -> list[str]:
     index = bytes(b >> shift for b in range(256))
     reject = bytes(b for b in range(256) if b >> shift >= len(alpha))
     getrandbits, randint = rng.getrandbits, rng.randint
+    randoms = []
     for _ in range(corpus.random_count):
         need = randint(0, corpus.random_max_len)
         drawn = []
@@ -191,8 +222,8 @@ def string_pool(pattern: str, corpus: Corpus) -> list[str]:
             got = got.translate(index, reject)
             drawn.append(got)
             need -= len(got)
-        pool.append(charmap_decode(b"".join(drawn), None, alpha)[0])
-    return pool
+        randoms.append(charmap_decode(b"".join(drawn), None, alpha)[0])
+    return StringPool(alpha, corpus.exhaustive_len, tuple(randoms))
 
 
 def adversarial_strings(pattern: str) -> list[str]:
@@ -235,27 +266,25 @@ class SweepResult(Record, frozen=True):
                  "counterexample", "bound_violation")
 
 
-def _sweep(art: PatternArtifacts, corpus: Corpus,
-           strings: list[str]) -> SweepResult:
-    """Check each of `strings`, string_pool(pattern, corpus) followed by
-    adversarial_strings(pattern): the naive matcher and the residual, each
-    run black-box, agree with `in` and with the KMP oracle; the oracle's
-    comparisons and the residual's steps stay within their linear bounds.
-    The oracle's results on the exhaustive strings come from oracle_levels,
-    on the others from kmp_search."""
+def _sweep(art: PatternArtifacts, pool: StringPool) -> SweepResult:
+    """Check each string of `pool`, string_pool(pattern, corpus), then each
+    of adversarial_strings(pattern), in one pass: the naive matcher and the
+    residual, each run black-box, agree with `in` and with the KMP oracle;
+    the oracle's comparisons and the residual's steps stay within their
+    linear bounds.  The oracle's results on the exhaustive strings come
+    from oracle_levels, read alongside the words as they are made, and on
+    the others from kmp_search."""
     pattern = art.pattern
     entry = art.residual.entry
     residual_run = art.residual.program.compiled.run
     naive_run = naive_matcher().compiled.run
-    alpha = sweep_alphabet(pattern)
-    exhaustive = exhaustive_count(len(alpha), corpus.exhaustive_len)
-    oracle = itertools.chain(
-        oracle_levels(pattern, alpha, corpus.exhaustive_len),
-        map(partial(kmp_search, pattern),
-            itertools.islice(strings, exhaustive, None)))
+    others = [*pool.randoms, *adversarial_strings(pattern)]
+    checks = itertools.chain(
+        zip(pool.exhaustive(), oracle_levels(pattern, pool.alpha, pool.depth)),
+        zip(others, map(partial(kmp_search, pattern), others)))
     bound_add = len(pattern) + 2
     max_ratio = 0.0
-    for y, (kmp_found, comparisons) in zip(strings, oracle):
+    for y, (kmp_found, comparisons) in checks:
         n = len(y)
         if comparisons > 2 * n:
             return SweepResult(False, False, max_ratio, None,
@@ -439,32 +468,35 @@ def _restart_facts(art: PatternArtifacts) -> None:
         require_root_restart(child_id)
 
     # Every mismatch branch out of an L-headed pivot chases, through
-    # fallback pivots, to a root restart.
-    def chase(node_id: int) -> None:
-        n = nodes[node_id]
-        for c in n.children:
-            b = nodes[c].branch
-            if not b.added.diseqs:
-                continue  # not a mismatch branch
-            child = nodes[c]
-            if child.kind == KIND_FOLDED:
-                require_root_restart(c)
-            elif child.kind == KIND_PIVOT:
-                if covers(held_form, child.config) is not None:
-                    continue  # validated above
-                if head_fn(child.config) != "L":
-                    raise CheckFailure(
-                        f"mismatch branch reached unexpected pivot "
-                        f"{child.config!r}")
-                chase(c)
-            else:
-                raise CheckFailure(
-                    f"mismatch branch reached a {child.kind} node "
-                    f"({child.config!r})")
-
+    # fallback pivots, to a root restart: depth first, with a stack of the
+    # children still to visit, rather than a recursive closure, which would
+    # keep the graph alive until the cycle collector ran.
     for i, n in enumerate(nodes):
-        if n.kind == KIND_PIVOT and head_fn(n.config) == "L":
-            chase(i)
+        if n.kind != KIND_PIVOT or head_fn(n.config) != "L":
+            continue
+        pending = [iter(n.children)]
+        while pending:
+            for c in pending[-1]:
+                child = nodes[c]
+                if not child.branch.added.diseqs:
+                    continue  # not a mismatch branch
+                if child.kind == KIND_FOLDED:
+                    require_root_restart(c)
+                elif child.kind == KIND_PIVOT:
+                    if covers(held_form, child.config) is not None:
+                        continue  # validated above
+                    if head_fn(child.config) != "L":
+                        raise CheckFailure(
+                            f"mismatch branch reached unexpected pivot "
+                            f"{child.config!r}")
+                    pending.append(iter(child.children))
+                    break
+                else:
+                    raise CheckFailure(
+                        f"mismatch branch reached a {child.kind} node "
+                        f"({child.config!r})")
+            else:
+                pending.pop()
 
 
 # --- covering / no generalization ----------------------------------------------
@@ -642,7 +674,8 @@ def verify_pattern(pattern: str, corpus: Corpus,
                    seconds: dict | None = None) -> VerificationReport:
     """Check every facet of one pattern.  If given, `seconds` gains the
     time of each phase: specialize (and residualize), compile, the five
-    graph and residual facets, string_pool, and the sweep."""
+    graph and residual facets, string_pool (the random draws), and the
+    sweep (which makes the exhaustive words as it reads them)."""
     check_pool_budget(pattern, corpus)
     seconds = {} if seconds is None else seconds
     failures = []
@@ -671,9 +704,8 @@ def verify_pattern(pattern: str, corpus: Corpus,
     covering_ok = facet("covering", _covering_facts, art)
     structural_ok = facet("structural", _structure_facts, art)
     auto_ok = facet("automaton", _automaton_facts, art)
-    strings = timed("string_pool", string_pool, pattern, corpus)
-    strings += adversarial_strings(pattern)
-    sweep = timed("sweep", _sweep, art, corpus, strings)
+    pool = timed("string_pool", string_pool, pattern, corpus)
+    sweep = timed("sweep", _sweep, art, pool)
     if sweep.counterexample:
         failures.append(f"equivalence: {sweep.counterexample}")
     if sweep.bound_violation:

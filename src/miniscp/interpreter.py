@@ -743,6 +743,9 @@ def _compile_source(program: Program) -> str:
     for line in step:
         emit("        " + line)
     _emit_tree(emit, 0, len(functions), "        ", arm)
+    # body and tree hold each other through their closures: empty the
+    # cells, so that the rules they reach are freed without a collection
+    del body, tree
     return "\n".join(lines) + "\n"
 
 
@@ -750,7 +753,10 @@ class CompiledProgram:
     """A well-sorted program translated to one generated Python function.
     Its source is built again on each use of `source` rather than kept, so
     that a process holding many compiled programs (the verify sweep holds
-    one per pattern) does not hold their text as well."""
+    one per pattern) does not hold their text as well.  It keeps the
+    program's functions, not the program, whose `compiled` holds it: so a
+    program and its translation are freed by reference counting, with no
+    cycle for the collector to find."""
 
     def __init__(self, program: Program):
         symbolic = symbol_positions(program)
@@ -766,16 +772,18 @@ class CompiledProgram:
             "_stuck": _stuck_in(symbolic),
             "length_hint": length_hint,
         }
-        self.program = program
+        self.functions = program.functions
         exec(compile(_compile_source(program), "<rewriter>", "exec"),
              namespace)
-        self._run = namespace["_run"]
+        # not left in the namespace, which is _run's globals (it does not
+        # call itself): that would be a cycle
+        self._run = namespace.pop("_run")
         self._ids = {name: k for k, (name, _) in enumerate(program.functions)}
 
     @property
     def source(self) -> str:
         """The generated Python code, built again from the program."""
-        return _compile_source(self.program)
+        return _compile_source(Program(self.functions))
 
     def run(self, entry: str, args: tuple[str, ...],
             fuel: int = DEFAULT_FUEL) -> tuple[bool | str, int]:

@@ -18,7 +18,9 @@ from miniscp.harness import (
 from miniscp.residual import (
     ResidualProgram, structural_report, transition,
 )
-from miniscp.scp import Node, ProcessGraph, first_path, specialize_pattern
+from miniscp.scp import (
+    KIND_PASSIVE, Node, ProcessGraph, first_path, specialize_pattern,
+)
 from miniscp.syntax import (
     Call, Cons, ListParam, Program, SymParam, parse_program, word,
 )
@@ -197,4 +199,24 @@ def test_rebuild_catches_a_ground_step_one_step_too_far(monkeypatch,
     assert art.report.transient_steps < good.report.transient_steps
     _first_path_facts(art)
     with pytest.raises(CheckFailure, match="re-driving"):
+        _restart_facts(art)
+
+
+def test_restart_chase_reports_a_bad_fallback_branch(monkeypatch):
+    # aab's pivot 4 falls back to pivot 8, which restarts at node 11: break
+    # either, with the compressed-chain check (which sees node 11 first)
+    # left out, and the chase from the L-pivots names it
+    monkeypatch.setattr(harness, "_chains", lambda graph, ids: iter(()))
+    art = harness.artifacts("aab")
+    _restart_facts(art)
+    nodes = art.graph.nodes
+    assert nodes[4].children[1] == 8 and nodes[8].children[1] == 11
+    nodes[11].kind = KIND_PASSIVE
+    with pytest.raises(CheckFailure, match=r"^mismatch branch reached a "
+                       r"passive node \(⟨S\(\"aab\", #y14\)⟩\)$"):
+        _restart_facts(art)
+    art = harness.artifacts("aab")
+    art.graph.nodes[8].config = art.graph.nodes[art.graph.root].config
+    with pytest.raises(CheckFailure, match=r"^mismatch branch reached "
+                       r"unexpected pivot ⟨S\(\"aab\", #y\)⟩$"):
         _restart_facts(art)
