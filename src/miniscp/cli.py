@@ -7,9 +7,10 @@
     miniscp verify [--pattern aab | --corpus default] [--seed N] [--timings]
     miniscp tree --pattern aab --dot FILE
 
-Exit codes: 0 success, 1 semantic failure (failed check, evaluation error),
-2 usage error, 141 (128 + SIGPIPE, as a shell reports it) when the reader
-of the output closes it early, as `| head` does.
+Exit codes: 0 success, 1 semantic failure (failed check, evaluation error,
+a file that cannot be read or written), 2 usage error, 141 (128 + SIGPIPE,
+as a shell reports it) when the reader of the output closes it early, as
+`| head` does.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import argparse
 import os
 import sys
 
-from .configs import ConfigError, config_text
+from .configs import config_text
 from .driving import DriveError
 from .interpreter import EvalError, Outcome, eval_call, naive_matcher
 from .kmp import table_rows
@@ -228,7 +229,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
         return 141
     except (ParseError, ValidationError, EvalError, ScpError, DriveError,
-            ConfigError, ResidualError, ValueError, FileNotFoundError) as e:
+            ResidualError, ValueError, OSError) as e:
         err.write(f"error: {e}\n")
         return 1
 

@@ -17,16 +17,11 @@ from __future__ import annotations
 
 from .record import Record, setters
 from .syntax import (
-    Call, Expr, ListParam, Nil, Param, Sym, SymParam, is_passive,
-    params_of, render_expr, spine,
+    Call, Expr, ListParam, Nil, Param, Sym, SymParam, params_of, spine,
 )
 
 Term = Sym | SymParam
 Renaming = dict  # Param -> Param, injective and kind-preserving
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _term_key(t: Term):
@@ -108,9 +103,6 @@ def apply_to_restriction(r: Restriction, subst: dict) -> Restriction:
     for t1, t2 in r.diseqs:
         a = subst.get(t1, t1) if isinstance(t1, SymParam) else t1
         b = subst.get(t2, t2) if isinstance(t2, SymParam) else t2
-        for t in (a, b):
-            if not isinstance(t, (Sym, SymParam)):
-                raise ConfigError(f"restriction term mapped to non-atom {t!r}")
         pairs.append((a, b))
     return restriction(pairs)
 
@@ -176,11 +168,6 @@ _set_expr, _set_restriction = setters(Config)
 
 
 def make_config(expr: Expr, r: Restriction = EMPTY) -> Config:
-    if isinstance(expr, Call):
-        if any(not is_passive(a) for a in expr.args):
-            raise ConfigError(f"nested call in {render_expr(expr)}")
-    elif not is_passive(expr):
-        raise ConfigError(f"call under constructor in {render_expr(expr)}")
     if not r.diseqs:  # nothing to prune, so no walk for the live parameters
         return Config(expr, r)
     live = {p for p in params_of(expr) if isinstance(p, SymParam)}

@@ -302,8 +302,8 @@ def ground_step(program: Program, cfg: Config) -> Config | None:
     except those in what its dropped variables bind; so when those are all
     symbols, the restriction (which names only parameters of `cfg`, see
     `make_config`) stays as it is, and the step costs no walk over the
-    configuration.  The program must be in tail form, which
-    `supercompile` checks before its first drive."""
+    configuration.  Its right-hand sides are in tail form, as every
+    program's are (see `syntax.validate`)."""
     fired = _fire(program, cfg)
     if fired is None:
         return None

@@ -5,9 +5,9 @@ transient, so naive and specialized programs are costed on the same scale.
 Both engines run only what the grammar writes (see `syntax`): an entry call
 takes words and bare symbols, and T and F are results, never input data.
 A right-hand side is T, F, a list, or one top-level call whose arguments
-are lists or bare symbols (tail form); `check_tail_form` rejects anything
-else with a clear error, and `Program.tail_form` keeps its verdict with the
-program, so that it runs once per program.
+are lists or bare symbols (tail form), and every call names a defined
+function with as many arguments; `syntax.validate` checks that once, when
+the `Program` is built, so the engines check only the entry call.
 
 Rule patterns are matched by one function, `match`, used by the reference
 stepper, by `residual.transition` and by driving.  On ground arguments it
@@ -67,12 +67,6 @@ class FuelExhaustedError(EvalError):
         self.steps = steps
 
 
-class NonTailError(EvalError):
-    """A right-hand side outside the grammar's forms: a call nested under a
-    constructor or in another call, T or F inside a larger term, or a bare
-    symbol as a whole right-hand side or at the end of a list."""
-
-
 class ArityError(EvalError):
     pass
 
@@ -124,53 +118,6 @@ class Outcome(Record, frozen=True):
 
 
 _set_value, _set_steps = setters(Outcome)
-
-
-_SYMBOLS = frozenset((Sym, SymVar, SymParam))
-_LIST_ENDS = frozenset((Nil, Word, ListVar, ListParam))
-
-
-def check_tail_form(program: Program) -> None:
-    """Check that each right-hand side has one of the grammar's forms: T,
-    F, a list, or one call whose arguments are lists or bare symbols, where
-    a list is symbols consed onto Nil, a Word or a list variable.  Raises
-    NonTailError naming the function, the fragment at fault and why."""
-    for name, rules in program.functions:
-        for rule in rules:
-            rhs = rule.rhs
-            if rhs.__class__ is TrueVal or rhs.__class__ is FalseVal:
-                continue
-            arg = rhs.__class__ is Call
-            for part in rhs.args if arg else (rhs,):
-                end = part
-                while end.__class__ is Cons and end.head.__class__ in _SYMBOLS:
-                    end = end.tail
-                if end.__class__ not in _LIST_ENDS and not (
-                        arg and end is part and end.__class__ in _SYMBOLS):
-                    raise NonTailError(
-                        f"function {name}: {_fault(part, rhs, arg)}")
-
-
-def _fault(part: Expr, rhs: Expr, arg: bool) -> str:
-    """Why `part` of the right-hand side `rhs`, one of its call arguments
-    when `arg` and else all of it, is outside the grammar."""
-    heads, end = spine(part)
-    inner = next((h for h in heads if h.__class__ not in _SYMBOLS), end)
-    cls = inner.__class__
-    if cls is Call:
-        return (f"nested call in arguments of {render_expr(rhs)}" if arg
-                else f"call under a constructor in {render_expr(rhs)}")
-    if cls is TrueVal or cls is FalseVal:
-        return (f"{inner!r} inside {render_expr(rhs)}: T and F stand only as "
-                f"a whole right-hand side")
-    if inner is not end:
-        return (f"{render_expr(inner)} as a cell head in "
-                f"{render_expr(part)}: a cell head is a symbol")
-    if heads:
-        return (f"the list {render_expr(part)} ends in the symbol {end!r}, "
-                f"not in Nil or a list variable")
-    return (f"the right-hand side {end!r} is a bare symbol, which stands "
-            f"only as a whole call argument")
 
 
 # --- reference engine -------------------------------------------------------
@@ -353,10 +300,11 @@ def trace_call(program: Program, call: Call,
     """Yield the expression after each rule application until passive.  A
     Word argument is turned into its cells here, once: a rule that passes
     it on whole would otherwise hand it to the next step's matches, which
-    would turn it into cells again on every step."""
+    would turn it into cells again on every step.  Only the entry call is
+    checked: the program was when it was built (see `syntax.validate`)."""
     _entry_args(call)
     _entry_lhs(program, call)
-    program.tail_form  # or NonTailError, found once per program
+    table = program.table
     expr: Expr = Call(call.fn, tuple(a.cells() if a.__class__ is Word else a
                                      for a in call.args))
     steps = 0
@@ -364,9 +312,7 @@ def trace_call(program: Program, call: Call,
         steps += 1
         if steps > fuel:
             raise FuelExhaustedError(steps)
-        rules = program.rules(expr.fn)
-        _check_arity(rules[0].lhs, expr.args)
-        for rule in rules:  # the first matching rule
+        for rule in table[expr.fn]:  # the first matching rule
             m = match(rule.lhs, expr.args)
             if m is not None:
                 break
@@ -533,7 +479,7 @@ class _Lhs:
         depth = len(heads)
         if isinstance(end, Nil):
             conds.append(f"{n} == {_offset(o, depth)}")
-        elif isinstance(end, ListVar):
+        else:  # a list variable, in a valid program
             if depth:
                 conds.append(f"{n} > {_offset(o, depth - 1)}")
             rest = (s, _offset(o, depth), n)
@@ -541,8 +487,6 @@ class _Lhs:
                 conds.append(f"{_text(rest)} == {_text(self.lists[end])}")
             else:
                 self.lists[end] = rest
-        else:
-            raise EvalError(f"bad pattern {pat!r}")
         for d, head in enumerate(heads):
             at = f"{s}[{_offset(o, d)}]"
             if isinstance(head, Sym):
@@ -556,7 +500,7 @@ class _Lhs:
         """`(s, o, n)` code of a passive right-hand side fragment.  Its
         longest suffix that is a suffix of a cons pattern, or a bound list
         variable, is passed on as it lies in the argument; only the cells in
-        front of it are built."""
+        front of it are built; a valid program binds its list variable."""
         if isinstance(expr, Sym):
             return repr(expr.ch), "0", "1"
         if isinstance(expr, SymVar):
@@ -572,8 +516,6 @@ class _Lhs:
             if k > shared:
                 shared = k
                 tail = (s, _offset(o, len(cell_heads) - k), n)
-        if tail is None and not isinstance(end, Nil):
-            raise EvalError(f"cannot compile rhs fragment {expr!r}")
         built = heads[:len(heads) - shared]
         if not built:
             return tail or ("''", "0", "0")
@@ -669,11 +611,10 @@ def _fused(functions) -> set:
             if len(callers) == 1 and callers[0] != callee}
 
 
-def _compile_source(program: Program) -> str:
-    program.tail_form  # or NonTailError
-    functions = program.functions
+def _compile_source(functions: tuple, symbolic: set) -> str:
+    """The code of `_run` for a well-sorted program's functions, given its
+    symbol slots."""
     ids = {name: k for k, (name, _) in enumerate(functions)}
-    symbolic = symbol_positions(program)
     slots = [_slots(k, name, len(rules[0].lhs), symbolic)
              for k, (name, rules) in enumerate(functions)]
     fused = _fused(functions)
@@ -767,14 +708,14 @@ class CompiledProgram:
                 f"function {name} reads or is passed both a symbol and a "
                 f"list at position {i}: the compiled engine takes "
                 f"well-sorted programs only")
+        self._symbolic = symbolic
         namespace = {
             "FuelExhaustedError": FuelExhaustedError,
             "_stuck": _stuck_in(symbolic),
             "length_hint": length_hint,
         }
         self.functions = program.functions
-        exec(compile(_compile_source(program), "<rewriter>", "exec"),
-             namespace)
+        exec(compile(self.source, "<rewriter>", "exec"), namespace)
         # not left in the namespace, which is _run's globals (it does not
         # call itself): that would be a cycle
         self._run = namespace.pop("_run")
@@ -783,7 +724,7 @@ class CompiledProgram:
     @property
     def source(self) -> str:
         """The generated Python code, built again from the program."""
-        return _compile_source(Program(self.functions))
+        return _compile_source(self.functions, self._symbolic)
 
     def run(self, entry: str, args: tuple[str, ...],
             fuel: int = DEFAULT_FUEL) -> tuple[bool | str, int]:
@@ -808,11 +749,13 @@ def eval_call(program: Program, call: Call,
     """Evaluate a call on words and symbols to a passive value, counting
     rule applications.
 
-    Deterministic; raises StuckTermError, FuelExhaustedError, NonTailError,
-    or EvalError for an argument that is not a word or a symbol.  Runs in
-    the compiled engine unless the program is not well-sorted, or the call
-    passes a word where the entry reads a symbol or a symbol where it reads
-    a list; the reference engine runs those, with the same outcome.
+    Deterministic; raises StuckTermError, FuelExhaustedError, ArityError
+    or ValidationError for an entry the program does not define with as
+    many arguments, or EvalError for an argument that is not a word or a
+    symbol.  Runs in the compiled engine unless the program is not
+    well-sorted, or the call passes a word where the entry reads a symbol
+    or a symbol where it reads a list; the reference engine runs those,
+    with the same outcome.
     """
     args = _entry_args(call)
     lhs = _entry_lhs(program, call)

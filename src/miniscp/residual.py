@@ -23,7 +23,7 @@ from .scp import (
 from .syntax import (
     NIL, Call, Cons, Expr, ListVar, Nil, Program, Rule, Sym, SymParam,
     SymVar, TrueVal, params_of, render, spine, subterms, substitute,
-    validate, vars_of, word,
+    vars_of, word,
 )
 
 
@@ -112,7 +112,8 @@ def _check_rule_order(branches: list[Branch], params) -> None:
 
 
 def residualize(graph: ProcessGraph) -> ResidualProgram:
-    """Read one function per pivot off the graph; folds become calls."""
+    """Read one function per pivot off the graph; folds become calls.  The
+    program checks itself when built (NonTailError outside the grammar)."""
     nodes = graph.nodes
     if any(n.kind == KIND_DIAGNOSTIC for n in nodes):
         raise ResidualError("graph has diagnostic leaves")
@@ -151,10 +152,8 @@ def residualize(graph: ProcessGraph) -> ResidualProgram:
             rules.append(Rule(lhs, rhs))
         functions.append((names[i], tuple(rules)))
         provenance[names[i]] = node.config
-    program = Program(tuple(functions))
-    program.tail_form  # or NonTailError
-    validate(program)
-    return ResidualProgram(program, provenance, names[graph.root])
+    return ResidualProgram(Program(tuple(functions)), provenance,
+                           names[graph.root])
 
 
 def structural_report(program: Program) -> StructuralReport:

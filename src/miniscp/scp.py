@@ -30,8 +30,8 @@ from .driving import Branch, GroundFirst, NameGen, compress, drive_step
 from .interpreter import EmptyPatternError, naive_matcher
 from .record import Record
 from .syntax import (
-    Call, Cons, Expr, ListParam, Nil, Program, SymParam, render_expr, spine,
-    word_cells,
+    Call, Cons, Expr, ListParam, Nil, Program, SymParam, is_passive,
+    render_expr, spine, word_cells,
 )
 
 
@@ -179,12 +179,14 @@ def supercompile(program: Program, entry: Config,
     """Build the folded process graph of the program for the given entry.
 
     Terminates with every leaf passive, folded, or diagnostic; raises
-    NodeBudgetError past `node_budget` nodes, and NonTailError for a
-    program outside the grammar.
+    NodeBudgetError past `node_budget` nodes, and ScpError unless the
+    entry is a call with passive arguments: the one check of that form,
+    which every configuration driven from it keeps, the program being in
+    tail form (see `syntax.validate`).
     """
-    if not entry.is_active():
-        raise ScpError("entry configuration must be active")
-    program.tail_form  # or NonTailError
+    if not entry.is_active() or not all(map(is_passive, entry.expr.args)):
+        raise ScpError("entry configuration must be a call with passive "
+                       "arguments")
     names = NameGen.for_exprs(entry.expr)
     step = GroundFirst(names)
     graph = ProcessGraph([Node(entry)])

@@ -52,6 +52,12 @@ class ValidationError(Exception):
     """Well-formed syntax violating a program-level rule."""
 
 
+class NonTailError(ValidationError):
+    """A right-hand side outside the grammar's forms: a call nested under a
+    constructor or in another call, T or F inside a larger term, or a bare
+    symbol as a whole right-hand side or at the end of a list."""
+
+
 METACHARS = frozenset("'\":,{}()#.")
 
 
@@ -304,9 +310,14 @@ class Rule(Record, frozen=True):
 
 class Program(Record, frozen=True):
     """Functions in source order; each maps to its rules in source order:
-    `functions` is a tuple[tuple[str, tuple[Rule, ...]], ...].  The
+    `functions` is a tuple[tuple[str, tuple[Rule, ...]], ...], checked
+    against the grammar when the program is built (see validate).  The
     `__dict__` holds what the cached properties find."""
     __slots__ = ("functions", "__dict__")
+
+    def __init__(self, functions: tuple):
+        _set_functions(self, functions)
+        validate(self)
 
     @cached_property
     def table(self) -> dict[str, tuple[Rule, ...]]:
@@ -318,20 +329,11 @@ class Program(Record, frozen=True):
         and kept with the program (see interpreter.CompiledProgram); None
         when the program is not well-sorted, so that only the reference
         engine runs it (see interpreter.symbol_positions)."""
-        from .interpreter import CompiledProgram, symbol_positions
-        if symbol_positions(self) is None:
+        from .interpreter import CompiledProgram, EvalError
+        try:
+            return CompiledProgram(self)
+        except EvalError:  # its one refusal: an ill-sorted program
             return None
-        return CompiledProgram(self)
-
-    @cached_property
-    def tail_form(self) -> bool:
-        """True once every right-hand side is found to have one of the
-        grammar's forms, checked on first use and kept with the program;
-        raises NonTailError for a program outside the grammar (see
-        interpreter.check_tail_form)."""
-        from .interpreter import check_tail_form
-        check_tail_form(self)
-        return True
 
     @cached_property
     def ground_facts(self) -> dict:
@@ -349,6 +351,9 @@ class Program(Record, frozen=True):
 
     def __repr__(self):
         return f"<Program {'/'.join(n for n, _ in self.functions)}>"
+
+
+_set_functions, = setters(Program)
 
 
 # --- word helpers -----------------------------------------------------------
@@ -737,44 +742,105 @@ class _Parser:
         return self.call_arg()
 
 
-def validate(program: Program) -> Program:
-    """Check rule arities, that every right-hand-side variable is bound by
-    its left-hand side and no rule holds a parameter, and every call's
-    callee and arity; raises ValidationError."""
+_PATTERN_ATOMS = frozenset((Sym, SymVar))
+_SYMBOLS = frozenset((Sym, SymVar, SymParam))
+_LIST_ENDS = frozenset((Nil, Word, ListVar))
+
+
+def validate(program: Program) -> None:
+    """The one check of a program against the grammar, run when it is built:
+    each function has rules of one arity, at least 1; a pattern is a bare
+    symbol, or symbol cells (walked, so a Word is refused) ending in Nil or
+    a list variable; a right-hand side holds no parameter and no unbound
+    variable, and is T, F, a list (symbols consed onto Nil, a Word or a
+    list variable), or one call of a defined function with as many
+    arguments, each a list or a bare symbol (tail form).  Raises
+    ValidationError, or NonTailError for a right-hand side of another
+    form."""
+    arities = {}  # found first, for the calls of earlier functions
     for name, rules in program.functions:
-        arity = len(rules[0].lhs)
+        arities[name] = len(rules[0].lhs) if rules else 0
+        if not arities[name]:
+            raise ValidationError(
+                f"function {name}: no rules, or a rule with no pattern")
+    for name, rules in program.functions:
         for rule in rules:
-            if len(rule.lhs) != arity:
-                raise ValidationError(
-                    f"function {name}: rule arity {len(rule.lhs)} != {arity}")
-            bound = set()
-            for p in rule.lhs:
-                for v in vars_of(p):
-                    bound.add(v)
-            for t in subterms(rule.rhs):
-                if isinstance(t, (SymVar, ListVar)) and t not in bound:
+            if len(rule.lhs) != arities[name]:
+                raise ValidationError(f"function {name}: rule arity "
+                                      f"{len(rule.lhs)} != {arities[name]}")
+            bound = set()  # the patterns' heads and ends
+            for pat in rule.lhs:
+                end = pat
+                while end.__class__ is Cons \
+                        and end.head.__class__ in _PATTERN_ATOMS:
+                    bound.add(end.head)
+                    end = end.tail
+                if not (end.__class__ is Nil or end.__class__ is ListVar
+                        or end is pat and end.__class__ in _PATTERN_ATOMS):
                     raise ValidationError(
-                        f"function {name}: rhs variable {t!r} unbound in lhs")
-                if isinstance(t, (SymParam, ListParam)):
+                        f"function {name}: pattern {pat!r} is not a symbol, "
+                        f"nor symbol cells ending in Nil or a list variable")
+                bound.add(end)
+            rhs = rule.rhs
+            if rhs.__class__ is TrueVal or rhs.__class__ is FalseVal:
+                continue
+            arg = rhs.__class__ is Call
+            if arg:
+                n = arities.get(rhs.fn)
+                if n is None:
                     raise ValidationError(
-                        f"function {name}: parameter {t!r} not allowed in a rule")
-            for t in subterms(rule.rhs):
-                if isinstance(t, Call):
-                    callee = program.table.get(t.fn)
-                    if callee is None:
-                        raise ValidationError(
-                            f"function {name}: call to undefined function {t.fn}")
-                    if len(t.args) != len(callee[0].lhs):
-                        raise ValidationError(
-                            f"function {name}: call {t.fn}/{len(t.args)} does "
-                            f"not match definition {t.fn}/{len(callee[0].lhs)}")
-    return program
+                        f"function {name}: call to undefined function {rhs.fn}")
+                if len(rhs.args) != n:
+                    raise ValidationError(
+                        f"function {name}: call {rhs.fn}/{len(rhs.args)} does "
+                        f"not match definition {rhs.fn}/{n}")
+            for part in rhs.args if arg else (rhs,):
+                end = part
+                while end.__class__ is Cons and end.head.__class__ in _SYMBOLS:
+                    _check_leaf(name, end.head, bound)
+                    end = end.tail
+                _check_leaf(name, end, bound)
+                if end.__class__ not in _LIST_ENDS and not (
+                        arg and end is part and end.__class__ in _SYMBOLS):
+                    raise NonTailError(
+                        f"function {name}: {_fault(part, rhs, arg)}")
+
+
+def _check_leaf(name: str, t: Expr, bound: set) -> None:
+    """Refuse a parameter, which no pattern holds, or a variable the
+    patterns do not bind, in a right-hand side of function `name`."""
+    if t.__class__ in _LEAVES and t not in bound:
+        raise ValidationError(f"function {name}: " + (
+            f"parameter {t!r} not allowed in a rule" if t.__class__ in _PARAMS
+            else f"rhs variable {t!r} unbound in lhs"))
+
+
+def _fault(part: Expr, rhs: Expr, arg: bool) -> str:
+    """Why `part` of the right-hand side `rhs`, one of its call arguments
+    when `arg` and else all of it, is outside the grammar."""
+    heads, end = spine(part)
+    inner = next((h for h in heads if h.__class__ not in _SYMBOLS), end)
+    cls = inner.__class__
+    if cls is Call:
+        return (f"nested call in arguments of {render_expr(rhs)}" if arg
+                else f"call under a constructor in {render_expr(rhs)}")
+    if cls is TrueVal or cls is FalseVal:
+        return (f"{inner!r} inside {render_expr(rhs)}: T and F stand only as "
+                f"a whole right-hand side")
+    if inner is not end:
+        return (f"{render_expr(inner)} as a cell head in "
+                f"{render_expr(part)}: a cell head is a symbol")
+    if heads:
+        return (f"the list {render_expr(part)} ends in the symbol {end!r}, "
+                f"not in Nil or a list variable")
+    return (f"the right-hand side {end!r} is a bare symbol, which stands "
+            f"only as a whole call argument")
 
 
 def parse_program(text: str) -> Program:
-    """Parse and validate a program; raises ParseError or ValidationError."""
-    p = _Parser(text)
-    return validate(p.program())
+    """Parse a program, which building it validates; raises ParseError,
+    ValidationError or NonTailError."""
+    return _Parser(text).program()
 
 
 def parse_expression(text: str) -> Expr:

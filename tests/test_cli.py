@@ -131,6 +131,19 @@ def test_run_ill_sorted_program_in_a_subprocess(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "F\n", "")
 
 
+def test_file_errors_exit_1_with_a_message(tmp_path):
+    # a directory where a file is expected: IsADirectoryError, an OSError
+    # like FileNotFoundError and PermissionError
+    for argv in (["specialize", "--pattern", "ab", "--out", str(tmp_path)],
+                 ["run", "--program", str(tmp_path), "--entry", "S",
+                  "--input", "a"]):
+        proc = subprocess.run([sys.executable, "-m", "miniscp", *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (1, ""), argv
+        assert proc.stderr.startswith("error: "), proc.stderr[-300:]
+        assert "Traceback" not in proc.stderr
+
+
 def test_run_stuck_call_in_a_subprocess(tmp_path):
     proc = run_file(tmp_path, "F { 'a':y = G(y, 'c'); }\n"
                     "G { 'b':y, s.x = T; }\n",

@@ -12,17 +12,17 @@ from miniscp.driving import (
 )
 from miniscp.harness import branch_admits, default_corpus
 from miniscp.interpreter import (
-    NAIVE_MATCHER_SOURCE, NonTailError, UnsupportedNarrowingError,
-    naive_matcher, trace_call,
+    NAIVE_MATCHER_SOURCE, UnsupportedNarrowingError, naive_matcher,
+    trace_call,
 )
 from miniscp.residual import residualize
 from miniscp.scp import (
     ScpReport, graph_lines, matcher_entry, specialize_pattern, supercompile,
 )
 from miniscp.syntax import (
-    Call, Cons, FALSE, ListParam, ListVar, NIL, Program, Rule, Sym, SymParam,
-    TRUE, Word, parse_expression, parse_program, render, spine, substitute,
-    word,
+    Call, Cons, FALSE, ListParam, ListVar, NIL, NonTailError, Program, Rule,
+    Sym, SymParam, TRUE, Word, parse_expression, parse_program, render, spine,
+    substitute, word,
 )
 
 
@@ -282,7 +282,7 @@ def test_ground_step_on_a_held_symbol_the_restriction_rules_out(prog):
 
 
 def _nested_rhs_program():
-    # not in tail form, so the parser would refuse it
+    # not in tail form, so building it raises NonTailError
     y = ListVar("y")
     return Program((("F", (Rule((y,), Cons(Sym("a"), Call("G", (y,)))),)),
                     ("G", (Rule((y,), TRUE),))))
@@ -330,7 +330,8 @@ def test_a_later_rule_that_asks_for_a_name_shifts_the_session_names():
 
 
 def test_supercompile_refuses_a_right_hand_side_outside_the_grammar():
-    # ground_step trusts the program's tail form, which supercompile checks
+    # ground_step trusts the program's tail form: such a program cannot be
+    # built, so supercompile never sees one
     with pytest.raises(NonTailError, match="call under a constructor"):
         supercompile(_nested_rhs_program(), cfg("F(#y)"))
 

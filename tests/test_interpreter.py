@@ -7,15 +7,15 @@ import pytest
 from miniscp.driving import _REFUSE, NameGen
 from miniscp.interpreter import (
     ArityError, CompiledProgram, DriveError, EmptyPatternError, EvalError,
-    FuelExhaustedError, NonTailError, Outcome, StuckTermError,
-    UnsupportedNarrowingError, _MAX_SHARED_DEPTH, _check_arity,
-    check_tail_form, eval_call, eval_reference, match, naive_matcher,
-    naive_outcome, probe, resolve, symbol_positions, trace_call,
+    FuelExhaustedError, Outcome, StuckTermError, UnsupportedNarrowingError,
+    _MAX_SHARED_DEPTH, _check_arity, eval_call, eval_reference, match,
+    naive_matcher, naive_outcome, probe, resolve, symbol_positions,
+    trace_call,
 )
 from miniscp.syntax import (
-    Call, Cons, FALSE, ListParam, ListVar, NIL, Nil, Program, Rule, Sym,
-    SymParam, SymVar, TRUE, ValidationError, Word, chain, parse_program,
-    spine, substitute, unword, validate, word,
+    Call, Cons, FALSE, ListParam, ListVar, NIL, Nil, NonTailError, Program,
+    Rule, Sym, SymParam, SymVar, TRUE, ValidationError, Word, chain,
+    parse_program, spine, substitute, unword, word, word_cells,
 )
 
 
@@ -396,17 +396,18 @@ def test_stuck_term_reported():
 
 
 def test_non_tail_rhs_rejected_at_evaluation():
-    bad = Program((("F", (Rule((ListVar("x"),),
-                               Cons(Sym("a"), Call("F", (ListVar("x"),)))),)),))
-    with pytest.raises(NonTailError):
-        eval_call(bad, Call("F", (word("a"),)))
+    # refused when the program is built, so no engine ever runs it
+    rule = Rule((ListVar("x"),), Cons(Sym("a"), Call("F", (ListVar("x"),))))
+    with pytest.raises(NonTailError, match=re.escape(
+            "function F: call under a constructor in 'a':F(x)")):
+        Program((("F", (rule,)),))
 
 
 def test_nested_call_arguments_rejected():
     inner = Call("F", (ListVar("x"),))
-    bad = Program((("F", (Rule((ListVar("x"),), Call("F", (inner,))),)),))
-    with pytest.raises(NonTailError):
-        eval_call(bad, Call("F", (word("a"),)))
+    with pytest.raises(NonTailError, match=re.escape(
+            "function F: nested call in arguments of F(F(x))")):
+        Program((("F", (Rule((ListVar("x"),), Call("F", (inner,))),)),))
 
 
 def test_non_ground_arguments_rejected():
@@ -416,13 +417,13 @@ def test_non_ground_arguments_rejected():
 
 
 def test_tail_form_check_accepts_long_literals():
-    long = word("ab" * 5000)
-    check_tail_form(Program((("F", (Rule((ListVar("x"),), long),
-                                    Rule((ListVar("x"),),
-                                         Call("F", (long,))))),)))
+    for long in (word("ab" * 5000), word_cells("ab" * 5000)):
+        Program((("F", (Rule((ListVar("x"),), long),
+                        Rule((ListVar("x"),), Call("F", (long,))))),))
 
 
 def test_right_hand_sides_outside_the_grammar_rejected_in_both_engines():
+    # refused when the program is built, before either engine could run it
     x, z = ListVar("x"), ListVar("z")
     g = ("G", (Rule((z,), z),))
     cases = [
@@ -445,10 +446,8 @@ def test_right_hand_sides_outside_the_grammar_rejected_in_both_engines():
          "symbol"),
     ]
     for rule, message in cases:
-        prog = Program((("F", (rule,)), g))
-        arg = Sym("b") if isinstance(rule.lhs[0], SymVar) else word("b")
-        assert outcomes_agree(prog, Call("F", (arg,)), 10) == (
-            NonTailError, message)
+        with pytest.raises(NonTailError, match=f"^{re.escape(message)}$"):
+            Program((("F", (rule,)), g))
 
 
 # --- long inputs ------------------------------------------------------------
@@ -957,9 +956,9 @@ def random_program(rng):
                 else rng.random() < {"s": 0.85, "m": 0.4, "l": 0.15}[c])
             else random_rhs_list(rng, syms, lists)
             for c in kinds[callee]))
-    return validate(Program(tuple(
+    return Program(tuple(
         (f"F{k}", tuple(Rule(tuple(lhs), rhs) for lhs, rhs in rules))
-        for k, rules in enumerate(functions))))
+        for k, rules in enumerate(functions)))
 
 
 def test_compiled_engine_agrees_with_reference_on_random_programs():

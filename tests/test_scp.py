@@ -1,11 +1,12 @@
 import itertools
 import random
+import sys
 
 import pytest
 
-from miniscp import driving, scp
+from miniscp import driving, scp, syntax
 from miniscp.configs import (
-    alpha_equivalent, covers, make_config, restriction, shape,
+    Config, alpha_equivalent, covers, make_config, restriction, shape,
 )
 from miniscp.driving import drive_step, ground_run, ground_step
 from miniscp.harness import replay_graph
@@ -415,7 +416,35 @@ def test_matcher_entry_rejects_empty_pattern():
         matcher_entry("")
 
 
+def test_supercompile_checks_the_entry_once():
+    # the entry's arguments are the only expressions checked for calls:
+    # every configuration driven from them keeps that form, the program
+    # being in tail form since it was built
+    real, seen = syntax.is_passive, []
+
+    def counting(expr):
+        seen.append(expr)
+        return real(expr)
+
+    modules = [m for name, m in sys.modules.items()
+               if name.startswith("miniscp")
+               and getattr(m, "is_passive", None) is real]
+    assert scp in modules
+    with pytest.MonkeyPatch.context() as mp:
+        for m in modules:
+            mp.setattr(m, "is_passive", counting)
+        program, entry = matcher_entry("a" * 20)
+        _, report = supercompile(program, entry)
+    assert seen == list(entry.expr.args)
+    assert report.node_count > 20
+    for bad in (TRUE, Call("S", (Call("S", (word("a"), NIL)), NIL))):
+        with pytest.raises(scp.ScpError, match="call with passive"):
+            supercompile(program, Config(bad))
+
+
 def test_matcher_entry_accepts_long_patterns():
-    # checking that the entry is passive walks the whole pattern word
+    # supercompile's check that the entry's arguments are passive walks
+    # the whole pattern word, in a loop, so long words are safe
     program, entry = matcher_entry("a" * 3000)
     assert unword(entry.expr.args[0]) == "a" * 3000
+    assert syntax.is_passive(entry.expr.args[0])

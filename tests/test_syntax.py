@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -6,8 +7,9 @@ import pytest
 
 from miniscp.configs import make_config, restriction
 from miniscp.syntax import (
-    Call, Cons, FALSE, ListParam, ListVar, NIL, Nil, ParseError, Rule,
-    Sym, SymParam, SymVar, TRUE, ValidationError, Word, chain,
+    Call, Cons, FALSE, ListParam, ListVar, NIL, Nil, NonTailError,
+    ParseError, Program, Rule, Sym, SymParam, SymVar, TRUE, ValidationError,
+    Word, chain,
     params_of, parse_expression, parse_program, render, render_expr,
     render_pattern, render_rule, spine, substitute, subterms, unword, word,
     word_cells,
@@ -59,6 +61,43 @@ def test_call_arity_checked():
 def test_parameter_in_rule_rejected():
     with pytest.raises(ValidationError, match="parameter"):
         parse_program("F { x = #y; }")
+
+
+_X = ListVar("x")
+
+
+@pytest.mark.parametrize("rules, message", [
+    ([Rule((_X,), ListVar("y"))], "rhs variable y unbound in lhs"),
+    ([Rule((_X,), Cons(SymVar("c"), _X))], "rhs variable s.c unbound in lhs"),
+    ([Rule((_X,), Cons(SymParam("c"), _X))],
+     "parameter #s.c not allowed in a rule"),
+    ([Rule((_X,), Call("G", (_X,)))], "call to undefined function G"),
+    ([Rule((_X,), Call("F", (_X, _X)))],
+     "call F/2 does not match definition F/1"),
+    # patterns outside the grammar: a Word, which stands for cells but is
+    # not one, cells ending in a symbol, and a parameter
+    ([Rule((word("ab"),), TRUE), Rule((_X,), FALSE)],
+     'pattern "ab" is not a symbol, nor symbol cells ending in Nil or a '
+     'list variable'),
+    ([Rule((Cons(Sym("a"), Sym("b")),), TRUE), Rule((_X,), FALSE)],
+     "pattern 'a':'b' is not a symbol"),
+    ([Rule((Cons(SymParam("c"), _X),), TRUE), Rule((_X,), FALSE)],
+     "pattern #s.c:x is not a symbol"),
+    # no rules, a rule without patterns, and unequal arities
+    ([], "no rules, or a rule with no pattern"),
+    ([Rule((), TRUE)], "no rules, or a rule with no pattern"),
+    ([Rule((_X,), TRUE), Rule((_X, _X), TRUE)], "rule arity 2 != 1"),
+])
+def test_programs_outside_the_grammar_refused_when_built(rules, message):
+    # built in code, not parsed: the constructor refuses each, so no
+    # engine, specializer or residualizer meets one, also after a function
+    # that calls F
+    h = ("H", (Rule((_X,), Call("F", (_X,))),))
+    for functions in ((("F", tuple(rules)),), (h, ("F", tuple(rules)))):
+        with pytest.raises(ValidationError,
+                           match=f"^function F: {re.escape(message)}") as exc:
+            Program(functions)
+        assert not isinstance(exc.value, NonTailError)
 
 
 def test_syntax_error_carries_position():
