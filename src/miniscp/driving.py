@@ -31,13 +31,13 @@ from __future__ import annotations
 import itertools
 
 from .configs import (
-    Config, Restriction, apply_to_restriction, make_config, param_key,
-    prune, restriction, satisfiable,
+    Config, apply_to_restriction, make_config, param_key, prune,
+    restriction, satisfiable,
 )
 from .interpreter import (
     DriveError, UnsupportedNarrowingError, match, probe, resolve,
 )
-from .record import Record, setters
+from .record import Record
 from .syntax import (
     Call, Cons, Expr, ListParam, ListVar, Nil, Program, Rule, Sym, SymParam,
     params_of, spine, subterms, substitute, vars_of,
@@ -93,30 +93,7 @@ class Branch(Record, frozen=True):
     one per transient configuration compressed into it.  Those
     configurations are not kept; `harness._chains` walks them again."""
     __slots__ = ("subst", "added", "rule_index", "child", "steps")
-
-    def __init__(self, subst: tuple, added: Restriction, rule_index: int,
-                 child: Config, steps: int = 1):
-        _set_subst(self, subst)
-        _set_added(self, added)
-        _set_rule_index(self, rule_index)
-        _set_child(self, child)
-        _set_steps(self, steps)
-
-    def __eq__(self, other):
-        if other.__class__ is Branch:
-            return (self.subst == other.subst and self.added == other.added
-                    and self.rule_index == other.rule_index
-                    and self.child == other.child
-                    and self.steps == other.steps)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.subst, self.added, self.rule_index, self.child,
-                     self.steps))
-
-
-(_set_subst, _set_added, _set_rule_index, _set_child,
- _set_steps) = setters(Branch)
+    _defaults = {"steps": 1}
 
 
 class _Scratch:

@@ -24,6 +24,9 @@ once, then checks, as separate falsifiable facets:
   * automaton    -- the residual's consuming functions are isomorphic to the
                     failure-function automaton's non-accepting states.
 
+FACETS names them, in this order.  A failed facet is flagged FAIL in the
+pattern's record line and gets one failure line, "<facet>: <message>".
+
 All randomness is seeded per (corpus seed, pattern); reports are
 deterministic down to the byte.
 """
@@ -89,16 +92,14 @@ def default_corpus(seed: int = 7) -> Corpus:
 
 
 class VerificationReport(Record):
-    __slots__ = ("pattern", "first_path_ok", "restart_ok", "covering_ok",
-                 "structural_ok", "equivalence_ok", "linearity_ok",
-                 "automaton_ok", "metrics", "failures")
+    """`verdicts` maps each of FACETS, in order, to whether it held;
+    `failures` holds one line "<facet>: <message>" per failed facet."""
+    __slots__ = ("pattern", "verdicts", "metrics", "failures")
     _defaults = {"failures": ()}
 
     @property
     def ok(self) -> bool:
-        return all((self.first_path_ok, self.restart_ok, self.covering_ok,
-                    self.structural_ok, self.equivalence_ok,
-                    self.linearity_ok, self.automaton_ok))
+        return all(self.verdicts.values())
 
 
 # --- shared artifacts ---------------------------------------------------------
@@ -259,21 +260,16 @@ def oracle_levels(pattern: str, alpha: str,
                 map(after.__getitem__, level)))
 
 
-class SweepResult(Record, frozen=True):
-    """The string sweep's verdicts, its largest step ratio, and the first
-    counterexample or bound violation found (str | None each)."""
-    __slots__ = ("equivalence_ok", "linearity_ok", "max_steps_ratio",
-                 "counterexample", "bound_violation")
-
-
-def _sweep(art: PatternArtifacts, pool: StringPool) -> SweepResult:
+def _sweep(art: PatternArtifacts, pool: StringPool, fail) -> float:
     """Check each string of `pool`, string_pool(pattern, corpus), then each
     of adversarial_strings(pattern), in one pass: the naive matcher and the
-    residual, each run black-box, agree with `in` and with the KMP oracle;
-    the oracle's comparisons and the residual's steps stay within their
-    linear bounds.  The oracle's results on the exhaustive strings come
-    from oracle_levels, read alongside the words as they are made, and on
-    the others from kmp_search."""
+    residual, each run black-box, agree with `in` and with the KMP oracle
+    (equivalence); the oracle's comparisons and the residual's steps stay
+    within their linear bounds (linearity; an oracle over-count fails
+    both).  The first failure goes to fail(facet, message) and ends the
+    sweep.  The oracle's results on the exhaustive strings come from
+    oracle_levels, read alongside the words as they are made, and on the
+    others from kmp_search.  Returns the largest steps / (|y| + 1)."""
     pattern = art.pattern
     entry = art.residual.entry
     residual_run = art.residual.program.compiled.run
@@ -287,22 +283,25 @@ def _sweep(art: PatternArtifacts, pool: StringPool) -> SweepResult:
     for y, (kmp_found, comparisons) in checks:
         n = len(y)
         if comparisons > 2 * n:
-            return SweepResult(False, False, max_ratio, None,
-                               f"oracle comparisons {comparisons} on |y|={n}")
+            detail = f"oracle comparisons {comparisons} on |y|={n}"
+            fail("equivalence", detail)
+            fail("linearity", detail)
+            break
         naive_value, _ = naive_run("S", (pattern, y))
         res_value, res_steps = residual_run(entry, (y,))
         if not ((pattern in y) == kmp_found == naive_value == res_value):
-            detail = (f"y={y!r}: contains={pattern in y} search={kmp_found} "
-                      f"naive={naive_value} residual={res_value}")
-            return SweepResult(False, True, max_ratio, detail, None)
+            fail("equivalence",
+                 f"y={y!r}: contains={pattern in y} search={kmp_found} "
+                 f"naive={naive_value} residual={res_value}")
+            break
         if res_steps > 2 * n + bound_add:
-            detail = (f"y of length {n}: residual took {res_steps} steps, "
-                      f"bound {2 * n + bound_add}")
-            return SweepResult(True, False, max_ratio, None, detail)
+            fail("linearity", f"y of length {n}: residual took {res_steps} "
+                              f"steps, bound {2 * n + bound_add}")
+            break
         ratio = res_steps / (n + 1)
         if ratio > max_ratio:
             max_ratio = ratio
-    return SweepResult(True, True, max_ratio, None, None)
+    return max_ratio
 
 
 # --- compressed chains -------------------------------------------------------
@@ -670,15 +669,34 @@ def replay_graph(graph: ProcessGraph, env: dict):
 
 # --- reports -----------------------------------------------------------------------
 
+# The facets, in record-line order: each maps to its check of the graph or
+# residual, run in this order, or to None when _sweep decides it.
+FACETS = {
+    "first_path": _first_path_facts,
+    "restart": _restart_facts,
+    "covering": _covering_facts,
+    "structural": _structure_facts,
+    "equivalence": None,
+    "linearity": None,
+    "automaton": _automaton_facts,
+}
+
+
 def verify_pattern(pattern: str, corpus: Corpus,
                    seconds: dict | None = None) -> VerificationReport:
-    """Check every facet of one pattern.  If given, `seconds` gains the
-    time of each phase: specialize (and residualize), compile, the five
-    graph and residual facets, string_pool (the random draws), and the
-    sweep (which makes the exhaustive words as it reads them)."""
+    """Check every facet of one pattern: a check that raises CheckFailure
+    and the sweep both report through `fail`.  If given, `seconds` gains the
+    time of each phase: specialize (and residualize), compile, each facet's
+    check, string_pool (the random draws), and the sweep (which makes the
+    exhaustive words as it reads them)."""
     check_pool_budget(pattern, corpus)
     seconds = {} if seconds is None else seconds
+    verdicts = dict.fromkeys(FACETS, True)
     failures = []
+
+    def fail(facet: str, message) -> None:
+        verdicts[facet] = False
+        failures.append(f"{facet}: {message}")
 
     def timed(phase, fn, *args):
         t0 = perf_counter()
@@ -687,29 +705,18 @@ def verify_pattern(pattern: str, corpus: Corpus,
         finally:
             seconds[phase] = seconds.get(phase, 0.0) + perf_counter() - t0
 
-    def facet(phase, fn, *args) -> bool:
-        try:
-            timed(phase, fn, *args)
-            return True
-        except CheckFailure as e:
-            failures.append(f"{fn.__name__.lstrip('_')}: {e}")
-            return False
-
     art = timed("specialize", artifacts, pattern)
     # each program compiles on its first use, here
     timed("compile", lambda: (art.residual.program.compiled,
                               naive_matcher().compiled))
-    first_ok = facet("first_path", _first_path_facts, art)
-    restart_ok = facet("restart", _restart_facts, art)
-    covering_ok = facet("covering", _covering_facts, art)
-    structural_ok = facet("structural", _structure_facts, art)
-    auto_ok = facet("automaton", _automaton_facts, art)
+    for facet, check in FACETS.items():
+        if check is not None:
+            try:
+                timed(facet, check, art)
+            except CheckFailure as e:
+                fail(facet, e)
     pool = timed("string_pool", string_pool, pattern, corpus)
-    sweep = timed("sweep", _sweep, art, pool)
-    if sweep.counterexample:
-        failures.append(f"equivalence: {sweep.counterexample}")
-    if sweep.bound_violation:
-        failures.append(f"linearity: {sweep.bound_violation}")
+    max_ratio = timed("sweep", _sweep, art, pool, fail)
 
     sample = pattern[0] * 120
     _, naive_sample = naive_matcher().compiled.run("S", (pattern, sample))
@@ -721,14 +728,11 @@ def verify_pattern(pattern: str, corpus: Corpus,
         "consuming_function_count": len(consuming_functions(art.residual)),
         "node_count": art.report.node_count,
         "fold_count": art.report.fold_count,
-        "max_steps_ratio": sweep.max_steps_ratio,
+        "max_steps_ratio": max_ratio,
         "naive_steps_sample": naive_sample,
         "residual_steps_sample": residual_sample,
     }
-    return VerificationReport(
-        pattern, first_ok, restart_ok, covering_ok, structural_ok,
-        sweep.equivalence_ok, sweep.linearity_ok, auto_ok, metrics,
-        tuple(failures))
+    return VerificationReport(pattern, verdicts, metrics, tuple(failures))
 
 
 def verify_corpus(corpus: Corpus,
@@ -737,17 +741,11 @@ def verify_corpus(corpus: Corpus,
 
 
 def record_line(report: VerificationReport) -> str:
-    flag = lambda ok: "ok" if ok else "FAIL"  # noqa: E731
+    flags = "".join(f" {facet}={'ok' if ok else 'FAIL'}"
+                    for facet, ok in report.verdicts.items())
     m = report.metrics
     return (
-        f"pattern={report.pattern}"
-        f" first_path={flag(report.first_path_ok)}"
-        f" restart={flag(report.restart_ok)}"
-        f" covering={flag(report.covering_ok)}"
-        f" structural={flag(report.structural_ok)}"
-        f" equivalence={flag(report.equivalence_ok)}"
-        f" linearity={flag(report.linearity_ok)}"
-        f" automaton={flag(report.automaton_ok)}"
+        f"pattern={report.pattern}{flags}"
         f" pivots={m['pivot_count']}"
         f" functions={m['residual_function_count']}"
         f" consuming={m['consuming_function_count']}"

@@ -43,7 +43,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 from operator import length_hint
 
-from .record import Record, setters
+from .record import Record
 from .syntax import (
     Call, Cons, Expr, FALSE, FalseVal, ListParam, ListVar, NIL, Nil, Program,
     Rule, Sym, SymParam, SymVar, TRUE, TrueVal, Word, parse_program,
@@ -111,13 +111,6 @@ class Outcome(Record, frozen=True):
     """Final passive value (T or F for every program in this package) and the
     number of rule applications it took."""
     __slots__ = ("value", "steps")
-
-    def __init__(self, value: Expr, steps: int):
-        _set_value(self, value)
-        _set_steps(self, steps)
-
-
-_set_value, _set_steps = setters(Outcome)
 
 
 # --- reference engine -------------------------------------------------------

@@ -620,15 +620,9 @@ class _Parser:
     # program := funcdef+
     def program(self) -> Program:
         funcs = []
-        names = set()
         while self.cur.kind != "EOF":
             name, rules = self.funcdef()
-            if name in names:
-                self.err(f"duplicate function {name}")
-            names.add(name)
             funcs.append((name, tuple(rules)))
-        if not funcs:
-            self.err("empty program")
         return Program(tuple(funcs))
 
     def funcdef(self):
@@ -749,16 +743,21 @@ _LIST_ENDS = frozenset((Nil, Word, ListVar))
 
 def validate(program: Program) -> None:
     """The one check of a program against the grammar, run when it is built:
-    each function has rules of one arity, at least 1; a pattern is a bare
-    symbol, or symbol cells (walked, so a Word is refused) ending in Nil or
-    a list variable; a right-hand side holds no parameter and no unbound
+    there is at least one function, and no two share a name; each function
+    has rules of one arity, at least 1; a pattern is a bare symbol, or
+    symbol cells (walked, so a Word is refused) ending in Nil or a list
+    variable; a right-hand side holds no parameter and no unbound
     variable, and is T, F, a list (symbols consed onto Nil, a Word or a
     list variable), or one call of a defined function with as many
     arguments, each a list or a bare symbol (tail form).  Raises
     ValidationError, or NonTailError for a right-hand side of another
     form."""
+    if not program.functions:
+        raise ValidationError("empty program")
     arities = {}  # found first, for the calls of earlier functions
     for name, rules in program.functions:
+        if name in arities:
+            raise ValidationError(f"duplicate function {name}")
         arities[name] = len(rules[0].lhs) if rules else 0
         if not arities[name]:
             raise ValidationError(

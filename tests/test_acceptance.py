@@ -103,7 +103,7 @@ def test_criterion_4_four_way_equivalence(corpus, reports, capsys):
     t0 = time.perf_counter()
     for pattern in corpus.patterns:
         r = reports[pattern]
-        assert r.equivalence_ok, (pattern, r.failures)
+        assert r.verdicts["equivalence"], (pattern, r.failures)
     _say(capsys, f"ACCEPTANCE 4 PASS four-way equivalence, zero mismatches "
                  f"(exhaustive |y|<=8 plus 1000 random per pattern; "
                  f"corpus build {reports['_elapsed']:.1f}s, "
@@ -125,7 +125,7 @@ def test_criterion_6_complexity_contrast(corpus, reports, capsys,
                                          artifacts):
     t0 = time.perf_counter()
     for pattern in corpus.patterns:
-        assert reports[pattern].linearity_ok, pattern
+        assert reports[pattern].verdicts["linearity"], pattern
     rows = step_contrast(artifacts("aaab"), (50, 100, 200))
     naive, residual = rows[200]
     assert naive >= 2 * residual, rows
@@ -141,7 +141,7 @@ def test_criterion_6_complexity_contrast(corpus, reports, capsys,
 def test_criterion_7_automaton_isomorphism(corpus, reports, capsys):
     t0 = time.perf_counter()
     for pattern in corpus.patterns:
-        assert reports[pattern].automaton_ok, pattern
+        assert reports[pattern].verdicts["automaton"], pattern
     _say(capsys, f"ACCEPTANCE 7 PASS residual states bijective with "
                  f"failure-automaton states ({time.perf_counter() - t0:.2f}s)")
 

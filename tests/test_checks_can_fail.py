@@ -13,10 +13,12 @@ from miniscp import driving, harness
 from miniscp.configs import covers, make_config
 from miniscp.harness import (
     CheckFailure, Corpus, _automaton_facts, _chains, _first_path_facts,
-    _restart_facts, replay_graph, verify_pattern,
+    _restart_facts, record_line, replay_graph, verify_pattern,
 )
+from miniscp.interpreter import CompiledProgram, naive_matcher
+from miniscp.kmp import automaton
 from miniscp.residual import (
-    ResidualProgram, structural_report, transition,
+    ResidualProgram, StructuralReport, structural_report, transition,
 )
 from miniscp.scp import (
     KIND_PASSIVE, Node, ProcessGraph, first_path, specialize_pattern,
@@ -96,8 +98,93 @@ def test_sweep_fails_on_an_oracle_that_miscounts_one_exhaustive_string(
 
     monkeypatch.setattr(harness, "oracle_levels", miscounted)
     report = verify_pattern("ab", corpus)
-    assert not report.equivalence_ok and not report.linearity_ok
-    assert report.failures == ("linearity: oracle comparisons 11 on |y|=3",)
+    assert not report.verdicts["equivalence"] \
+        and not report.verdicts["linearity"]
+    # both facets that rely on the oracle fail, each with its own line
+    assert report.failures == ("equivalence: oracle comparisons 11 on |y|=3",
+                               "linearity: oracle comparisons 11 on |y|=3")
+
+
+# --- each facet fails alone, through verify_pattern -------------------------
+
+def _break_first_path(mp):
+    real = harness.expected_path_pivots
+    mp.setattr(harness, "expected_path_pivots", lambda p: real(p)[:-1])
+
+
+def _break_restart(mp):
+    # only the restart facet asks which function heads a configuration
+    mp.setattr(harness, "head_fn", lambda cfg: "S")
+
+
+def _break_covering(mp):
+    real = harness.artifacts
+
+    def whistled(pattern):
+        art = real(pattern)
+        art.report.generalizations_attempted = 1
+        return art
+
+    mp.setattr(harness, "artifacts", whistled)
+
+
+def _break_structural(mp):
+    mp.setattr(harness, "structural_report",
+               lambda program: StructuralReport(1, 0, 1))
+
+
+def _break_equivalence(mp):
+    real, flipped = harness.kmp_search, []
+
+    def search(pattern, y):
+        found, comparisons = real(pattern, y)
+        if not flipped:
+            flipped.append(y)
+            found = not found
+        return found, comparisons
+
+    mp.setattr(harness, "kmp_search", search)
+
+
+def _break_linearity(mp):
+    real = CompiledProgram.run
+    naive = naive_matcher().compiled
+
+    def inflated(self, entry, args, *fuel):
+        value, steps = real(self, entry, args, *fuel)
+        return value, steps if self is naive else 3 * steps + 10
+
+    mp.setattr(CompiledProgram, "run", inflated)
+
+
+def _break_automaton(mp):
+    mp.setattr(harness, "automaton", lambda pattern: automaton(pattern[::-1]))
+
+
+# facet -> what breaks the one input only it reads, in record-line order
+BREAKS = {
+    "first_path": _break_first_path,
+    "restart": _break_restart,
+    "covering": _break_covering,
+    "structural": _break_structural,
+    "equivalence": _break_equivalence,
+    "linearity": _break_linearity,
+    "automaton": _break_automaton,
+}
+
+
+@pytest.mark.parametrize("facet", BREAKS)
+def test_each_facet_fails_alone_with_one_line_naming_it(facet, monkeypatch):
+    corpus = Corpus(("aab",), exhaustive_len=3, random_count=5,
+                    random_max_len=10, seed=7)
+    BREAKS[facet](monkeypatch)
+    report = verify_pattern("aab", corpus)
+    flags = dict(f.split("=") for f in record_line(report).split()[1:8])
+    assert list(flags) == list(BREAKS)
+    assert [f for f, flag in flags.items() if flag == "FAIL"] == [facet]
+    assert not report.ok
+    assert len(report.failures) == 1, report.failures
+    assert report.failures[0].startswith(f"{facet}: "), report.failures
 
 
 def test_replay_detects_overlapping_branches():

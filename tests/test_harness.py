@@ -240,8 +240,8 @@ def test_adversarial_steps_for_aab(artifacts):
 
 def test_summary_reports_failures():
     from miniscp.harness import VerificationReport
-    broken = VerificationReport("xy", True, True, False, True, True, True,
-                                True, {}, ("covering: whistle fired",))
+    broken = VerificationReport("xy", {"covering": False}, {},
+                                ("covering: whistle fired",))
     lines = summary_lines([broken])
     assert lines[-1] == "result: FAIL"
     assert any("whistle fired" in l for l in lines)

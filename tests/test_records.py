@@ -11,9 +11,7 @@ import pytest
 
 from miniscp.configs import make_config, restriction
 from miniscp.driving import Branch, _Scratch
-from miniscp.harness import (
-    Corpus, PatternArtifacts, SweepResult, VerificationReport,
-)
+from miniscp.harness import Corpus, PatternArtifacts, VerificationReport
 from miniscp.interpreter import Outcome
 from miniscp.kmp import Automaton
 from miniscp.record import Record
@@ -98,20 +96,15 @@ CASES = {
              "Corpus(patterns=('a', 'ab'), exhaustive_len=8, "
              "random_count=1000, random_max_len=200, seed=7)", True, True),
     VerificationReport: (
-        lambda: VerificationReport("ab", True, True, True, True, True, True,
-                                   False, {"nodes": 3}),
-        "VerificationReport(pattern='ab', first_path_ok=True, "
-        "restart_ok=True, covering_ok=True, structural_ok=True, "
-        "equivalence_ok=True, linearity_ok=True, automaton_ok=False, "
-        "metrics={'nodes': 3}, failures=())", False, False),
+        lambda: VerificationReport("ab", {"restart": True, "automaton": False},
+                                   {"nodes": 3}),
+        "VerificationReport(pattern='ab', verdicts={'restart': True, "
+        "'automaton': False}, metrics={'nodes': 3}, failures=())",
+        False, False),
     PatternArtifacts: (
         lambda: PatternArtifacts("ab", None, None, None),
         "PatternArtifacts(pattern='ab', graph=None, report=None, "
         "residual=None)", False, False),
-    SweepResult: (lambda: SweepResult(True, False, 1.5, None, "too long"),
-                  "SweepResult(equivalence_ok=True, linearity_ok=False, "
-                  "max_steps_ratio=1.5, counterexample=None, "
-                  "bound_violation='too long')", True, True),
 }
 
 

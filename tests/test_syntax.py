@@ -120,8 +120,24 @@ def test_pattern_ending_in_a_symbol_rejected():
 
 
 def test_duplicate_function_rejected():
-    with pytest.raises(ParseError, match="duplicate"):
+    with pytest.raises(ValidationError, match="duplicate"):
         parse_program("F { Nil = T; } F { Nil = F; }")
+
+
+def test_programs_built_in_code_are_refused_as_their_text_is():
+    # F, G, G, and a program of no functions: refused by the one validator,
+    # as their rendered text is by the parser
+    f = ("F", (Rule((ListVar("y"),), Call("G", (ListVar("y"),))),))
+    g = ("G", (Rule((NIL,), TRUE), Rule((Cons(SymVar("a"), ListVar("y")),),
+                                        FALSE)))
+    with pytest.raises(ValidationError, match="^duplicate function G$"):
+        Program((f, g, g))
+    with pytest.raises(ValidationError, match="^duplicate function G$"):
+        parse_program(render(Program((f, g))) + render(Program((g,))))
+    with pytest.raises(ValidationError, match="^empty program$"):
+        Program(())
+    with pytest.raises(ValidationError, match="^empty program$"):
+        parse_program("  -- nothing here\n")
 
 
 def test_word_shorthand_desugars():
