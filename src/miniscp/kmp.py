@@ -99,18 +99,11 @@ class Automaton(Record):
         return len(self.pattern)
 
     def delta(self, state: int, ch: str) -> int:
-        """One loop step per failure link, so long chains are safe."""
-        p = self.pattern
-        if not 0 <= state <= len(p):
+        """The failure-link walk of kmp_resume, one loop step per link, so
+        long chains are safe."""
+        if not 0 <= state <= len(self.pattern):
             raise ValueError(f"state {state} out of range")
-        if state == len(p):
-            return state  # accept is a sink
-        pi = _prefix_function(p)
-        while ch != p[state]:
-            if state == 0:
-                return 0
-            state = pi[state - 1]
-        return state + 1
+        return kmp_resume(self.pattern, ch, state)[0]
 
 
 def automaton(p: str) -> Automaton:

@@ -8,22 +8,23 @@ and the right-hand side is the passive result, a call to the child pivot's
 function, or a call through the fold renaming.  Rule order preserves branch
 order, so the per-branch disequalities are encoded by first-match semantics:
 positive-literal rules precede the catch-all rule.  That encoding is checked,
-not assumed.
+not assumed, by the driver itself: each residual function, called on its
+signature under its pivot's restriction, must drive to its pivot's branches,
+narrowing for narrowing and disequality for disequality.
 """
 
 from __future__ import annotations
 
-from .configs import config_text
-from .driving import Branch
-from .interpreter import match
+from .configs import Config, apply_to_restriction, config_text, shape
+from .driving import Branch, drive_step
+from .interpreter import DriveError, EvalError, trace_call
 from .record import Record
 from .scp import (
     KIND_DIAGNOSTIC, KIND_FOLDED, KIND_PASSIVE, KIND_PIVOT, ProcessGraph,
 )
 from .syntax import (
-    NIL, Call, Cons, Expr, ListVar, Nil, Program, Rule, Sym, SymParam,
-    SymVar, TrueVal, params_of, render, spine, subterms, substitute,
-    vars_of, word,
+    Call, Expr, ListVar, Nil, Program, Rule, Sym, SymParam, SymVar, TrueVal,
+    params_of, render, spine, subterms, substitute, vars_of, word,
 )
 
 
@@ -65,55 +66,44 @@ def _preorder(graph: ProcessGraph) -> list[int]:
     return order
 
 
-def _check_rule_order(branches: list[Branch], params) -> None:
-    """Verify each branch's disequalities are exactly the literals placed at
-    the same position by earlier branches (the rule-order encoding)."""
-    def position_of(subst: dict, s: SymParam):
-        for q in params:
-            img = subst.get(q)
-            if q == s and img is None:
-                return (q, "self")
-            if isinstance(img, Cons) and img.head == s:
-                return (q, "head")
-        return None
+def _images(b: Branch, sig: list) -> tuple:
+    """The shape key of a branch's narrowing of the signature `sig`, and
+    the parameters of its images in first-occurrence order."""
+    subst = dict(b.subst)
+    return shape(Call("", tuple(subst.get(p, p) for p in sig)))
 
-    def literal_at(subst: dict, pos) -> str | None:
-        q, where = pos
-        img = subst.get(q)
-        if where == "self":
-            return img.ch if isinstance(img, Sym) else None
-        if isinstance(img, Cons) and isinstance(img.head, Sym):
-            return img.head.ch
-        return None
 
-    for k, b in enumerate(branches):
-        subst = dict(b.subst)
-        by_param: dict = {}
-        for t1, t2 in b.added.diseqs:
-            lit, par = (t1, t2) if isinstance(t1, Sym) else (t2, t1)
-            if not (isinstance(lit, Sym) and isinstance(par, SymParam)):
-                raise ResidualError(
-                    f"disequality {t1!r} != {t2!r} is not symbol-vs-literal")
-            by_param.setdefault(par, set()).add(lit.ch)
-        for par, lits in by_param.items():
-            pos = position_of(subst, par)
-            if pos is None:
-                raise ResidualError(
-                    f"constrained parameter {par!r} has no pattern position")
-            earlier = set()
-            for b2 in branches[:k]:
-                lit = literal_at(dict(b2.subst), pos)
-                if lit is not None:
-                    earlier.add(lit)
-            if lits != earlier:
-                raise ResidualError(
-                    f"branch {k}: disequalities {sorted(lits)} on {par!r} "
-                    f"are not expressed by rule order {sorted(earlier)}")
+def _check_rule_order(program: Program, name: str, pivot: Config, sig: list,
+                      branches: list[Branch]) -> None:
+    """Drive `name` called on its signature under its pivot's restriction
+    and require the pivot's branches back, in order: each with the same
+    narrowing and the same added disequalities, up to the renaming that
+    equal shape keys give."""
+    try:
+        driven = drive_step(program, Config(Call(name, tuple(sig)),
+                                            pivot.restriction))
+    except DriveError as e:
+        raise ResidualError(f"{name}: {e}") from e
+    if len(driven) != len(branches):
+        raise ResidualError(f"{name}: its rules drive to {len(driven)} "
+                            f"branches, its pivot to {len(branches)}")
+    for k, (got, want) in enumerate(zip(driven, branches)):
+        key, order = _images(got, sig)
+        want_key, want_order = _images(want, sig)
+        if key != want_key:
+            raise ResidualError(f"{name}: rule {k} narrows otherwise than "
+                                f"branch {k} of its pivot")
+        added = apply_to_restriction(got.added, dict(zip(order, want_order)))
+        if added != want.added:
+            raise ResidualError(
+                f"{name}: rule order gives rule {k} the disequalities "
+                f"[{added!r}], branch {k} of its pivot [{want.added!r}]")
 
 
 def residualize(graph: ProcessGraph) -> ResidualProgram:
     """Read one function per pivot off the graph; folds become calls.  The
-    program checks itself when built (NonTailError outside the grammar)."""
+    program checks itself when built (NonTailError outside the grammar),
+    and its rule order is checked against the graph's branches."""
     nodes = graph.nodes
     if any(n.kind == KIND_DIAGNOSTIC for n in nodes):
         raise ResidualError("graph has diagnostic leaves")
@@ -122,37 +112,35 @@ def residualize(graph: ProcessGraph) -> ResidualProgram:
     if nodes[graph.root].kind == KIND_PASSIVE:
         raise ResidualError("entry configuration is passive")
     names = {i: f"F_{k}" for k, i in enumerate(func_nodes)}
-    provenance = {}
+    sigs = {i: params_of(nodes[i].config.expr) for i in func_nodes}
     functions = []
     for i in func_nodes:
-        node = nodes[i]
-        params = params_of(node.config.expr)
-        branches = [nodes[c].branch for c in node.children]
-        _check_rule_order(branches, params)
         rules = []
-        for c in node.children:
+        for c in nodes[i].children:
             child = nodes[c]
-            b = child.branch
-            subst = dict(b.subst)
-            lhs = tuple(_param_to_var(subst.get(p, p)) for p in params)
+            subst = dict(child.branch.subst)
+            lhs = tuple(_param_to_var(subst.get(p, p)) for p in sigs[i])
             if child.kind == KIND_PASSIVE:
                 rhs = _param_to_var(child.config.expr)
             elif child.kind == KIND_FOLDED:
                 target, sigma = child.fold
                 rhs = Call(names[target],
                            tuple(_param_to_var(sigma[q])
-                                 for q in params_of(nodes[target].config.expr)))
+                                 for q in sigs[target]))
             elif child.kind == KIND_PIVOT:
-                rhs = Call(names[c],
-                           tuple(_param_to_var(q)
-                                 for q in params_of(child.config.expr)))
+                rhs = Call(names[c], tuple(map(_param_to_var, sigs[c])))
             else:
                 raise ResidualError(
                     f"unexpected child kind {child.kind} in a closed graph")
             rules.append(Rule(lhs, rhs))
         functions.append((names[i], tuple(rules)))
-        provenance[names[i]] = node.config
-    return ResidualProgram(Program(tuple(functions)), provenance,
+    program = Program(tuple(functions))
+    for i in func_nodes:
+        node = nodes[i]
+        _check_rule_order(program, names[i], node.config, sigs[i],
+                          [nodes[c].branch for c in node.children])
+    return ResidualProgram(program,
+                           {names[i]: nodes[i].config for i in func_nodes},
                            names[graph.root])
 
 
@@ -226,26 +214,18 @@ def consuming_functions(rp: ResidualProgram) -> list[str]:
 
 def transition(rp: ResidualProgram, name: str, ch: str):
     """Follow one input symbol from a consuming function through any
-    fallback functions to the next consuming function, or 'accept'."""
-    table = rp.program.table
-    kinds = signature_kinds(rp, name)
-    if kinds != ("list",):
+    fallback functions to the next consuming function, or 'accept': the
+    reference engine's steps on the call of `name` on the word `ch`."""
+    if signature_kinds(rp, name) != ("list",):
         raise ResidualError(f"{name} is not a consuming function")
-    while True:
-        # a consuming function reads the symbol as the string ch, a
-        # fallback function takes it bare beside the rest of the string
-        args = (word(ch),) if kinds == ("list",) else (Sym(ch), NIL)
-        rule = next((r for r in table[name] if match(r.lhs, args) is not None),
-                    None)
-        if rule is None:
-            raise ResidualError(f"{name}: no rule consumes symbol {ch!r}")
-        rhs = rule.rhs
-        if isinstance(rhs, TrueVal):
-            return "accept"
-        if not isinstance(rhs, Call):
-            raise ResidualError(
-                f"{name}: symbol rule rewrites to {rhs!r}, not a call or T")
-        name = rhs.fn
-        kinds = signature_kinds(rp, name)
-        if kinds == ("list",):
-            return name
+    try:
+        for expr in trace_call(rp.program, Call(name, (word(ch),))):
+            if isinstance(expr, TrueVal):
+                return "accept"
+            if isinstance(expr, Call) \
+                    and signature_kinds(rp, expr.fn) == ("list",):
+                return expr.fn
+    except EvalError as e:
+        raise ResidualError(f"{name}: symbol {ch!r}: {e}") from e
+    raise ResidualError(
+        f"{name}: symbol {ch!r} rewrites to {expr!r}, not a call or T")

@@ -3,16 +3,20 @@ import random
 
 import pytest
 
-from miniscp.configs import alpha_equivalent, make_config
-from miniscp.interpreter import eval_call, naive_matcher
+from miniscp.configs import EMPTY, alpha_equivalent, make_config, restriction
+from miniscp.driving import Branch
+from miniscp.interpreter import (
+    NAIVE_MATCHER_SOURCE, StuckTermError, UnsupportedNarrowingError,
+    eval_call, naive_matcher,
+)
 from miniscp.residual import (
     ResidualError, consuming_functions, render_residual, residualize,
     signature_kinds, structural_report, transition,
 )
 from miniscp.scp import specialize_pattern, supercompile
 from miniscp.syntax import (
-    Call, Cons, FALSE, Nil, Sym, SymVar, TRUE, parse_expression,
-    parse_program, word,
+    Call, Cons, FALSE, Nil, Sym, SymParam, SymVar, TRUE, chain, params_of,
+    parse_expression, parse_program, spine, substitute, word,
 )
 from miniscp.harness import sweep_alphabet
 
@@ -216,3 +220,94 @@ def test_residualize_rejects_diagnostic_graphs():
     graph, _ = supercompile(prog, entry)
     with pytest.raises(ResidualError, match="diagnostic"):
         residualize(graph)
+
+
+def _relabel(node, **fields):
+    b = node.branch
+    node.branch = Branch(**{f: fields.get(f, getattr(b, f))
+                            for f in b._fields})
+
+
+def _first_diseq_edge(graph):
+    return next(n for n in graph.nodes
+                if n.branch is not None and n.branch.added.diseqs)
+
+
+def _strip_diseqs(graph):
+    _relabel(_first_diseq_edge(graph), added=EMPTY)
+
+
+def _narrow_deeper(graph):
+    # #y -> 'a':#y1 becomes #y -> 'a':#s.deep:#y1 on the root's first edge
+    first = graph.nodes[graph.nodes[graph.root].children[0]]
+    (p, image), = first.branch.subst
+    heads, end = spine(image)
+    _relabel(first, subst=((p, chain(heads + [SymParam("deep")], end)),))
+
+
+def _reverse_children(graph):
+    graph.nodes[graph.root].children.reverse()
+
+
+def _add_diseq(graph):
+    node = _first_diseq_edge(graph)
+    (t1, t2), = node.branch.added.diseqs
+    param = t1 if isinstance(t1, SymParam) else t2
+    _relabel(node, added=restriction([(t1, t2), (param, Sym("z"))]))
+
+
+@pytest.mark.parametrize("pattern", ["aab", "abcabcacab"])
+@pytest.mark.parametrize("fault", [_strip_diseqs, _narrow_deeper,
+                                   _reverse_children, _add_diseq])
+def test_rule_order_check_refuses_injected_faults(pattern, fault):
+    graph, _ = specialize_pattern(pattern)
+    residualize(graph)
+    fault(graph)
+    with pytest.raises(ResidualError):
+        residualize(graph)
+
+
+# Tail-form programs other than the built-in matcher, with entries of one
+# dynamic list parameter
+OTHER_PROGRAMS = [
+    ("F { s.a:x, s.a:y = F(x, y); s.a:x, s.b:y = F; Nil, y = T; "
+     "s.a:x, Nil = F; }", 'F("aab", #w)'),
+    (NAIVE_MATCHER_SOURCE.replace("S", "Scan").replace("L", "Cmp"),
+     'Scan("abab", #y)'),
+    ("E { Nil, Nil = T; Nil, s.a:y = F; s.a:p, Nil = F; "
+     "s.a:p, s.a:y = E(p, y); s.a:p, s.b:y = F; }", 'E("ab", #y)'),
+    ("G { 'a':y, z = G(y, 'a':z); Nil, z = T; s.c:y, z = F; }",
+     'G("aab", #v)'),
+    ("K { 'a':y = K(y); 'b':y = K(y); 'c':y = T; Nil = F; }", "K(#y)"),
+    ("M { Nil = F; 'x':y = T; s.c:y = M(y); }", "M(#y)"),
+]
+
+
+def _value_or_stuck(program, call):
+    try:
+        return eval_call(program, call).value
+    except StuckTermError:
+        return "stuck"
+
+
+@pytest.mark.parametrize("source, entry", OTHER_PROGRAMS)
+def test_residualize_beyond_the_builtin_matcher(source, entry):
+    program = parse_program(source)
+    cfg = make_config(parse_expression(entry))
+    rp = residualize(supercompile(program, cfg)[0])
+    (param,) = params_of(cfg.expr)
+    checked = 0
+    for n in range(6):
+        for letters in itertools.product("abx", repeat=n):
+            y = word("".join(letters))
+            assert _value_or_stuck(program, substitute(cfg.expr, {param: y})) \
+                == _value_or_stuck(rp.program, Call(rp.entry, (y,))), y
+            checked += 1
+    assert checked == 364
+
+
+def test_two_unknown_letters_are_refused_typed():
+    program = parse_program(
+        "H { 'a':x, 'b':y = H(x, y); Nil, Nil = T; x, y = F; }")
+    with pytest.raises(UnsupportedNarrowingError):
+        supercompile(program, make_config(parse_expression("H(#u, #v)")))
