@@ -26,22 +26,23 @@ count, and raise the same errors.  The compiled engine takes well-sorted
 programs only, where each argument position always holds a bare symbol or
 always a list (see `symbol_positions`), as the naive matcher and every
 residual do; `eval_call` runs any other call in the reference engine.  The
-compiled engine runs words as plain Python strings and holds each
-argument as a `(string, offset, length)` triple, so a step that consumes a
-symbol moves an offset instead of copying the rest of the string: each
-step costs O(1) in the length of the input.  A word built by `syntax.word`
-is a `syntax.Word`, which holds its string, so `eval_call` hands it to the
-engine in O(1), and a run is linear in wall time wherever it is linear in
-steps.  A function called from a single right-hand side, not its own, runs
-inlined at that call site, which saves the jump back through the function
-dispatch but still counts its step.
+compiled engine takes words as plain Python strings, turns each into a
+tuple of its letters once, on entry, and holds each list argument as a
+`(tuple, offset, length)` triple, so a step that consumes a symbol moves
+an offset instead of copying the rest of the word: each step costs O(1) in
+the length of the input.  A word built by `syntax.word` is a
+`syntax.Word`, which holds its string, so `eval_call` hands it to the
+engine in O(1), and a run costs one pass over its words plus O(1) per
+step.  A function called from a single right-hand side, not its own, runs
+inlined at that call site, on the caller's own slots where the call
+passes only those and their letters; that saves the jump back through the
+function dispatch, and the stores, but still counts its step.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
-from operator import length_hint
 
 from .record import Record
 from .syntax import (
@@ -344,38 +345,47 @@ def _entry_args(call: Call) -> tuple[str, ...]:
 
 # --- compiled engine --------------------------------------------------------
 #
-# Values are Python objects: a word is a str, a bare symbol its 1-character
-# str, and T/F, which only a run returns, a bool.  A program becomes one
-# generated function, `_run`, whose locals hold each function's arguments
-# in that function's own slots.  A slot is three locals `(s, o, n)` standing
-# for the suffix `s[o:]` of a str `s` of length `n`.  A symbol slot, a
-# position of a well-sorted program that every rule reads as a bare symbol,
-# holds a symbol with `n == 1` and has offset the constant 0; every other
-# slot holds a word.  `n` is set once on entry to the length of `s`, copied
-# whenever the slot is passed on, and computed by arithmetic where a
-# right-hand side builds a new str.  A pattern tests `n > o + d`,
-# `n == o + d` and `s[o + d]`, a list variable binds `(s, o + d, n)`, and a
-# tail call assigns the callee's slots in place and sets `_fn`.  A step
-# that drops a prefix therefore copies nothing and costs O(1) in the length
-# of the string.
+# A run takes and returns Python objects: a word is a str, a bare symbol its
+# 1-character str, and T/F, which only a run returns, a bool.  A program
+# becomes one generated function, `_run`, whose locals hold each function's
+# arguments in that function's own slots.  A list slot is three locals
+# `(s, o, n)` standing for the suffix `s[o:]` of a tuple `s` of letters (the
+# 1-character strs of a word) of length `n`: the entry converts each word
+# argument once, `s = tuple(s)` and `n = len(s)`, because CPython 3.11 and
+# 3.12 index a tuple by a specialized instruction and a str by the generic
+# path.  A symbol slot, a position of a well-sorted program that every rule
+# reads as a bare symbol, is one local holding a symbol; its offset is the
+# constant 0 and its length the constant 1, so it needs no length test.  `n`
+# is copied whenever a list slot is passed on and computed by arithmetic
+# where a right-hand side builds a new tuple by concatenation.  A pattern
+# tests `n > o + d`, `n == o + d` and `s[o + d]`, a list variable binds
+# `(s, o + d, n)`, and a tail call assigns the callee's slots in place and
+# sets `_fn`.  A step that drops a prefix therefore copies nothing and costs
+# O(1) in the length of the word.
 #
 # Each function's rules are emitted as a decision tree: a run of
 # consecutive rules whose tests start with the same test evaluates it once
 # under one `if`, and the tree recurses on the rest of each rule's tests.  A
 # group that matches nothing falls through to the rules after it, so first
-# match order is kept.  A value is turned back into a str only where a
-# right-hand side conses onto a bound list, where a list is returned or
-# compared with a repeated list variable, and in a StuckTermError message.
-# `_fn` selects the function through a balanced `if _fn < k` tree over
-# function ids, so dispatch costs O(log #functions) per step.  A callee
-# with exactly one call site in the program, outside itself, is fused: its
-# rule tree is emitted once more right after the stores of that call,
-# preceded by its own step count and fuel check, and with `_fn` left at
-# the caller's id (a call from it back to the caller sets no `_fn`).  Only
-# the callee's own code is inlined, one level deep, and every function
-# keeps its own arm, so each is still an entry and a target of `_fn`.
+# match order is kept.  A suffix is copied only where a right-hand side
+# conses onto a bound list, where a list is returned (joined back into a
+# str) or compared with a repeated list variable, and in a StuckTermError
+# message.  `_fn` selects the function through a balanced `if _fn < k` tree
+# over function ids, so dispatch costs O(log #functions) per step.
+#
+# A callee with exactly one call site in the program, outside itself, is
+# fused: its rule tree is emitted once more at that call, preceded by its
+# own step count and fuel check, and with `_fn` left at the caller's id (a
+# call from it back to the caller sets no `_fn`).  Where the call passes
+# only the caller's slots and letters read from them, the callee's tree
+# reads those expressions where they are and nothing is stored; a call out
+# of it that stores into the caller's slots does so in one simultaneous
+# assignment, since its values read the slots it writes.  Where the call
+# builds a list, it stores into the callee's slots first.  Only the callee's
+# own code is inlined, one level deep, and every function keeps its own
+# arm, so each is still an entry and a target of `_fn`.
 
-_Code = tuple[str, str, str]  # (s, o, n): a str, an offset into it, its length
+_Code = tuple[str, str, str]  # (s, o, n): a tuple, an offset, its length
 
 # Nested `if`s one rule tree may open; below that depth rules are tested one
 # by one, so the generated source stays within the parser's indentation
@@ -384,13 +394,17 @@ _MAX_SHARED_DEPTH = 24
 
 
 def _offset(o: str, d: int) -> str:
+    """Code for the offset `o + d`, with the constants summed."""
     if d == 0:
         return o
-    return str(d) if o == "0" else f"{o} + {d}"
+    if o == "0":
+        return str(d)
+    base, plus, k = o.rpartition(" + ")
+    return f"{base} + {int(k) + d}" if plus and k.isdigit() else f"{o} + {d}"
 
 
 def _text(value: _Code) -> str:
-    """Code for the str `s[o:]`."""
+    """Code for the tuple `s[o:]`."""
     s, o, _ = value
     return s if o == "0" else f"{s}[{o}:]"
 
@@ -433,9 +447,10 @@ def symbol_positions(program: Program) -> set | None:
 
 
 def _slots(k: int, name: str, arity: int, symbolic: set) -> list[_Code]:
-    """Locals of function `k`'s arguments; a symbol slot's offset is "0"."""
-    return [(f"s{k}_{i}", "0" if (name, i) in symbolic else f"o{k}_{i}",
-             f"n{k}_{i}")
+    """Locals of function `k`'s arguments; a symbol slot is one local, its
+    offset the constant 0 and its length the constant 1."""
+    return [(f"s{k}_{i}", "0", "1") if (name, i) in symbolic
+            else (f"s{k}_{i}", f"o{k}_{i}", f"n{k}_{i}")
             for i in range(arity)]
 
 
@@ -461,11 +476,10 @@ class _Lhs:
     def _pattern(self, pat: Expr, slot: _Code) -> None:
         s, o, n = slot
         conds = self.conds
-        if _bare(pat):  # a symbol slot
+        if _bare(pat):  # a symbol slot, which holds one symbol
             if isinstance(pat, Sym):
                 conds.append(f"{s} == {pat.ch!r}")
             else:
-                conds.append(f"{n} == 1")
                 self._bind(pat, s)
             return
         heads, end = spine(pat)
@@ -511,25 +525,15 @@ class _Lhs:
                 tail = (s, _offset(o, len(cell_heads) - k), n)
         built = heads[:len(heads) - shared]
         if not built:
-            return tail or ("''", "0", "0")
-        parts: list[str] = []
-        lit = ""
-        for head in built:
-            if isinstance(head, Sym):
-                lit += head.ch
-            else:
-                if lit:
-                    parts.append(repr(lit))
-                    lit = ""
-                parts.append(self.chars[head])
-        if lit:
-            parts.append(repr(lit))
+            return tail or ("()", "0", "0")
+        cells = ", ".join(repr(h.ch) if isinstance(h, Sym) else self.chars[h]
+                          for h in built)
+        code = f"({cells},)" if len(built) == 1 else f"({cells})"
         length = str(len(built))
         if tail is not None:
-            parts.append(_text(tail))
+            code = f"({code} + {_text(tail)})"
             length = f"{_length(tail)} + {length}"
-        return (parts[0] if len(parts) == 1 else f"({' + '.join(parts)})",
-                "0", length)
+        return code, "0", length
 
 
 def _stuck_in(symbolic: set):
@@ -540,7 +544,7 @@ def _stuck_in(symbolic: set):
     them."""
     def _stuck(name: str, *slots) -> StuckTermError:
         return _no_rule(name, [
-            Sym(s) if (name, i) in symbolic else word(s[o:])
+            Sym(s) if (name, i) in symbolic else word("".join(s[o:]))
             for i, (s, o) in enumerate(zip(slots[::2], slots[1::2]))])
     return _stuck
 
@@ -620,55 +624,66 @@ def _compile_source(functions: tuple, symbolic: set) -> str:
         names = [s for s, _, _ in slots[k]]
         emit(f"{pad}{', '.join(names)}{',' if len(names) == 1 else ''}"
              f" = _args")
-        offsets = [o for _, o, _ in slots[k] if o != "0"]
-        if offsets:
-            emit(f"{pad}{' = '.join(offsets)} = 0")
-        for s, _, n in slots[k]:  # len(s), spelt so for the pinned digests
-            emit(f"{pad}{n} = length_hint({s}, -1)")
+        lists = [slot for slot in slots[k] if slot[1] != "0"]
+        for s, _, _ in lists:  # a word's letters, once
+            emit(f"{pad}{s} = tuple({s})")
+        if lists:
+            emit(f"{pad}{' = '.join(o for _, o, _ in lists)} = 0")
+        for s, _, n in lists:
+            emit(f"{pad}{n} = len({s})")
 
-    def body(k, rule, lhs, at):
-        """Lines of rule `rule` of function k, run while `_fn` is `at`."""
+    def body(k, rule, lhs, at, home):
+        """Lines of rule `rule` of function k, run while `_fn` is `at`, whose
+        patterns read the slots of function `home`."""
         rhs = rule.rhs
         if not isinstance(rhs, Call):
             if isinstance(rhs, (TrueVal, FalseVal)):
                 value = str(isinstance(rhs, TrueVal))
             else:
-                value = _text(lhs.value(rhs))
+                value = f"''.join({_text(lhs.value(rhs))})"
             return [f"return ({value}, _steps)"]
         callee = ids[rhs.fn]
-        stores = []
-        for arg, slot in zip(rhs.args, slots[callee]):
-            # a symbol slot's offset is the constant 0, not a local
-            stores += [(t, c) for t, c in zip(slot, lhs.value(arg))
-                       if t != "0"]
-        if callee == k:  # the slots being read are the ones stored
+        values = [lhs.value(arg) for arg in rhs.args]
+        inline = k == at and rhs.fn in fused  # one level deep
+        if inline and all(o == "0" or value[0].isidentifier()
+                          for (_, o, _), value in zip(slots[callee], values)):
+            # every argument is a slot or a letter of one: the callee's
+            # rules read them where they are, and nothing is stored
+            return step + tree(callee, at, values)
+        # a symbol slot's offset and length are constants, not locals
+        stores = [(t, c) for slot, value in zip(slots[callee], values)
+                  for t, c in zip(slot, value) if t.isidentifier()]
+        if callee == home:  # the slots being read are the ones stored
             stores = [(t, c) for t, c in stores if t != c]
             if len(stores) > 1:
                 stores = [(", ".join(t for t, _ in stores),
                            ", ".join(c for _, c in stores))]
         out = [f"{target} = {code}" for target, code in stores]
-        if k == at and rhs.fn in fused:  # one level deep
-            return out + step + tree(callee, at)
+        if inline:
+            return out + step + tree(callee, at, slots[callee])
         if callee != at:
             out.append(f"_fn = {callee}")
         out.append("continue")
         return out
 
-    def tree(k, at):
-        """Lines of function k's rules, run while `_fn` is `at`."""
+    def tree(k, at, frame):
+        """Lines of function k's rules, run while `_fn` is `at`, reading its
+        arguments from `frame`: k's own slots, or the slots and letters of
+        `at` that a fused call site passes."""
         name, rules = functions[k]
-        out = [f"# {name}/{len(slots[k])}"]
+        home = k if frame is slots[k] else at
+        out = [f"# {name}/{len(frame)}"]
         compiled = []
         for rule in rules:
-            lhs = _Lhs(rule, slots[k])
-            compiled.append((lhs.conds, body(k, rule, lhs, at)))
+            lhs = _Lhs(rule, frame)
+            compiled.append((lhs.conds, body(k, rule, lhs, at, home)))
         if not _emit_rules(out.append, compiled, ""):
-            pairs = "".join(f"{s}, {o}, " for s, o, _ in slots[k])
+            pairs = "".join(f"{s}, {o}, " for s, o, _ in frame)
             out.append(f"raise _stuck({name!r}, {pairs[:-2]})")
         return out
 
     def arm(k, pad):
-        for line in tree(k, k):
+        for line in tree(k, k, slots[k]):
             emit(pad + line)
 
     _emit_tree(emit, 0, len(functions), "    ", enter)
@@ -684,13 +699,14 @@ def _compile_source(functions: tuple, symbolic: set) -> str:
 
 
 class CompiledProgram:
-    """A well-sorted program translated to one generated Python function.
-    Its source is built again on each use of `source` rather than kept, so
-    that a process holding many compiled programs (the verify sweep holds
-    one per pattern) does not hold their text as well.  It keeps the
-    program's functions, not the program, whose `compiled` holds it: so a
-    program and its translation are freed by reference counting, with no
-    cycle for the collector to find."""
+    """A well-sorted program translated to one generated Python function,
+    which holds each word argument as a tuple of its letters (see the
+    comment above `_Code`).  Its source is built again on each use of
+    `source` rather than kept, so that a process holding many compiled
+    programs (the verify sweep holds one per pattern) does not hold their
+    text as well.  It keeps the program's functions, not the program, whose
+    `compiled` holds it: so a program and its translation are freed by
+    reference counting, with no cycle for the collector to find."""
 
     def __init__(self, program: Program):
         symbolic = symbol_positions(program)
@@ -705,7 +721,6 @@ class CompiledProgram:
         namespace = {
             "FuelExhaustedError": FuelExhaustedError,
             "_stuck": _stuck_in(symbolic),
-            "length_hint": length_hint,
         }
         self.functions = program.functions
         exec(compile(self.source, "<rewriter>", "exec"), namespace)
@@ -722,9 +737,10 @@ class CompiledProgram:
     def run(self, entry: str, args: tuple[str, ...],
             fuel: int = DEFAULT_FUEL) -> tuple[bool | str, int]:
         """Run `entry` on words and symbols as strs, a symbol exactly in a
-        symbol slot; the caller checks the entry, as `eval_call` does.
-        Returns the value, a bool for T/F or a str for a list, and the
-        steps."""
+        symbol slot; the caller checks the entry, as `eval_call` does.  The
+        generated code turns each word into a tuple of letters once, on
+        entry.  Returns the value, a bool for T/F or a str for a list (its
+        letters joined), and the steps."""
         return self._run(self._ids[entry], args, fuel)
 
 
@@ -765,9 +781,9 @@ def eval_call(program: Program, call: Call,
 
 def naive_outcome(pattern: str, string: str,
                   fuel: int | None = None) -> Outcome:
+    """`eval_call` of the naive matcher on the words `pattern` and `string`,
+    which must be made of symbol characters (ValidationError otherwise)."""
     if not pattern:
         raise EmptyPatternError("pattern must be nonempty")
-    prog = naive_matcher()
-    value, steps = prog.compiled.run(
-        "S", (pattern, string), DEFAULT_FUEL if fuel is None else fuel)
-    return Outcome(_decode_value(value), steps)
+    return eval_call(naive_matcher(),
+                     Call("S", (word(pattern), word(string))), fuel)

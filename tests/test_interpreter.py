@@ -332,6 +332,12 @@ def test_reference_and_compiled_engines_agree():
 # side consing onto a bound suffix, a Nil pattern below the top, a returned
 # word (built, bound, or a constant), bare-symbol positions, and a symbol
 # variable repeated across two list arguments and across two bare positions.
+# P and Q build and return words of letters beyond latin-1; Q is fused into
+# P's first rule, which passes it only P's slots, so Q's rules read P's
+# slots where they lie, and Q's call back to P swaps them in one assignment.
+# Q sticks when its first argument starts with neither 'é' nor '∀'.  C is
+# fused into B's first rule, which passes it a list built there, so that
+# list is stored in C's slot.
 SHAPES = parse_program("""
 F {
   'a':'b':Nil = "done";
@@ -355,6 +361,23 @@ K {
   s.a, s.a, x = F;
   s.a, s.b, x = M(s.b:x, s.a:x);
 }
+P {
+  '∀':x, y = Q(y, x);
+  Nil, y = 'é':y;
+  x, y = '😀':x;
+}
+Q {
+  'é':x, y = P(x, y);
+  '∀':x, y = '😀':'∀':x;
+}
+B {
+  'a':x = C('b':x);
+  x = F;
+}
+C {
+  'b':'b':y = T;
+  'b':y = y;
+}
 """)
 
 
@@ -368,6 +391,32 @@ def test_engines_agree_on_every_program_shape():
                for x in words("ab", 2)]
     # not only one kind of result: T, F and a returned word all occur
     assert {TRUE, FALSE, word("done")} <= set(values)
+    # words beyond latin-1, built and returned, and stuck in a fused callee
+    # whose rules read its caller's slots
+    run = SHAPES.compiled.run
+    outcomes = set()
+    for x, y in itertools.product(words("é∀😀", 3), repeat=2):
+        call = Call("P", (word(x), word(y)))
+        value, steps = outcomes_agree(SHAPES, call, 30)
+        if value is StuckTermError:
+            outcomes.add(value)
+            continue
+        got = run("P", (x, y))
+        assert got == (unword(value), steps) and type(got[0]) is str
+        outcomes.add("word")
+    assert outcomes == {"word", StuckTermError}
+    call = Call("P", (word("∀é∀😀"), word("é∀é")))
+    assert outcomes_agree(SHAPES, call, 30) == (word("é😀"), 7)
+    call = Call("P", (word("∀é∀"), word("é∀😀")))
+    assert outcomes_agree(SHAPES, call, 30) == (
+        StuckTermError, 'no rule of Q matches ("😀", Nil)')
+    # a built list passed to a fused callee is stored in its slot
+    assert "s7_0 = (('b',) + s6_0[o6_0 + 1:])" in SHAPES.compiled.source
+    for y in words("ab", 4):
+        outcomes_agree(SHAPES, Call("B", (word(y),)), 30)
+    assert outcomes_agree(SHAPES, Call("B", (word("abb"),)), 30) == (TRUE, 2)
+    assert outcomes_agree(SHAPES, Call("B", (word("aab"),)), 30) == (
+        word("ab"), 2)
 
 
 def test_trace_exposes_every_rewrite():
@@ -708,6 +757,13 @@ def test_engines_check_the_entry_alike():
                       (Cons(Sym("a"), Sym("b")), "'a':'b'")):
         assert outcomes_agree(prog, Call("F", (arg,)), 10) == (
             EvalError, f"argument {text} is not a word or a symbol")
+    # naive_outcome takes its words as word() makes them for eval_call
+    for run in (lambda: naive_outcome("a", "x:a"),
+                lambda: eval_call(naive_matcher(),
+                                  Call("S", (word("a"), word("x:a"))))):
+        with pytest.raises(ValidationError, match=re.escape(
+                "invalid symbol character ':'")):
+            run()
 
 
 def test_t_and_f_arguments_in_list_and_symbol_positions():

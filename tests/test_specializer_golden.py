@@ -7,14 +7,18 @@ node kinds, configurations with their parameter names, edge labels with
 `steps=`, fold renamings), of the Graphviz export (`export_dot`) and of
 the Python source the compiled engine generates for the residual.  Under
 the key `naive-matcher` it holds the digest of the source generated for
-the naive matcher.  A speed-up or a refactoring of the specializer or of
-the compiled engine must leave every one of them byte for byte as it was.
+the naive matcher.  A speed-up or a refactoring of the specializer must
+leave every one of them byte for byte as it was.  A change to the code the
+compiled engine generates changes only the compiled-source digests; its
+step counts and outcomes are held by the engine's differential tests.
 
 The residual and graph digests were recorded with a specializer that, as
 now, drives every transient step afresh with no drive cache; the DOT
 digests before `export_dot` and `graph_lines` were made to share one graph
-walk.  The compiled-source digests were recorded before the compiled
-engine was restricted to well-sorted programs.
+walk.  The compiled-source digests were re-recorded, and only they, when
+the compiled engine began to hold list arguments as tuples of letters and
+to run a fused callee passed only slots and letters on its caller's slots:
+a change of the generated code alone, made for speed.
 `python tests/test_specializer_golden.py --record` rewrites the file from
 the current code, so record only from code known to be right.
 """
