@@ -89,12 +89,6 @@ def restriction(pairs) -> Restriction:
     return Restriction(frozenset(out)) if out else EMPTY
 
 
-def satisfiable(r: Restriction) -> bool:
-    """Over an open alphabet a normalized conjunction of disequalities is
-    satisfiable unless it is the contradiction marker."""
-    return not r.unsat
-
-
 def apply_to_restriction(r: Restriction, subst: dict) -> Restriction:
     """Map symbol parameters through a substitution and renormalize."""
     if r.unsat:

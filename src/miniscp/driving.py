@@ -7,8 +7,16 @@ configuration's parameters (one constructor level, exactly as deep as the
 patterns inspect).  Each branch records the narrowing substitution and the
 disequalities under which all earlier rules fail on the same narrowed shape;
 the branch set partitions the ground instances of the configuration.  The
-narrowing and the rule's binding both come from `interpreter.match`, the
-matcher the reference engine rewrites with, in one pass per rule.
+narrowing and the rule's binding both come from `interpreter.probe`, the
+matcher the reference engine rewrites with, in one pass per rule.  What an
+earlier rule needs of a branch's arguments is judged by one function,
+`_needs`, for `drive_step` and for ground steps alike.
+
+Driving trusts the configurations it is given: `scp.supercompile` checks
+once that its entry calls a defined function with as many passive
+arguments under a satisfiable restriction, and every configuration driven
+from it keeps that, since a `Program` is valid when built (see
+`syntax.validate`).
 
 A ground step is the special case that needs none of this: the
 configuration already decides which rule fires, with nothing narrowed.
@@ -31,12 +39,9 @@ from __future__ import annotations
 import itertools
 
 from .configs import (
-    Config, apply_to_restriction, make_config, param_key, prune,
-    restriction, satisfiable,
+    Config, apply_to_restriction, make_config, param_key, prune, restriction,
 )
-from .interpreter import (
-    DriveError, UnsupportedNarrowingError, match, probe, resolve,
-)
+from .interpreter import DriveError, UnsupportedNarrowingError, probe, resolve
 from .record import Record
 from .syntax import (
     Call, Cons, Expr, ListParam, ListVar, Nil, Program, Rule, Sym, SymParam,
@@ -117,66 +122,78 @@ def drive_step(program: Program, cfg: Config,
                names: NameGen | None = None) -> list[Branch]:
     """Enumerate the satisfiable branches of one unfolding step, in rule
     order, with earlier-rule failure recorded as disequalities."""
-    if not cfg.is_active():
-        raise DriveError(f"cannot drive passive configuration {cfg!r}")
-    if not satisfiable(cfg.restriction):
-        raise DriveError("cannot drive a configuration with an "
-                         "unsatisfiable restriction")
     if names is None:
         names = NameGen.for_exprs(cfg.expr)
     call = cfg.expr
-    rules = program.rules(call.fn)
-    if len(rules[0].lhs) != len(call.args):
-        raise DriveError(f"arity mismatch: {len(rules[0].lhs)} patterns, "
-                         f"{len(call.args)} arguments")
+    rules = program.table[call.fn]
     branches: list[Branch] = []
     for idx, rule in enumerate(rules):
-        m = match(rule.lhs, call.args, names)
+        m = probe(rule.lhs, call.args, names)
         if m is None:
             continue
-        subst, binding = m
+        subst, binding, resolution = m
         inherited = apply_to_restriction(cfg.restriction, subst)
         if inherited.unsat:
             continue  # narrowing contradicts inherited negative information
         known = set(inherited.diseqs)
         added_pairs: list[tuple] = []
-        shadowed = False
         narrowed_args = None
         for j in range(idx):
             if narrowed_args is None:
                 narrowed_args = tuple(substitute(a, subst) for a in call.args)
-            mj = probe(rules[j].lhs, narrowed_args, _Scratch())
-            if mj is None:
+            need = _needs(call.fn, j, rules[j].lhs, narrowed_args, known,
+                          _Scratch())
+            if need is None:
                 continue
-            eqs = list(mj[0].items())
-            if any(p.__class__ is not SymParam for p, _ in eqs):
-                raise UnsupportedNarrowingError(
-                    f"rule {j} of {call.fn} fires on a structurally finer "
-                    "region than a later rule; its failure is not a symbol "
-                    "disequality")
-            if not eqs:
-                shadowed = True  # earlier rule fires on the whole region
-                break
-            impossible = any(
-                restriction([(p, s)]).diseqs <= known for p, s in eqs)
-            # a single pair normalizes to itself unless vacuous
-            if impossible:
-                continue
-            if len(eqs) > 1:
-                raise UnsupportedNarrowingError(
-                    f"failure of rule {j} of {call.fn} needs a disjunction "
-                    "of disequalities")
-            added_pairs.append(eqs[0])
-            known |= restriction([eqs[0]]).diseqs
-        if shadowed:
-            continue
-        added = restriction(added_pairs)
-        child = make_config(substitute(rule.rhs, binding),
-                            restriction(inherited.diseqs | added.diseqs))
-        branches.append(Branch(_canon_subst(subst), added, idx, child))
+            if need.__class__ is dict:
+                break  # rule j fires on the whole region: idx is shadowed
+            added_pairs.append(need)
+            known |= restriction([need]).diseqs
+        else:
+            if resolution:  # the binding under the whole narrowing
+                binding = {v: substitute(e, resolution)
+                           for v, e in binding.items()}
+            added = restriction(added_pairs)
+            child = make_config(substitute(rule.rhs, binding),
+                                restriction(inherited.diseqs | added.diseqs))
+            branches.append(Branch(_canon_subst(subst), added, idx, child))
     if not branches:
         raise StuckConfigError(f"no rule of {call.fn} can fire on {cfg!r}")
     return branches
+
+
+def _needs(fn: str, j: int, lhs: tuple, args: tuple, known,
+           names) -> dict | tuple | None:
+    """What rule j of function `fn`, of patterns `lhs`, needs of `args` to
+    fire, given the disequalities `known`: the one judge of an earlier
+    rule, for drive_step's branches and for ground steps.  The patterns
+    are matched by probe with the name supply `names`.
+
+    None when the rule fails on `args`, or needs an equality that `known`
+    rules out; its binding, a dict, when it fires on them as they stand;
+    else the one (symbol parameter, symbol) pair it needs, whose
+    disequality is the rule's failure.  A rule that narrows a list
+    parameter, or needs two equalities neither ruled out, fails on no
+    symbol disequality: UnsupportedNarrowingError."""
+    m = probe(lhs, args, names)
+    if m is None:
+        return None
+    eqs = m[0]
+    if any(p.__class__ is not SymParam for p in eqs):
+        raise UnsupportedNarrowingError(
+            f"rule {j} of {fn} fires on a structurally finer region than "
+            "a later rule; its failure is not a symbol disequality")
+    if not eqs:
+        return m[1]  # nothing narrowed, so nothing to resolve
+    # a single pair normalizes to itself unless vacuous
+    if any(restriction([pair]).diseqs <= known for pair in eqs.items()):
+        return None
+    if len(eqs) > 1:
+        raise UnsupportedNarrowingError(
+            f"failure of rule {j} of {fn} needs a disjunction of "
+            "disequalities")
+    (pair,) = eqs.items()
+    return pair
 
 
 class _Refuse:
@@ -265,13 +282,14 @@ def ground_step(program: Program, cfg: Config) -> Config | None:
     that branch narrows nothing and adds no disequality; None otherwise,
     and then only drive_step can say what the step is (or why it fails).
 
-    Every rule is matched once with a name supply that refuses.  Before the
-    firing rule each rule must fail outright or narrow one symbol parameter
-    to a symbol the restriction already rules out; the firing rule must
-    narrow nothing; after it each rule must fail, narrow nothing (it is
-    shadowed) or narrow to a ruled-out symbol.  Then drive_step finds the
-    same single branch, and since no probe asked for a name, it would take
-    none from the session either.
+    Every rule is judged once by _needs, as drive_step judges an earlier
+    rule, with a name supply that refuses: each must fail, need an equality
+    the restriction already rules out, or fire as the configuration stands,
+    and the first that fires is the firing rule.  Then drive_step finds the
+    same single branch: a rule before the firing rule narrows to nothing
+    the restriction admits, and a rule after it does that or is shadowed.
+    Since no probe asked for a name, drive_step would take none from the
+    session either.
 
     The child is the firing rule's right-hand side under its binding, with
     the parent's restriction pruned to the child's parameters.  Narrowing
@@ -281,7 +299,7 @@ def ground_step(program: Program, cfg: Config) -> Config | None:
     `make_config`) stays as it is, and the step costs no walk over the
     configuration.  Its right-hand sides are in tail form, as every
     program's are (see `syntax.validate`)."""
-    fired = _fire(program, cfg)
+    fired = _fire(program, cfg.expr, cfg.restriction.diseqs)
     if fired is None:
         return None
     idx, binding = fired
@@ -294,35 +312,24 @@ def ground_step(program: Program, cfg: Config) -> Config | None:
     return Config(expr, r)
 
 
-def _fire(program: Program, cfg: Config) -> tuple[int, dict] | None:
-    """The index and binding of the rule a ground step fires on `cfg`, or
-    None when there is no ground step (see ground_step)."""
-    call = cfg.expr
-    if call.__class__ is not Call or cfg.restriction.unsat:
-        return None
-    rules = program.table.get(call.fn)
-    if not rules or len(rules[0].lhs) != len(call.args):
-        return None
-    known = cfg.restriction.diseqs
+def _fire(program: Program, call: Call,
+          known: frozenset) -> tuple[int, dict] | None:
+    """The index and binding of the rule a ground step fires on `call`
+    under the disequalities `known`, or None when there is no ground step
+    (see ground_step): each rule is judged by _needs, and no rule may need
+    a disequality, take a fresh name or fail on no disequality."""
     fired = None
-    for idx, rule in enumerate(rules):
+    for idx, rule in enumerate(program.table[call.fn]):
         try:
-            m = probe(rule.lhs, call.args, _REFUSE)
+            need = _needs(call.fn, idx, rule.lhs, call.args, known, _REFUSE)
         except DriveError:
             return None
-        if m is None:
+        if need is None:
             continue
-        subst, binding, _ = m  # the binding is match's when subst is empty
-        if not subst:
-            if fired is None:
-                fired = idx, binding
-            continue
-        if len(subst) != 1:
-            return None
-        (p, s), = subst.items()
-        if p.__class__ is not SymParam \
-                or not restriction([(p, s)]).diseqs <= known:
-            return None  # a narrowing drive_step would keep or reject
+        if need.__class__ is not dict:
+            return None  # a narrowing drive_step would keep
+        if fired is None:
+            fired = idx, need
     return fired
 
 
@@ -336,20 +343,17 @@ def ground_run(program: Program, cfg: Config, verdicts: dict,
     GroundFacts.visible) is a symbol head or Nil, no probe can narrow, and
     no rule repeats a list variable, so whether ground_step fires a rule,
     and which, is a function of those elements alone: of their tuple, the
-    window.  It is found once per window, by _fire on the configuration
-    at hand, and kept in `verdicts`, the session's table; past that, a
-    step builds no configuration and probes nothing.  While it is a run
-    rule, the step keeps every other argument and drops the head symbols
-    of the consumed cells, so it leaves the restriction as it is, and
-    moves each consumed argument on by one cell.  The run stops at the
-    first window that holds anything but head symbols and Nil (a
-    parameter, say), or whose verdict is not a run rule."""
+    window.  It is found once per window, by _fire on the call at hand,
+    and kept in `verdicts`, the session's table; past that, a step builds
+    no configuration and probes nothing.  While it is a run rule, the step
+    keeps every other argument and drops the head symbols of the consumed
+    cells, so it leaves the restriction as it is, and moves each consumed
+    argument on by one cell.  The run stops at the first window that holds
+    anything but head symbols and Nil (a parameter, say), or whose verdict
+    is not a run rule."""
     call = cfg.expr
-    facts = program.ground_facts.get(call.fn)
-    # no ground step fires on an unsatisfiable restriction or a call of
-    # the wrong arity, whatever the window, so neither may enter the table
-    if facts is None or not facts.runs or cfg.restriction.unsat \
-            or len(program.table[call.fn][0].lhs) != len(call.args):
+    facts = program.ground_facts[call.fn]
+    if not facts.runs:
         return cfg, 0
     table = verdicts.setdefault(call.fn, {})
     args = list(call.args)
@@ -360,8 +364,8 @@ def ground_run(program: Program, cfg: Config, verdicts: dict,
             break
         consumed = table.get(window, _UNKNOWN)
         if consumed is _UNKNOWN:
-            fired = _fire(program, Config(Call(call.fn, tuple(args)),
-                                          cfg.restriction))
+            fired = _fire(program, Call(call.fn, tuple(args)),
+                          cfg.restriction.diseqs)
             consumed = table[window] = (None if fired is None
                                         else facts.runs[fired[0]])
         if consumed is None:
@@ -445,8 +449,9 @@ def compress(program: Program, branch: Branch,
     where the chain starts, so a configuration that is large to begin with,
     such as one holding a long pattern word, is not mistaken for a growing
     one.  The spines are measured where the chain starts and after each
-    step that narrows, whose drive walks the configuration anyway; steps
-    that narrow nothing cost no walk, and the step cap bounds their growth."""
+    step drive_step takes, which walks the configuration anyway, whether
+    it narrows or not; ground steps cost no walk, and the step cap bounds
+    their growth."""
     if step is None:
         step = GroundFirst(NameGen.for_exprs(branch.child.expr))
     made = dict(branch.subst)
@@ -456,8 +461,8 @@ def compress(program: Program, branch: Branch,
     depth = _spine_depth(child.expr)
     while child.is_active():
         nxt = ground_step(program, child)
-        narrowed = None
-        if nxt is not None:
+        drove = nxt is None
+        if not drove:
             step.ground += 1
             if nxt.is_active():
                 # the budget left after this step, and one step more
@@ -486,7 +491,7 @@ def compress(program: Program, branch: Branch,
         steps += 1
         if steps - branch.steps > MAX_TRANSIENT_STEPS:
             raise DriveError("transient chain exceeded the step budget")
-        if narrowed and _spine_depth(nxt.expr) - depth > MAX_TRANSIENT_DEPTH:
+        if drove and _spine_depth(nxt.expr) - depth > MAX_TRANSIENT_DEPTH:
             raise DriveError("transient chain grows without bound")
         child = nxt
     resolved = resolve(made)

@@ -9,14 +9,14 @@ are lists or bare symbols (tail form), and every call names a defined
 function with as many arguments; `syntax.validate` checks that once, when
 the `Program` is built, so the engines check only the entry call.
 
-Rule patterns are matched by one function, `match`, used by the reference
-stepper, by `residual.transition` and by driving.  On ground arguments it
-is first-match rewriting; given a driving session's name supply it narrows
-the arguments' parameters as deep as the patterns look and returns that
-narrowing with the rule's binding under it.  It walks list spines in loops,
-so rule patterns and words of any length are safe.  `probe` is the same
-match without resolving the binding under the narrowing, for the probes of
-driving that read the narrowing only.
+Rule patterns are matched by one function, `probe`, used by the reference
+stepper (and so by `residual.transition`) and by driving.  Without a name
+supply nothing narrows, and it is first-match rewriting; given a driving
+session's name supply it narrows the arguments' parameters as deep as the
+patterns look and returns that narrowing with the rule's binding, and the
+resolution that puts the binding under the narrowing, for the caller that
+needs it.  It walks list spines in loops, so rule patterns and words of
+any length are safe.
 
 Two engines are provided: a reference stepper over the syntax tree
 (`eval_reference`, `trace_call`) and a compiled engine (`eval_call`,
@@ -119,51 +119,33 @@ class Outcome(Record, frozen=True):
 _ATOMS = frozenset((Sym, SymParam))
 
 
-def match(lhs: tuple[Expr, ...], args: tuple[Expr, ...],
-          names=None) -> tuple[dict, dict] | None:
-    """Match a rule's patterns against as many arguments: the one matcher
-    of ground rewriting and of driving (see `probe` for the matching).
-
-    Returns `(narrowing, binding)`, or None when the rule cannot fire.
-    Without `names` a parameter is an opaque value, nothing is narrowed and
-    the narrowing is empty: this is ground rewriting.  With `names`, a
-    driving session's `NameGen`, each parameter the patterns inspect is
-    narrowed exactly as deep as they look: a symbol parameter to a symbol,
-    a list parameter to Nil or, one cell at a time, to `c:y` with `c` from
-    `names.fresh_sym()` and then `y` from `names.fresh_list()`.  The
-    narrowing maps the arguments' own parameters, in the order they were
-    narrowed, to their images fully resolved; the binding maps each rule
-    variable to what it matches under the narrowing.  A repeated variable
-    must bind equal terms, and a symbol variable binds only a symbol or a
-    symbol parameter.  A narrowing that would need two symbol parameters
-    equal, or a repeated list variable bound to unequal expressions, is not
-    representable: UnsupportedNarrowingError.  List spines are walked in
-    loops, so long patterns and words are safe.  A Word that a cell pattern
-    meets is turned into its cells first, once per argument.
-    """
-    m = probe(lhs, args, names)
-    if m is None:
-        return None
-    narrowing, binding, resolution = m
-    if resolution:
-        binding = {v: substitute(e, resolution) for v, e in binding.items()}
-    return narrowing, binding
-
-
 def probe(lhs: tuple[Expr, ...], args: tuple[Expr, ...],
           names=None) -> tuple[dict, dict, dict] | None:
-    """`match` without its last walk, which resolves the binding: for a
-    caller that reads the narrowing only, or the binding only when nothing
-    was narrowed, such as the earlier-rule checks of driving.
+    """Match a rule's patterns against as many arguments: the one matcher
+    of ground rewriting and of driving.
 
     Returns `(narrowing, binding, resolution)`, or None when the rule
-    cannot fire, raising as `match` does.  The binding is as the patterns
-    met the arguments; `resolution` is the narrowing as made, fresh
-    parameters included, fully resolved, and applying it to the binding
-    gives `match`'s.  When the narrowing is empty, so is `resolution`, and
-    the binding is `match`'s as it stands.  A narrowing that made no fresh
-    name maps parameters to symbols and Nil only, so it is its own
-    resolution and the two are one dict."""
+    cannot fire.  Without `names` a parameter is an opaque value and
+    nothing narrows: the narrowing and resolution are empty, and this is
+    ground rewriting.  With `names`, a driving session's `NameGen`, each
+    parameter the patterns inspect is narrowed exactly as deep as they
+    look: a symbol parameter to a symbol, a list parameter to Nil or, one
+    cell at a time, to `c:y` with `c` from `names.fresh_sym()` and then
+    `y` from `names.fresh_list()`.  The narrowing maps the arguments' own
+    parameters, in the order they were narrowed, to their images fully
+    resolved.  The binding maps each rule variable to what it matched, as
+    the patterns met the arguments; applying `resolution`, the narrowing
+    as made with its fresh parameters, fully resolved, puts it under the
+    narrowing.  A narrowing that made no fresh name maps parameters to
+    symbols and Nil only, so it is its own resolution (one dict).
+
+    A repeated variable must bind equal terms, and a symbol variable binds
+    only a symbol or a symbol parameter.  A narrowing that would need two
+    symbol parameters equal, or a repeated list variable bound to unequal
+    expressions, is not representable: UnsupportedNarrowingError.  List
+    spines are walked in loops, so long patterns and words are safe.  A
+    Word that a cell pattern meets is turned into its cells first, once
+    per argument."""
     subst: dict = {}  # the narrowing as made: an image names only later keys
     binding: dict = {}
     fresh = None  # the parameters made here, once there are any
@@ -307,12 +289,12 @@ def trace_call(program: Program, call: Call,
         if steps > fuel:
             raise FuelExhaustedError(steps)
         for rule in table[expr.fn]:  # the first matching rule
-            m = match(rule.lhs, expr.args)
+            m = probe(rule.lhs, expr.args)
             if m is not None:
                 break
         else:
             raise _no_rule(expr.fn, expr.args)
-        expr = substitute(rule.rhs, m[1])
+        expr = substitute(rule.rhs, m[1])  # nothing narrows: m[1] is final
         yield expr
 
 

@@ -179,14 +179,25 @@ def supercompile(program: Program, entry: Config,
     """Build the folded process graph of the program for the given entry.
 
     Terminates with every leaf passive, folded, or diagnostic; raises
-    NodeBudgetError past `node_budget` nodes, and ScpError unless the
-    entry is a call with passive arguments: the one check of that form,
-    which every configuration driven from it keeps, the program being in
-    tail form (see `syntax.validate`).
+    NodeBudgetError past `node_budget` nodes.  The entry is checked here,
+    once: it must be a call with passive arguments (else ScpError) of a
+    defined function (else ValidationError), with as many arguments as
+    the function's patterns (else ScpError), under a satisfiable
+    restriction (else ScpError).  Every configuration driven from it keeps
+    all four, the program being valid (see `syntax.validate`), so driving
+    checks none of them again.
     """
     if not entry.is_active() or not all(map(is_passive, entry.expr.args)):
         raise ScpError("entry configuration must be a call with passive "
                        "arguments")
+    call = entry.expr
+    arity = len(program.rules(call.fn)[0].lhs)
+    if arity != len(call.args):
+        raise ScpError(f"entry configuration calls {call.fn}/{arity} with "
+                       f"{len(call.args)} arguments")
+    if entry.restriction.unsat:
+        raise ScpError("entry configuration has an unsatisfiable "
+                       "restriction")
     names = NameGen.for_exprs(entry.expr)
     step = GroundFirst(names)
     graph = ProcessGraph([Node(entry)])

@@ -236,6 +236,20 @@ def test_specialize_unsupported_narrowing_exits_1(tmp_path, source, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("source, message", [
+    ("S { p, y, z = T; }", "entry configuration calls S/3 with 2 arguments"),
+    ("G { p, y = T; }", "undefined function S"),
+], ids=["three-argument-S", "no-S"])
+def test_specialize_an_entry_the_program_cannot_take_exits_1(tmp_path, source,
+                                                             message):
+    # supercompile's entry check refuses it before anything is driven
+    prog = tmp_path / "prog.scl"
+    prog.write_text(source + "\n")
+    code, out, err = run_cli("specialize", "--pattern", "ba",
+                             "--program", str(prog))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_usage_error_exit_code():
     code, _, _ = run_cli("bogus-subcommand")
     assert code == 2

@@ -3,8 +3,7 @@ import random
 
 from miniscp.configs import (
     Config, EMPTY, UNSAT, alpha_equivalent, apply_to_restriction,
-    config_text, covers, entails, make_config, prune, restriction,
-    satisfiable, shape,
+    config_text, covers, entails, make_config, prune, restriction, shape,
 )
 from miniscp.syntax import (
     NIL, Call, Cons, ListParam, Sym, SymParam, parse_expression, substitute,
@@ -24,26 +23,28 @@ def cfg(text, pairs=()):
     return make_config(parse_expression(text), restriction(pairs))
 
 
-# --- satisfiable -------------------------------------------------------------
+# --- satisfiability: a restriction is satisfiable unless it is `unsat` -------
 
 def test_satisfiable_single_disequality():
-    assert satisfiable(restriction([(sp("a"), Sym("a"))]))
+    assert not restriction([(sp("a"), Sym("a"))]).unsat
 
 
 def test_self_contradiction_unsatisfiable():
-    assert not satisfiable(restriction([(Sym("a"), Sym("a"))]))
-    assert not satisfiable(restriction([(sp("a"), sp("a"))]))
+    assert restriction([(Sym("a"), Sym("a"))]) is UNSAT
+    assert restriction([(sp("a"), sp("a"))]) is UNSAT
 
 
 def test_open_alphabet_many_exclusions_satisfiable():
     r = restriction([(sp("a"), Sym("a")), (sp("a"), Sym("b"))])
-    assert satisfiable(r)
+    assert not r.unsat
 
 
 def test_satisfiable_stable_under_renaming():
     r = restriction([(sp("a"), Sym("x")), (sp("a"), sp("b"))])
     renamed = apply_to_restriction(r, {sp("a"): sp("u"), sp("b"): sp("v")})
-    assert satisfiable(r) == satisfiable(renamed)
+    assert not r.unsat and not renamed.unsat
+    # a renaming that merges the two parameters contradicts a ≠ b
+    assert apply_to_restriction(r, {sp("b"): sp("a")}).unsat
 
 
 def test_normalization_idempotent():

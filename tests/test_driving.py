@@ -3,9 +3,8 @@ import random
 
 import pytest
 
-from miniscp.configs import (
-    EMPTY, Config, make_config, restriction, satisfiable,
-)
+from miniscp import driving, scp
+from miniscp.configs import EMPTY, Config, make_config, restriction
 from miniscp.driving import (
     Branch, DriveError, GroundFirst, NameGen, StuckConfigError, compress,
     drive_step, ground_run, ground_step,
@@ -24,6 +23,7 @@ from miniscp.syntax import (
     Sym, SymParam, TRUE, Word, parse_expression, parse_program, render, spine,
     substitute, word,
 )
+from test_residual import OTHER_PROGRAMS
 
 
 def cfg(text, pairs=()):
@@ -85,9 +85,20 @@ def test_drive_comparison_state(prog):
     assert end.child.expr == Call("S", (word("aab"), NIL))
 
 
-def test_drive_passive_rejected(prog):
-    with pytest.raises(DriveError):
-        drive_step(prog, make_config(TRUE))
+def test_drive_passive_rejected(prog, monkeypatch):
+    # driving trusts the entry check: no configuration stepped from a
+    # checked entry is passive, and a passive entry is refused before a step
+    configs = _reached_configs(monkeypatch, ["aab", "abab"], [
+        (parse_program(source), cfg(entry))
+        for source, entry in OTHER_PROGRAMS])
+    assert configs and all(c.is_active() for c in configs)
+
+    def no_step(*args):
+        raise AssertionError("stepped a passive configuration")
+    monkeypatch.setattr(scp, "drive_step", no_step)
+    monkeypatch.setattr(driving, "ground_step", no_step)
+    with pytest.raises(scp.ScpError, match="passive"):
+        supercompile(prog, make_config(TRUE))
 
 
 def test_drive_prunes_contradicted_branch(prog):
@@ -185,7 +196,7 @@ def test_branches_partition_instances(prog):
     ]:
         parent = cfg(text, pairs)
         branches = drive_step(prog, parent)
-        assert all(satisfiable(b.child.restriction) for b in branches)
+        assert not any(b.child.restriction.unsat for b in branches)
         for env in _instances(parent):
             hits = [b for b in branches if branch_admits(b, env) is not None]
             assert len(hits) == 1
@@ -221,7 +232,6 @@ def _reached_configs(monkeypatch, patterns, entries=()):
     the nodes drive_step drives and the transients ground_step is tried on,
     each run that ground_run takes in one go expanded one ground step at a
     time."""
-    from miniscp import driving, scp
     seen = {}
     for mod, name in ((scp, "drive_step"), (driving, "ground_step")):
         real = getattr(mod, name)
@@ -257,21 +267,41 @@ def _ladder_patterns():
         for k in (2, 3, 4) for _ in range(5)]
 
 
+def _ground_step_agrees(program, c) -> bool:
+    """Whether ground_step answers on `c`.  When it does, drive_step gives
+    one branch, which narrows nothing, adds no disequality and has
+    ground_step's child, and takes no name from the session."""
+    g = ground_step(program, c)
+    names = NameGen.for_exprs(c.expr)
+    before = (names._nsym, names._nlist)
+    branches = drive_step(program, c, names)
+    if g is None:
+        return False
+    (b,) = branches
+    assert (b.subst, b.added, b.child) == ((), EMPTY, g), c
+    assert (names._nsym, names._nlist) == before, c
+    return True
+
+
 def test_ground_steps_agree_with_drive_step(prog, monkeypatch):
     configs = _reached_configs(monkeypatch, _ladder_patterns())
-    answered = 0
-    for c in configs:
-        g = ground_step(prog, c)
-        names = NameGen.for_exprs(c.expr)
-        before = (names._nsym, names._nlist)
-        branches = drive_step(prog, c, names)
-        if g is None:
-            continue
-        answered += 1
-        (b,) = branches
-        assert (b.subst, b.added, b.child) == ((), EMPTY, g), c
-        assert (names._nsym, names._nlist) == before, c
+    answered = sum(_ground_step_agrees(prog, c) for c in configs)
     assert 1000 < answered < len(configs)
+    # beyond the built-in matcher: the programs residualize is checked on
+    answered = asked = 0
+    for source, entry in OTHER_PROGRAMS:
+        program = parse_program(source)
+        configs = _reached_configs(monkeypatch, (), [(program, cfg(entry))])
+        answered += sum(_ground_step_agrees(program, c) for c in configs)
+        asked += len(configs)
+    assert 0 < answered < asked
+    # rule 0 needs #s.c = 'a' and #s.d = 'b', and the restriction rules out
+    # the first: drive_step skips rule 0 as a ground step does, and its one
+    # branch fires rule 1
+    program = parse_program("G { 'a':'b':x = T; y = H(y); } H { y = F; }")
+    c = cfg("G(#s.c:#s.d:Nil)", [(SymParam("c"), Sym("a"))])
+    assert _ground_step_agrees(program, c)
+    assert drive_step(program, c)[0].rule_index == 1
 
 
 def test_ground_step_on_a_held_symbol_the_restriction_rules_out(prog):
@@ -289,10 +319,17 @@ def _nested_rhs_program():
 
 
 @pytest.mark.parametrize("source, text, pairs, error", [
-    # passive, unsatisfiable, arity mismatch: drive_step refuses them all
-    (None, "T", (), DriveError),
-    (None, 'S("ab", \'b\':#y)', [(Sym("a"), Sym("a"))], DriveError),
-    (None, 'S("ab")', (), DriveError),
+    # a rule that needs two symbol equalities, neither ruled out: its
+    # failure is a disjunction
+    ("F { 'a', 'b' = T; s.x, s.y = F; }", "F(#s.c, #s.d)", (),
+     UnsupportedNarrowingError),
+    # a rule that asks for a name and then fails: drive_step takes the
+    # name from the session all the same
+    ("F { 'a':y, 'b' = T; x, s.z = F; }", "F(#w, 'c')", (), None),
+    # an earlier rule that narrows a list parameter deeper than the firing
+    # rule looks
+    ("F { 'a':'b':y = T; 'a':y = F; y = F; }", "F('a':#w)", (),
+     UnsupportedNarrowingError),
     # a fresh name: the first rule narrows #y to a cell
     (None, 'S("ab", #y)', (), None),
     # a symbol narrowing the restriction does not rule out
@@ -354,7 +391,7 @@ def test_compress_measures_spines_at_the_start_and_after_narrowing(
     # chain: two ground steps, and one walk, where the chain starts
     assert done.steps == 3 and len(walks) == 1
     # a ground step (G), then two steps that narrow (H and K): one walk
-    # where the chain starts and one after each narrowing step
+    # where the chain starts and one after each step drive_step takes
     program = parse_program("F { s.a:y = G('a':y); } G { 'a':y = H(y); } "
                             "H { s.a:y = K(y); } K { s.a:y = T; }")
     (first,) = drive_step(program, cfg("F(#y)"))
@@ -363,6 +400,14 @@ def test_compress_measures_spines_at_the_start_and_after_narrowing(
     assert done.steps == 4 and done.child.expr == TRUE and len(walks) == 3
     ((p, image),) = done.subst
     assert p == ListParam("y") and len(spine(image)[0]) == 3
+    # G's second rule would take a fresh name, so G takes drive_step, which
+    # narrows nothing; it is measured all the same, and H's ground step not
+    program = parse_program("F { s.a:y = G(y); } G { y = H(y); 'a':y = T; } "
+                            "H { y = T; }")
+    (first,) = drive_step(program, cfg("F(#y)"))
+    walks.clear()
+    done = compress(program, first)
+    assert done.steps == 3 and done.child.expr == TRUE and len(walks) == 2
 
 
 def test_a_long_narrowing_chain_compresses_into_one_edge():

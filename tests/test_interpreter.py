@@ -8,7 +8,7 @@ from miniscp.driving import _REFUSE, NameGen
 from miniscp.interpreter import (
     ArityError, CompiledProgram, DriveError, EmptyPatternError, EvalError,
     FuelExhaustedError, Outcome, StuckTermError, UnsupportedNarrowingError,
-    _MAX_SHARED_DEPTH, _check_arity, eval_call, eval_reference, match,
+    _MAX_SHARED_DEPTH, _check_arity, eval_call, eval_reference,
     naive_matcher, naive_outcome, probe, resolve, symbol_positions,
     trace_call,
 )
@@ -27,10 +27,15 @@ def S(p, y):
 
 def match_lhs(rule, args):
     """The binding of `rule` on ground arguments, or None when the rule does
-    not apply; ArityError when the counts differ."""
+    not apply; ArityError when the counts differ.  Without a name supply
+    probe narrows nothing, so its binding is final."""
     _check_arity(rule.lhs, args)
-    m = match(rule.lhs, args)
-    return None if m is None else m[1]
+    m = probe(rule.lhs, args)
+    if m is None:
+        return None
+    narrowing, binding, resolution = m
+    assert narrowing == resolution == {}
+    return binding
 
 
 def test_match_first_rule_of_s():
@@ -60,20 +65,22 @@ def test_match_last_rule_of_l():
 
 def test_match_ground_and_narrowing_modes():
     lhs = parse_program("G { s.a:'b':x, s.a = T; }").rules("G")[0].lhs
-    assert match(lhs, (word("abc"), Sym("a"))) == (
-        {}, {SymVar("a"): Sym("a"), ListVar("x"): word("c")})
-    assert match(lhs, (word("abc"), Sym("b"))) is None
+    assert probe(lhs, (word("abc"), Sym("a"))) == (
+        {}, {SymVar("a"): Sym("a"), ListVar("x"): word("c")}, {})
+    assert probe(lhs, (word("abc"), Sym("b"))) is None
     # narrowing #y one cell at a time, a fresh symbol before a fresh list;
-    # the narrowing names only #y, and both results are fully resolved
+    # the narrowing names only #y, and is fully resolved; the resolution
+    # puts the binding under it
     y = ListParam("y")
     names = NameGen.for_exprs(y)
-    narrowing, binding = match(lhs, (y, Sym("a")), names)
+    narrowing, binding, resolution = probe(lhs, (y, Sym("a")), names)
     assert narrowing == {y: Cons(Sym("a"), Cons(Sym("b"), ListParam("y2")))}
-    assert binding == {SymVar("a"): Sym("a"), ListVar("x"): ListParam("y2")}
+    assert {v: substitute(e, resolution) for v, e in binding.items()} == {
+        SymVar("a"): Sym("a"), ListVar("x"): ListParam("y2")}
     assert (names.fresh_sym(), names.fresh_list()) == (
         SymParam("c3"), ListParam("y3"))
     # a parameter is opaque without a NameGen
-    assert match(lhs, (y, Sym("a"))) is None
+    assert probe(lhs, (y, Sym("a"))) is None
 
 
 # --- probe against its closure-based form ----------------------------------

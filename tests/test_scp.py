@@ -10,7 +10,7 @@ from miniscp.configs import (
 )
 from miniscp.driving import drive_step, ground_run, ground_step
 from miniscp.harness import replay_graph
-from miniscp.interpreter import naive_outcome
+from miniscp.interpreter import naive_matcher, naive_outcome
 from miniscp.scp import (
     KIND_DIAGNOSTIC, KIND_FOLDED, KIND_PASSIVE, KIND_PIVOT, KIND_TRANSIENT,
     NodeBudgetError, _couple, _embed, embeds, first_path, first_path_pivots,
@@ -298,6 +298,13 @@ def test_transient_chain_that_grows_or_loops_errors_out():
     moves = parse_program("F { s.a:y, z = F(y, s.a:z); }")
     with pytest.raises(DriveError, match="grows without bound"):
         supercompile(moves, make_config(parse_expression("F(#y, #z)")))
+    # the second rule would narrow 'a':#v to a fresh cell, so no step is a
+    # ground step; drive_step's one branch narrows nothing, and the first
+    # argument grows by a cell each step
+    later = parse_program("S { z, s.c:v = S('a':z, 'a':v); "
+                          "y, s.d:s.c:x = S(s.d:y, 'a':x); }")
+    with pytest.raises(DriveError, match="grows without bound"):
+        specialize_pattern("ba", later)
 
 
 @pytest.mark.parametrize("budget, error", [(400, "step budget"),
@@ -414,6 +421,23 @@ def test_matcher_entry_rejects_empty_pattern():
     from miniscp.interpreter import EmptyPatternError
     with pytest.raises(EmptyPatternError):
         matcher_entry("")
+
+
+@pytest.mark.parametrize("text, pairs, error", [
+    ("T", (), scp.ScpError),
+    ('S("ab", #y, #z)', (), scp.ScpError),
+    ('G("ab", #y)', (), syntax.ValidationError),
+    ('S("ab", \'b\':#y)', [(Sym("a"), Sym("a"))], scp.ScpError),
+], ids=["passive", "arity", "undefined", "unsatisfiable"])
+def test_supercompile_refuses_an_entry_it_cannot_drive(monkeypatch, text,
+                                                       pairs, error):
+    # the one check of the entry: nothing is driven before it refuses
+    def no_drive(*args):
+        raise AssertionError("drove a configuration the entry check refuses")
+    monkeypatch.setattr(scp, "drive_step", no_drive)
+    entry = Config(parse_expression(text), restriction(pairs))
+    with pytest.raises(error):
+        supercompile(naive_matcher(), entry)
 
 
 def test_supercompile_checks_the_entry_once():
