@@ -272,7 +272,7 @@ def _no_rule(fn: str, args) -> StuckTermError:
 
 
 def trace_call(program: Program, call: Call,
-               fuel: int = DEFAULT_FUEL) -> Iterator[Expr]:
+               fuel: int | None = DEFAULT_FUEL) -> Iterator[Expr]:
     """Yield the expression after each rule application until passive.  A
     Word argument is turned into its cells here, once: a rule that passes
     it on whole would otherwise hand it to the next step's matches, which
@@ -280,6 +280,7 @@ def trace_call(program: Program, call: Call,
     checked: the program was when it was built (see `syntax.validate`)."""
     _entry_args(call)
     _entry_lhs(program, call)
+    fuel = _entry_fuel(fuel)
     table = program.table
     expr: Expr = Call(call.fn, tuple(a.cells() if a.__class__ is Word else a
                                      for a in call.args))
@@ -299,7 +300,7 @@ def trace_call(program: Program, call: Call,
 
 
 def eval_reference(program: Program, call: Call,
-                   fuel: int = DEFAULT_FUEL) -> Outcome:
+                   fuel: int | None = DEFAULT_FUEL) -> Outcome:
     """Reference evaluator walking the syntax tree step by step."""
     expr: Expr = call
     steps = 0
@@ -323,6 +324,18 @@ def _entry_args(call: Call) -> tuple[str, ...]:
                 f"argument {render_expr(a)} is not a word or a symbol")
         args.append(text)
     return tuple(args)
+
+
+def _entry_fuel(fuel: int | None) -> int:
+    """The fuel of an entry call, the one fuel check of both engines: None
+    is the default, anything but an int (a bool included) an EvalError,
+    and a fuel below 1 allows no step, as 0 does, so the first step
+    exhausts it."""
+    if fuel is None:
+        return DEFAULT_FUEL
+    if fuel.__class__ is bool or not isinstance(fuel, int):
+        raise EvalError(f"fuel must be an int, got {fuel!r}")
+    return max(fuel, 0)
 
 
 # --- compiled engine --------------------------------------------------------
@@ -355,17 +368,23 @@ def _entry_args(call: Call) -> tuple[str, ...]:
 # message.  `_fn` selects the function through a balanced `if _fn < k` tree
 # over function ids, so dispatch costs O(log #functions) per step.
 #
+# The step count is the loop variable: `_run` loops `for _steps in _it`,
+# over `_it = iter(range(1, _fuel + 1))`, so a step pays no add and no fuel
+# test of its own, and a loop that runs off the end has spent the fuel,
+# `FuelExhaustedError(_fuel + 1)` as the reference engine counts it.
+#
 # A callee with exactly one call site in the program, outside itself, is
 # fused: its rule tree is emitted once more at that call, preceded by its
-# own step count and fuel check, and with `_fn` left at the caller's id (a
-# call from it back to the caller sets no `_fn`).  Where the call passes
-# only the caller's slots and letters read from them, the callee's tree
-# reads those expressions where they are and nothing is stored; a call out
-# of it that stores into the caller's slots does so in one simultaneous
-# assignment, since its values read the slots it writes.  Where the call
-# builds a list, it stores into the callee's slots first.  Only the callee's
-# own code is inlined, one level deep, and every function keeps its own
-# arm, so each is still an entry and a target of `_fn`.
+# own step, drawn from the same iterator by `for _steps in _it: break`
+# (whose `else` raises when the fuel is spent), and with `_fn` left at the
+# caller's id (a call from it back to the caller sets no `_fn`).  Where the
+# call passes only the caller's slots and letters read from them, the
+# callee's tree reads those expressions where they are and nothing is
+# stored; a call out of it that stores into the caller's slots does so in
+# one simultaneous assignment, since its values read the slots it writes.
+# Where the call builds a list, it stores into the callee's slots first.
+# Only the callee's own code is inlined, one level deep, and every function
+# keeps its own arm, so each is still an entry and a target of `_fn`.
 
 _Code = tuple[str, str, str]  # (s, o, n): a tuple, an offset, its length
 
@@ -599,8 +618,9 @@ def _compile_source(functions: tuple, symbolic: set) -> str:
     fused = _fused(functions)
     lines = ["def _run(_fn, _args, _fuel):"]
     emit = lines.append
-    step = ["_steps += 1", "if _steps > _fuel:",
-            "    raise FuelExhaustedError(_steps)"]
+    # a fused callee's step: the next count from the loop's own iterator
+    step = ["for _steps in _it:", "    break", "else:",
+            "    raise FuelExhaustedError(_fuel + 1)"]
 
     def enter(k, pad):
         names = [s for s, _, _ in slots[k]]
@@ -669,11 +689,12 @@ def _compile_source(functions: tuple, symbolic: set) -> str:
             emit(pad + line)
 
     _emit_tree(emit, 0, len(functions), "    ", enter)
-    emit("    _steps = 0")
-    emit("    while True:")
-    for line in step:
-        emit("        " + line)
+    # each arm ends in continue, return or raise, so the loop ends only
+    # when the fuel is spent
+    emit("    _it = iter(range(1, _fuel + 1))")
+    emit("    for _steps in _it:")
     _emit_tree(emit, 0, len(functions), "        ", arm)
+    emit("    raise FuelExhaustedError(_fuel + 1)")
     # body and tree hold each other through their closures: empty the
     # cells, so that the rules they reach are freed without a collection
     del body, tree
@@ -719,10 +740,11 @@ class CompiledProgram:
     def run(self, entry: str, args: tuple[str, ...],
             fuel: int = DEFAULT_FUEL) -> tuple[bool | str, int]:
         """Run `entry` on words and symbols as strs, a symbol exactly in a
-        symbol slot; the caller checks the entry, as `eval_call` does.  The
-        generated code turns each word into a tuple of letters once, on
-        entry.  Returns the value, a bool for T/F or a str for a list (its
-        letters joined), and the steps."""
+        symbol slot, with a fuel of at least 0; the caller checks the entry
+        and the fuel, as `eval_call` does.  The generated code turns each
+        word into a tuple of letters once, on entry.  Returns the value, a
+        bool for T/F or a str for a list (its letters joined), and the
+        steps."""
         return self._run(self._ids[entry], args, fuel)
 
 
@@ -743,14 +765,14 @@ def eval_call(program: Program, call: Call,
     Deterministic; raises StuckTermError, FuelExhaustedError, ArityError
     or ValidationError for an entry the program does not define with as
     many arguments, or EvalError for an argument that is not a word or a
-    symbol.  Runs in the compiled engine unless the program is not
-    well-sorted, or the call passes a word where the entry reads a symbol
-    or a symbol where it reads a list; the reference engine runs those,
-    with the same outcome.
+    symbol, or for a fuel that is not an int.  Runs in the compiled engine
+    unless the program is not well-sorted, or the call passes a word where
+    the entry reads a symbol or a symbol where it reads a list; the
+    reference engine runs those, with the same outcome.
     """
     args = _entry_args(call)
     lhs = _entry_lhs(program, call)
-    fuel = DEFAULT_FUEL if fuel is None else fuel
+    fuel = _entry_fuel(fuel)
     compiled = program.compiled
     if compiled is None or any(
             _bare(p) != (a.__class__ is Sym) for p, a in zip(lhs, call.args)):

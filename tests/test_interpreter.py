@@ -12,6 +12,7 @@ from miniscp.interpreter import (
     naive_matcher, naive_outcome, probe, resolve, symbol_positions,
     trace_call,
 )
+from miniscp.kmp import kmp_resume
 from miniscp.syntax import (
     Call, Cons, FALSE, ListParam, ListVar, NIL, Nil, NonTailError, Program,
     Rule, Sym, SymParam, SymVar, TRUE, ValidationError, Word, chain,
@@ -773,6 +774,62 @@ def test_engines_check_the_entry_alike():
             run()
 
 
+def exhausted(steps):
+    return (FuelExhaustedError,
+            f"fuel exhausted after {steps} rule applications")
+
+
+@pytest.mark.parametrize("program", ["naive", "aab"])
+def test_engines_check_the_fuel_alike(program, aab):
+    if program == "naive":
+        prog, call = naive_matcher(), S("aab", "abaab")
+    else:
+        res = aab.residual
+        prog, call = res.program, Call(res.entry, (word("abaab"),))
+    value, steps = outcomes_agree(prog, call, None)
+    assert value == TRUE and steps > 3
+    cases = [(-5, exhausted(1)), (0, exhausted(1)), (1, exhausted(2)),
+             (steps - 1, exhausted(steps)), (steps, (TRUE, steps)),
+             (2.5, (EvalError, "fuel must be an int, got 2.5")),
+             ("10", (EvalError, "fuel must be an int, got '10'")),
+             (True, (EvalError, "fuel must be an int, got True"))]
+    # every fuel up to the steps taken: the residual runs out both in the
+    # loop and in a fused callee's step
+    cases += [(n, exhausted(n + 1)) for n in range(1, steps)]
+    for fuel, want in cases:
+        assert outcomes_agree(prog, call, fuel) == want, fuel
+    # the entry is checked before the fuel
+    assert outcomes_agree(prog, Call("G", call.args), 2.5) == (
+        ValidationError, "undefined function G")
+
+
+def avoiding(pattern, n, rng):
+    """n seeded letters over the pattern's alphabet in which the pattern
+    does not occur: a letter that would complete it is drawn again."""
+    alphabet = sorted(set(pattern))
+    out, state = [], 0
+    while len(out) < n:
+        c = rng.choice(alphabet)
+        nxt = kmp_resume(pattern, c, state)[0]
+        if nxt != len(pattern):
+            out.append(c)
+            state = nxt
+    return "".join(out)
+
+
+# the fixed patterns of the run-long benchmark and its random one at seed 7
+@pytest.mark.parametrize("p", ["aab", "abcabcacab", "abcaccaa"])
+def test_engines_agree_on_long_inputs_up_to_the_last_step(p, artifacts):
+    res = artifacts(p).residual
+    for y in (p[0] * 2000, avoiding(p, 2000, random.Random(f"long:{p}"))):
+        assert p not in y
+        for prog, call in ((res.program, Call(res.entry, (word(y),))),
+                           (naive_matcher(), S(p, y))):
+            value, steps = outcomes_agree(prog, call, None)
+            assert value == FALSE and steps >= len(y)
+            assert outcomes_agree(prog, call, steps - 1) == exhausted(steps)
+
+
 def test_t_and_f_arguments_in_list_and_symbol_positions():
     # T and F are results, never inputs: both engines refuse them alike in
     # a list position, a symbol position and a position read as both
@@ -855,8 +912,9 @@ def test_a_symbol_bound_to_a_list_variable_stays_a_symbol():
 
 
 def fused_count(source):
-    """Inlined callees in generated code: each adds its own step count."""
-    return source.count("_steps += 1") - 1
+    """Inlined callees in generated code: each draws its own step from the
+    loop's iterator, besides the loop itself."""
+    return source.count("for _steps in _it:") - 1
 
 
 def test_single_call_site_callees_are_fused(aab):

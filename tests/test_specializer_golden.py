@@ -17,8 +17,10 @@ now, drives every transient step afresh with no drive cache; the DOT
 digests before `export_dot` and `graph_lines` were made to share one graph
 walk.  The compiled-source digests were re-recorded, and only they, when
 the compiled engine began to hold list arguments as tuples of letters and
-to run a fused callee passed only slots and letters on its caller's slots:
-a change of the generated code alone, made for speed.
+to run a fused callee passed only slots and letters on its caller's slots,
+and again when the generated loop began to count steps with its own range
+iterator (`for _steps in _it`) instead of an add and a fuel test per step:
+each time a change of the generated code alone, made for speed.
 `python tests/test_specializer_golden.py --record` rewrites the file from
 the current code, so record only from code known to be right.
 """
