@@ -706,9 +706,10 @@ def verify_pattern(pattern: str, corpus: Corpus,
             seconds[phase] = seconds.get(phase, 0.0) + perf_counter() - t0
 
     art = timed("specialize", artifacts, pattern)
-    # each program compiles on its first use, here
-    timed("compile", lambda: (art.residual.program.compiled,
-                              naive_matcher().compiled))
+    # each entry the sweep runs compiles on its first use, here
+    timed("compile", lambda: (
+        art.residual.program.compiled.runner(art.residual.entry),
+        naive_matcher().compiled.runner("S")))
     for facet, check in FACETS.items():
         if check is not None:
             try:

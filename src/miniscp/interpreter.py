@@ -20,8 +20,8 @@ any length are safe.
 
 Two engines are provided: a reference stepper over the syntax tree
 (`eval_reference`, `trace_call`) and a compiled engine (`eval_call`,
-`CompiledProgram`) that translates a program to one Python loop once and
-keeps it on the program (`Program.compiled`).  Both agree on value and step
+`CompiledProgram`) that translates a program to one Python loop per entry,
+on the entry's first run, and keeps it on the program (`Program.compiled`).  Both agree on value and step
 count, and raise the same errors.  The compiled engine takes well-sorted
 programs only, where each argument position always holds a bare symbol or
 always a list (see `symbol_positions`), as the naive matcher and every
@@ -33,10 +33,13 @@ an offset instead of copying the rest of the word: each step costs O(1) in
 the length of the input.  A word built by `syntax.word` is a
 `syntax.Word`, which holds its string, so `eval_call` hands it to the
 engine in O(1), and a run costs one pass over its words plus O(1) per
-step.  A function called from a single right-hand side, not its own, runs
-inlined at that call site, on the caller's own slots where the call
-passes only those and their letters; that saves the jump back through the
-function dispatch, and the stores, but still counts its step.
+step.  Slots that only ever hold suffixes of one entry argument share its
+tuple and length, and a call passes an offset on in place where it can,
+so a call stores only the offsets that change.  A function called from a
+single right-hand side, not its own, runs inlined at that call site, on
+the caller's own slots where the call passes only those and their letters;
+that saves the jump back through the function dispatch, and the stores,
+but still counts its step.
 """
 
 from __future__ import annotations
@@ -341,22 +344,42 @@ def _entry_fuel(fuel: int | None) -> int:
 # --- compiled engine --------------------------------------------------------
 #
 # A run takes and returns Python objects: a word is a str, a bare symbol its
-# 1-character str, and T/F, which only a run returns, a bool.  A program
-# becomes one generated function, `_run`, whose locals hold each function's
-# arguments in that function's own slots.  A list slot is three locals
-# `(s, o, n)` standing for the suffix `s[o:]` of a tuple `s` of letters (the
-# 1-character strs of a word) of length `n`: the entry converts each word
-# argument once, `s = tuple(s)` and `n = len(s)`, because CPython 3.11 and
-# 3.12 index a tuple by a specialized instruction and a str by the generic
-# path.  A symbol slot, a position of a well-sorted program that every rule
-# reads as a bare symbol, is one local holding a symbol; its offset is the
-# constant 0 and its length the constant 1, so it needs no length test.  `n`
-# is copied whenever a list slot is passed on and computed by arithmetic
-# where a right-hand side builds a new tuple by concatenation.  A pattern
-# tests `n > o + d`, `n == o + d` and `s[o + d]`, a list variable binds
-# `(s, o + d, n)`, and a tail call assigns the callee's slots in place and
-# sets `_fn`.  A step that drops a prefix therefore copies nothing and costs
-# O(1) in the length of the word.
+# 1-character str, and T/F, which only a run returns, a bool.  Each entry of
+# a program becomes its own generated function, `_run`, built on the entry's
+# first run, over the functions reachable from that entry; its prologue
+# takes the entry's arguments and its loop runs the rules.  A list slot is
+# three locals `(s, o, n)` standing for the suffix `s[o:]` of a tuple `s` of
+# letters (the 1-character strs of a word) of length `n`: the prologue
+# converts each word argument once, `s = tuple(s)` and `n = len(s)`, because
+# CPython 3.11 and 3.12 index a tuple by a specialized instruction and a str
+# by the generic path.  A symbol slot, a position of a well-sorted program
+# that every rule reads as a bare symbol, is one local holding a symbol; its
+# offset is the constant 0 and its length the constant 1, so it needs no
+# length test.  A pattern tests `n > o + d`, `n == o + d` and `s[o + d]`, a
+# list variable binds `(s, o + d, n)`, and a tail call assigns the callee's
+# slots in place, in one simultaneous assignment, and sets `_fn`.  A step
+# that drops a prefix therefore copies nothing and costs O(1) in the length
+# of the word.
+#
+# Slots share locals, as registers are coalesced across calls: a call
+# argument that is a caller's list slot, or a list variable bound to a tail
+# of one, passes that slot's tuple along.  The list slots those passes join
+# form a class.  A class with exactly one slot of the entry, and none of
+# whose slots is ever given a built list (a cons, a word constant or Nil),
+# only ever holds suffixes of that entry argument's tuple: all its slots
+# share that one `s` and `n`, which no call stores.  Every other class keeps
+# `s` and `n` locals per slot, copied by each call and computed by
+# arithmetic where a right-hand side builds a tuple by concatenation.  A
+# callee's slot takes its caller slot's offset local where the argument is
+# that slot's suffix at a constant distance d, so the call stores `o + d` in
+# place, or nothing when d = 0; pairs passed at distance 0 from more call
+# sites take it first, and two slots of one function never share an offset
+# (on such a conflict the call copies).  Since a call's stores are one
+# simultaneous assignment, and after it only the callee's slots are read,
+# a local shared by caller and callee is read before it is written.  The
+# naive matcher entered at S keeps two tuples, the pattern and the string,
+# and L's restart point (q, z) in S's own offsets: S -> L stores three
+# offsets and L -> S none.
 #
 # Each function's rules are emitted as a decision tree: a run of
 # consecutive rules whose tests start with the same test evaluates it once
@@ -365,26 +388,25 @@ def _entry_fuel(fuel: int | None) -> int:
 # match order is kept.  A suffix is copied only where a right-hand side
 # conses onto a bound list, where a list is returned (joined back into a
 # str) or compared with a repeated list variable, and in a StuckTermError
-# message.  `_fn` selects the function through a balanced `if _fn < k` tree
-# over function ids, so dispatch costs O(log #functions) per step.
+# message.  `_fn` selects an arm, the code of one function, through a
+# balanced `if _fn < k` tree over the arms, so dispatch costs O(log #arms)
+# per step.  Only the entry and the functions a call jumps to have an arm.
 #
 # The step count is the loop variable: `_run` loops `for _steps in _it`,
 # over `_it = iter(range(1, _fuel + 1))`, so a step pays no add and no fuel
 # test of its own, and a loop that runs off the end has spent the fuel,
 # `FuelExhaustedError(_fuel + 1)` as the reference engine counts it.
 #
-# A callee with exactly one call site in the program, outside itself, is
-# fused: its rule tree is emitted once more at that call, preceded by its
-# own step, drawn from the same iterator by `for _steps in _it: break`
-# (whose `else` raises when the fuel is spent), and with `_fn` left at the
-# caller's id (a call from it back to the caller sets no `_fn`).  Where the
-# call passes only the caller's slots and letters read from them, the
-# callee's tree reads those expressions where they are and nothing is
-# stored; a call out of it that stores into the caller's slots does so in
-# one simultaneous assignment, since its values read the slots it writes.
-# Where the call builds a list, it stores into the callee's slots first.
-# Only the callee's own code is inlined, one level deep, and every function
-# keeps its own arm, so each is still an entry and a target of `_fn`.
+# A callee with exactly one call site among the reachable functions,
+# outside itself, is fused: its rule tree is emitted at that call,
+# preceded by its own step, drawn from the same iterator by `for _steps in
+# _it: break` (whose `else` raises when the fuel is spent), and with `_fn`
+# left at the caller's arm (a call from it back to the caller sets no
+# `_fn`).  Where the call passes only the caller's slots and letters read
+# from them, the callee's tree reads those expressions where they are and
+# nothing is stored.  Where the call builds a list, it stores into the
+# callee's slots first.  Only the callee's own code is inlined, one level
+# deep; a fused callee has an arm of its own only where a call jumps to it.
 
 _Code = tuple[str, str, str]  # (s, o, n): a tuple, an offset, its length
 
@@ -445,14 +467,6 @@ def symbol_positions(program: Program) -> set | None:
     if any(len(kinds) > 1 for kinds in sorts.values()):
         return None
     return {slot for slot, kinds in sorts.items() if True in kinds}
-
-
-def _slots(k: int, name: str, arity: int, symbolic: set) -> list[_Code]:
-    """Locals of function `k`'s arguments; a symbol slot is one local, its
-    offset the constant 0 and its length the constant 1."""
-    return [(f"s{k}_{i}", "0", "1") if (name, i) in symbolic
-            else (f"s{k}_{i}", f"o{k}_{i}", f"n{k}_{i}")
-            for i in range(arity)]
 
 
 class _Lhs:
@@ -598,7 +612,7 @@ def _emit_rules(emit, rules: list, pad: str, depth: int = 0) -> bool:
 
 def _fused(functions) -> set:
     """Names of the functions to inline at their call site: those called
-    from exactly one right-hand side of the program, which is not their
+    from exactly one right-hand side of `functions`, which is not their
     own."""
     sites: dict = {}
     for name, rules in functions:
@@ -609,34 +623,130 @@ def _fused(functions) -> set:
             if len(callers) == 1 and callers[0] != callee}
 
 
-def _compile_source(functions: tuple, symbolic: set) -> str:
-    """The code of `_run` for a well-sorted program's functions, given its
-    symbol slots."""
+def _closure(start: int, after) -> list[int]:
+    """`start` and every id `after` reaches from it, in increasing order."""
+    seen, todo = {start}, [start]
+    while todo:
+        for k in after(todo.pop()):
+            if k not in seen:
+                seen.add(k)
+                todo.append(k)
+    return sorted(seen)
+
+
+def _passes(functions, ids: dict, reach, symbolic: set):
+    """Yield each list argument of each call in the functions `reach` as
+    `(callee slot, source)`: the source is `(caller slot, d)` when the
+    argument is that slot's suffix d cells on, and None when the call
+    builds it (a cons onto it, a word or Nil).  A slot is a pair
+    (function id, position)."""
+    for k in reach:
+        rules = functions[k][1]
+        # offsets of 0, so that value() returns a suffix's distance
+        frame = [(f"s{i}", "0", f"n{i}") for i in range(len(rules[0].lhs))]
+        for rule in rules:
+            rhs = rule.rhs
+            if not isinstance(rhs, Call):
+                continue
+            lhs = _Lhs(rule, frame)
+            for i, arg in enumerate(rhs.args):
+                if (rhs.fn, i) in symbolic:
+                    continue
+                s, d, _ = lhs.value(arg)
+                yield ((ids[rhs.fn], i),
+                       ((k, int(s[1:])), int(d)) if s.isidentifier() else None)
+
+
+def _join(groups: dict, a, b) -> None:
+    """Merge the sets holding `a` and `b` in `groups`, a map from each
+    member to its set, the smaller into the larger."""
+    ga, gb = groups[a], groups[b]
+    if len(ga) < len(gb):
+        ga, gb = gb, ga
+    ga |= gb
+    for x in gb:
+        groups[x] = ga
+
+
+def _registers(functions, ids: dict, reach, symbolic: set,
+               entry: int) -> dict[int, list[_Code]]:
+    """The locals of each function in `reach` that a `_run` entered at
+    `entry` holds its slots in (see the comment above `_Code`)."""
+    listed = {k: [(k, i) for i in range(len(functions[k][1][0].lhs))
+                  if (functions[k][0], i) not in symbolic] for k in reach}
+    classes = {slot: {slot} for k in reach for slot in listed[k]}
+    offsets = {slot: {slot} for slot in classes}
+    built = set()
+    zeros: dict = {}  # slot pairs an argument passes along -> d = 0 count
+    for slot, source in _passes(functions, ids, reach, symbolic):
+        if source is None:
+            built.add(slot)
+            continue
+        other, d = source
+        _join(classes, slot, other)
+        if other != slot:
+            pair = min(slot, other), max(slot, other)
+            zeros[pair] = zeros.get(pair, 0) + (d == 0)
+    # a pair passed along at distance 0 more often first; two slots of one
+    # function never share an offset
+    for a, b in sorted(zeros, key=lambda pair: -zeros[pair]):
+        ga, gb = offsets[a], offsets[b]
+        if ga is not gb and not any(s in ga for k, _ in gb
+                                    for s in listed[k]):
+            _join(offsets, a, b)
+    # a class shares its seed's tuple and length locals when it has one
+    # seed, an entry slot, and no slot of it is ever given a built list
+    tuples = {}
+    for cls in {id(cls): cls for cls in classes.values()}.values():
+        seeds = [slot for slot in cls if slot[0] == entry]
+        shared = len(seeds) == 1 and cls.isdisjoint(built)
+        for slot in cls:
+            tuples[slot] = seeds[0] if shared else slot
+    lowest = {}  # each offset group's local is named after its first slot
+    for slot in sorted(offsets):
+        lowest.setdefault(id(offsets[slot]), slot)
+    registers = {}
+    for k in reach:
+        name, rules = functions[k]
+        frame = []
+        for i in range(len(rules[0].lhs)):
+            if (name, i) in symbolic:
+                frame.append((f"s{k}_{i}", "0", "1"))
+            else:
+                (j, m), (jo, mo) = tuples[k, i], lowest[id(offsets[k, i])]
+                frame.append((f"s{j}_{m}", f"o{jo}_{mo}", f"n{j}_{m}"))
+        registers[k] = frame
+    return registers
+
+
+def _compile_source(functions: tuple, symbolic: set, entry: str) -> str:
+    """The code of the `_run` of a well-sorted program's function `entry`,
+    given the program's symbol slots."""
     ids = {name: k for k, (name, _) in enumerate(functions)}
-    slots = [_slots(k, name, len(rules[0].lhs), symbolic)
-             for k, (name, rules) in enumerate(functions)]
-    fused = _fused(functions)
-    lines = ["def _run(_fn, _args, _fuel):"]
+    e = ids[entry]
+
+    def calls(k):
+        """Ids of the functions the rules of function k call."""
+        return [ids[rule.rhs.fn] for rule in functions[k][1]
+                if isinstance(rule.rhs, Call)]
+
+    reach = _closure(e, calls)
+    fused = _fused([functions[k] for k in reach])
+    slots = _registers(functions, ids, reach, symbolic, e)
+    # the entry and each function a call jumps to have an arm; a fused
+    # callee's rules run in its caller's arm, so its calls jump from there
+    arms = _closure(e, lambda at: [
+        j for k in calls(at)
+        for j in (calls(k) if functions[k][0] in fused else (k,))])
+    arm_ids = {k: a for a, k in enumerate(arms)}
+    lines = ["def _run(_args, _fuel):"]
     emit = lines.append
     # a fused callee's step: the next count from the loop's own iterator
     step = ["for _steps in _it:", "    break", "else:",
             "    raise FuelExhaustedError(_fuel + 1)"]
 
-    def enter(k, pad):
-        names = [s for s, _, _ in slots[k]]
-        emit(f"{pad}{', '.join(names)}{',' if len(names) == 1 else ''}"
-             f" = _args")
-        lists = [slot for slot in slots[k] if slot[1] != "0"]
-        for s, _, _ in lists:  # a word's letters, once
-            emit(f"{pad}{s} = tuple({s})")
-        if lists:
-            emit(f"{pad}{' = '.join(o for _, o, _ in lists)} = 0")
-        for s, _, n in lists:
-            emit(f"{pad}{n} = len({s})")
-
-    def body(k, rule, lhs, at, home):
-        """Lines of rule `rule` of function k, run while `_fn` is `at`, whose
-        patterns read the slots of function `home`."""
+    def body(k, rule, lhs, at):
+        """Lines of rule `rule` of function k, run while `_fn` is at's."""
         rhs = rule.rhs
         if not isinstance(rhs, Call):
             if isinstance(rhs, (TrueVal, FalseVal)):
@@ -652,48 +762,56 @@ def _compile_source(functions: tuple, symbolic: set) -> str:
             # every argument is a slot or a letter of one: the callee's
             # rules read them where they are, and nothing is stored
             return step + tree(callee, at, values)
-        # a symbol slot's offset and length are constants, not locals
+        # one simultaneous assignment, since the values may read the
+        # locals it writes; a symbol slot's offset and length are
+        # constants, and a local that already holds its value is skipped
         stores = [(t, c) for slot, value in zip(slots[callee], values)
-                  for t, c in zip(slot, value) if t.isidentifier()]
-        if callee == home:  # the slots being read are the ones stored
-            stores = [(t, c) for t, c in stores if t != c]
-            if len(stores) > 1:
-                stores = [(", ".join(t for t, _ in stores),
-                           ", ".join(c for _, c in stores))]
-        out = [f"{target} = {code}" for target, code in stores]
+                  for t, c in zip(slot, value) if t.isidentifier() and t != c]
+        out = [f"{', '.join(t for t, _ in stores)} = "
+               f"{', '.join(c for _, c in stores)}"] if stores else []
         if inline:
             return out + step + tree(callee, at, slots[callee])
         if callee != at:
-            out.append(f"_fn = {callee}")
+            out.append(f"_fn = {arm_ids[callee]}")
         out.append("continue")
         return out
 
     def tree(k, at, frame):
-        """Lines of function k's rules, run while `_fn` is `at`, reading its
+        """Lines of function k's rules, run while `_fn` is at's, reading its
         arguments from `frame`: k's own slots, or the slots and letters of
         `at` that a fused call site passes."""
         name, rules = functions[k]
-        home = k if frame is slots[k] else at
         out = [f"# {name}/{len(frame)}"]
         compiled = []
         for rule in rules:
             lhs = _Lhs(rule, frame)
-            compiled.append((lhs.conds, body(k, rule, lhs, at, home)))
+            compiled.append((lhs.conds, body(k, rule, lhs, at)))
         if not _emit_rules(out.append, compiled, ""):
             pairs = "".join(f"{s}, {o}, " for s, o, _ in frame)
             out.append(f"raise _stuck({name!r}, {pairs[:-2]})")
         return out
 
-    def arm(k, pad):
+    def arm(a, pad):
+        k = arms[a]
         for line in tree(k, k, slots[k]):
             emit(pad + line)
 
-    _emit_tree(emit, 0, len(functions), "    ", enter)
+    names = [s for s, _, _ in slots[e]]
+    emit(f"    {', '.join(names)}{',' if len(names) == 1 else ''} = _args")
+    lists = [slot for slot in slots[e] if slot[1] != "0"]
+    for s, _, _ in lists:  # a word's letters, once
+        emit(f"    {s} = tuple({s})")
+    if lists:
+        emit(f"    {' = '.join(o for _, o, _ in lists)} = 0")
+    for s, _, n in lists:
+        emit(f"    {n} = len({s})")
+    if len(arms) > 1:
+        emit(f"    _fn = {arm_ids[e]}")
     # each arm ends in continue, return or raise, so the loop ends only
     # when the fuel is spent
     emit("    _it = iter(range(1, _fuel + 1))")
     emit("    for _steps in _it:")
-    _emit_tree(emit, 0, len(functions), "        ", arm)
+    _emit_tree(emit, 0, len(arms), "        ", arm)
     emit("    raise FuelExhaustedError(_fuel + 1)")
     # body and tree hold each other through their closures: empty the
     # cells, so that the rules they reach are freed without a collection
@@ -702,14 +820,15 @@ def _compile_source(functions: tuple, symbolic: set) -> str:
 
 
 class CompiledProgram:
-    """A well-sorted program translated to one generated Python function,
-    which holds each word argument as a tuple of its letters (see the
-    comment above `_Code`).  Its source is built again on each use of
-    `source` rather than kept, so that a process holding many compiled
-    programs (the verify sweep holds one per pattern) does not hold their
-    text as well.  It keeps the program's functions, not the program, whose
-    `compiled` holds it: so a program and its translation are freed by
-    reference counting, with no cycle for the collector to find."""
+    """A well-sorted program translated to generated Python functions, one
+    per entry, each built on the entry's first run and kept; each holds
+    each word argument as a tuple of its letters (see the comment above
+    `_Code`).  The source is built again on each use of `source` rather
+    than kept, so that a process holding many compiled programs (the verify
+    sweep holds one per pattern) does not hold their text as well.  It keeps
+    the program's functions, not the program, whose `compiled` holds it: so
+    a program and its translation are freed by reference counting, with no
+    cycle for the collector to find."""
 
     def __init__(self, program: Program):
         symbolic = symbol_positions(program)
@@ -721,21 +840,30 @@ class CompiledProgram:
                 f"list at position {i}: the compiled engine takes "
                 f"well-sorted programs only")
         self._symbolic = symbolic
-        namespace = {
+        self.functions = program.functions
+        # the globals of every entry's _run
+        self._namespace = {
             "FuelExhaustedError": FuelExhaustedError,
             "_stuck": _stuck_in(symbolic),
         }
-        self.functions = program.functions
-        exec(compile(self.source, "<rewriter>", "exec"), namespace)
-        # not left in the namespace, which is _run's globals (it does not
-        # call itself): that would be a cycle
-        self._run = namespace.pop("_run")
-        self._ids = {name: k for k, (name, _) in enumerate(program.functions)}
+        self._runs: dict = {}
 
-    @property
-    def source(self) -> str:
-        """The generated Python code, built again from the program."""
-        return _compile_source(self.functions, self._symbolic)
+    def source(self, entry: str) -> str:
+        """The generated Python code of `entry`, a function of the program,
+        built again from the program."""
+        return _compile_source(self.functions, self._symbolic, entry)
+
+    def runner(self, entry: str):
+        """The generated function that runs `entry`, a function of the
+        program, built on first use and kept."""
+        run = self._runs.get(entry)
+        if run is None:
+            namespace = self._namespace
+            exec(compile(self.source(entry), "<rewriter>", "exec"), namespace)
+            # not left in the namespace, which is _run's globals (it does
+            # not call itself): that would be a cycle
+            run = self._runs[entry] = namespace.pop("_run")
+        return run
 
     def run(self, entry: str, args: tuple[str, ...],
             fuel: int = DEFAULT_FUEL) -> tuple[bool | str, int]:
@@ -745,7 +873,11 @@ class CompiledProgram:
         word into a tuple of letters once, on entry.  Returns the value, a
         bool for T/F or a str for a list (its letters joined), and the
         steps."""
-        return self._run(self._ids[entry], args, fuel)
+        try:
+            run = self._runs[entry]
+        except KeyError:
+            run = self.runner(entry)
+        return run(args, fuel)
 
 
 def _decode_value(v: bool | str) -> Expr:

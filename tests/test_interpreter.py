@@ -419,7 +419,8 @@ def test_engines_agree_on_every_program_shape():
     assert outcomes_agree(SHAPES, call, 30) == (
         StuckTermError, 'no rule of Q matches ("😀", Nil)')
     # a built list passed to a fused callee is stored in its slot
-    assert "s7_0 = (('b',) + s6_0[o6_0 + 1:])" in SHAPES.compiled.source
+    assert ("s7_0, o7_0, n7_0 = (('b',) + s6_0[o6_0 + 1:]), 0, "
+            "n6_0 - (o6_0 + 1) + 1") in SHAPES.compiled.source("B")
     for y in words("ab", 4):
         outcomes_agree(SHAPES, Call("B", (word(y),)), 30)
     assert outcomes_agree(SHAPES, Call("B", (word("abb"),)), 30) == (TRUE, 2)
@@ -921,14 +922,14 @@ def test_single_call_site_callees_are_fused(aab):
     # F_1 and F_3 have one call site each, outside themselves; F_0 and F_2
     # are called from two or more rules, and the naive matcher's S and L
     # from several
-    assert fused_count(aab.residual.program.compiled.source) == 2
-    assert fused_count(naive_matcher().compiled.source) == 0
+    assert fused_count(aab.residual.program.compiled.source("F_0")) == 2
+    assert fused_count(naive_matcher().compiled.source("S")) == 0
     # a callee that calls itself is not fused, even from one call site
     prog = parse_program("F { x = G(x); } G { 'a':x = G(x); x = T; }")
-    assert fused_count(prog.compiled.source) == 0
+    assert fused_count(prog.compiled.source("F")) == 0
     # a fused callee is still an entry, with its own code
     prog = parse_program("F { 'a':x = G(x); x = F; } G { 'b':x = T; x = F; }")
-    assert fused_count(prog.compiled.source) == 1
+    assert fused_count(prog.compiled.source("F")) == 1
     for entry, y, out in (("F", "ab", (TRUE, 2)), ("F", "aa", (FALSE, 2)),
                           ("G", "b", (TRUE, 1)), ("F", "b", (FALSE, 1))):
         assert outcomes_agree(prog, Call(entry, (word(y),)), 10) == out
@@ -955,6 +956,7 @@ def test_compiling_a_long_pattern_hashes_no_cell(monkeypatch):
         f"F {{ {cells}y = G('b':{cells}y); y = F; }}\n"
         f"G {{ 'b':{cells}y = T; y = F; }}")
     cp = CompiledProgram(prog)
+    cp.runner("F")
     assert sum(hashed) <= n
     # the right-hand side passes G the matched suffix, with one built cell
     assert cp.run("F", ("a" * n + "c",)) == (True, 2)
@@ -990,7 +992,7 @@ def test_fused_callee_at_the_depth_cap_still_compiles():
     f = (Rule(lhs[0], Call("G", tuple(ListVar(f"y{i}") for i in range(m)))),
          ) + g[1:]
     prog = Program((("F", f), ("G", g)))
-    source = prog.compiled.source
+    source = prog.compiled.source("F")
     assert fused_count(source) == 1
     indents = [(len(line) - len(line.lstrip())) // 4
                for line in source.splitlines()]
@@ -1095,9 +1097,10 @@ def test_compiled_engine_agrees_with_reference_on_random_programs():
         prog = random_program(rng)
         if prog.compiled is not None:
             compiled += 1
-            source = prog.compiled.source
-            shared += len(re.findall(r"if [^\n]*:\n +if ", source))
-            fused += fused_count(source)
+            for name, _ in prog.functions:
+                source = prog.compiled.source(name)
+                shared += len(re.findall(r"if [^\n]*:\n +if ", source))
+                fused += fused_count(source)
         for name, rules in prog.functions:
             bare = [{isinstance(r.lhs[i], (Sym, SymVar)) for r in rules}
                     for i in range(len(rules[0].lhs))]
@@ -1121,3 +1124,76 @@ def test_compiled_engine_agrees_with_reference_on_random_programs():
     assert 52 <= compiled <= 70
     assert shared >= 20
     assert fused >= 20
+
+
+# Programs that go wrong if the compiled engine shares a register it must
+# not: the naive matcher entered at L, where the pattern, the string and
+# their restart copies are four different words; an accumulator whose
+# second slot is given a built list, as given and returning that list; one
+# word fed to two slots that then move apart; and the same where one of the
+# two is then given a built list while the other still reads the word.
+SHARING = {
+    "naive": naive_matcher(),
+    "accumulator": parse_program(
+        "G { 'a':y, z = G(y, 'a':z); Nil, z = T; s.c:y, z = F; }"),
+    "accumulator-returned": parse_program(
+        "G { 'a':y, z = G(y, 'a':z); Nil, z = z; s.c:y, z = F; }"),
+    "one-seed": parse_program("""
+F { y = G(y, y); }
+G {
+  'a':x, y = G(x, y);
+  'b':x, s.c:y = G(x, y);
+  Nil, y = y;
+  x, Nil = x;
+}
+"""),
+    "one-seed-built": parse_program("""
+F { y = G(y, y); }
+G {
+  'a':x, y = G(x, y);
+  'b':'b':x, y = G(x, 'a':y);
+  'b':x, s.c:y = G(x, y);
+  Nil, y = y;
+  x, Nil = x;
+}
+"""),
+}
+
+
+@pytest.mark.parametrize("name", SHARING)
+def test_every_entry_agrees_where_registers_could_be_shared(name):
+    prog = SHARING[name]
+    for fn, rules in prog.functions:
+        for args in itertools.product(words("ab", 3),
+                                      repeat=len(rules[0].lhs)):
+            call = Call(fn, tuple(map(word, args)))
+            ref = outcomes_agree(prog, call, 100)
+            # fuel exactly at the rule applications tried, and one below
+            steps = attempts(prog, call)
+            assert outcomes_agree(prog, call, steps) == ref
+            assert outcomes_agree(prog, call, steps - 1) == (
+                FuelExhaustedError,
+                f"fuel exhausted after {steps} rule applications")
+
+
+def test_naive_matcher_entered_at_l_keeps_its_restart_point():
+    call = Call("L", tuple(map(word, ("b", "c", "zz", "xab"))))
+    assert outcomes_agree(naive_matcher(), call, 100) == (FALSE, 5)
+
+
+def test_naive_matcher_calls_store_only_offsets():
+    # entered at S, the pattern and the string each keep one tuple and one
+    # length, and L's restart point (q, z) lives in S's offsets: S -> L
+    # stores three offsets and L -> S none
+    source = naive_matcher().compiled.source("S")
+    loop = source[source.index("for _steps in _it:"):].splitlines()
+    assert [line.strip() for line in loop
+            if " = " in line and not line.lstrip().startswith(
+                ("if ", "return ", "raise "))] == [
+        "o1_0, o1_1, o0_1 = o0_0, o0_1, o0_1 + 1",  # S -> L
+        "_fn = 1",
+        "o0_1 = o0_1 + 1",  # S -> S
+        "o1_0, o1_1 = o1_0 + 1, o1_1 + 1",  # L -> L
+        "_fn = 0",  # L -> S, on a mismatch
+        "_fn = 0",  # L -> S, at the string's end
+    ]

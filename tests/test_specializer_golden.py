@@ -19,8 +19,11 @@ walk.  The compiled-source digests were re-recorded, and only they, when
 the compiled engine began to hold list arguments as tuples of letters and
 to run a fused callee passed only slots and letters on its caller's slots,
 and again when the generated loop began to count steps with its own range
-iterator (`for _steps in _it`) instead of an add and a fuel test per step:
-each time a change of the generated code alone, made for speed.
+iterator (`for _steps in _it`) instead of an add and a fuel test per step,
+and again when the engine began to generate one `_run` per entry, whose
+slots share tuple, length and offset locals along the calls (the digests
+are of the residual's entry and of the naive matcher's `S`): each time a
+change of the generated code alone, made for speed.
 `python tests/test_specializer_golden.py --record` rewrites the file from
 the current code, so record only from code known to be right.
 """
@@ -70,11 +73,11 @@ def digests(pattern: str) -> dict:
     return {"residual": _sha(render_residual(rp)),
             "graph": _sha("\n".join(graph_lines(graph)) + "\n"),
             "dot": _sha(export_dot(graph)),
-            "compiled": _sha(rp.program.compiled.source)}
+            "compiled": _sha(rp.program.compiled.source(rp.entry))}
 
 
 def naive_digests() -> dict:
-    return {"compiled": _sha(naive_matcher().compiled.source)}
+    return {"compiled": _sha(naive_matcher().compiled.source("S"))}
 
 
 def test_golden_covers_ladder_and_corpus():
