@@ -3,7 +3,7 @@
 # failure function (longest proper border), the pointer jump it licenses,
 # and the deterministic automaton grown from it.
 
-from miniscp import automaton, jump, kmp_search, table_rows
+from miniscp import jump, kmp_resume, kmp_search, table_rows
 
 for pattern in ("aab", "ababa"):
     print(f"pattern {pattern!r}:")
@@ -19,13 +19,14 @@ print("jump(3, '')   =", jump(3, ""))
 print("jump(10, 'abab') =", jump(10, "abab"))
 print()
 
-# The same information as a transition table.  Symbols outside the pattern
-# fall through the failure chain to state 0.
+# The same information as a transition table: the search resumed in a state
+# on one letter.  Symbols outside the pattern fall through the failure chain
+# to state 0.
 pattern = "aab"
-auto = automaton(pattern)
-print(f"automaton for {pattern!r} (accept = {auto.accept}):")
-for state in range(auto.accept):
-    row = {ch: auto.delta(state, ch) for ch in "abz"}
+accept = len(pattern)
+print(f"automaton for {pattern!r} (accept = {accept}):")
+for state in range(accept):
+    row = {ch: kmp_resume(pattern, ch, state)[0] for ch in "abz"}
     print(f"  state {state}: {row}")
 print()
 

@@ -13,7 +13,7 @@ from .interpreter import NAIVE_MATCHER_SOURCE, eval_call, naive_outcome
 from .configs import config_text
 from .scp import first_path_pivots, graph_lines, specialize_pattern
 from .residual import render_residual, residualize, structural_report
-from .kmp import automaton, jump, kmp_search, table_rows
+from .kmp import jump, kmp_resume, kmp_search, table_rows
 from .cli import main
 
 __version__ = "0.1.0"

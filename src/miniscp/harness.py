@@ -21,8 +21,9 @@ once, then checks, as separate falsifiable facets:
                     oracle, and brute-force containment agree on an
                     exhaustive small-string sweep plus seeded random strings;
   * linearity    -- residual step counts stay within 2|y| + |pattern| + 2;
-  * automaton    -- the residual's consuming functions are isomorphic to the
-                    failure-function automaton's non-accepting states.
+  * automaton    -- the residual is the failure table's KMP program, rule by
+                    rule: one function takes a letter per state, and every
+                    other function holds a letter in a state of a fallback.
 
 FACETS names them, in this order.  A failed facet is flagged FAIL in the
 pattern's record line and gets one failure line, "<facet>: <message>".
@@ -44,17 +45,16 @@ from time import perf_counter
 from .configs import Config, alpha_equivalent, covers, make_config
 from .driving import NameGen, drive_step
 from .interpreter import DriveError, naive_matcher
-from .kmp import automaton, kmp_resume, kmp_search
+from .kmp import failure_table, kmp_resume, kmp_search
 from .record import Record
-from .residual import (
-    consuming_functions, residualize, structural_report, transition,
-)
+from .residual import residualize, structural_report
 from .scp import (
     KIND_DIAGNOSTIC, KIND_FOLDED, KIND_PASSIVE, KIND_PIVOT, ProcessGraph,
     first_path, first_path_pivots, head_fn, matcher_entry, specialize_pattern,
 )
 from .syntax import (
-    Call, Cons, ListParam, Nil, Sym, SymParam, TRUE, Word, spine, word_cells,
+    Call, Cons, FALSE, ListParam, ListVar, NIL, Nil, Rule, Sym, SymParam,
+    SymVar, TRUE, Word, spine, word_cells,
 )
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -550,49 +550,89 @@ def _structure_facts(art: PatternArtifacts) -> None:
                            "leading symbols")
 
 
-# --- automaton isomorphism ----------------------------------------------------------
+# --- the failure table's KMP program ------------------------------------------
 
 def _automaton_facts(art: PatternArtifacts) -> dict:
-    pattern = art.pattern
-    rp = art.residual
-    auto = automaton(pattern)
-    consuming = consuming_functions(rp)
-    if len(consuming) != len(pattern):
-        raise CheckFailure(
-            f"{len(consuming)} consuming functions for {len(pattern)} "
-            "non-accepting states")
-    alpha = sweep_alphabet(pattern)
-    mapping = {rp.entry: 0}
-    queue = [rp.entry]
-    while queue:
-        fname = queue.pop()
-        state = mapping[fname]
-        for ch in alpha:
-            via_residual = transition(rp, fname, ch)
-            via_failure = auto.delta(state, ch)
-            if via_residual == "accept":
-                if via_failure != auto.accept:
-                    raise CheckFailure(
-                        f"{fname} accepts on {ch!r} but state {state} "
-                        f"moves to {via_failure}")
-                continue
-            if via_failure == auto.accept:
-                raise CheckFailure(
-                    f"state {state} accepts on {ch!r} but {fname} moves to "
-                    f"{via_residual}")
-            if via_residual in mapping:
-                if mapping[via_residual] != via_failure:
-                    raise CheckFailure(
-                        f"{via_residual} maps to both "
-                        f"{mapping[via_residual]} and {via_failure}")
+    """Read the residual, rule by rule, as the KMP program of the pattern's
+    failure table, and return the state each function stands for.
+
+    One walk over the rules from the entry: each function stands for a
+    state j, as (j, None) when it takes the next letter, or as (j, seen)
+    when it holds one letter already read, known to differ from every
+    letter in `seen`.  Its rules must be exactly, in this order: p[j] goes
+    to state j + 1, or to T after the last state; any other letter goes to
+    the fallback the failure table gives, which skips every state whose
+    letter is in `seen` and holds the letter in the first one left, or
+    returns to the scan; and a function that takes a letter ends with
+    Nil = F.  Each state has exactly one function that takes a letter, and
+    every function is reached."""
+    pattern, rp = art.pattern, art.residual
+    fail = failure_table(pattern)
+    states = {rp.entry: (0, None)}
+    takers = {}  # state -> its function that takes a letter
+    pending = [rp.entry]
+    while pending:
+        name = pending.pop()
+        j, seen = states[name]
+        where = f"{name} ({_state_text((j, seen))})"
+        rules = rp.program.rules(name)
+        if seen is None and takers.setdefault(j, name) != name:
+            raise CheckFailure(f"{takers[j]} and {name} both take letters "
+                               f"in state {j}")
+        if len(rules) != (3 if seen is None else 2):
+            raise CheckFailure(f"{where} has {len(rules)} rules")
+        held = (seen or frozenset()) | {pattern[j]}
+        k = j
+        while k and pattern[k] in held:
+            k = fail[k]
+        fallback = (0, None) if pattern[k] in held else (k, held)
+        advance = (j + 1, None) if j + 1 < len(pattern) else None
+        for n, (rule, letter, target) in enumerate(zip(
+                rules, (Sym(pattern[j]), None), (advance, fallback))):
+            lhs = rule.lhs  # read as (letter, rest of the string)
+            if seen is None:
+                lhs = (lhs[0].head, lhs[0].tail) \
+                    if isinstance(lhs[0], Cons) else ()
+            ok = len(lhs) == 2 and isinstance(lhs[1], ListVar) and (
+                lhs[0] == letter if letter else isinstance(lhs[0], SymVar))
+            if target is None:
+                ok = ok and rule.rhs == TRUE
             else:
-                mapping[via_residual] = via_failure
-                queue.append(via_residual)
-    if set(mapping) != set(consuming):
-        raise CheckFailure("some consuming functions are unreachable")
-    if sorted(mapping.values()) != list(range(len(pattern))):
-        raise CheckFailure(f"state map {mapping} is not a bijection")
-    return mapping
+                ok = ok and isinstance(rule.rhs, Call) \
+                    and rule.rhs.args == (lhs if target[1] else lhs[1:])
+            if not ok:
+                raise CheckFailure(
+                    f"{where}: rule {n} ({rule!r}) is not the move on "
+                    f"{repr(letter) if letter else 'any other letter'} to "
+                    f"{_state_text(target)}")
+            if target is None:
+                continue
+            callee = rule.rhs.fn
+            if callee not in states:
+                states[callee] = target
+                pending.append(callee)
+            elif states[callee] != target:
+                raise CheckFailure(f"{callee} stands for both "
+                                   f"{_state_text(states[callee])} and "
+                                   f"{_state_text(target)}")
+        if seen is None and rules[2] != Rule((NIL,), FALSE):
+            raise CheckFailure(f"{where}: rule 2 ({rules[2]!r}) is not "
+                               "Nil = F")
+    unreached = [f for f, _ in rp.program.functions if f not in states]
+    if unreached:
+        raise CheckFailure(f"{', '.join(unreached)} unreachable from "
+                           f"{rp.entry}")
+    return states
+
+
+def _state_text(state) -> str:
+    """T, "state j", or "state j holding a letter not in 'ab'"."""
+    if state is None:
+        return "T"
+    j, seen = state
+    if seen is None:
+        return f"state {j}"
+    return f"state {j} holding a letter not in {''.join(sorted(seen))!r}"
 
 
 # --- ground-instance replay --------------------------------------------------------
@@ -726,7 +766,9 @@ def verify_pattern(pattern: str, corpus: Corpus,
     metrics = {
         "pivot_count": len(art.report.pivots),
         "residual_function_count": len(art.residual.program.functions),
-        "consuming_function_count": len(consuming_functions(art.residual)),
+        "consuming_function_count": sum(
+            len(rules[0].lhs) == 1
+            for _, rules in art.residual.program.functions),
         "node_count": art.report.node_count,
         "fold_count": art.report.fold_count,
         "max_steps_ratio": max_ratio,

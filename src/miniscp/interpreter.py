@@ -10,13 +10,12 @@ function with as many arguments; `syntax.validate` checks that once, when
 the `Program` is built, so the engines check only the entry call.
 
 Rule patterns are matched by one function, `probe`, used by the reference
-stepper (and so by `residual.transition`) and by driving.  Without a name
-supply nothing narrows, and it is first-match rewriting; given a driving
-session's name supply it narrows the arguments' parameters as deep as the
-patterns look and returns that narrowing with the rule's binding, and the
-resolution that puts the binding under the narrowing, for the caller that
-needs it.  It walks list spines in loops, so rule patterns and words of
-any length are safe.
+stepper and by driving.  Without a name supply nothing narrows, and it is
+first-match rewriting; given a driving session's name supply it narrows the
+arguments' parameters as deep as the patterns look and returns that
+narrowing with the rule's binding, and the resolution that puts the binding
+under the narrowing, for the caller that needs it.  It walks list spines in
+loops, so rule patterns and words of any length are safe.
 
 Two engines are provided: a reference stepper over the syntax tree
 (`eval_reference`, `trace_call`) and a compiled engine (`eval_call`,

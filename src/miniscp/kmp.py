@@ -1,5 +1,6 @@
 """Independent linear-time matching oracle: failure function, pointer jump,
-failure-chain automaton, and a comparison-counting searcher.
+and a failure-link searcher that counts comparisons and can resume in any
+state.
 
 This module never touches the rewriting machinery; it exists to validate
 generated programs against textbook machinery built only from the pattern.
@@ -10,7 +11,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .interpreter import EmptyPatternError
-from .record import Record
 
 
 @lru_cache(maxsize=1024)
@@ -84,32 +84,6 @@ def kmp_search(p: str, y: str) -> tuple[bool, int]:
         raise EmptyPatternError("pattern must be nonempty")
     j, comparisons = kmp_resume(p, y)
     return j == len(p), comparisons
-
-
-class Automaton(Record):
-    """Deterministic matcher with states 0..|p| and accept sink |p|.
-
-    Transitions follow failure chains; symbols outside the pattern's
-    alphabet fall through the chain to state 0.
-    """
-    __slots__ = ("pattern",)
-
-    @property
-    def accept(self) -> int:
-        return len(self.pattern)
-
-    def delta(self, state: int, ch: str) -> int:
-        """The failure-link walk of kmp_resume, one loop step per link, so
-        long chains are safe."""
-        if not 0 <= state <= len(self.pattern):
-            raise ValueError(f"state {state} out of range")
-        return kmp_resume(self.pattern, ch, state)[0]
-
-
-def automaton(p: str) -> Automaton:
-    if not p:
-        raise EmptyPatternError("pattern must be nonempty")
-    return Automaton(p)
 
 
 def table_rows(p: str) -> list[tuple[int, str, int, str]]:

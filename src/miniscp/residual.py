@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from .configs import Config, apply_to_restriction, config_text, shape
 from .driving import Branch, drive_step
-from .interpreter import DriveError, EvalError, trace_call
+from .interpreter import DriveError
 from .record import Record
 from .scp import (
     KIND_DIAGNOSTIC, KIND_FOLDED, KIND_PASSIVE, KIND_PIVOT, ProcessGraph,
 )
 from .syntax import (
-    Call, Expr, ListVar, Nil, Program, Rule, Sym, SymParam, SymVar, TrueVal,
-    params_of, render, spine, subterms, substitute, vars_of, word,
+    Call, Expr, ListVar, Nil, Program, Rule, Sym, SymParam, SymVar, params_of,
+    render, spine, subterms, substitute, vars_of,
 )
 
 
@@ -191,41 +191,3 @@ def residual_lines(rp: ResidualProgram) -> list[str]:
             out.append(f"  rule {k}: {rule!r}")
     return out
 
-
-# --- state structure of a residual matcher -----------------------------------
-
-def signature_kinds(rp: ResidualProgram, name: str) -> tuple[str, ...]:
-    cfg = rp.provenance[name]
-    return tuple("sym" if isinstance(p, SymParam) else "list"
-                 for p in params_of(cfg.expr))
-
-
-def consuming_functions(rp: ResidualProgram) -> list[str]:
-    """Functions taking just the remaining string: one step, one symbol."""
-    out = []
-    for name, _ in rp.program.functions:
-        kinds = signature_kinds(rp, name)
-        if kinds == ("list",):
-            out.append(name)
-        elif kinds != ("sym", "list"):
-            raise ResidualError(f"unexpected signature {kinds} for {name}")
-    return out
-
-
-def transition(rp: ResidualProgram, name: str, ch: str):
-    """Follow one input symbol from a consuming function through any
-    fallback functions to the next consuming function, or 'accept': the
-    reference engine's steps on the call of `name` on the word `ch`."""
-    if signature_kinds(rp, name) != ("list",):
-        raise ResidualError(f"{name} is not a consuming function")
-    try:
-        for expr in trace_call(rp.program, Call(name, (word(ch),))):
-            if isinstance(expr, TrueVal):
-                return "accept"
-            if isinstance(expr, Call) \
-                    and signature_kinds(rp, expr.fn) == ("list",):
-                return expr.fn
-    except EvalError as e:
-        raise ResidualError(f"{name}: symbol {ch!r}: {e}") from e
-    raise ResidualError(
-        f"{name}: symbol {ch!r} rewrites to {expr!r}, not a call or T")

@@ -16,9 +16,8 @@ from miniscp.harness import (
     _restart_facts, record_line, replay_graph, verify_pattern,
 )
 from miniscp.interpreter import CompiledProgram, naive_matcher
-from miniscp.kmp import automaton
 from miniscp.residual import (
-    ResidualProgram, StructuralReport, structural_report, transition,
+    ResidualProgram, StructuralReport, render_residual, structural_report,
 )
 from miniscp.scp import (
     KIND_PASSIVE, Node, ProcessGraph, first_path, specialize_pattern,
@@ -79,9 +78,74 @@ def test_transition_walk_rejects_rejecting_symbol_rules():
     rp = ResidualProgram(
         bad, {"F_0": make_config(Call("S", (word("a"), ListParam("y"))))},
         "F_0")
-    from miniscp.residual import ResidualError
-    with pytest.raises(ResidualError):
-        transition(rp, "F_0", "a")
+    with pytest.raises(CheckFailure, match=r"^F_0 \(state 0\): rule 0 "
+                       r"\('a':y = F;\) is not the move on 'a' to T$"):
+        _automaton_facts(PatternArtifacts("a", None, None, rp))
+
+
+def _edited(art, old, new):
+    """`art` with its residual's text edited, `old` (found once) replaced
+    by `new`; a function the edit adds has no provenance."""
+    rp = art.residual
+    text = render_residual(rp)
+    assert text.count(old) == 1, old
+    program = parse_program(text.replace(old, new))
+    return PatternArtifacts(art.pattern, art.graph, art.report,
+                            ResidualProgram(program, rp.provenance, rp.entry))
+
+
+def test_automaton_check_rejects_a_graph_read_for_another_pattern(artifacts):
+    art = artifacts("aab")
+    _automaton_facts(art)
+    with pytest.raises(CheckFailure, match=r"^F_1 \(state 1\): rule 0 "
+                       r"\('a':y7 = F_2\(y7\);\) is not the move on 'b' to "
+                       r"state 2$"):
+        _automaton_facts(PatternArtifacts("aba", art.graph, art.report,
+                                          art.residual))
+
+
+# pattern, a residual text edit (old, new), and the facet's message
+EDITS = {
+    "nil-accepts": ("aab", ("F_0(y2);\n  Nil = F;", "F_0(y2);\n  Nil = T;"),
+                    r"^F_0 \(state 0\): rule 2 \(Nil = T;\) is not Nil = F$"),
+    "extra-letter": ("aab", ("'a':y1 = F_1(y1);",
+                             "'a':y1 = F_1(y1);\n  'z':y1 = F_1(y1);"),
+                     r"^F_0 \(state 0\) has 4 rules$"),
+    # F_2 holds a letter other than 'b' in state 0; on 'a' it moves to F_3,
+    # a copy of F_1, so that two functions take letters in state 1
+    "second-taker": ("ab", ("'a', y8 = F_1(y8);\n  s.c8, y8 = F_0(y8);\n}",
+                            "'a', y8 = F_3(y8);\n  s.c8, y8 = F_0(y8);\n}\n"
+                            "F_3 { 'b':y = T; s.c:y = F_2(s.c, y); Nil = F; }"),
+                     r"^F_1 and F_3 both take letters in state 1$"),
+    "unreached": ("ab", ("s.c8, y8 = F_0(y8);\n}",
+                         "s.c8, y8 = F_0(y8);\n}\nG { y = F_0(y); }"),
+                  r"^G unreachable from F_0$"),
+}
+
+
+@pytest.mark.parametrize("edit", EDITS)
+def test_automaton_check_rejects_an_edited_residual(edit, artifacts):
+    pattern, (old, new), message = EDITS[edit]
+    art = artifacts(pattern)
+    _automaton_facts(art)
+    with pytest.raises(CheckFailure, match=message):
+        _automaton_facts(_edited(art, old, new))
+
+
+def test_verify_refuses_a_residual_that_reads_a_letter_outside_the_sweep(
+        monkeypatch):
+    # F_0's extra rule 'z':y1 = F_1(y1) makes the residual answer T on
+    # "zab"; the sweep alphabet of aab is "abc", so only the automaton facet
+    # can see it
+    real = harness.artifacts
+    _, edit, _ = EDITS["extra-letter"]
+    monkeypatch.setattr(harness, "artifacts",
+                        lambda pattern: _edited(real(pattern), *edit))
+    art = harness.artifacts("aab")
+    assert art.residual.program.compiled.run("F_0", ("zab",))[0] is True
+    report = verify_pattern("aab", Corpus(("aab",), seed=7))
+    assert [f for f, ok in report.verdicts.items() if not ok] == ["automaton"]
+    assert report.failures == ("automaton: F_0 (state 0) has 4 rules",)
 
 
 def test_sweep_fails_on_an_oracle_that_miscounts_one_exhaustive_string(
@@ -158,7 +222,7 @@ def _break_linearity(mp):
 
 
 def _break_automaton(mp):
-    mp.setattr(harness, "automaton", lambda pattern: automaton(pattern[::-1]))
+    mp.setattr(harness, "failure_table", lambda p: (0,) * (len(p) + 1))
 
 
 # facet -> what breaks the one input only it reads, in record-line order

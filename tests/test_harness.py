@@ -8,13 +8,14 @@ import types
 
 import pytest
 
+from miniscp import harness
 from miniscp.harness import (
     POOL_BUDGET, Corpus, _automaton_facts, binary_patterns, check_pool_budget,
     default_corpus, exhaustive_count, expected_path_pivots, oracle_levels,
     record_line, string_pool, summary_lines, sweep_alphabet, verify_pattern,
 )
 from miniscp.interpreter import naive_matcher
-from miniscp.kmp import automaton, kmp_search
+from miniscp.kmp import kmp_search
 
 
 def test_default_corpus_contents():
@@ -192,9 +193,24 @@ def test_periodic_patterns_with_long_transient_chains_verify(pattern):
 
 def test_automaton_mapping_is_state_bijection(aab):
     mapping = _automaton_facts(aab)
-    assert mapping == {"F_0": 0, "F_1": 1, "F_2": 2}
-    auto = automaton("aab")
-    assert auto.accept == 3
+    assert {name: j for name, (j, seen) in mapping.items() if seen is None} \
+        == {"F_0": 0, "F_1": 1, "F_2": 2}
+    assert list(mapping) == ["F_0", "F_1", "F_2", "F_3"]
+
+
+def test_every_short_residual_is_its_failure_tables_kmp_program():
+    # every binary word up to length 8 and every ternary word up to length
+    # 4: the automaton facet passes, and each state 0..|p|-1 has exactly one
+    # function that takes a letter
+    patterns = dict.fromkeys(itertools.chain(
+        binary_patterns(8),
+        ("".join(t) for n in range(1, 5)
+         for t in itertools.product("abc", repeat=n))))
+    assert len(patterns) == 600
+    for pattern in patterns:
+        mapping = _automaton_facts(harness.artifacts(pattern))
+        takers = sorted(j for j, seen in mapping.values() if seen is None)
+        assert takers == list(range(len(pattern))), pattern
 
 
 def test_verify_pattern_report(small_corpus):

@@ -5,7 +5,7 @@ import pytest
 
 from miniscp.interpreter import EmptyPatternError
 from miniscp.kmp import (
-    _prefix_function, automaton, failure, failure_table, jump, kmp_resume,
+    _prefix_function, failure, failure_table, jump, kmp_resume,
     kmp_search, table_rows,
 )
 
@@ -130,8 +130,13 @@ def test_kmp_search_matches_per_call_definition():
     assert failure_table("abcabcacab") == (0,) + table
 
 
+def _delta(p):
+    """The automaton's move: the search resumed in a state on one letter."""
+    return lambda state, ch: kmp_resume(p, ch, state)[0]
+
+
 def test_automaton_for_aab():
-    d = automaton("aab").delta
+    d = _delta("aab")
     assert d(0, "a") == 1
     assert d(1, "a") == 2
     assert d(2, "b") == 3
@@ -141,14 +146,14 @@ def test_automaton_for_aab():
 
 
 def test_automaton_single_letter():
-    d = automaton("a").delta
+    d = _delta("a")
     assert d(0, "a") == 1
     assert d(0, "q") == 0
     assert d(1, "a") == 1  # accept sink
 
 
 def test_automaton_for_ababa():
-    d = automaton("ababa").delta
+    d = _delta("ababa")
     assert d(3, "b") == 4
     assert d(4, "a") == 5
     assert d(4, "b") == 0   # failure chain 4 -> 2 -> 0 on 'b'
@@ -158,35 +163,35 @@ def test_automaton_for_ababa():
 
 def test_automaton_agrees_with_search():
     for p in ("aab", "ababa", "abcabcacab"):
-        auto = automaton(p)
+        delta = _delta(p)
         alphabet = sorted(set(p)) + ["z"]
         for n in range(7):
             for tup in itertools.product(alphabet, repeat=n):
                 y = "".join(tup)
                 state = 0
                 for ch in y:
-                    state = auto.delta(state, ch)
-                assert (state == auto.accept) == (p in y), (p, y)
+                    state = delta(state, ch)
+                assert (state == len(p)) == (p in y), (p, y)
 
 
 def test_automaton_delta_follows_long_failure_chains():
     # one loop step per failure link (RecursionError when delta recursed)
-    assert automaton("a" * 3000).delta(2999, "b") == 0
-    assert automaton("a" * 3000).delta(2999, "a") == 3000
-    assert automaton("a" * 2999 + "b").delta(2999, "a") == 2999
+    assert _delta("a" * 3000)(2999, "b") == 0
+    assert _delta("a" * 3000)(2999, "a") == 3000
+    assert _delta("a" * 2999 + "b")(2999, "a") == 2999
     # against the definition: the longest prefix of p that is a suffix of
     # the matched prefix extended by ch
     rng = random.Random(8)
     for _ in range(300):
         p = "".join(rng.choice("ab") for _ in range(rng.randint(1, 9)))
-        auto = automaton(p)
+        delta = _delta(p)
         for state in range(len(p)):
             for ch in "abz":
                 read = p[:state] + ch
                 best = max(k for k in range(len(read) + 1)
                            if read.endswith(p[:k]))
-                assert auto.delta(state, ch) == best, (p, state, ch)
-        assert auto.delta(len(p), "a") == len(p)
+                assert delta(state, ch) == best, (p, state, ch)
+        assert delta(len(p), "a") == len(p)
 
 
 def test_table_rows_cover_mismatchable_prefixes():

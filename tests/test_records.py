@@ -13,7 +13,6 @@ from miniscp.configs import make_config, restriction
 from miniscp.driving import Branch, _Scratch
 from miniscp.harness import Corpus, PatternArtifacts, VerificationReport
 from miniscp.interpreter import Outcome
-from miniscp.kmp import Automaton
 from miniscp.record import Record
 from miniscp.residual import ResidualProgram, StructuralReport
 from miniscp.scp import Node, ProcessGraph, ScpReport, specialize_pattern
@@ -90,8 +89,6 @@ CASES = {
                        "StructuralReport(constants_in_rhs=0, "
                        "repeated_params_in_rhs=1, max_lhs_cons_depth=2)",
                        True, True),
-    Automaton: (lambda: Automaton("ab"), "Automaton(pattern='ab')",
-                False, False),
     Corpus: (lambda: Corpus(("a", "ab")),
              "Corpus(patterns=('a', 'ab'), exhaustive_len=8, "
              "random_count=1000, random_max_len=200, seed=7)", True, True),

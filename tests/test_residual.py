@@ -10,15 +10,14 @@ from miniscp.interpreter import (
     eval_call, naive_matcher,
 )
 from miniscp.residual import (
-    ResidualError, consuming_functions, render_residual, residualize,
-    signature_kinds, structural_report, transition,
+    ResidualError, render_residual, residualize, structural_report,
 )
 from miniscp.scp import specialize_pattern, supercompile
 from miniscp.syntax import (
     Call, Cons, FALSE, Nil, Sym, SymParam, SymVar, TRUE, chain, params_of,
     parse_expression, parse_program, spine, substitute, word,
 )
-from miniscp.harness import sweep_alphabet
+from miniscp.harness import _automaton_facts
 
 
 def rule_shapes(program, name):
@@ -165,52 +164,11 @@ def test_rendered_residual_reloads(aab):
 
 
 def test_transitions_compose_fallbacks(aab):
-    rp = aab.residual
-    consuming = consuming_functions(rp)
-    assert consuming == ["F_0", "F_1", "F_2"]
-    assert transition(rp, "F_0", "a") == "F_1"
-    assert transition(rp, "F_0", "b") == "F_0"
-    assert transition(rp, "F_1", "a") == "F_2"
-    assert transition(rp, "F_1", "b") == "F_0"
-    assert transition(rp, "F_2", "b") == "accept"
-    assert transition(rp, "F_2", "a") == "F_2"   # via the fallback
-    assert transition(rp, "F_2", "z") == "F_0"
-
-
-def _transition_reference(rp, name, ch):
-    """transition's former walk, kept as the reference: the first rule whose
-    first pattern takes the symbol, read as a list cell by a consuming
-    function and bare by a fallback function."""
-    while True:
-        bare = signature_kinds(rp, name) == ("sym", "list")
-        for rule in rp.program.rules(name):
-            pat = rule.lhs[0]
-            if bare:
-                if isinstance(pat, SymVar) or pat == Sym(ch):
-                    break
-            elif isinstance(pat, Cons) and (not isinstance(pat.head, Sym)
-                                            or pat.head.ch == ch):
-                break
-        else:
-            raise ResidualError(f"no rule consumes symbol {ch!r}")
-        if rule.rhs == TRUE:
-            return "accept"
-        name = rule.rhs.fn
-        if signature_kinds(rp, name) == ("list",):
-            return name
-
-
-def test_transition_agrees_with_first_pattern_walk(full_corpus, artifacts):
-    checked = 0
-    for pattern in full_corpus.patterns:
-        rp = artifacts(pattern).residual
-        for name in consuming_functions(rp):
-            for ch in sweep_alphabet(pattern):
-                assert transition(rp, name, ch) \
-                    == _transition_reference(rp, name, ch), (pattern, name, ch)
-                checked += 1
-    assert checked == sum(len(p) * len(sweep_alphabet(p))
-                          for p in full_corpus.patterns)
+    # F_2 falls back, holding the letter, to state 1, and from there to the
+    # scan: the failure table's fallback for the state that reads 'b'
+    assert _automaton_facts(aab) == {
+        "F_0": (0, None), "F_1": (1, None), "F_2": (2, None),
+        "F_3": (1, frozenset("b"))}
 
 
 def test_residualize_rejects_diagnostic_graphs():
