@@ -58,14 +58,6 @@ class Restriction(Record, frozen=True):
         return sorted(self.diseqs, key=lambda p: (_term_key(p[0]),
                                                   _term_key(p[1])))
 
-    def params(self) -> set[SymParam]:
-        out = set()
-        for a, b in self.diseqs:
-            for t in (a, b):
-                if isinstance(t, SymParam):
-                    out.add(t)
-        return out
-
 
 _set_diseqs, _set_unsat = setters(Restriction)
 EMPTY = Restriction()

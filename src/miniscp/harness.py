@@ -7,14 +7,17 @@ once, then checks, as separate falsifiable facets:
   * first_path   -- the lowest-rule-index path visits the expected pivot
                     sequence (entry, then one comparison state per matched
                     prefix) and ends at T;
-  * restart      -- every mismatch restarts correctly: folds on restart
-                    configurations always target the root, and the
-                    configurations holding one read-but-unmatched symbol
-                    branch exactly into re-entry (covered by the first
-                    comparison state) and restart (covered by the root);
-  * covering     -- the whistle never fired, every fold edge re-verifies,
-                    and every fold stays within the first-path prefix above
-                    the subtree it leaves;
+  * restart      -- every mismatch restarts at the root: folds into
+                    S-configurations target it; a configuration holding one
+                    read-but-unmatched symbol is either compressed, with the
+                    first letter excluded, into an edge to a root restart,
+                    or a node that branches exactly into re-entry (covered
+                    by the first comparison state) and restart; and a
+                    mismatch out of a comparison state reaches a root
+                    restart, a held-symbol node or another comparison state;
+  * covering     -- the whistle never fired, and every fold edge
+                    re-verifies and targets an ancestor on the first path
+                    (so none jumps below the subtree it leaves);
   * structural   -- the residual carries no constants or repeated variables
                     into calls and inspects at most one symbol per rule;
   * equivalence  -- naive run, residual run, the independent linear-search
@@ -50,11 +53,11 @@ from .record import Record
 from .residual import residualize, structural_report
 from .scp import (
     KIND_DIAGNOSTIC, KIND_FOLDED, KIND_PASSIVE, KIND_PIVOT, ProcessGraph,
-    first_path, first_path_pivots, head_fn, matcher_entry, specialize_pattern,
+    first_path, head_fn, matcher_entry, specialize_pattern,
 )
 from .syntax import (
     Call, Cons, FALSE, ListParam, ListVar, NIL, Nil, Rule, Sym, SymParam,
-    SymVar, TRUE, Word, spine, word_cells,
+    SymVar, TRUE, Word, word_cells,
 )
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -365,7 +368,8 @@ def _first_path_facts(art: PatternArtifacts) -> None:
     leaf = graph.nodes[path[-1]]
     if leaf.config.expr != TRUE:
         raise CheckFailure(f"first path ends at {leaf.config!r}, not T")
-    actual = first_path_pivots(graph)
+    actual = [graph.nodes[i].config for i in path
+              if graph.nodes[i].kind == KIND_PIVOT]
     expected = expected_path_pivots(art.pattern)
     if len(actual) != len(expected):
         raise CheckFailure(
@@ -373,9 +377,6 @@ def _first_path_facts(art: PatternArtifacts) -> None:
     for a, e in zip(actual, expected):
         if not alpha_equivalent(a, e):
             raise CheckFailure(f"pivot {a!r} differs from expected {e!r}")
-    lengths = [len(spine(cfg.expr.args[0])[0]) for cfg in actual]
-    if any(a <= b for a, b in zip(lengths, lengths[1:])):
-        raise CheckFailure(f"pattern-suffix lengths not decreasing: {lengths}")
     chain = [c for _, c in _chains(graph, [path[-1]])]
     # the whole pattern matched: L(Nil, Y, pattern, suffix(1) ++ Y)
     final = _comparison_config(art.pattern, len(art.pattern))
@@ -389,113 +390,97 @@ def _first_path_facts(art: PatternArtifacts) -> None:
 
 def _restart_facts(art: PatternArtifacts) -> None:
     graph, pattern = art.graph, art.pattern
-    nodes = graph.nodes
-    first = pattern[0]
+    nodes, root = graph.nodes, graph.root
+    first = Sym(pattern[0])
     # up to renaming, a restart is S(pattern, #y), and a held-symbol
     # configuration S(pattern, #s.c:#y) holds one read symbol c
     restart_form = matcher_entry(pattern)[1]
     held_form = make_config(Call("S", (word_cells(pattern),
                                        Cons(SymParam("c"), ListParam("y")))))
+    if nodes[root].kind != KIND_PIVOT:
+        raise CheckFailure("root is not a pivot")
 
     # Folds into S-configurations always target the root.
     for i, n in enumerate(nodes):
         if n.fold is not None:
             target, _ = n.fold
-            if head_fn(nodes[target].config) == "S" and target != graph.root:
+            if head_fn(nodes[target].config) == "S" and target != root:
                 raise CheckFailure(
                     f"fold {i} targets a non-root S-configuration {target}")
 
     def require_root_restart(node_id: int) -> None:
         n = nodes[node_id]
-        if n.kind != KIND_FOLDED or n.fold[0] != graph.root \
+        if n.kind != KIND_FOLDED or n.fold[0] != root \
                 or covers(restart_form, n.config) is None:
             raise CheckFailure(
                 f"node {node_id} ({n.config!r}) is not a root restart")
 
-    # Held-symbol configurations appearing as nodes: the root must be their
-    # only S-headed ancestor, and their two branches must be re-entry
-    # (covered by the first comparison state) and restart (covered by root).
+    # Every held-symbol configuration, a node or compressed into the edge
+    # into node i (every edge is rebuilt, which checks every step count),
+    # has the root as its only S-headed ancestor.  One that excludes the
+    # first letter is compressed, and its edge ends at a root restart; one
+    # that does not is a node, and a pivot branches exactly into re-entry
+    # (covered by the first comparison state) and restart.
     reentry = _comparison_config(pattern, 1)
-    for i, n in enumerate(nodes):
-        if covers(held_form, n.config) is None:
-            continue
-        for a in graph.ancestors(i):
-            if head_fn(nodes[a].config) == "S" and a != graph.root:
-                raise CheckFailure(
-                    f"held-symbol node {i} has non-root S-ancestor {a}")
-        if nodes[graph.root].kind != KIND_PIVOT:
-            raise CheckFailure("root is not a pivot")
-        if n.kind != KIND_PIVOT:
-            continue  # folded duplicates need no branch check
-        held = n.config.expr.args[1].head
-        if any(Sym(first) in pair and held in pair
-               for pair in n.config.restriction.diseqs):
-            raise CheckFailure(
-                f"held-symbol node {i} driven although the first letter "
-                "is already excluded")
-        if len(n.children) != 2:
-            raise CheckFailure(
-                f"held-symbol node {i} has {len(n.children)} branches")
-        advance, restart = (nodes[c] for c in n.children)
-        if advance.kind != KIND_FOLDED \
-                or not alpha_equivalent(advance.config, reentry) \
-                or covers(nodes[advance.fold[0]].config,
-                          advance.config) is None:
-            raise CheckFailure(
-                f"held-symbol node {i}: first branch is not a covered "
-                f"re-entry (got {advance.config!r})")
-        require_root_restart(n.children[1])
-
-    # Held-symbol configurations compressed into edges: they sit at the end
-    # of their chain, with the first letter excluded, and the edge's child is
-    # a root restart.  Every edge is rebuilt, which checks every step count.
     edges = [i for i, n in enumerate(nodes) if n.branch is not None]
-    for child_id, cfg in _chains(graph, edges):
+    held_configs = itertools.chain(
+        ((i, n.config, False) for i, n in enumerate(nodes)),
+        ((i, cfg, True) for i, cfg in _chains(graph, edges)))
+    for i, cfg, compressed in held_configs:
         if head_fn(cfg) != "S" or covers(held_form, cfg) is None:
             continue
+        where = f"held-symbol {'chain of ' if compressed else ''}node {i}"
+        for a in graph.ancestors(i):
+            if head_fn(nodes[a].config) == "S" and a != root:
+                raise CheckFailure(f"{where} has non-root S-ancestor {a}")
         held = cfg.expr.args[1].head
-        if not any(Sym(first) in pair and held in pair
-                   for pair in cfg.restriction.diseqs):
-            raise CheckFailure(
-                f"compressed held-symbol configuration {cfg!r} does not "
-                "exclude the pattern's first letter")
-        for a in graph.ancestors(child_id):
-            if head_fn(nodes[a].config) == "S" and a != graph.root:
+        excluded = any(first in pair and held in pair
+                       for pair in cfg.restriction.diseqs)
+        n = nodes[i]
+        if compressed:
+            if not excluded:
                 raise CheckFailure(
-                    f"held-symbol chain of node {child_id} has a non-root "
-                    f"S-ancestor {a}")
-        require_root_restart(child_id)
+                    f"compressed held-symbol configuration {cfg!r} does not "
+                    "exclude the pattern's first letter")
+            require_root_restart(i)
+        elif excluded:
+            raise CheckFailure(
+                f"{where} driven although the first letter is already "
+                "excluded")
+        elif n.kind == KIND_PIVOT:  # folded duplicates need no branch check
+            if len(n.children) != 2:
+                raise CheckFailure(f"{where} has {len(n.children)} branches")
+            advance = nodes[n.children[0]]
+            if advance.kind != KIND_FOLDED \
+                    or not alpha_equivalent(advance.config, reentry) \
+                    or covers(nodes[advance.fold[0]].config,
+                              advance.config) is None:
+                raise CheckFailure(
+                    f"{where}: first branch is not a covered re-entry (got "
+                    f"{advance.config!r})")
+            require_root_restart(n.children[1])
 
-    # Every mismatch branch out of an L-headed pivot chases, through
-    # fallback pivots, to a root restart: depth first, with a stack of the
-    # children still to visit, rather than a recursive closure, which would
-    # keep the graph alive until the cycle collector ran.
-    for i, n in enumerate(nodes):
+    # Every mismatch branch out of an L-headed pivot reaches a root restart,
+    # a held-symbol pivot, or an L-headed pivot, whose own mismatch branches
+    # this loop checks in its turn.
+    for n in nodes:
         if n.kind != KIND_PIVOT or head_fn(n.config) != "L":
             continue
-        pending = [iter(n.children)]
-        while pending:
-            for c in pending[-1]:
-                child = nodes[c]
-                if not child.branch.added.diseqs:
-                    continue  # not a mismatch branch
-                if child.kind == KIND_FOLDED:
-                    require_root_restart(c)
-                elif child.kind == KIND_PIVOT:
-                    if covers(held_form, child.config) is not None:
-                        continue  # validated above
-                    if head_fn(child.config) != "L":
-                        raise CheckFailure(
-                            f"mismatch branch reached unexpected pivot "
-                            f"{child.config!r}")
-                    pending.append(iter(child.children))
-                    break
-                else:
-                    raise CheckFailure(
-                        f"mismatch branch reached a {child.kind} node "
-                        f"({child.config!r})")
-            else:
-                pending.pop()
+        for c in n.children:
+            child = nodes[c]
+            if not child.branch.added.diseqs:
+                continue  # not a mismatch branch
+            if child.kind == KIND_FOLDED:
+                require_root_restart(c)
+            elif child.kind != KIND_PIVOT:
+                raise CheckFailure(
+                    f"mismatch branch reached a {child.kind} node "
+                    f"({child.config!r})")
+            elif head_fn(child.config) != "L" \
+                    and covers(held_form, child.config) is None:
+                raise CheckFailure(
+                    f"mismatch branch reached unexpected pivot "
+                    f"{child.config!r}")
 
 
 # --- covering / no generalization ----------------------------------------------
@@ -509,6 +494,10 @@ def _covering_facts(art: PatternArtifacts) -> None:
             f"(pairs {report.whistle_pairs})")
     if any(n.kind == KIND_DIAGNOSTIC for n in nodes):
         raise CheckFailure("diagnostic leaves present")
+    # The first path holds no fold, so the ancestors of a fold that lie on
+    # it are the path's prefix down to the fold's subtree: a target that is
+    # an ancestor on the first path stays above that subtree.
+    on_first_path = set(first_path(graph))
     for i, n in enumerate(nodes):
         if n.fold is None:
             continue
@@ -516,23 +505,10 @@ def _covering_facts(art: PatternArtifacts) -> None:
         again = covers(nodes[target].config, n.config)
         if again is None or again != sigma:
             raise CheckFailure(f"fold {i} -> {target} fails re-verification")
-        if target not in set(graph.ancestors(i)):
+        if target not in graph.ancestors(i):
             raise CheckFailure(f"fold {i} -> {target} is not an ancestor")
-    fp = first_path(graph)
-    fp_pos = {node: k for k, node in enumerate(fp)}
-    for i, n in enumerate(nodes):
-        if n.fold is None:
-            continue
-        target, _ = n.fold
-        if target not in fp_pos:
+        if target not in on_first_path:
             raise CheckFailure(f"fold target {target} off the first path")
-        hang = i
-        while hang not in fp_pos:
-            hang = nodes[hang].parent
-        if fp_pos[target] > fp_pos[hang]:
-            raise CheckFailure(
-                f"fold {i} -> {target} jumps below its subtree's first-path "
-                f"attachment {hang}")
 
 
 # --- structural claims -----------------------------------------------------------

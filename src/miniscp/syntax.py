@@ -524,8 +524,10 @@ def _tokenize(src: str) -> list[_Token]:
             col += 1
             continue
         if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
+            j = src.find("\n", i)
+            j = n if j < 0 else j
+            col += j - i
+            i = j
             continue
         start_line, start_col = line, col
         if c == "'":

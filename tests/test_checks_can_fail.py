@@ -12,15 +12,17 @@ import pytest
 from miniscp import driving, harness
 from miniscp.configs import covers, make_config
 from miniscp.harness import (
-    CheckFailure, Corpus, _automaton_facts, _chains, _first_path_facts,
-    _restart_facts, record_line, replay_graph, verify_pattern,
+    CheckFailure, Corpus, _automaton_facts, _chains, _covering_facts,
+    _first_path_facts, _restart_facts, record_line, replay_graph,
+    verify_pattern,
 )
 from miniscp.interpreter import CompiledProgram, naive_matcher
 from miniscp.residual import (
     ResidualProgram, StructuralReport, render_residual, structural_report,
 )
 from miniscp.scp import (
-    KIND_PASSIVE, Node, ProcessGraph, first_path, specialize_pattern,
+    KIND_DIAGNOSTIC, KIND_PASSIVE, Node, ProcessGraph, first_path,
+    specialize_pattern,
 )
 from miniscp.syntax import (
     Call, Cons, ListParam, Program, SymParam, parse_program, word,
@@ -371,3 +373,55 @@ def test_restart_chase_reports_a_bad_fallback_branch(monkeypatch):
     with pytest.raises(CheckFailure, match=r"^mismatch branch reached "
                        r"unexpected pivot ⟨S\(\"aab\", #y\)⟩$"):
         _restart_facts(art)
+
+
+# --- the covering facet, on a tampered aab graph ------------------------------
+
+def _whistled(nodes):
+    nodes[9].kind = KIND_DIAGNOSTIC
+
+
+def _misrenamed(nodes):
+    # node 10 folds into pivot 4 as {#y7: #y14}; any other renaming fails
+    nodes[10].fold = (4, {})
+
+
+def _retargeted_below_its_attachment(nodes):
+    # node 5 hangs off the first path [0, 1, 4, 7] at node 1; given node
+    # 10's configuration and fold, it re-verifies against pivot 4, a
+    # first-path node below node 1, which is not its ancestor
+    nodes[5].config, nodes[5].fold = nodes[10].config, nodes[10].fold
+
+
+def _folded_off_the_first_path(nodes):
+    # node 10, given pivot 8's configuration, folds into its parent 8 by
+    # the identity: an ancestor that the first path does not visit
+    nodes[10].config = nodes[8].config
+    nodes[10].fold = (8, covers(nodes[8].config, nodes[8].config))
+
+
+# tampering of aab's graph -> the covering facet's message
+COVERING_FAULTS = {
+    _whistled: r"^diagnostic leaves present$",
+    _misrenamed: r"^fold 10 -> 4 fails re-verification$",
+    _retargeted_below_its_attachment: r"^fold 5 -> 4 is not an ancestor$",
+    _folded_off_the_first_path: r"^fold target 8 off the first path$",
+}
+
+
+@pytest.mark.parametrize("tamper", COVERING_FAULTS,
+                         ids=lambda f: f.__name__.strip("_"))
+def test_covering_check_rejects_a_tampered_fold(tamper):
+    art = harness.artifacts("aab")
+    _covering_facts(art)
+    assert first_path(art.graph) == [0, 1, 4, 7]
+    tamper(art.graph.nodes)
+    with pytest.raises(CheckFailure, match=COVERING_FAULTS[tamper]):
+        _covering_facts(art)
+
+
+def test_covering_check_reports_the_whistle(monkeypatch):
+    _break_covering(monkeypatch)
+    with pytest.raises(CheckFailure,
+                       match=r"^whistle fired 1 times \(pairs \[\]\)$"):
+        _covering_facts(harness.artifacts("aab"))

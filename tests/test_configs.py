@@ -74,6 +74,11 @@ def test_entails_distinct_literals_vacuous():
     assert entails(EMPTY, r1, {})
 
 
+def _identity(r):
+    """The identity renaming of the symbol parameters r constrains."""
+    return {t: t for pair in r.diseqs for t in pair if isinstance(t, SymParam)}
+
+
 def test_entails_reflexive_under_identity():
     rng = random.Random(3)
     letters = "abc"
@@ -83,7 +88,7 @@ def test_entails_reflexive_under_identity():
             p = sp(rng.choice("uvw"))
             pairs.append((p, Sym(rng.choice(letters))))
         r = restriction(pairs)
-        ident = {p: p for p in r.params()}
+        ident = _identity(r)
         assert entails(r, r, ident)
 
 
@@ -97,7 +102,7 @@ def test_entails_monotone_in_left_argument():
         r1 = restriction(base)
         r2 = restriction(base)
         bigger = restriction(base + extra)
-        ident = {p: p for p in r1.params()}
+        ident = _identity(r1)
         if entails(r2, r1, ident):
             assert entails(bigger, r1, ident)
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -9,8 +10,9 @@ from miniscp.configs import (
     Config, alpha_equivalent, covers, make_config, restriction, shape,
 )
 from miniscp.driving import drive_step, ground_run, ground_step
-from miniscp.harness import replay_graph
+from miniscp.harness import binary_patterns, default_corpus, replay_graph
 from miniscp.interpreter import naive_matcher, naive_outcome
+from miniscp.kmp import failure_table
 from miniscp.scp import (
     KIND_DIAGNOSTIC, KIND_FOLDED, KIND_PASSIVE, KIND_PIVOT, KIND_TRANSIENT,
     NodeBudgetError, _couple, _embed, embeds, first_path, first_path_pivots,
@@ -349,6 +351,81 @@ def test_binary_sweep_no_generalization_and_node_cap():
             assert report.generalizations_attempted == 0, pattern
             assert report.node_count <= (len(pattern) + 1) ** 2 + 2, pattern
             assert report.node_count == len(graph.nodes)
+
+
+def significant_transitions(pattern):
+    """L(p): over the states k = 0..|p|-1, the number of distinct letters
+    p[j] for j on k's failure chain k, f(k), ..., 0.  These are the
+    transitions of p's string-matching automaton that do not go to state
+    0."""
+    f = failure_table(pattern)
+    total = 0
+    for k in range(len(pattern)):
+        letters = {pattern[k]}
+        while k:
+            k = f[k]
+            letters.add(pattern[k])
+        total += len(letters)
+    return total
+
+
+def _shape_law_patterns():
+    """The default corpus, every binary pattern up to length 8, and 60
+    seeded random patterns over 2-4 letters of length up to 60."""
+    rng = random.Random(33)
+    randoms = []
+    for _ in range(60):
+        letters = "abcd"[:rng.randint(2, 4)]
+        randoms.append("".join(rng.choice(letters)
+                               for _ in range(rng.randint(1, 60))))
+    return dict.fromkeys([*default_corpus().patterns, *binary_patterns(8),
+                          *randoms])
+
+
+def test_graph_shape_is_decided_by_the_failure_table():
+    # pivots = folds = L(p), |p| + 1 passive leaves, no transient node, and
+    # so nodes = 2 L(p) + |p| + 1
+    patterns = _shape_law_patterns()
+    assert len(patterns) > 550
+    for pattern in patterns:
+        graph, report = specialize_pattern(pattern)
+        kinds = Counter(n.kind for n in graph.nodes)
+        size = significant_transitions(pattern)
+        got = (kinds[KIND_PIVOT], report.fold_count, kinds[KIND_PASSIVE],
+               kinds[KIND_TRANSIENT], report.node_count)
+        assert got == (size, size, len(pattern) + 1, 0,
+                       2 * size + len(pattern) + 1), (pattern, got)
+
+
+def test_significant_transitions_stay_below_twice_the_length():
+    for n in range(1, 13):
+        for tup in itertools.product("ab", repeat=n):
+            assert significant_transitions("".join(tup)) <= 2 * n - 1, tup
+
+
+# Each periodic family: its pattern, its least n, and its counters (nodes,
+# folds, drive_steps, ground_runs) as closed forms in n; each division by 3
+# is exact, as n^3 - n is a multiple of 3.  Below the least n the forms do
+# not hold: a^(n-1) b at b and ab, (ab)^n c at abc.
+FAMILIES = {
+    "a^n": (lambda n: "a" * n, 1, lambda n: (
+        3 * n + 1, n, (n**3 + 3 * n**2 - n + 9) // 3, (n - 1) * (n - 2))),
+    "a^(n-1) b": (lambda n: "a" * (n - 1) + "b", 3, lambda n: (
+        3 * n + 3, n + 1, (n**3 + 3 * n**2 - n + 15) // 3,
+        (n - 1) * (n - 2))),
+    "(ab)^n c": (lambda n: "ab" * n + "c", 2, lambda n: (
+        8 * n + 6, 3 * n + 2, (4 * n**3 + 15 * n**2 + 26 * n + 18) // 3,
+        4 * n**2 - 6 * n + 1)),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_periodic_family_counters_follow_their_closed_forms(family):
+    pattern, least, forms = FAMILIES[family]
+    for n in range(least, 31):
+        _, r = specialize_pattern(pattern(n))
+        got = (r.node_count, r.fold_count, r.drive_steps, r.ground_runs)
+        assert got == forms(n), (pattern(n), got)
 
 
 def test_graph_lines_cover_all_nodes(aab):

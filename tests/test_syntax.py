@@ -207,6 +207,12 @@ def test_comments_are_skipped():
     assert prog.rules("F") == (Rule((NIL,), TRUE),)
 
 
+def test_end_of_input_after_a_comment_is_placed_after_it():
+    with pytest.raises(ParseError) as exc:
+        parse_program("F { x = T; -- c")
+    assert (exc.value.line, exc.value.col) == (1, 16)
+
+
 def test_residual_text_round_trips_and_reevaluates(aab):
     from miniscp.residual import render_residual
     text = render_residual(aab.residual)
