@@ -387,14 +387,23 @@ def _entry_fuel(fuel: int | None) -> int:
 # match order is kept.  A suffix is copied only where a right-hand side
 # conses onto a bound list, where a list is returned (joined back into a
 # str) or compared with a repeated list variable, and in a StuckTermError
-# message.  `_fn` selects an arm, the code of one function, through a
-# balanced `if _fn < k` tree over the arms, so dispatch costs O(log #arms)
-# per step.  Only the entry and the functions a call jumps to have an arm.
+# message.  `_fn` selects an arm, the code of one function.  Only the entry
+# and the functions a call jumps to have an arm.  An arm whose code jumps to
+# itself, directly or from a fused callee's rules (see below), is tested
+# first, by one `if _fn == a`, in arm order; the other arms sit under a
+# balanced `if _fn < k` tree, so their dispatch costs O(log #arms) per step.
+# A residual is its pattern's KMP automaton, which loops to itself from two
+# states at most, the scan and the state holding p's leading run of p[0];
+# on a text without the pattern most steps are spent in those loops, which
+# pass one test each.  Where the tree is one test (two arms), it stays as
+# it is.
 #
 # The step count is the loop variable: `_run` loops `for _steps in _it`,
-# over `_it = iter(range(1, _fuel + 1))`, so a step pays no add and no fuel
-# test of its own, and a loop that runs off the end has spent the fuel,
-# `FuelExhaustedError(_fuel + 1)` as the reference engine counts it.
+# over an iterator of `range(1, _fuel + 1)`, so a step pays no add and no
+# fuel test of its own, and a loop that runs off the end has spent the fuel,
+# `FuelExhaustedError(_fuel + 1)` as the reference engine counts it.  The
+# range of the default fuel is built once, `_DEFAULT_STEPS`, and every
+# other fuel builds its own.
 #
 # A callee with exactly one call site among the reachable functions,
 # outside itself, is fused: its rule tree is emitted at that call,
@@ -408,6 +417,9 @@ def _entry_fuel(fuel: int | None) -> int:
 # deep; a fused callee has an arm of its own only where a call jumps to it.
 
 _Code = tuple[str, str, str]  # (s, o, n): a tuple, an offset, its length
+
+# The step counts of a run at the default fuel
+_DEFAULT_STEPS = range(1, DEFAULT_FUEL + 1)
 
 # Nested `if`s one rule tree may open; below that depth rules are tested one
 # by one, so the generated source stays within the parser's indentation
@@ -563,17 +575,17 @@ def _stuck_in(symbolic: set):
     return _stuck
 
 
-def _emit_tree(emit, lo: int, hi: int, indent: str, leaf) -> None:
-    """A balanced `if _fn < k` tree over ids lo..hi-1; `leaf(k, indent)`
-    emits the code for id k."""
-    if hi - lo == 1:
-        leaf(lo, indent)
+def _emit_tree(emit, ids: list[int], indent: str, leaf) -> None:
+    """A balanced `if _fn < k` tree over the increasing ids `ids`;
+    `leaf(k, indent)` emits the code for id k."""
+    if len(ids) == 1:
+        leaf(ids[0], indent)
         return
-    mid = (lo + hi) // 2
-    emit(f"{indent}if _fn < {mid}:")
-    _emit_tree(emit, lo, mid, indent + "    ", leaf)
+    mid = len(ids) // 2
+    emit(f"{indent}if _fn < {ids[mid]}:")
+    _emit_tree(emit, ids[:mid], indent + "    ", leaf)
     emit(f"{indent}else:")
-    _emit_tree(emit, mid, hi, indent + "    ", leaf)
+    _emit_tree(emit, ids[mid:], indent + "    ", leaf)
 
 
 def _emit_rules(emit, rules: list, pad: str, depth: int = 0) -> bool:
@@ -732,11 +744,16 @@ def _compile_source(functions: tuple, symbolic: set, entry: str) -> str:
     reach = _closure(e, calls)
     fused = _fused([functions[k] for k in reach])
     slots = _registers(functions, ids, reach, symbolic, e)
-    # the entry and each function a call jumps to have an arm; a fused
-    # callee's rules run in its caller's arm, so its calls jump from there
-    arms = _closure(e, lambda at: [
-        j for k in calls(at)
-        for j in (calls(k) if functions[k][0] in fused else (k,))])
+
+    def jumps(at):
+        """Ids of the functions the code of function at's arm jumps to: a
+        fused callee's rules run in its caller's arm, so its calls jump
+        from there."""
+        return [j for k in calls(at)
+                for j in (calls(k) if functions[k][0] in fused else (k,))]
+
+    # the entry and each function a call jumps to have an arm
+    arms = _closure(e, jumps)
     arm_ids = {k: a for a, k in enumerate(arms)}
     lines = ["def _run(_args, _fuel):"]
     emit = lines.append
@@ -808,9 +825,18 @@ def _compile_source(functions: tuple, symbolic: set, entry: str) -> str:
         emit(f"    _fn = {arm_ids[e]}")
     # each arm ends in continue, return or raise, so the loop ends only
     # when the fuel is spent
-    emit("    _it = iter(range(1, _fuel + 1))")
+    emit(f"    _it = iter(_default_steps if _fuel == {DEFAULT_FUEL} "
+         f"else range(1, _fuel + 1))")
     emit("    for _steps in _it:")
-    _emit_tree(emit, 0, len(arms), "        ", arm)
+    # an arm that jumps to itself is tested first, by one `==` each, and
+    # the rest keep the balanced tree, unless that is one test already
+    loops = [a for a, k in enumerate(arms)
+             if len(arms) > 2 and k in jumps(k)]
+    rest = [a for a in range(len(arms)) if a not in loops] or [loops.pop()]
+    for a in loops:
+        emit(f"        if _fn == {a}:")
+        arm(a, "            ")
+    _emit_tree(emit, rest, "        ", arm)
     emit("    raise FuelExhaustedError(_fuel + 1)")
     # body and tree hold each other through their closures: empty the
     # cells, so that the rules they reach are freed without a collection
@@ -844,6 +870,7 @@ class CompiledProgram:
         self._namespace = {
             "FuelExhaustedError": FuelExhaustedError,
             "_stuck": _stuck_in(symbolic),
+            "_default_steps": _DEFAULT_STEPS,
         }
         self._runs: dict = {}
 

@@ -6,11 +6,11 @@ import pytest
 
 from miniscp.driving import _REFUSE, NameGen
 from miniscp.interpreter import (
-    ArityError, CompiledProgram, DriveError, EmptyPatternError, EvalError,
-    FuelExhaustedError, Outcome, StuckTermError, UnsupportedNarrowingError,
-    _MAX_SHARED_DEPTH, _check_arity, eval_call, eval_reference,
-    naive_matcher, naive_outcome, probe, resolve, symbol_positions,
-    trace_call,
+    DEFAULT_FUEL, ArityError, CompiledProgram, DriveError, EmptyPatternError,
+    EvalError, FuelExhaustedError, Outcome, StuckTermError,
+    UnsupportedNarrowingError, _MAX_SHARED_DEPTH, _check_arity, eval_call,
+    eval_reference, naive_matcher, naive_outcome, probe, resolve,
+    symbol_positions, trace_call,
 )
 from miniscp.kmp import kmp_resume
 from miniscp.syntax import (
@@ -1160,9 +1160,10 @@ G {
 }
 
 
-@pytest.mark.parametrize("name", SHARING)
-def test_every_entry_agrees_where_registers_could_be_shared(name):
-    prog = SHARING[name]
+def every_entry_agrees(prog):
+    """Both engines agree on every entry of `prog` and every input up to
+    length 3 over `ab`, at fuel 100, at exactly the rule applications tried
+    and at one less."""
     for fn, rules in prog.functions:
         for args in itertools.product(words("ab", 3),
                                       repeat=len(rules[0].lhs)):
@@ -1174,6 +1175,11 @@ def test_every_entry_agrees_where_registers_could_be_shared(name):
             assert outcomes_agree(prog, call, steps - 1) == (
                 FuelExhaustedError,
                 f"fuel exhausted after {steps} rule applications")
+
+
+@pytest.mark.parametrize("name", SHARING)
+def test_every_entry_agrees_where_registers_could_be_shared(name):
+    every_entry_agrees(SHARING[name])
 
 
 def test_naive_matcher_entered_at_l_keeps_its_restart_point():
@@ -1197,3 +1203,94 @@ def test_naive_matcher_calls_store_only_offsets():
         "_fn = 0",  # L -> S, on a mismatch
         "_fn = 0",  # L -> S, at the string's end
     ]
+
+
+# --- dispatch ---------------------------------------------------------------
+
+def arm_tests(source):
+    """Each arm of a generated `_run`, in source order, as the dispatch test
+    that leads to it and the function it runs: (test, name)."""
+    lines = [line.strip() for line in source.splitlines()]
+    return [(test, head[2:head.index("/")])
+            for test, head in zip(lines, lines[1:]) if head.startswith("# ")
+            and (test.startswith("if _fn") or test == "else:")]
+
+
+def test_arms_that_jump_to_themselves_are_tested_first(artifacts):
+    # F_0 scans for 'a' and F_1, holding it, reads another 'a' through its
+    # fused fallback F_16: each jumps to itself, and is tested first
+    arms = arm_tests(artifacts("abcabcacab").residual.program.compiled
+                     .source("F_0"))
+    assert len(arms) == 9
+    assert arms[:2] == [("if _fn == 0:", "F_0"), ("if _fn == 1:", "F_1")]
+    assert all(test.startswith("if _fn < ") or test == "else:"
+               for test, _ in arms[2:])
+    # where the tree is one test, it stays as it was
+    for source in (artifacts("aab").residual.program.compiled.source("F_0"),
+                   naive_matcher().compiled.source("S")):
+        loop = source.splitlines()
+        at = loop.index("    for _steps in _it:")
+        assert loop[at + 1] == "        if _fn < 1:"
+        assert "_fn ==" not in source
+
+
+def test_no_residual_tests_more_than_two_arms_first(full_corpus, artifacts):
+    # a KMP automaton loops to itself from two states at most: the scan,
+    # and the state that holds p's leading run of p[0]
+    for pattern in full_corpus.patterns:
+        rp = artifacts(pattern).residual
+        source = rp.program.compiled.source(rp.entry)
+        assert source.count("if _fn ==") <= 2, pattern
+
+
+# Programs whose arms jump to themselves: three functions that each do, so
+# that the last is left for the tree; the same with an arm between each two
+# that does not, so the tree has gaps in its ids; and a function that does
+# through its fused callee C.
+LOOPS = {
+    "three": parse_program("""
+F { 'a':y = F(y); 'b':y = G(y); Nil = T; }
+G { 'b':y = G(y); 'a':y = H(y); Nil = F; }
+H { 'a':y = H(y); 'b':y = F(y); Nil = T; }
+"""),
+    "gaps": parse_program("""
+F { 'a':y = F(y); 'b':y = A(y); Nil = F; }
+A { 'a':y = G(y); 'b':y = B(y); Nil = T; }
+G { 'b':y = G(y); 'a':y = B(y); Nil = F; }
+B { 'a':y = H(y); 'b':y = A(y); Nil = T; }
+H { 'a':y = H(y); 'b':y = F(y); Nil = F; }
+"""),
+    "fused": parse_program("""
+F { 'a':y = C(y); 'b':y = G(y); Nil = F; }
+C { 'a':y = F(y); 'b':y = K(y); Nil = T; }
+G { 'b':y = K(y); 'a':y = F(y); Nil = F; }
+K { 'a':y = G(y); 'b':y = F(y); Nil = T; }
+"""),
+}
+
+
+@pytest.mark.parametrize("name", LOOPS)
+def test_every_entry_agrees_where_arms_jump_to_themselves(name):
+    prog = LOOPS[name]
+    # entered at F, the arms tested first by `==`: in "three" the last arm
+    # that jumps to itself, H, is left for the tree, where it is alone
+    first = {"three": ["F", "G"], "gaps": ["F", "G", "H"], "fused": ["F"]}
+    assert [arm for test, arm in arm_tests(prog.compiled.source("F"))
+            if "==" in test] == first[name]
+    every_entry_agrees(prog)
+
+
+def test_a_loop_spends_any_fuel_as_the_reference_engine_counts_it():
+    # the default fuel draws its steps from a range built once; any other
+    # fuel builds its own
+    prog = parse_program("F { y = F(y); }")
+    call = Call("F", (word("ab"),))
+    for fuel in (0, 1, 37):
+        assert outcomes_agree(prog, call, fuel) == exhausted(fuel + 1)
+    ref = outcomes_agree(prog, call, None)
+    assert ref == exhausted(DEFAULT_FUEL + 1)
+    for _ in range(2):
+        with pytest.raises(FuelExhaustedError) as err:
+            eval_call(prog, call, DEFAULT_FUEL)
+        assert (type(err.value), str(err.value)) == ref
+        assert err.value.steps == DEFAULT_FUEL + 1

@@ -22,8 +22,11 @@ and again when the generated loop began to count steps with its own range
 iterator (`for _steps in _it`) instead of an add and a fuel test per step,
 and again when the engine began to generate one `_run` per entry, whose
 slots share tuple, length and offset locals along the calls (the digests
-are of the residual's entry and of the naive matcher's `S`): each time a
-change of the generated code alone, made for speed.
+are of the residual's entry and of the naive matcher's `S`), and a fourth
+time when the dispatch began to test the arms that jump to themselves
+first and the loop began to draw its steps from one range built for the
+default fuel: each time a change of the generated code alone, made for
+speed.
 `python tests/test_specializer_golden.py --record` rewrites the file from
 the current code, so record only from code known to be right.
 """
