@@ -38,7 +38,8 @@ so a call stores only the offsets that change.  A function called from a
 single right-hand side, not its own, runs inlined at that call site, on
 the caller's own slots where the call passes only those and their letters;
 that saves the jump back through the function dispatch, and the stores,
-but still counts its step.
+but still counts its step.  A call that decides which rule its callee
+fires takes that step at the call site, counted too.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .record import Record
 from .syntax import (
     Call, Cons, Expr, FALSE, FalseVal, ListParam, ListVar, NIL, Nil, Program,
     Rule, Sym, SymParam, SymVar, TRUE, TrueVal, Word, parse_program,
-    render_expr, spine, substitute, unword, word,
+    render_expr, spine, substitute, unword, vars_of, word,
 )
 
 DEFAULT_FUEL = 1_000_000
@@ -415,6 +416,23 @@ def _entry_fuel(fuel: int | None) -> int:
 # nothing is stored.  Where the call builds a list, it stores into the
 # callee's slots first.  Only the callee's own code is inlined, one level
 # deep; a fused callee has an arm of its own only where a call jumps to it.
+#
+# A call that decides its callee's step takes that step with it, as a
+# partial evaluator compresses a transition whose outcome is static.
+# `_decided` asks `driving.ground_step`, the specializer's judge of a step
+# that narrows nothing, whether the call fires one rule of the callee
+# whatever the caller's variables hold, taking them as parameters under no
+# restriction.  If it does, the rule's right-hand side becomes the fired
+# rule's under its binding, and the step is drawn from the iterator as a
+# fused callee's is; the new call is judged in turn, but each function
+# takes at most one decided step along a chain, so the chain ends even
+# where a function decides its own step (`F { x = F(x); }` draws two steps
+# per pass of the loop).  Every analysis above reads these right-hand
+# sides.  In the naive matcher, L's first step compares the letter S has
+# just matched, so S -> L becomes `L(p, y, s.a:p, y)` after one drawn step
+# and S's matched letter is read once.  A residual has no such call: the
+# supercompiler has compressed them all, and its calls go to functions that
+# branch.
 
 _Code = tuple[str, str, str]  # (s, o, n): a tuple, an offset, its length
 
@@ -621,6 +639,39 @@ def _emit_rules(emit, rules: list, pad: str, depth: int = 0) -> bool:
     return False
 
 
+def _decided(program: Program) -> tuple[tuple, dict]:
+    """The program's functions with each call whose callee's step the call
+    decides replaced by that step's right-hand side, and the steps so taken,
+    {(function, rule index): count}, for the rules that take any.  A step is
+    decided when `driving.ground_step` fires it on the call with the rule's
+    variables as parameters and no restriction; the new call is judged
+    again, but each function takes at most one decided step along a chain,
+    so a chain ends even where a function decides its own step."""
+    from .configs import Config
+    from .driving import ground_step
+    functions, drawn = [], {}
+    for name, rules in program.functions:
+        rules = list(rules)
+        for i, rule in enumerate(rules):
+            if rule.rhs.__class__ is not Call:
+                continue
+            params = {v: (SymParam if v.__class__ is SymVar else ListParam)(
+                v.name) for v in vars_of(rule.rhs)}
+            expr, taken = substitute(rule.rhs, params), []
+            while expr.__class__ is Call and expr.fn not in taken:
+                child = ground_step(program, Config(expr))
+                if child is None:
+                    break
+                taken.append(expr.fn)
+                expr = child.expr
+            if taken:
+                back = {p: v for v, p in params.items()}
+                rules[i] = Rule(rule.lhs, substitute(expr, back))
+                drawn[name, i] = len(taken)
+        functions.append((name, tuple(rules)))
+    return tuple(functions), drawn
+
+
 def _fused(functions) -> set:
     """Names of the functions to inline at their call site: those called
     from exactly one right-hand side of `functions`, which is not their
@@ -730,9 +781,11 @@ def _registers(functions, ids: dict, reach, symbolic: set,
     return registers
 
 
-def _compile_source(functions: tuple, symbolic: set, entry: str) -> str:
+def _compile_source(functions: tuple, drawn: dict, symbolic: set,
+                    entry: str) -> str:
     """The code of the `_run` of a well-sorted program's function `entry`,
-    given the program's symbol slots."""
+    given its functions and decided steps (see `_decided`) and its symbol
+    slots."""
     ids = {name: k for k, (name, _) in enumerate(functions)}
     e = ids[entry]
 
@@ -799,9 +852,11 @@ def _compile_source(functions: tuple, symbolic: set, entry: str) -> str:
         name, rules = functions[k]
         out = [f"# {name}/{len(frame)}"]
         compiled = []
-        for rule in rules:
+        for i, rule in enumerate(rules):
             lhs = _Lhs(rule, frame)
-            compiled.append((lhs.conds, body(k, rule, lhs, at)))
+            # each decided step the rule takes is drawn as a fused one is
+            compiled.append((lhs.conds, step * drawn.get((name, i), 0)
+                             + body(k, rule, lhs, at)))
         if not _emit_rules(out.append, compiled, ""):
             pairs = "".join(f"{s}, {o}, " for s, o, _ in frame)
             out.append(f"raise _stuck({name!r}, {pairs[:-2]})")
@@ -851,9 +906,10 @@ class CompiledProgram:
     `_Code`).  The source is built again on each use of `source` rather
     than kept, so that a process holding many compiled programs (the verify
     sweep holds one per pattern) does not hold their text as well.  It keeps
-    the program's functions, not the program, whose `compiled` holds it: so
-    a program and its translation are freed by reference counting, with no
-    cycle for the collector to find."""
+    the program's functions, with their decided steps taken (see
+    `_decided`), not the program, whose `compiled` holds it: so a program
+    and its translation are freed by reference counting, with no cycle for
+    the collector to find."""
 
     def __init__(self, program: Program):
         symbolic = symbol_positions(program)
@@ -865,7 +921,7 @@ class CompiledProgram:
                 f"list at position {i}: the compiled engine takes "
                 f"well-sorted programs only")
         self._symbolic = symbolic
-        self.functions = program.functions
+        self.functions, self._drawn = _decided(program)
         # the globals of every entry's _run
         self._namespace = {
             "FuelExhaustedError": FuelExhaustedError,
@@ -877,7 +933,8 @@ class CompiledProgram:
     def source(self, entry: str) -> str:
         """The generated Python code of `entry`, a function of the program,
         built again from the program."""
-        return _compile_source(self.functions, self._symbolic, entry)
+        return _compile_source(self.functions, self._drawn, self._symbolic,
+                               entry)
 
     def runner(self, entry: str):
         """The generated function that runs `entry`, a function of the

@@ -8,8 +8,8 @@ from miniscp.driving import _REFUSE, NameGen
 from miniscp.interpreter import (
     DEFAULT_FUEL, ArityError, CompiledProgram, DriveError, EmptyPatternError,
     EvalError, FuelExhaustedError, Outcome, StuckTermError,
-    UnsupportedNarrowingError, _MAX_SHARED_DEPTH, _check_arity, eval_call,
-    eval_reference, naive_matcher, naive_outcome, probe, resolve,
+    UnsupportedNarrowingError, _MAX_SHARED_DEPTH, _check_arity, _decided,
+    eval_call, eval_reference, naive_matcher, naive_outcome, probe, resolve,
     symbol_positions, trace_call,
 )
 from miniscp.kmp import kmp_resume
@@ -921,9 +921,11 @@ def fused_count(source):
 def test_single_call_site_callees_are_fused(aab):
     # F_1 and F_3 have one call site each, outside themselves; F_0 and F_2
     # are called from two or more rules, and the naive matcher's S and L
-    # from several
+    # from several: the one step its source draws besides the loop is the
+    # decided step S -> L takes with it (see the decided-step tests below)
     assert fused_count(aab.residual.program.compiled.source("F_0")) == 2
-    assert fused_count(naive_matcher().compiled.source("S")) == 0
+    assert fused_count(naive_matcher().compiled.source("S")) == 1
+    assert _decided(naive_matcher())[1] == {("S", 0): 1}
     # a callee that calls itself is not fused, even from one call site
     prog = parse_program("F { x = G(x); } G { 'a':x = G(x); x = T; }")
     assert fused_count(prog.compiled.source("F")) == 0
@@ -952,9 +954,10 @@ def test_compiling_a_long_pattern_hashes_no_cell(monkeypatch):
     monkeypatch.setattr(Cons, "__hash__", counting)
     n = 3000
     cells = "'a':" * n
+    # G reads one cell more than F passes it, so the call decides no step
     prog = parse_program(
         f"F {{ {cells}y = G('b':{cells}y); y = F; }}\n"
-        f"G {{ 'b':{cells}y = T; y = F; }}")
+        f"G {{ 'b':{cells}'c':y = T; y = F; }}")
     cp = CompiledProgram(prog)
     cp.runner("F")
     assert sum(hashed) <= n
@@ -1190,13 +1193,15 @@ def test_naive_matcher_entered_at_l_keeps_its_restart_point():
 def test_naive_matcher_calls_store_only_offsets():
     # entered at S, the pattern and the string each keep one tuple and one
     # length, and L's restart point (q, z) lives in S's offsets: S -> L
-    # stores three offsets and L -> S none
+    # stores three offsets and L -> S none.  S -> L takes L's first step
+    # with it, which compares the letter S has just matched, so L starts
+    # one letter on: L(p, y, s.a:p, y)
     source = naive_matcher().compiled.source("S")
     loop = source[source.index("for _steps in _it:"):].splitlines()
     assert [line.strip() for line in loop
             if " = " in line and not line.lstrip().startswith(
                 ("if ", "return ", "raise "))] == [
-        "o1_0, o1_1, o0_1 = o0_0, o0_1, o0_1 + 1",  # S -> L
+        "o1_0, o1_1, o0_1 = o0_0 + 1, o0_1 + 1, o0_1 + 1",  # S -> L
         "_fn = 1",
         "o0_1 = o0_1 + 1",  # S -> S
         "o1_0, o1_1 = o1_0 + 1, o1_1 + 1",  # L -> L
@@ -1294,3 +1299,82 @@ def test_a_loop_spends_any_fuel_as_the_reference_engine_counts_it():
             eval_call(prog, call, DEFAULT_FUEL)
         assert (type(err.value), str(err.value)) == ref
         assert err.value.steps == DEFAULT_FUEL + 1
+
+
+# --- decided steps -----------------------------------------------------------
+
+# Programs with calls that decide their callee's step: a chain of two
+# decided steps through G and H; decided steps that return T, a built list
+# and F; one whose right-hand side builds a list, so the call stores it; one
+# whose right-hand side calls H, which is then fused, and whose fused H
+# decides K's step in turn; and one into G, which is an entry too.
+DECIDED = {
+    "chain": parse_program("""
+F { 'a':y = G('b':y); 'b':y = F(y); Nil = T; }
+G { 'b':y = H('a':y); y = F; }
+H { 'a':y = F(y); y = T; }
+"""),
+    "passive": parse_program("""
+F { 'a':y = G(y); 'b':'a':y = H('b':y); 'b':y = K(Nil); Nil = F; }
+G { y = T; }
+H { 'b':y = 'a':y; }
+K { Nil = F; y = T; }
+"""),
+    "store": parse_program("""
+F { 'a':y = G(y); 'b':y = F(y); Nil = T; }
+G { y = H('b':y); }
+H { 'b':'a':y = T; 'b':y = F(y); }
+"""),
+    "fused": parse_program("""
+F { 'a':y = G('b':y); 'b':y = F(y); Nil = T; }
+G { 'b':y = H(y); y = F; }
+H { 'a':y = K(y); y = F; }
+K { y = F(y); }
+"""),
+    "entry": parse_program("""
+F { 'a':y = G('b':y); 'b':y = F(y); Nil = F; }
+G { 'b':y = F(y); 'a':y = G(y); Nil = T; }
+"""),
+}
+
+
+@pytest.mark.parametrize("name", DECIDED)
+def test_every_entry_agrees_where_calls_decide_steps(name):
+    prog = DECIDED[name]
+    # the decided steps each rule takes with it, at most one per function
+    drawn = {"chain": {("F", 0): 2, ("G", 0): 1},
+             "passive": {("F", 0): 1, ("F", 1): 1, ("F", 2): 1},
+             "store": {("F", 0): 1},
+             "fused": {("F", 0): 1, ("H", 0): 1},
+             "entry": {("F", 0): 1}}
+    functions, got = _decided(prog)
+    assert got == drawn[name]
+    source = prog.compiled.source("F")
+    if name == "store":  # H's slot is given the built list 'b':y
+        assert str(dict(functions)["F"][0].rhs) == "H('b':y)"
+        assert "(('b',) + " in source
+    if name == "fused":  # F's rule 0 calls H, run inlined; G is not reached
+        assert "# H/1" in source and "# G/1" not in source
+        assert fused_count(source) == 3  # F -> G, H and H -> K
+    every_entry_agrees(prog)
+
+
+def test_a_self_decided_loop_spends_its_fuel_as_the_reference_engine_counts_it():
+    # F's call decides F's step, which F may take only once along a chain,
+    # so each pass of the loop draws two steps: the fuel runs out in the
+    # loop or in the decided step, as it is even or odd
+    prog = parse_program("F { x = F(x); }")
+    assert _decided(prog)[1] == {("F", 0): 1}
+    call = Call("F", (word("ab"),))
+    for fuel in (0, 1, 7, 8):
+        assert outcomes_agree(prog, call, fuel) == exhausted(fuel + 1)
+
+
+def test_only_the_naive_matchers_scan_decides_a_step(full_corpus, artifacts):
+    # S -> L compares, in L's first step, the letter S has just matched; a
+    # residual's calls go to functions that branch, so none decides a step
+    functions, drawn = _decided(naive_matcher())
+    assert drawn == {("S", 0): 1}
+    assert str(dict(functions)["S"][0].rhs) == "L(p, y, s.a:p, y)"
+    for pattern in full_corpus.patterns:
+        assert _decided(artifacts(pattern).residual.program)[1] == {}, pattern

@@ -25,8 +25,10 @@ slots share tuple, length and offset locals along the calls (the digests
 are of the residual's entry and of the naive matcher's `S`), and a fourth
 time when the dispatch began to test the arms that jump to themselves
 first and the loop began to draw its steps from one range built for the
-default fuel: each time a change of the generated code alone, made for
-speed.
+default fuel, and a fifth time, for `naive-matcher` alone, when a call
+whose callee's step it decides began to take that step at the call site
+(the naive matcher's S -> L; no residual has such a call): each time a
+change of the generated code alone, made for speed.
 `python tests/test_specializer_golden.py --record` rewrites the file from
 the current code, so record only from code known to be right.
 """
