@@ -4,20 +4,19 @@ guarantee.
 For each pattern this module builds the process graph and residual program
 once, then checks, as separate falsifiable facets:
 
-  * first_path   -- the lowest-rule-index path visits the expected pivot
-                    sequence (entry, then one comparison state per matched
-                    prefix) and ends at T;
-  * restart      -- every mismatch restarts at the root: folds into
-                    S-configurations target it; a configuration holding one
-                    read-but-unmatched symbol is either compressed, with the
-                    first letter excluded, into an edge to a root restart,
-                    or a node that branches exactly into re-entry (covered
-                    by the first comparison state) and restart; and a
-                    mismatch out of a comparison state reaches a root
-                    restart, a held-symbol node or another comparison state;
+  * first_path   -- the lowest-rule-index path visits the pivots of the
+                    states 0..|p|-1 that take a letter, in order, and its
+                    edges re-drive, the one into T past the whole pattern
+                    matched;
+  * restart      -- every node off the first path stands for the
+                    failure-table state that its position gives (see
+                    _graph_states): a pivot or fold has that state's
+                    configuration, a leaf is its T or F, a pivot
+                    branches into its state's moves, and every edge off
+                    the first path re-drives;
   * covering     -- the whistle never fired, and every fold edge
-                    re-verifies and targets an ancestor on the first path
-                    (so none jumps below the subtree it leaves);
+                    re-verifies and returns to an ancestor in its own
+                    state, one that takes a letter;
   * structural   -- the residual carries no constants or repeated variables
                     into calls and inspects at most one symbol per rule;
   * equivalence  -- naive run, residual run, the independent linear-search
@@ -45,7 +44,9 @@ from collections.abc import Iterator
 from functools import lru_cache, partial
 from time import perf_counter
 
-from .configs import Config, alpha_equivalent, covers, make_config
+from .configs import (
+    EMPTY, Config, alpha_equivalent, covers, make_config, restriction,
+)
 from .driving import NameGen, drive_step
 from .interpreter import DriveError, naive_matcher
 from .kmp import failure_table, kmp_resume, kmp_search
@@ -53,11 +54,11 @@ from .record import Record
 from .residual import residualize, structural_report
 from .scp import (
     KIND_DIAGNOSTIC, KIND_FOLDED, KIND_PASSIVE, KIND_PIVOT, ProcessGraph,
-    first_path, head_fn, matcher_entry, specialize_pattern,
+    first_path, specialize_pattern,
 )
 from .syntax import (
     Call, Cons, FALSE, ListParam, ListVar, NIL, Nil, Rule, Sym, SymParam,
-    SymVar, TRUE, Word, word_cells,
+    SymVar, TRUE, Word, render_expr, word_cells,
 )
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -342,45 +343,107 @@ def _chains(graph: ProcessGraph, child_ids) -> Iterator[tuple[int, Config]]:
             raise CheckFailure(f"re-driving node {parent}: {e}") from e
 
 
+# --- the failure table's states, read off the graph --------------------------
+
+def state_config(pattern: str, state) -> Config:
+    """The configuration a state (j, seen) stands for: S(p, #y) for state 0
+    and L(p[j:], #y, p, p[1:j] ++ #y) for a state j = 1..|p| that takes
+    the next letter; a state that holds a letter has #c:#y for #y, under
+    the restriction that #c differs from each letter in `seen`."""
+    j, seen = state
+    y, r = ListParam("y"), EMPTY
+    if seen is not None:
+        c = SymParam("c")
+        y, r = Cons(c, y), restriction((c, Sym(x)) for x in seen)
+    if j == 0:
+        return make_config(Call("S", (word_cells(pattern), y)), r)
+    tail = y
+    for ch in reversed(pattern[1:j]):
+        tail = Cons(Sym(ch), tail)
+    return make_config(Call("L", (word_cells(pattern[j:]), y,
+                                  word_cells(pattern), tail)), r)
+
+
+def _moves(pattern: str, fail, state) -> tuple:
+    """The two moves out of a state below |p|, (advance, fallback): p[j]
+    advances to state j + 1, or to T after the last state; any other
+    letter falls back along the failure table `fail`, skipping every state
+    whose letter is known to differ from it (those in `seen`, and p[j]),
+    and holds it in the first state left, or returns to the scan."""
+    j, seen = state
+    held = (seen or frozenset()) | {pattern[j]}
+    k = j
+    while k and pattern[k] in held:
+        k = fail[k]
+    fallback = (0, None) if pattern[k] in held else (k, held)
+    return ((j + 1, None) if j + 1 < len(pattern) else TRUE), fallback
+
+
+def _graph_states(graph: ProcessGraph, pattern: str) -> dict:
+    """Label each node reached from the root with the state it stands for,
+    by child position alone: a pivot in a state that takes a letter has
+    the children advance, fallback and F, and one in a state that holds a
+    letter the children advance and fallback (see _moves).  A label is a
+    state (j, seen), or TRUE or FALSE for a leaf.  Never raises, and
+    labels a node once: a child past those positions, or below a node that
+    is no pivot or whose label is no state, gets no label."""
+    fail = failure_table(pattern)
+    labels = {graph.root: (0, None)}
+    pending = [graph.root]
+    while pending:
+        i = pending.pop()
+        node, state = graph.nodes[i], labels[i]
+        if node.kind != KIND_PIVOT or not isinstance(state, tuple):
+            continue
+        moves = _moves(pattern, fail, state)
+        if state[1] is None:
+            moves += (FALSE,)
+        for c, label in zip(node.children, moves):
+            if c not in labels:
+                labels[c] = label
+                pending.append(c)
+    return labels
+
+
+def _state_text(state) -> str:
+    """T, F, "no state", "state j", or "state j holding a letter not in
+    'ab'"."""
+    if not isinstance(state, tuple):
+        return "no state" if state is None else render_expr(state)
+    j, seen = state
+    if seen is None:
+        return f"state {j}"
+    return f"state {j} holding a letter not in {''.join(sorted(seen))!r}"
+
+
 # --- first path ---------------------------------------------------------------
 
-def _comparison_config(pattern: str, i: int) -> Config:
-    """The comparison after i matched letters: L(suffix(i), Y, pattern,
-    stagger(i) ++ Y), stagger(i) being letters 1..i-1 of the pattern."""
-    y = ListParam("y")
-    tail = y
-    for ch in reversed(pattern[1:i]):
-        tail = Cons(Sym(ch), tail)
-    return make_config(Call("L", (word_cells(pattern[i:]), y,
-                                  word_cells(pattern), tail)))
-
-
 def expected_path_pivots(pattern: str) -> list[Config]:
-    """The entry followed by one comparison configuration per matched-prefix
-    length i = 1..n-1."""
-    return [matcher_entry(pattern)[1]] + [
-        _comparison_config(pattern, i) for i in range(1, len(pattern))]
+    """The configurations of the states 0..|p|-1 that take a letter: the
+    entry, then one comparison per matched-prefix length."""
+    return [state_config(pattern, (j, None)) for j in range(len(pattern))]
 
 
 def _first_path_facts(art: PatternArtifacts) -> None:
-    graph = art.graph
+    graph, pattern = art.graph, art.pattern
     path = first_path(graph)
     leaf = graph.nodes[path[-1]]
     if leaf.config.expr != TRUE:
         raise CheckFailure(f"first path ends at {leaf.config!r}, not T")
     actual = [graph.nodes[i].config for i in path
               if graph.nodes[i].kind == KIND_PIVOT]
-    expected = expected_path_pivots(art.pattern)
+    expected = expected_path_pivots(pattern)
     if len(actual) != len(expected):
         raise CheckFailure(
             f"first path has {len(actual)} pivots, expected {len(expected)}")
     for a, e in zip(actual, expected):
         if not alpha_equivalent(a, e):
             raise CheckFailure(f"pivot {a!r} differs from expected {e!r}")
-    chain = [c for _, c in _chains(graph, [path[-1]])]
+    # each edge along the path is re-driven here, and only here
+    into_t = [c for i, c in _chains(graph, path[1:]) if i == path[-1]]
     # the whole pattern matched: L(Nil, Y, pattern, suffix(1) ++ Y)
-    final = _comparison_config(art.pattern, len(art.pattern))
-    if not any(alpha_equivalent(c, final) for c in chain):
+    final = state_config(pattern, (len(pattern), None))
+    if not any(alpha_equivalent(c, final) for c in into_t):
         raise CheckFailure(
             "final comparison configuration missing from the compressed "
             f"chain into the T leaf (expected {final!r})")
@@ -389,98 +452,34 @@ def _first_path_facts(art: PatternArtifacts) -> None:
 # --- restart structure ----------------------------------------------------------
 
 def _restart_facts(art: PatternArtifacts) -> None:
+    """Every node off the first path stands for its state: a pivot or fold
+    has the state's configuration, a leaf is the T or F its label says,
+    and a pivot has the branches of its state, three if it takes a letter
+    and two if it holds one; and every edge off the first path re-drives
+    to its child."""
     graph, pattern = art.graph, art.pattern
-    nodes, root = graph.nodes, graph.root
-    first = Sym(pattern[0])
-    # up to renaming, a restart is S(pattern, #y), and a held-symbol
-    # configuration S(pattern, #s.c:#y) holds one read symbol c
-    restart_form = matcher_entry(pattern)[1]
-    held_form = make_config(Call("S", (word_cells(pattern),
-                                       Cons(SymParam("c"), ListParam("y")))))
-    if nodes[root].kind != KIND_PIVOT:
-        raise CheckFailure("root is not a pivot")
-
-    # Folds into S-configurations always target the root.
+    nodes = graph.nodes
+    labels = _graph_states(graph, pattern)
+    on_path = set(first_path(graph))
     for i, n in enumerate(nodes):
-        if n.fold is not None:
-            target, _ = n.fold
-            if head_fn(nodes[target].config) == "S" and target != root:
-                raise CheckFailure(
-                    f"fold {i} targets a non-root S-configuration {target}")
-
-    def require_root_restart(node_id: int) -> None:
-        n = nodes[node_id]
-        if n.kind != KIND_FOLDED or n.fold[0] != root \
-                or covers(restart_form, n.config) is None:
-            raise CheckFailure(
-                f"node {node_id} ({n.config!r}) is not a root restart")
-
-    # Every held-symbol configuration, a node or compressed into the edge
-    # into node i (every edge is rebuilt, which checks every step count),
-    # has the root as its only S-headed ancestor.  One that excludes the
-    # first letter is compressed, and its edge ends at a root restart; one
-    # that does not is a node, and a pivot branches exactly into re-entry
-    # (covered by the first comparison state) and restart.
-    reentry = _comparison_config(pattern, 1)
-    edges = [i for i, n in enumerate(nodes) if n.branch is not None]
-    held_configs = itertools.chain(
-        ((i, n.config, False) for i, n in enumerate(nodes)),
-        ((i, cfg, True) for i, cfg in _chains(graph, edges)))
-    for i, cfg, compressed in held_configs:
-        if head_fn(cfg) != "S" or covers(held_form, cfg) is None:
+        if i in on_path:
             continue
-        where = f"held-symbol {'chain of ' if compressed else ''}node {i}"
-        for a in graph.ancestors(i):
-            if head_fn(nodes[a].config) == "S" and a != root:
-                raise CheckFailure(f"{where} has non-root S-ancestor {a}")
-        held = cfg.expr.args[1].head
-        excluded = any(first in pair and held in pair
-                       for pair in cfg.restriction.diseqs)
-        n = nodes[i]
-        if compressed:
-            if not excluded:
-                raise CheckFailure(
-                    f"compressed held-symbol configuration {cfg!r} does not "
-                    "exclude the pattern's first letter")
-            require_root_restart(i)
-        elif excluded:
-            raise CheckFailure(
-                f"{where} driven although the first letter is already "
-                "excluded")
-        elif n.kind == KIND_PIVOT:  # folded duplicates need no branch check
-            if len(n.children) != 2:
-                raise CheckFailure(f"{where} has {len(n.children)} branches")
-            advance = nodes[n.children[0]]
-            if advance.kind != KIND_FOLDED \
-                    or not alpha_equivalent(advance.config, reentry) \
-                    or covers(nodes[advance.fold[0]].config,
-                              advance.config) is None:
-                raise CheckFailure(
-                    f"{where}: first branch is not a covered re-entry (got "
-                    f"{advance.config!r})")
-            require_root_restart(n.children[1])
-
-    # Every mismatch branch out of an L-headed pivot reaches a root restart,
-    # a held-symbol pivot, or an L-headed pivot, whose own mismatch branches
-    # this loop checks in its turn.
-    for n in nodes:
-        if n.kind != KIND_PIVOT or head_fn(n.config) != "L":
-            continue
-        for c in n.children:
-            child = nodes[c]
-            if not child.branch.added.diseqs:
-                continue  # not a mismatch branch
-            if child.kind == KIND_FOLDED:
-                require_root_restart(c)
-            elif child.kind != KIND_PIVOT:
-                raise CheckFailure(
-                    f"mismatch branch reached a {child.kind} node "
-                    f"({child.config!r})")
-            elif head_fn(child.config) != "L" \
-                    and covers(held_form, child.config) is None:
-                raise CheckFailure(
-                    f"mismatch branch reached unexpected pivot "
-                    f"{child.config!r}")
+        label = labels.get(i)
+        if n.kind == KIND_PIVOT or n.kind == KIND_FOLDED:
+            ok = isinstance(label, tuple) \
+                and alpha_equivalent(n.config, state_config(pattern, label))
+        else:
+            ok = n.kind == KIND_PASSIVE and n.config.expr == label
+        if not ok:
+            raise CheckFailure(f"node {i} ({n.config!r}) does not stand for "
+                               f"{_state_text(label)}")
+        if n.kind == KIND_PIVOT \
+                and len(n.children) != (3 if label[1] is None else 2):
+            raise CheckFailure(f"node {i} ({_state_text(label)}) has "
+                               f"{len(n.children)} branches")
+    for _ in _chains(graph, [i for i, n in enumerate(nodes)
+                             if n.branch is not None and i not in on_path]):
+        pass
 
 
 # --- covering / no generalization ----------------------------------------------
@@ -494,10 +493,9 @@ def _covering_facts(art: PatternArtifacts) -> None:
             f"(pairs {report.whistle_pairs})")
     if any(n.kind == KIND_DIAGNOSTIC for n in nodes):
         raise CheckFailure("diagnostic leaves present")
-    # The first path holds no fold, so the ancestors of a fold that lie on
-    # it are the path's prefix down to the fold's subtree: a target that is
-    # an ancestor on the first path stays above that subtree.
-    on_first_path = set(first_path(graph))
+    # A fold returns to the state it stands for: the one its target, an
+    # ancestor, takes a letter in.
+    labels = _graph_states(graph, art.pattern)
     for i, n in enumerate(nodes):
         if n.fold is None:
             continue
@@ -507,8 +505,14 @@ def _covering_facts(art: PatternArtifacts) -> None:
             raise CheckFailure(f"fold {i} -> {target} fails re-verification")
         if target not in graph.ancestors(i):
             raise CheckFailure(f"fold {i} -> {target} is not an ancestor")
-        if target not in on_first_path:
-            raise CheckFailure(f"fold target {target} off the first path")
+        label = labels.get(i)
+        if labels.get(target) != label:
+            raise CheckFailure(
+                f"fold {i} -> {target} leaves {_state_text(label)} for "
+                f"{_state_text(labels.get(target))}")
+        if not isinstance(label, tuple) or label[1] is not None:
+            raise CheckFailure(f"fold {i} -> {target} returns to "
+                               f"{_state_text(label)}, which takes no letter")
 
 
 # --- structural claims -----------------------------------------------------------
@@ -535,13 +539,10 @@ def _automaton_facts(art: PatternArtifacts) -> dict:
     One walk over the rules from the entry: each function stands for a
     state j, as (j, None) when it takes the next letter, or as (j, seen)
     when it holds one letter already read, known to differ from every
-    letter in `seen`.  Its rules must be exactly, in this order: p[j] goes
-    to state j + 1, or to T after the last state; any other letter goes to
-    the fallback the failure table gives, which skips every state whose
-    letter is in `seen` and holds the letter in the first one left, or
-    returns to the scan; and a function that takes a letter ends with
-    Nil = F.  Each state has exactly one function that takes a letter, and
-    every function is reached."""
+    letter in `seen`.  Its rules must be exactly, in this order, the
+    state's two moves (see _moves), p[j] and any other letter, and for a
+    function that takes a letter Nil = F.  Each state has exactly one
+    function that takes a letter, and every function is reached."""
     pattern, rp = art.pattern, art.residual
     fail = failure_table(pattern)
     states = {rp.entry: (0, None)}
@@ -557,21 +558,16 @@ def _automaton_facts(art: PatternArtifacts) -> dict:
                                f"in state {j}")
         if len(rules) != (3 if seen is None else 2):
             raise CheckFailure(f"{where} has {len(rules)} rules")
-        held = (seen or frozenset()) | {pattern[j]}
-        k = j
-        while k and pattern[k] in held:
-            k = fail[k]
-        fallback = (0, None) if pattern[k] in held else (k, held)
-        advance = (j + 1, None) if j + 1 < len(pattern) else None
         for n, (rule, letter, target) in enumerate(zip(
-                rules, (Sym(pattern[j]), None), (advance, fallback))):
+                rules, (Sym(pattern[j]), None),
+                _moves(pattern, fail, (j, seen)))):
             lhs = rule.lhs  # read as (letter, rest of the string)
             if seen is None:
                 lhs = (lhs[0].head, lhs[0].tail) \
                     if isinstance(lhs[0], Cons) else ()
             ok = len(lhs) == 2 and isinstance(lhs[1], ListVar) and (
                 lhs[0] == letter if letter else isinstance(lhs[0], SymVar))
-            if target is None:
+            if target is TRUE:
                 ok = ok and rule.rhs == TRUE
             else:
                 ok = ok and isinstance(rule.rhs, Call) \
@@ -581,7 +577,7 @@ def _automaton_facts(art: PatternArtifacts) -> dict:
                     f"{where}: rule {n} ({rule!r}) is not the move on "
                     f"{repr(letter) if letter else 'any other letter'} to "
                     f"{_state_text(target)}")
-            if target is None:
+            if target is TRUE:
                 continue
             callee = rule.rhs.fn
             if callee not in states:
@@ -599,16 +595,6 @@ def _automaton_facts(art: PatternArtifacts) -> dict:
         raise CheckFailure(f"{', '.join(unreached)} unreachable from "
                            f"{rp.entry}")
     return states
-
-
-def _state_text(state) -> str:
-    """T, "state j", or "state j holding a letter not in 'ab'"."""
-    if state is None:
-        return "T"
-    j, seen = state
-    if seen is None:
-        return f"state {j}"
-    return f"state {j} holding a letter not in {''.join(sorted(seen))!r}"
 
 
 # --- ground-instance replay --------------------------------------------------------

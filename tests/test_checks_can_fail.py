@@ -10,7 +10,7 @@ import random
 import pytest
 
 from miniscp import driving, harness
-from miniscp.configs import covers, make_config
+from miniscp.configs import covers, make_config, restriction
 from miniscp.harness import (
     CheckFailure, Corpus, _automaton_facts, _chains, _covering_facts,
     _first_path_facts, _restart_facts, record_line, replay_graph,
@@ -21,11 +21,12 @@ from miniscp.residual import (
     ResidualProgram, StructuralReport, render_residual, structural_report,
 )
 from miniscp.scp import (
-    KIND_DIAGNOSTIC, KIND_PASSIVE, Node, ProcessGraph, first_path,
-    specialize_pattern,
+    KIND_DIAGNOSTIC, KIND_FOLDED, KIND_PASSIVE, KIND_PIVOT, Node,
+    ProcessGraph, first_path, specialize_pattern,
 )
 from miniscp.syntax import (
-    Call, Cons, ListParam, Program, SymParam, parse_program, word,
+    Call, Cons, FALSE, ListParam, Program, Sym, SymParam, SymVar, TRUE,
+    parse_program, word,
 )
 from miniscp.harness import PatternArtifacts
 
@@ -179,8 +180,11 @@ def _break_first_path(mp):
 
 
 def _break_restart(mp):
-    # only the restart facet asks which function heads a configuration
-    mp.setattr(harness, "head_fn", lambda cfg: "S")
+    # only the restart facet reads the configuration of a state that holds
+    # a letter: read it as the state's taker
+    real = harness.state_config
+    mp.setattr(harness, "state_config",
+               lambda pattern, state: real(pattern, (state[0], None)))
 
 
 def _break_covering(mp):
@@ -224,7 +228,9 @@ def _break_linearity(mp):
 
 
 def _break_automaton(mp):
-    mp.setattr(harness, "failure_table", lambda p: (0,) * (len(p) + 1))
+    # only the automaton facet reads the residual's rules: have it take
+    # their rest-of-string variables for symbol variables
+    mp.setattr(harness, "ListVar", SymVar)
 
 
 # facet -> what breaks the one input only it reads, in record-line order
@@ -330,6 +336,27 @@ def test_restart_check_rebuilds_held_symbol_chains(delta, artifacts):
         _restart_facts(_with_steps(art, held, delta))
 
 
+def test_graph_facets_re_drive_each_compressed_step_once(monkeypatch):
+    # the first-path check re-drives the edges along the first path, and
+    # the restart check every other edge
+    real, yielded = harness._chains, []
+
+    def counted(graph, child_ids):
+        for step in real(graph, child_ids):
+            yielded.append(step)
+            yield step
+
+    monkeypatch.setattr(harness, "_chains", counted)
+    for pattern in harness.default_corpus().patterns:
+        art = harness.artifacts(pattern)
+        yielded.clear()
+        for check in (_first_path_facts, _restart_facts, _covering_facts):
+            check(art)
+        assert len(yielded) == art.report.transient_steps, pattern
+        if pattern == "aab":
+            assert len(yielded) == 11
+
+
 def test_rebuild_catches_a_ground_step_one_step_too_far(monkeypatch,
                                                         artifacts):
     # a ground step that lands one configuration beyond the one it counts
@@ -355,24 +382,94 @@ def test_rebuild_catches_a_ground_step_one_step_too_far(monkeypatch,
         _restart_facts(art)
 
 
-def test_restart_chase_reports_a_bad_fallback_branch(monkeypatch):
+def test_restart_check_reports_a_bad_fallback_branch():
     # aab's pivot 4 falls back to pivot 8, which restarts at node 11: break
-    # either, with the compressed-chain check (which sees node 11 first)
-    # left out, and the chase from the L-pivots names it
-    monkeypatch.setattr(harness, "_chains", lambda graph, ids: iter(()))
+    # either, and the state its position gives names it
     art = harness.artifacts("aab")
     _restart_facts(art)
     nodes = art.graph.nodes
     assert nodes[4].children[1] == 8 and nodes[8].children[1] == 11
     nodes[11].kind = KIND_PASSIVE
-    with pytest.raises(CheckFailure, match=r"^mismatch branch reached a "
-                       r"passive node \(⟨S\(\"aab\", #y14\)⟩\)$"):
+    with pytest.raises(CheckFailure, match=r"^node 11 \(⟨S\(\"aab\", "
+                       r"#y14\)⟩\) does not stand for state 0$"):
         _restart_facts(art)
     art = harness.artifacts("aab")
     art.graph.nodes[8].config = art.graph.nodes[art.graph.root].config
-    with pytest.raises(CheckFailure, match=r"^mismatch branch reached "
-                       r"unexpected pivot ⟨S\(\"aab\", #y\)⟩$"):
+    with pytest.raises(CheckFailure, match=r"^node 8 \(⟨S\(\"aab\", #y\)⟩\) "
+                       r"does not stand for state 1 holding a letter not in "
+                       r"'b'$"):
         _restart_facts(art)
+
+
+# --- the restart and first-path facets, on a tampered aab graph ---------------
+
+def _held_pivot_given_a_third_branch(nodes):
+    # pivot 8 holds a letter, so it branches only into advance and fallback
+    nodes[8].children = nodes[8].children + [9]
+
+
+def _held_pivot_excluding_another_letter(nodes):
+    # pivot 8 holds a letter known to differ from 'b', the letter state 2
+    # takes; made to differ from 'a' instead
+    cfg = nodes[8].config
+    held = cfg.expr.args[1].head
+    nodes[8].config = make_config(cfg.expr, restriction([(held, Sym("a"))]))
+
+
+def _t_where_f_is_labelled(nodes):
+    # node 3 is the root's end of the string
+    nodes[3].config = make_config(TRUE)
+
+
+def _f_where_t_is_labelled(nodes):
+    # node 7, the end of the first path, is aab's only T
+    nodes[7].config = make_config(FALSE)
+
+
+def _root_restart_a_step_short(nodes):
+    # node 2, the root's restart, is off the first path: only the restart
+    # check re-drives the edge into it
+    b = nodes[2].branch
+    nodes[2].branch = driving.Branch(b.subst, b.added, b.rule_index, b.child,
+                                     b.steps - 1)
+
+
+def _root_restart_a_step_long(nodes):
+    b = nodes[2].branch
+    nodes[2].branch = driving.Branch(b.subst, b.added, b.rule_index, b.child,
+                                     b.steps + 1)
+
+
+# tampering of aab's graph -> the facet that refuses it, and its message
+GRAPH_FAULTS = {
+    _held_pivot_given_a_third_branch: (
+        _restart_facts, r"^node 8 \(state 1 holding a letter not in 'b'\) "
+                        r"has 3 branches$"),
+    _held_pivot_excluding_another_letter: (
+        _restart_facts, r"^node 8 \(⟨.*; 'a'≠#s\.c14⟩\) does not stand for "
+                        r"state 1 holding a letter not in 'b'$"),
+    _t_where_f_is_labelled: (
+        _restart_facts, r"^node 3 \(⟨T⟩\) does not stand for F$"),
+    _f_where_t_is_labelled: (
+        _first_path_facts, r"^first path ends at ⟨F⟩, not T$"),
+    _root_restart_a_step_short: (
+        _restart_facts, r"^re-driving the edge into node 2 does not reach it "
+                        r"in 0 steps$"),
+    _root_restart_a_step_long: (
+        _restart_facts, r"^re-driving the edge into node 2 does not reach it "
+                        r"in 2 steps$"),
+}
+
+
+@pytest.mark.parametrize("tamper", GRAPH_FAULTS,
+                         ids=lambda f: f.__name__.strip("_"))
+def test_graph_check_rejects_a_tampered_node(tamper):
+    art = harness.artifacts("aab")
+    check, message = GRAPH_FAULTS[tamper]
+    check(art)
+    tamper(art.graph.nodes)
+    with pytest.raises(CheckFailure, match=message):
+        check(art)
 
 
 # --- the covering facet, on a tampered aab graph ------------------------------
@@ -394,10 +491,29 @@ def _retargeted_below_its_attachment(nodes):
 
 
 def _folded_off_the_first_path(nodes):
-    # node 10, given pivot 8's configuration, folds into its parent 8 by
-    # the identity: an ancestor that the first path does not visit
+    # node 10, in state 2, given pivot 8's configuration, folds into its
+    # parent 8 by the identity: an ancestor that the first path does not
+    # visit, in state 1 holding a letter not 'b'
     nodes[10].config = nodes[8].config
     nodes[10].fold = (8, covers(nodes[8].config, nodes[8].config))
+
+
+def _folded_onto_another_state(nodes):
+    # node 10, in state 2, given pivot 1's configuration, folds into the
+    # first-path ancestor 1 by the identity: state 1 also takes a letter
+    nodes[10].config = nodes[1].config
+    nodes[10].fold = (1, covers(nodes[1].config, nodes[1].config))
+
+
+def _folded_onto_a_held_state(nodes):
+    # node 10, in state 2, driven instead of folded: its fallback, state 1
+    # holding a letter not 'b', folds into pivot 8, which stands for it
+    held = nodes[8].config
+    nodes[10].kind, nodes[10].fold, nodes[10].children = \
+        KIND_PIVOT, None, [12, 13, 14]
+    nodes += [Node(make_config(TRUE), KIND_PASSIVE, 10),
+              Node(held, KIND_FOLDED, 10, fold=(8, covers(held, held))),
+              Node(make_config(FALSE), KIND_PASSIVE, 10)]
 
 
 # tampering of aab's graph -> the covering facet's message
@@ -405,7 +521,11 @@ COVERING_FAULTS = {
     _whistled: r"^diagnostic leaves present$",
     _misrenamed: r"^fold 10 -> 4 fails re-verification$",
     _retargeted_below_its_attachment: r"^fold 5 -> 4 is not an ancestor$",
-    _folded_off_the_first_path: r"^fold target 8 off the first path$",
+    _folded_off_the_first_path: r"^fold 10 -> 8 leaves state 2 for state 1 "
+                                r"holding a letter not in 'b'$",
+    _folded_onto_another_state: r"^fold 10 -> 1 leaves state 2 for state 1$",
+    _folded_onto_a_held_state: r"^fold 13 -> 8 returns to state 1 holding a "
+                               r"letter not in 'b', which takes no letter$",
 }
 
 

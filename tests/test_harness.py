@@ -12,8 +12,10 @@ from miniscp import harness
 from miniscp.harness import (
     POOL_BUDGET, Corpus, _automaton_facts, binary_patterns, check_pool_budget,
     default_corpus, exhaustive_count, expected_path_pivots, oracle_levels,
-    record_line, string_pool, summary_lines, sweep_alphabet, verify_pattern,
+    record_line, state_config, string_pool, summary_lines, sweep_alphabet,
+    verify_pattern,
 )
+from miniscp.configs import alpha_equivalent
 from miniscp.interpreter import naive_matcher
 from miniscp.kmp import kmp_search
 
@@ -200,17 +202,22 @@ def test_automaton_mapping_is_state_bijection(aab):
 
 def test_every_short_residual_is_its_failure_tables_kmp_program():
     # every binary word up to length 8 and every ternary word up to length
-    # 4: the automaton facet passes, and each state 0..|p|-1 has exactly one
-    # function that takes a letter
+    # 4: the automaton facet passes, each state 0..|p|-1 has exactly one
+    # function that takes a letter, and each function comes from a pivot
+    # with the configuration of the state the facet reads it as
     patterns = dict.fromkeys(itertools.chain(
         binary_patterns(8),
         ("".join(t) for n in range(1, 5)
          for t in itertools.product("abc", repeat=n))))
     assert len(patterns) == 600
     for pattern in patterns:
-        mapping = _automaton_facts(harness.artifacts(pattern))
+        art = harness.artifacts(pattern)
+        mapping = _automaton_facts(art)
         takers = sorted(j for j, seen in mapping.values() if seen is None)
         assert takers == list(range(len(pattern))), pattern
+        for f, state in mapping.items():
+            assert alpha_equivalent(art.residual.provenance[f],
+                                    state_config(pattern, state)), (pattern, f)
 
 
 def test_verify_pattern_report(small_corpus):
